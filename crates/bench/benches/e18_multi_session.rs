@@ -1,6 +1,6 @@
 //! E18 — multi-session kernel throughput. Times a 32-session mixed
-//! population two ways: one `run_session` call per session (the old
-//! entry point, one event loop each) versus one `run_sessions` call
+//! population two ways: one `run_session` call per session (a
+//! population of one each) versus one `run_sessions` call
 //! interleaving every session through a single shared calendar queue.
 //! Both produce identical results (asserted in `common`'s tests); the
 //! delta is pure kernel overhead.
@@ -38,7 +38,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             population(POP, DUR)
                 .into_iter()
-                .map(|(trace, cfg)| run_session(trace, cfg))
+                .map(|spec| run_session(spec.trace, spec.cfg))
                 .collect::<Vec<_>>()
         })
     });

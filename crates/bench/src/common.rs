@@ -2,10 +2,8 @@
 //! by `ravel-harness`, re-exported here for compatibility) and serial
 //! session helpers for the Criterion targets.
 
-use ravel_harness::ObsMode;
 use ravel_pipeline::{
-    run_session, run_sessions, run_sessions_pooled, KernelWorkspace, Scheme, SessionConfig,
-    SessionResult,
+    run_session, run_sessions, KernelWorkspace, RunSpec, Scheme, SessionConfig, SessionResult,
 };
 use ravel_sim::Dur;
 use ravel_trace::{BandwidthTrace, StepTrace};
@@ -27,7 +25,7 @@ pub fn run_drop(scheme: Scheme, content: ContentClass, after_bps: f64) -> Sessio
 /// Builds a mixed population of `n` drop sessions: schemes, content
 /// classes, drop depths, and seeds all vary with the session index so
 /// the interleaved kernel sees heterogeneous per-session state.
-pub fn population(n: usize, duration: Dur) -> Vec<(StepTrace, SessionConfig)> {
+pub fn population(n: usize, duration: Dur) -> Vec<RunSpec<StepTrace>> {
     let contents = [
         ContentClass::TalkingHead,
         ContentClass::ScreenShare,
@@ -46,7 +44,7 @@ pub fn population(n: usize, duration: Dur) -> Vec<(StepTrace, SessionConfig)> {
             cfg.duration = duration;
             cfg.seed = i as u64 + 1;
             let after_bps = 0.8e6 + 0.2e6 * (i % 5) as f64;
-            (StepTrace::sudden_drop(PRE_RATE, after_bps, DROP_AT), cfg)
+            RunSpec::new(StepTrace::sudden_drop(PRE_RATE, after_bps, DROP_AT), cfg)
         })
         .collect()
 }
@@ -54,11 +52,11 @@ pub fn population(n: usize, duration: Dur) -> Vec<(StepTrace, SessionConfig)> {
 /// Runs a [`population`] on the interleaved multi-session kernel —
 /// every session stepped from one shared event queue on one thread.
 pub fn run_population(n: usize, duration: Dur) -> Vec<SessionResult> {
-    run_sessions(population(n, duration))
+    run_sessions(population(n, duration), &mut KernelWorkspace::allocating())
 }
 
-/// Runs a [`population`] through the pooled kernel entry point in
-/// batches of `batch` sessions, reusing ONE workspace across batches —
+/// Runs a [`population`] through the kernel in batches of `batch`
+/// sessions, reusing ONE workspace across batches —
 /// the shape of work a batched harness worker performs. `pooled`
 /// selects the recycling payload arena; `false` is the allocating
 /// oracle, byte-identical in results.
@@ -78,7 +76,7 @@ pub fn run_population_batched(
     while !sessions.is_empty() {
         let rest = sessions.split_off(batch.max(1).min(sessions.len()));
         let chunk = std::mem::replace(&mut sessions, rest);
-        out.extend(run_sessions_pooled(chunk, ObsMode::Off, &mut ws));
+        out.extend(run_sessions(chunk, &mut ws));
     }
     out
 }
@@ -119,7 +117,7 @@ mod tests {
         let interleaved = run_population(4, dur);
         let sequential: Vec<SessionResult> = population(4, dur)
             .into_iter()
-            .map(|(trace, cfg)| run_session(trace, cfg))
+            .map(|spec| run_session(spec.trace, spec.cfg))
             .collect();
         assert_eq!(interleaved.len(), sequential.len());
         for (a, b) in interleaved.iter().zip(&sequential) {

@@ -9,7 +9,7 @@
 //! out-of-bounds target.
 //!
 //! Two corruption sources are exercised: the real [`FeedbackCorruptor`]
-//! (the seven seeded `CorruptKind` mutations, driven by a generated
+//! (the seven seeded `CorruptMode` mutations, driven by a generated
 //! schedule exactly as a session would), and a free-form field fuzzer
 //! that scrambles sequence numbers, timestamps, and sizes beyond what
 //! the corruptor emits.

@@ -1,15 +1,7 @@
 //! The unit of parallel work: one `(scheme, trace, content, seed)`
 //! session, labelled for deterministic aggregation.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
-
-use ravel_net::ChaosSchedule;
-use ravel_obs::ObsMode;
-use ravel_pipeline::{
-    run_session, run_session_guarded, run_session_obs, ContractSpec, SessionConfig, SessionGuard,
-    SessionResult,
-};
+use ravel_pipeline::{ContractSpec, RunSpec, SessionConfig};
 use ravel_sim::{Dur, Time};
 use ravel_trace::{BandwidthTrace, CellularProfile, ConstantTrace, StepTrace, StochasticTrace};
 
@@ -108,45 +100,26 @@ pub struct Cell {
     pub cfg: SessionConfig,
     /// Recovery contract this cell is held to, if any. Deliberately
     /// *outside* [`Cell::canonical_key`]: verdicts are a pure function
-    /// of the finished [`SessionResult`], so two cells that differ only
+    /// of the finished session result, so two cells that differ only
     /// in contract share one simulation and re-derive their own
     /// verdicts from the cached result.
     pub contracts: Option<ContractSpec>,
 }
 
 impl Cell {
-    /// Runs the cell's session to completion. Pure: same cell, same
-    /// result, on any thread.
-    pub fn run(&self) -> SessionResult {
-        run_session(self.trace.build(), self.cfg)
-    }
-
-    /// [`Cell::run`] with an observability mode. The mode is *not* part
-    /// of [`Cell::canonical_key`]: observation never perturbs the
-    /// simulation, and the pool applies one mode uniformly per run, so
-    /// cached results (which carry their obs log) stay interchangeable.
-    pub fn run_obs(&self, obs: ObsMode) -> SessionResult {
-        run_session_obs(self.trace.build(), self.cfg, obs)
-    }
-
-    /// [`Cell::run_obs`] under the pool's fault isolation: the standard
-    /// runaway guard for this config, plus an optional cancellation
-    /// flag the pool's supervisor thread sets when the cell blows its
-    /// wall-clock deadline. With `cancel = None` this is behaviourally
-    /// identical to [`Cell::run_obs`] (the guard is always armed, but
-    /// healthy sessions never approach it).
-    pub fn run_guarded(&self, obs: ObsMode, cancel: Option<Arc<AtomicBool>>) -> SessionResult {
-        let mut guard = SessionGuard::for_config(&self.cfg);
-        guard.cancel = cancel;
-        let schedule = self
-            .cfg
-            .chaos
-            .map(|spec| ChaosSchedule::generate(spec, self.cfg.duration));
-        run_session_guarded(self.trace.build(), self.cfg, schedule, obs, guard)
+    /// The cell's session as a plain [`RunSpec`]: a freshly built
+    /// trace and the cell's config, with fault schedules generated from
+    /// the config, observation off and the standard runaway guard. Pure:
+    /// same cell, same run, on any thread. The pool sets the run's obs
+    /// mode and deadline cancel flag; neither is part of
+    /// [`Cell::canonical_key`], because neither changes what the session
+    /// computes. The shrinker swaps in explicit fault schedules.
+    pub fn spec(&self) -> RunSpec<Box<dyn BandwidthTrace>> {
+        RunSpec::new(self.trace.build(), self.cfg)
     }
 
     /// The cell's content address: a canonical string covering every
-    /// input [`Cell::run`] consumes — the full trace spec and the full
+    /// input [`Cell::spec`] consumes — the full trace spec and the full
     /// session config (scheme, content, link, seeds, duration, every
     /// toggle). The *label* is deliberately excluded: it names the cell
     /// in tables but does not change the computation, so two cells that
@@ -305,7 +278,9 @@ mod tests {
             cfg,
             contracts: None,
         };
-        let (a, b) = (cell.run(), cell.run());
+        let mut ws = ravel_pipeline::KernelWorkspace::new();
+        let mut run = || ravel_pipeline::run_sessions(vec![cell.spec()], &mut ws).remove(0);
+        let (a, b) = (run(), run());
         assert_eq!(a.recorder.records(), b.recorder.records());
     }
 }

@@ -29,11 +29,12 @@
 //!   runs under panic quarantine, the kernel's runaway guard, and an
 //!   optional wall-clock deadline, so one bad cell reports a
 //!   [`CellStatus`] failure instead of taking the grid down.
-//! * [`shrink`] — greedy failing-schedule minimization: when a chaos
-//!   cell violates a session invariant (or panics), the harness re-runs
-//!   the seeded session against smaller schedules until only the faults
-//!   that still trigger the failure remain, then prints the minimal
-//!   reproducer.
+//! * [`shrink`] — greedy failing-schedule minimization on either fault
+//!   plane: when a chaos or corruption cell violates a session
+//!   invariant, breaks its recovery contract, or panics, the harness
+//!   re-runs the seeded session against smaller schedules until only
+//!   the faults that still trigger the failure remain, then prints the
+//!   minimal reproducer.
 //! * [`soak`] — `--soak <secs> --soak-seed S`: an endless deterministic
 //!   stream of randomized chaos × impairment × content cells pumped
 //!   through the fault-isolated pool until the wall budget expires,
@@ -69,10 +70,7 @@ pub use pool::{
 };
 pub use ravel_obs::ObsMode;
 pub use report::{render_json, RunReport};
-pub use shrink::{
-    corrupt_violating_timeline, shrink_cell, shrink_corrupt_cell, shrink_corrupt_schedule,
-    shrink_schedule, violating_timeline, MIN_SEGMENT,
-};
+pub use shrink::{shrink_cell, shrink_schedule, violating_timeline, FaultPlane, MIN_SEGMENT};
 pub use soak::{run_soak, soak_cell, SoakFailure, SoakOptions, SoakOutcome, SOAK_SESSION_LEN};
 pub use timeline::{record_json, render_timeline};
 

@@ -35,12 +35,12 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use ravel_harness::{
-    corrupt_violating_timeline, default_jobs, experiments, render_json, render_timeline, run_soak,
-    run_suite_opts, shrink_cell, shrink_corrupt_cell, violating_timeline, BatchMode, CellRun,
-    ObsMode, PoolOptions, RunReport, SoakOptions, FIXTURE_FAULT_AT,
+    default_jobs, experiments, render_json, render_timeline, run_soak, run_suite_opts, shrink_cell,
+    violating_timeline, BatchMode, Cell, CellRun, FaultPlane, ObsMode, PoolOptions, RunReport,
+    SoakOptions, FIXTURE_FAULT_AT,
 };
 use ravel_metrics::Table;
-use ravel_net::{ChaosSchedule, CorruptSchedule};
+use ravel_net::{CorruptKind, FaultKind, Schedule};
 use ravel_pipeline::InjectedFault;
 
 const USAGE: &str = "\
@@ -55,7 +55,7 @@ OPTIONS:
                          runs as one interleaved session population
                          through the shared-queue kernel (default:
                          auto, sized from the grid and worker count;
-                         1 = the per-cell kernel path; output is
+                         1 = one cell per kernel call; output is
                          byte-identical at any batch size)
     --experiments LIST   comma-separated ids, e.g. e1,e4,e17 (default: all)
     --controller LIST    restrict the E22 arena grid to a comma-separated
@@ -486,58 +486,12 @@ fn main() -> ExitCode {
         println!("{}", t.render());
     }
 
-    // In chaos mode, shrink every failing cell — invariant violation or
-    // quarantined panic/runaway — to a minimal reproducer before
-    // deciding the exit code.
+    // In chaos and corrupt mode, shrink every failing cell — invariant
+    // violation, broken recovery contract, or quarantined
+    // panic/runaway — to a minimal reproducer on each fault plane it
+    // carries before deciding the exit code.
     let mut violating_cells = 0usize;
-    if args.chaos.is_some() {
-        for (exp, run) in selected.iter().zip(&report.experiments) {
-            for (cell, cell_run) in exp.cells.iter().zip(&run.cells) {
-                if cell_run.ok() && cell_run.result.violations.is_empty() {
-                    continue;
-                }
-                violating_cells += 1;
-                println!(
-                    "FAILING CELL {} [{}]:",
-                    cell_run.label,
-                    cell_run.status.name()
-                );
-                if let Some(failure) = &cell_run.failure {
-                    println!("  {}", failure.detail);
-                }
-                for v in &cell_run.result.violations {
-                    println!("  {v}");
-                }
-                let spec = cell
-                    .cfg
-                    .chaos
-                    .expect("chaos sweep cells always carry a spec");
-                let schedule = ChaosSchedule::generate(spec, cell.cfg.duration);
-                match shrink_cell(cell, &schedule) {
-                    Some(min) => {
-                        println!(
-                            "minimal reproducer (seed={} intensity={}, {} of {} segments):",
-                            spec.seed,
-                            spec.intensity,
-                            min.segments.len(),
-                            schedule.segments.len()
-                        );
-                        print!("{}", min.reproducer());
-                        // The minimized schedule's event-level story:
-                        // re-run it with full observability and print
-                        // the timeline digest around the violation.
-                        println!("{}", violating_timeline(cell, &min));
-                    }
-                    None => println!("  (failure did not reproduce under re-run)"),
-                }
-            }
-        }
-    }
-
-    // In corrupt mode, a cell fails on an invariant violation OR a
-    // broken recovery contract; either way the corruption schedule is
-    // shrunk to the minimal set of segments that still breaks it.
-    if args.corrupt.is_some() {
+    if args.chaos.is_some() || args.corrupt.is_some() {
         for (exp, run) in selected.iter().zip(&report.experiments) {
             for (cell, cell_run) in exp.cells.iter().zip(&run.cells) {
                 let broken = cell_run.failed_contracts();
@@ -559,25 +513,8 @@ fn main() -> ExitCode {
                 for verdict in &broken {
                     println!("  contract {}: {}", verdict.name, verdict.detail);
                 }
-                let spec = cell
-                    .cfg
-                    .corrupt
-                    .expect("corrupt sweep cells always carry a spec");
-                let schedule = CorruptSchedule::generate(spec, cell.cfg.duration);
-                match shrink_corrupt_cell(cell, &schedule) {
-                    Some(min) => {
-                        println!(
-                            "minimal corruption reproducer (seed={} intensity={}, {} of {} segments):",
-                            spec.seed,
-                            spec.intensity,
-                            min.segments.len(),
-                            schedule.segments.len()
-                        );
-                        print!("{}", min.reproducer());
-                        println!("{}", corrupt_violating_timeline(cell, &min));
-                    }
-                    None => println!("  (failure did not reproduce under re-run)"),
-                }
+                print_reproducer::<FaultKind>(cell, "minimal reproducer");
+                print_reproducer::<CorruptKind>(cell, "minimal corruption reproducer");
             }
         }
     }
@@ -661,6 +598,30 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// Shrinks `cell`'s failure on plane `K`, if the cell carries a
+/// schedule there, and prints the minimal reproducer under `title`
+/// followed by its violating timeline: the minimized schedule's
+/// event-level story, re-run with full observability.
+fn print_reproducer<K: FaultPlane>(cell: &Cell, title: &str) {
+    let Some(spec) = K::spec_of(&cell.cfg) else {
+        return;
+    };
+    let schedule = Schedule::<K>::generate(spec, cell.cfg.duration);
+    match shrink_cell(cell, &schedule) {
+        Some(min) => {
+            let (seed, intensity) = K::seed_intensity(&spec);
+            println!(
+                "{title} (seed={seed} intensity={intensity}, {} of {} segments):",
+                min.segments.len(),
+                schedule.segments.len()
+            );
+            print!("{}", min.reproducer());
+            println!("{}", violating_timeline(cell, &min));
+        }
+        None => println!("  (failure did not reproduce under re-run)"),
+    }
 }
 
 /// `--soak SECS`: stream randomized cells until the wall budget

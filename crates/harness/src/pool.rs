@@ -12,14 +12,14 @@
 //! **Batching.** Workers claim *ranges* of grid positions
 //! ([`PoolOptions::batch`], default [`BatchMode::Auto`]), group each
 //! range into same-sim-horizon sub-batches, and drive every sub-batch
-//! as one session population through the interleaved kernel
-//! (`run_sessions_pooled`): one shared calendar queue and one
-//! event-payload arena per worker, reused batch after batch so
-//! steady-state event processing is allocation-free. De-interleaved
-//! results land in their grid slots exactly as the per-cell path would
-//! have put them — `BatchMode::Fixed(1)` *is* the historical per-cell
-//! path, kept as the differential oracle, and every batch size yields
-//! byte-identical deterministic output.
+//! as one session population through the kernel ([`run_sessions`]):
+//! one shared calendar queue and one event-payload arena per worker,
+//! reused batch after batch so steady-state event processing is
+//! allocation-free.
+//! Every claim takes this one path — a claim of one
+//! (`BatchMode::Fixed(1)`, the differential oracle) is a population of
+//! one — and every batch size yields byte-identical deterministic
+//! output.
 //!
 //! **Memoization.** Many experiments share cells — E1 and E2 expand the
 //! identical drop grid, and the canonical `talking-head/4→1 Mbps/gcc`
@@ -64,8 +64,7 @@ use std::time::{Duration, Instant};
 
 use ravel_obs::ObsMode;
 use ravel_pipeline::{
-    evaluate, run_sessions_pooled, ContractVerdict, Invariant, KernelWorkspace, SessionConfig,
-    SessionResult,
+    evaluate, run_sessions, ContractVerdict, Invariant, KernelWorkspace, RunSpec, SessionResult,
 };
 use ravel_trace::BandwidthTrace;
 
@@ -219,9 +218,10 @@ pub enum BatchMode {
     /// honoured as given for anyone who wants the trade.
     #[default]
     Auto,
-    /// Exactly `n` positions per claim (`n >= 1`). `Fixed(1)` is the
-    /// historical one-kernel-call-per-cell path and the differential
-    /// oracle batched runs are byte-compared against.
+    /// Exactly `n` positions per claim (`n >= 1`). `Fixed(1)` runs
+    /// every cell as a population of one — one kernel call per cell —
+    /// and is the differential oracle batched runs are byte-compared
+    /// against.
     Fixed(usize),
 }
 
@@ -300,9 +300,8 @@ pub struct PoolStats {
     pub busy: Duration,
     /// Event-payload allocations served from the per-worker arenas'
     /// free lists instead of the allocator, summed over all workers.
-    /// Zero on the per-cell path (batch 1), which keeps the historical
-    /// allocating kernel. Schedule-dependent, so excluded from the
-    /// byte-compared (timing-free) report.
+    /// Schedule-dependent, so excluded from the byte-compared
+    /// (timing-free) report.
     pub allocs_avoided: u64,
     /// Peak number of live pooled payload boxes in any single worker's
     /// arena — a leak here would grow with cell count instead of
@@ -420,17 +419,55 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one simulation under full fault isolation: panic quarantine,
-/// the kernel runaway guard, and (when a deadline is set) supervisor
-/// cancellation.
-fn execute_cell(cell: &Cell, opts: PoolOptions, slot: &WatchSlot) -> CachedCell {
+/// `cell`'s run under the pool's options: its observability mode, and
+/// the supervisor's cancel flag when a deadline is set.
+fn pool_spec(
+    cell: &Cell,
+    opts: PoolOptions,
+    cancel: &Option<Arc<AtomicBool>>,
+) -> RunSpec<Box<dyn BandwidthTrace>> {
+    let mut spec = RunSpec {
+        obs: opts.obs,
+        ..cell.spec()
+    };
+    spec.guard.cancel = cancel.clone();
+    spec
+}
+
+/// A fresh cancel flag registered with the worker's watch slot when a
+/// deadline is set; `None` (and no supervisor registration) otherwise.
+fn arm(opts: PoolOptions, slot: &WatchSlot) -> Option<Arc<AtomicBool>> {
     let cancel = opts.deadline.map(|_| Arc::new(AtomicBool::new(false)));
     if let Some(flag) = &cancel {
         slot.arm(flag.clone());
     }
+    cancel
+}
+
+/// A finished session's outcome: a session the supervisor cancelled is
+/// a timeout, anything else is the session's own result.
+fn finished(result: SessionResult, opts: PoolOptions) -> CellOutcome {
+    if result.cancelled {
+        return Err(CellFailure::new(
+            CellStatus::TimedOut,
+            format!(
+                "wall-clock deadline {:.3}s exceeded; session cancelled by the pool supervisor",
+                opts.deadline.unwrap_or_default().as_secs_f64()
+            ),
+        ));
+    }
+    Ok(result)
+}
+
+/// Re-runs one cell alone under panic quarantine — the fallback after
+/// a batch attempt panicked — with the runaway guard and (when a
+/// deadline is set) supervisor cancellation still armed.
+fn execute_cell(cell: &Cell, opts: PoolOptions, slot: &WatchSlot) -> CachedCell {
+    let cancel = arm(opts, slot);
     let started = Instant::now();
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        cell.run_guarded(opts.obs, cancel.clone())
+        let spec = pool_spec(cell, opts, &cancel);
+        run_sessions(vec![spec], &mut KernelWorkspace::allocating()).remove(0)
     }));
     let wall = started.elapsed();
     if cancel.is_some() {
@@ -441,14 +478,7 @@ fn execute_cell(cell: &Cell, opts: PoolOptions, slot: &WatchSlot) -> CachedCell 
             CellStatus::Panicked,
             panic_message(payload.as_ref()),
         )),
-        Ok(result) if result.cancelled => Err(CellFailure::new(
-            CellStatus::TimedOut,
-            format!(
-                "wall-clock deadline {:.3}s exceeded; session cancelled by the pool supervisor",
-                opts.deadline.unwrap_or_default().as_secs_f64()
-            ),
-        )),
-        Ok(result) => Ok(result),
+        Ok(result) => finished(result, opts),
     };
     (outcome, wall)
 }
@@ -508,9 +538,9 @@ pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<CellRun> {
 /// the determinism reference the tests compare against.
 ///
 /// With `opts.use_cache`, each unique content address simulates exactly
-/// once: the first worker to claim an address computes it inside a
-/// per-address [`OnceLock`]; later claimants (and concurrent claimants,
-/// which block on the same lock) clone the finished outcome — including
+/// once: the first worker to claim an address computes it and fulfills
+/// its per-address memo; later claimants (and concurrent claimants,
+/// which block on the same memo) clone the finished outcome — including
 /// quarantined failures, which echo identically at every position.
 pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<CellRun>, PoolStats) {
     let keys: Vec<String> = cells.iter().map(Cell::canonical_key).collect();
@@ -554,60 +584,29 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
                 let mut busy = Duration::ZERO;
                 // Per-worker kernel scratch, reused across batches so
                 // the queue's bucket Vecs and the payload arena's free
-                // list stay warm. The per-cell path (batch 1) keeps
-                // the historical solo kernel and never touches it.
-                let mut ws = (batch > 1).then(KernelWorkspace::new);
+                // list stay warm.
+                let mut ws = KernelWorkspace::new();
                 loop {
                     let start = next.fetch_add(batch, Ordering::Relaxed);
                     if start >= cells.len() {
                         break;
                     }
                     let end = (start + batch).min(cells.len());
-                    if batch == 1 {
-                        let i = start;
-                        let cell = &cells[i];
-                        let run = if opts.use_cache {
-                            let memo = cache
-                                .lock()
-                                .expect("cell cache poisoned")
-                                .entry(keys[i].as_str())
-                                .or_default()
-                                .clone();
-                            if memo.claim() {
-                                let (outcome, wall) = execute_cell(cell, opts, slot);
-                                busy += wall;
-                                executed.fetch_add(1, Ordering::Relaxed);
-                                let run = make_run(cell, wall, false, &outcome);
-                                memo.fulfill((outcome, wall));
-                                run
-                            } else {
-                                let (outcome, wall) = memo.wait();
-                                make_run(cell, wall, true, &outcome)
-                            }
-                        } else {
-                            let (outcome, wall) = execute_cell(cell, opts, slot);
-                            busy += wall;
-                            executed.fetch_add(1, Ordering::Relaxed);
-                            make_run(cell, wall, false, &outcome)
-                        };
-                        slots.lock().expect("pool slots poisoned")[i] = Some(run);
-                    } else {
-                        run_batch(
-                            cells,
-                            keys,
-                            start..end,
-                            opts,
-                            cache,
-                            ws.as_mut().expect("workspace exists when batch > 1"),
-                            slot,
-                            slots,
-                            &mut busy,
-                            executed,
-                        );
-                    }
+                    run_batch(
+                        cells,
+                        keys,
+                        start..end,
+                        opts,
+                        cache,
+                        &mut ws,
+                        slot,
+                        slots,
+                        &mut busy,
+                        executed,
+                    );
                 }
-                if let Some(ws) = &ws {
-                    let stats = ws.arena_stats();
+                let stats = ws.arena_stats();
+                {
                     let mut total = arena_total.lock().expect("arena total poisoned");
                     total.0 += stats.allocs_avoided;
                     total.1 = total.1.max(stats.high_water);
@@ -660,6 +659,11 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
 /// [`KernelWorkspace`], then de-interleaves results back into their
 /// grid slots. Cache-hit positions resolve *after* the batch runs, so
 /// a worker never waits on a memo while holding unfulfilled claims.
+///
+/// The per-cell wall clock covers the batch's trace builds, schedule
+/// generation and sessions, split across cells by event count. With a
+/// deadline set, claims are single cells, so the supervisor's cancel
+/// flag is per cell.
 ///
 /// If anything in the batch panics, the whole attempt is discarded and
 /// every claimed position re-runs through the per-cell quarantine path
@@ -716,43 +720,43 @@ fn run_batch<'g>(
             }
         }
         if !computing.is_empty() {
-            let sessions: Vec<(Box<dyn BandwidthTrace>, SessionConfig)> = computing
-                .iter()
-                .map(|&(i, _)| (cells[i].trace.build(), cells[i].cfg))
-                .collect();
+            let cancel = arm(opts, slot);
             let started = Instant::now();
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                run_sessions_pooled(sessions, opts.obs, ws)
+                let specs = computing
+                    .iter()
+                    .map(|&(i, _)| pool_spec(&cells[i], opts, &cancel))
+                    .collect();
+                run_sessions(specs, ws)
             }));
             let wall = started.elapsed();
-            match attempt {
+            if cancel.is_some() {
+                slot.disarm();
+            }
+            let outcomes: Vec<CachedCell> = match attempt {
                 Ok(results) => {
                     let walls = attribute_walls(wall, &results);
-                    for (((i, memo), result), wall_i) in
-                        computing.into_iter().zip(results).zip(walls)
-                    {
-                        let outcome: CellOutcome = Ok(result);
-                        *busy += wall_i;
-                        executed.fetch_add(1, Ordering::Relaxed);
-                        let run = make_run(&cells[i], wall_i, false, &outcome);
-                        slots.lock().expect("pool slots poisoned")[i] = Some(run);
-                        if let Some(memo) = memo {
-                            memo.fulfill((outcome, wall_i));
-                        }
-                    }
+                    results
+                        .into_iter()
+                        .zip(walls)
+                        .map(|(result, wall_i)| (finished(result, opts), wall_i))
+                        .collect()
                 }
                 Err(_) => {
                     ws.quarantine_reset();
-                    for (i, memo) in computing {
-                        let (outcome, wall_i) = execute_cell(&cells[i], opts, slot);
-                        *busy += wall_i;
-                        executed.fetch_add(1, Ordering::Relaxed);
-                        let run = make_run(&cells[i], wall_i, false, &outcome);
-                        slots.lock().expect("pool slots poisoned")[i] = Some(run);
-                        if let Some(memo) = memo {
-                            memo.fulfill((outcome, wall_i));
-                        }
-                    }
+                    computing
+                        .iter()
+                        .map(|&(i, _)| execute_cell(&cells[i], opts, slot))
+                        .collect()
+                }
+            };
+            for ((i, memo), (outcome, wall_i)) in computing.into_iter().zip(outcomes) {
+                *busy += wall_i;
+                executed.fetch_add(1, Ordering::Relaxed);
+                let run = make_run(&cells[i], wall_i, false, &outcome);
+                slots.lock().expect("pool slots poisoned")[i] = Some(run);
+                if let Some(memo) = memo {
+                    memo.fulfill((outcome, wall_i));
                 }
             }
         }

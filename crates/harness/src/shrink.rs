@@ -1,11 +1,15 @@
-//! Failing-schedule minimization.
+//! Failing-schedule minimization, on either fault plane.
 //!
-//! When a chaos cell violates a session invariant, the raw schedule is a
-//! poor bug report: it interleaves several faults, most of which are
-//! irrelevant to the violation. [`shrink_schedule`] minimizes it the way
+//! When a cell fails under a fault schedule, the raw schedule is a poor
+//! bug report: it interleaves several faults, most of which are
+//! irrelevant to the failure. [`shrink_schedule`] minimizes it the way
 //! property-testing shrinkers do — greedily, against a caller-supplied
 //! oracle — so the printed reproducer carries only the segments (at
-//! close to their minimal durations) that still trigger the violation.
+//! close to their minimal durations) that still trigger the failure.
+//! [`shrink_cell`] supplies the oracle for a real cell: the seeded
+//! session re-run under each candidate schedule. Both are generic over
+//! the [`FaultPlane`], so forward-path chaos schedules and feedback
+//! corruption schedules shrink through the same code.
 //!
 //! The shrinker is deterministic: candidate order is a pure function of
 //! the schedule, and the oracle re-runs the *same* seeded session, so
@@ -13,11 +17,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ravel_net::{ChaosSchedule, CorruptSchedule};
+use ravel_net::{CorruptKind, FaultKind, Schedule, SegmentKind};
 use ravel_obs::ObsMode;
 use ravel_pipeline::{
-    all_pass, evaluate, run_session_chaos, run_session_chaos_obs, run_session_corrupt,
-    run_session_corrupt_obs, SessionResult,
+    all_pass, evaluate, run_sessions, KernelWorkspace, RunSpec, SessionConfig, SessionResult,
 };
 use ravel_sim::Dur;
 
@@ -27,6 +30,38 @@ use crate::cell::Cell;
 /// segment is indistinguishable from no fault for every fault kind (a
 /// sub-100 ms blackout is one pacer tick).
 pub const MIN_SEGMENT: Dur = Dur::millis(100);
+
+/// A fault plane a cell's schedule can be shrunk on: where the plane's
+/// spec sits in a session config, and where an explicit schedule goes
+/// in a run.
+pub trait FaultPlane: SegmentKind {
+    /// The config's spec on this plane, if it carries one.
+    fn spec_of(cfg: &SessionConfig) -> Option<Self::Spec>;
+
+    /// Runs `run` under `schedule` on this plane instead of the one its
+    /// config generates.
+    fn install<T>(run: &mut RunSpec<T>, schedule: Schedule<Self>);
+}
+
+impl FaultPlane for FaultKind {
+    fn spec_of(cfg: &SessionConfig) -> Option<Self::Spec> {
+        cfg.chaos
+    }
+
+    fn install<T>(run: &mut RunSpec<T>, schedule: Schedule<Self>) {
+        run.chaos = Some(schedule);
+    }
+}
+
+impl FaultPlane for CorruptKind {
+    fn spec_of(cfg: &SessionConfig) -> Option<Self::Spec> {
+        cfg.corrupt
+    }
+
+    fn install<T>(run: &mut RunSpec<T>, schedule: Schedule<Self>) {
+        run.corrupt = Some(schedule);
+    }
+}
 
 /// Minimizes `schedule` while `violates` keeps returning `true`.
 ///
@@ -43,10 +78,10 @@ pub const MIN_SEGMENT: Dur = Dur::millis(100);
 /// any remaining segment, or halving any remaining duration, makes the
 /// violation disappear. `violates(&schedule)` must be `true` on entry —
 /// callers should only shrink schedules they have already seen fail.
-pub fn shrink_schedule(
-    schedule: &ChaosSchedule,
-    mut violates: impl FnMut(&ChaosSchedule) -> bool,
-) -> ChaosSchedule {
+pub fn shrink_schedule<K: SegmentKind>(
+    schedule: &Schedule<K>,
+    mut violates: impl FnMut(&Schedule<K>) -> bool,
+) -> Schedule<K> {
     let mut current = schedule.clone();
 
     // Pass 1: drop whole segments to fixpoint.
@@ -91,22 +126,37 @@ pub fn shrink_schedule(
     current
 }
 
+/// Re-runs `cell`'s seeded session with `schedule` on plane `K` (the
+/// other plane still generates from the config).
+fn run_under<K: FaultPlane>(cell: &Cell, schedule: &Schedule<K>, obs: ObsMode) -> SessionResult {
+    let mut run = RunSpec { obs, ..cell.spec() };
+    K::install(&mut run, schedule.clone());
+    run_sessions(vec![run], &mut KernelWorkspace::allocating()).remove(0)
+}
+
 /// Shrinks the schedule that made `cell` fail, using a fresh
-/// deterministic session per probe as the oracle. A probe counts as
-/// failing if it reports any invariant violation (including
-/// [`runaway-termination`](ravel_pipeline::Invariant::RunawayTermination))
-/// **or** panics outright — panicking probes are quarantined with
-/// `catch_unwind`, so shrinking a crashing cell minimizes the crash
-/// reproducer instead of tearing down the harness. Returns the minimal
-/// schedule, or `None` if the cell does not actually fail with the
-/// given schedule (nothing to shrink — e.g. the failure was a harness
-/// bug, not a session one).
-pub fn shrink_cell(cell: &Cell, schedule: &ChaosSchedule) -> Option<ChaosSchedule> {
-    let violates = |s: &ChaosSchedule| {
+/// deterministic session per probe as the oracle. A probe fails if it
+/// reports any invariant violation (including
+/// [`runaway-termination`](ravel_pipeline::Invariant::RunawayTermination)),
+/// breaks a clause of the cell's recovery contract (a corruption
+/// schedule's usual damage is a broken recovery promise, not a broken
+/// conservation law), **or** panics outright — panicking probes are
+/// quarantined with `catch_unwind`, so shrinking a crashing cell
+/// minimizes the crash reproducer instead of tearing down the harness.
+/// The cell's schedule on the other plane stays active throughout, so
+/// the minimized schedule is valid in the exact environment that
+/// failed. Returns the minimal schedule, or `None` if the cell does not
+/// actually fail with the given schedule (nothing to shrink — e.g. the
+/// failure was a harness bug, not a session one).
+pub fn shrink_cell<K: FaultPlane>(cell: &Cell, schedule: &Schedule<K>) -> Option<Schedule<K>> {
+    let violates = |s: &Schedule<K>| {
         catch_unwind(AssertUnwindSafe(|| {
-            !run_session_chaos(cell.trace.build(), cell.cfg, Some(s.clone()))
-                .violations
-                .is_empty()
+            let result = run_under(cell, s, ObsMode::Off);
+            !result.violations.is_empty()
+                || cell
+                    .contracts
+                    .as_ref()
+                    .is_some_and(|spec| !all_pass(&evaluate(spec, &result)))
         }))
         .unwrap_or(true)
     };
@@ -114,108 +164,6 @@ pub fn shrink_cell(cell: &Cell, schedule: &ChaosSchedule) -> Option<ChaosSchedul
         return None;
     }
     Some(shrink_schedule(schedule, violates))
-}
-
-/// Minimizes a feedback-corruption schedule while `violates` keeps
-/// returning `true` — the control-plane twin of [`shrink_schedule`],
-/// with the same two greedy fixpoint passes (segment removal, then
-/// duration halving down to [`MIN_SEGMENT`]).
-pub fn shrink_corrupt_schedule(
-    schedule: &CorruptSchedule,
-    mut violates: impl FnMut(&CorruptSchedule) -> bool,
-) -> CorruptSchedule {
-    let mut current = schedule.clone();
-
-    loop {
-        let mut removed_any = false;
-        let mut i = 0;
-        while i < current.segments.len() {
-            let mut candidate = current.clone();
-            candidate.segments.remove(i);
-            if violates(&candidate) {
-                current = candidate;
-                removed_any = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !removed_any {
-            break;
-        }
-    }
-
-    for i in 0..current.segments.len() {
-        loop {
-            let seg = &current.segments[i];
-            let dur = seg.until.saturating_since(seg.from);
-            let halved = Dur::from_secs_f64(dur.as_secs_f64() / 2.0);
-            if halved < MIN_SEGMENT {
-                break;
-            }
-            let mut candidate = current.clone();
-            candidate.segments[i].until = candidate.segments[i].from + halved;
-            if violates(&candidate) {
-                current = candidate;
-            } else {
-                break;
-            }
-        }
-    }
-
-    current
-}
-
-/// True when the finished session counts as failing for corruption
-/// shrinking: any invariant violation, or — when the cell declares a
-/// recovery contract — any failed contract clause. Contract failures
-/// matter here because a corruption schedule's usual damage is not a
-/// broken conservation law but a broken recovery promise.
-fn corrupt_fails(cell: &Cell, result: &SessionResult) -> bool {
-    if !result.violations.is_empty() {
-        return true;
-    }
-    match &cell.contracts {
-        Some(spec) => !all_pass(&evaluate(spec, result)),
-        None => false,
-    }
-}
-
-/// Shrinks the corruption schedule that made `cell` fail, re-running
-/// the seeded session per probe. A probe counts as failing on an
-/// invariant violation, a failed recovery-contract clause, or a panic
-/// (quarantined with `catch_unwind`). Returns `None` when the cell
-/// does not actually fail under the given schedule. The cell's chaos
-/// spec (if any) stays active throughout, so the minimized corruption
-/// schedule is valid in the exact environment that failed.
-pub fn shrink_corrupt_cell(cell: &Cell, schedule: &CorruptSchedule) -> Option<CorruptSchedule> {
-    let violates = |s: &CorruptSchedule| {
-        catch_unwind(AssertUnwindSafe(|| {
-            let result = run_session_corrupt(cell.trace.build(), cell.cfg, Some(s.clone()));
-            corrupt_fails(cell, &result)
-        }))
-        .unwrap_or(true)
-    };
-    if !violates(schedule) {
-        return None;
-    }
-    Some(shrink_corrupt_schedule(schedule, violates))
-}
-
-/// [`violating_timeline`]'s corruption twin: re-runs the cell under the
-/// (minimized) corruption schedule with full observability and renders
-/// the timeline digest.
-pub fn corrupt_violating_timeline(cell: &Cell, schedule: &CorruptSchedule) -> String {
-    catch_unwind(AssertUnwindSafe(|| {
-        run_session_corrupt_obs(
-            cell.trace.build(),
-            cell.cfg,
-            Some(schedule.clone()),
-            ObsMode::Full,
-        )
-        .obs
-        .digest(&cell.label)
-    }))
-    .unwrap_or_else(|_| format!("{}: (session panicked; no timeline)\n", cell.label))
 }
 
 /// Re-runs the cell's seeded session under `schedule` with full
@@ -226,16 +174,11 @@ pub fn corrupt_violating_timeline(cell: &Cell, schedule: &CorruptSchedule) -> St
 /// Panicking cells have no timeline to render; for those the digest is
 /// replaced with a fixed placeholder so callers printing a minimized
 /// crash reproducer still get deterministic output.
-pub fn violating_timeline(cell: &Cell, schedule: &ChaosSchedule) -> String {
+pub fn violating_timeline<K: FaultPlane>(cell: &Cell, schedule: &Schedule<K>) -> String {
     catch_unwind(AssertUnwindSafe(|| {
-        run_session_chaos_obs(
-            cell.trace.build(),
-            cell.cfg,
-            Some(schedule.clone()),
-            ObsMode::Full,
-        )
-        .obs
-        .digest(&cell.label)
+        run_under(cell, schedule, ObsMode::Full)
+            .obs
+            .digest(&cell.label)
     }))
     .unwrap_or_else(|_| format!("{}: (session panicked; no timeline)\n", cell.label))
 }
@@ -244,7 +187,7 @@ pub fn violating_timeline(cell: &Cell, schedule: &ChaosSchedule) -> String {
 mod tests {
     use super::*;
     use crate::cell::TraceSpec;
-    use ravel_net::{CorruptKind, CorruptSegment, FaultKind, FaultSegment};
+    use ravel_net::{ChaosSchedule, CorruptMode, CorruptSchedule, CorruptSegment, FaultSegment};
     use ravel_pipeline::{InjectedFault, Scheme, SessionConfig};
     use ravel_sim::Time;
 
@@ -329,8 +272,10 @@ mod tests {
         CorruptSegment {
             from: Time::from_secs(from_s),
             until: Time::from_secs(until_s),
-            kind: CorruptKind::Truncate,
-            rate: 1.0,
+            kind: CorruptKind {
+                mode: CorruptMode::Truncate,
+                rate: 1.0,
+            },
         }
     }
 
@@ -339,7 +284,7 @@ mod tests {
         let sched = CorruptSchedule::from_segments(vec![cseg(2, 3), cseg(8, 16), cseg(20, 21)]);
         // Oracle: violates iff a segment at least 1 s long overlaps
         // t=10 s.
-        let min = shrink_corrupt_schedule(&sched, |s| {
+        let min = shrink_schedule(&sched, |s| {
             s.segments.iter().any(|g| {
                 g.from <= Time::from_secs(10)
                     && g.until >= Time::from_secs(10)
@@ -381,10 +326,10 @@ mod tests {
             ),
         };
         let sched = CorruptSchedule::from_segments(vec![cseg(2, 4), cseg(6, 8)]);
-        let min = shrink_corrupt_cell(&cell, &sched).expect("contract failure counts");
+        let min = shrink_cell(&cell, &sched).expect("contract failure counts");
         assert!(min.is_empty(), "{}", min.reproducer());
         // And the timeline digest for the minimized schedule renders.
-        let digest = corrupt_violating_timeline(&cell, &min);
+        let digest = violating_timeline(&cell, &min);
         assert!(
             digest.starts_with("== timeline digest: impossible =="),
             "{digest}"
@@ -402,6 +347,6 @@ mod tests {
             contracts: None,
         };
         let sched = CorruptSchedule::from_segments(vec![cseg(2, 4)]);
-        assert!(shrink_corrupt_cell(&cell, &sched).is_none());
+        assert!(shrink_cell(&cell, &sched).is_none());
     }
 }

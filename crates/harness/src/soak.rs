@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use ravel_core::WatchdogConfig;
-use ravel_net::{ChaosSchedule, ChaosSpec, CorruptSchedule, CorruptSpec, ReversePathConfig};
+use ravel_net::{ChaosSpec, CorruptKind, CorruptSpec, FaultKind, ReversePathConfig, Schedule};
 use ravel_obs::ObsMode;
 use ravel_pipeline::{Scheme, SessionConfig};
 use ravel_sim::{Dur, Rng, Time};
@@ -34,7 +34,7 @@ use ravel_video::ContentClass;
 
 use crate::cell::{Cell, TraceSpec};
 use crate::pool::{run_cells_opts, BatchMode, CellRun, CellStatus, PoolOptions, PoolStats};
-use crate::shrink::{shrink_cell, shrink_corrupt_cell};
+use crate::shrink::{shrink_cell, FaultPlane};
 
 /// RNG substream tag for soak cell generation (distinct from the chaos
 /// schedule's `0xC4A0` and the session substreams).
@@ -77,8 +77,9 @@ pub struct SoakFailure {
     pub digest: String,
     /// Deterministic failure / violation details, one per line.
     pub detail: String,
-    /// Minimal chaos-schedule reproducer, when the cell carries a
-    /// schedule and the failure still reproduces under re-run.
+    /// Minimal reproducer — chaos schedule, then the `corrupt:`-headed
+    /// corruption schedule — for each fault plane the cell carries on
+    /// which the failure still reproduces under re-run.
     pub reproducer: Option<String>,
 }
 
@@ -264,28 +265,30 @@ fn absorb(outcome: &mut SoakOutcome, first_index: u64, cells: &[Cell], runs: &[C
         for v in &run.result.violations {
             let _ = writeln!(detail, "{v}");
         }
-        let chaos_repro = cell.cfg.chaos.and_then(|spec| {
-            let schedule = ChaosSchedule::generate(spec, cell.cfg.duration);
-            shrink_cell(cell, &schedule).map(|min| min.reproducer())
-        });
-        let corrupt_repro = cell.cfg.corrupt.and_then(|spec| {
-            let schedule = CorruptSchedule::generate(spec, cell.cfg.duration);
-            shrink_corrupt_cell(cell, &schedule)
-                .map(|min| format!("corrupt:\n{}", min.reproducer()))
-        });
-        let reproducer = match (chaos_repro, corrupt_repro) {
-            (None, None) => None,
-            (a, b) => Some([a, b].into_iter().flatten().collect::<String>()),
-        };
+        let reproducer: String = [
+            minimal_reproducer::<FaultKind>(cell, ""),
+            minimal_reproducer::<CorruptKind>(cell, "corrupt:\n"),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
         outcome.failures.push(SoakFailure {
             index,
             label: run.label.clone(),
             status: run.status,
             digest,
             detail,
-            reproducer,
+            reproducer: (!reproducer.is_empty()).then_some(reproducer),
         });
     }
+}
+
+/// The minimal reproducer of `cell`'s failure on plane `K`, headed by
+/// `heading`: `None` when the cell carries no schedule on that plane or
+/// the failure does not reproduce under re-run.
+fn minimal_reproducer<K: FaultPlane>(cell: &Cell, heading: &str) -> Option<String> {
+    let schedule = Schedule::<K>::generate(K::spec_of(&cell.cfg)?, cell.cfg.duration);
+    shrink_cell(cell, &schedule).map(|min| format!("{heading}{}", min.reproducer()))
 }
 
 /// Runs the soak: batches of `jobs × 4` cells until `opts.budget`
@@ -368,7 +371,7 @@ mod tests {
         // pacer ticks deduped the cell completes normally at ~1.3k
         // events per simulated second.
         let cell = soak_cell(1, 5263);
-        let result = cell.run();
+        let result = ravel_pipeline::run_session(cell.trace.build(), cell.cfg);
         assert!(
             result.violations.is_empty(),
             "cell must complete without tripping the runaway backstop: {:?}",

@@ -4,8 +4,17 @@
 
 use ravel_harness::{shrink_cell, shrink_schedule, Cell, TraceSpec, MIN_SEGMENT};
 use ravel_net::{ChaosSchedule, ChaosSpec, FaultKind, FaultSegment};
-use ravel_pipeline::{run_session_chaos, Invariant, Scheme, SessionConfig};
+use ravel_pipeline::{run_sessions, Invariant, KernelWorkspace, RunSpec, Scheme, SessionConfig};
 use ravel_sim::{Dur, Time};
+
+/// Runs `cell` under an explicit chaos schedule.
+fn run_under(cell: &Cell, schedule: &ChaosSchedule) -> ravel_pipeline::SessionResult {
+    let spec = RunSpec {
+        chaos: Some(schedule.clone()),
+        ..cell.spec()
+    };
+    run_sessions(vec![spec], &mut KernelWorkspace::allocating()).remove(0)
+}
 
 fn blackout(from_s: u64, until_s: u64) -> FaultSegment {
     FaultSegment {
@@ -43,7 +52,7 @@ fn broken_invariant_is_caught_and_shrunk_to_a_minimal_reproducer() {
 
     // Caught: the session completes and reports the violation instead
     // of panicking.
-    let result = run_session_chaos(cell.trace.build(), cell.cfg, Some(schedule.clone()));
+    let result = run_under(&cell, &schedule);
     assert!(
         result
             .violations
@@ -59,7 +68,7 @@ fn broken_invariant_is_caught_and_shrunk_to_a_minimal_reproducer() {
     assert_eq!(min.segments.len(), 1, "reproducer: {}", min.reproducer());
     let dur = min.segments[0].until.saturating_since(min.segments[0].from);
     assert!(dur >= MIN_SEGMENT && dur < Dur::SECOND, "dur={dur}");
-    let re_run = run_session_chaos(cell.trace.build(), cell.cfg, Some(min.clone()));
+    let re_run = run_under(&cell, &min);
     assert!(
         !re_run.violations.is_empty(),
         "minimized schedule must still violate"

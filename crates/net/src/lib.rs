@@ -30,6 +30,9 @@
 //! * [`chaos`] — forward-path chaos injection: seeded multi-fault
 //!   timelines (burst loss, blackouts, capacity collapse, reordering,
 //!   duplication, MTU shrink) reproducible from `(seed, intensity)`.
+//! * [`schedule`] — the seeded fault-segment timeline both fault planes
+//!   share: generation, reproducer printing and exact parsing, generic
+//!   over the plane's segment kind.
 //! * [`corrupt`] — control-plane corruption: seeded field-level
 //!   mutation of in-flight feedback (seq replay/warp, time warps,
 //!   forged/truncated packet vectors, size bombs) plus the sender-side
@@ -54,10 +57,11 @@ pub mod packet;
 pub mod packetize;
 pub mod pli;
 pub mod rtx;
+pub mod schedule;
 
 pub use chaos::{ChaosSchedule, ChaosSpec, ChaosTrace, FaultKind, FaultSegment, ForwardChaos};
 pub use corrupt::{
-    CorruptKind, CorruptSchedule, CorruptSegment, CorruptSpec, FeedbackCorruptor,
+    CorruptKind, CorruptMode, CorruptSchedule, CorruptSegment, CorruptSpec, FeedbackCorruptor,
     FeedbackValidator, REJECT_REASONS,
 };
 pub use fec::{FecDecoder, FecEncoder};
@@ -69,3 +73,4 @@ pub use packet::{MediaKind, Packet};
 pub use packetize::{FrameAssembler, Packetizer, ReassembledFrame};
 pub use pli::PliRequester;
 pub use rtx::{NackBatch, NackGenerator, RtxBuffer};
+pub use schedule::{Schedule, Segment, SegmentKind};

@@ -12,7 +12,10 @@
 //!
 //! One call to [`run_session`] produces a [`SessionResult`] holding the
 //! per-frame latency/quality records and optional time series — the raw
-//! material for every table and figure in EXPERIMENTS.md.
+//! material for every table and figure in EXPERIMENTS.md. Everything
+//! beyond the plain run — explicit fault schedules, observability, a
+//! cancellable guard, whole populations on one queue — is a
+//! [`RunSpec`] handed to the one kernel, [`run_sessions`].
 //!
 //! The **baseline** scheme is GCC driving the encoder through the
 //! production slow path (`set_target_bitrate`); the **adaptive** scheme
@@ -32,9 +35,6 @@ pub use contracts::{all_pass, evaluate, ContractSpec, ContractVerdict};
 pub use invariants::{Invariant, InvariantChecker, InvariantViolation};
 pub use scheme::{CcKind, Scheme};
 pub use session::{
-    run_session, run_session_chaos, run_session_chaos_obs, run_session_corrupt,
-    run_session_corrupt_obs, run_session_faults, run_session_guarded, run_session_obs,
-    run_sessions, run_sessions_obs, run_sessions_pooled, InjectedFault, KernelWorkspace,
-    SessionConfig, SessionGuard, SessionResult, CANCEL_POLL_EVERY_EVENTS, RUNAWAY_BASE_EVENTS,
-    RUNAWAY_EVENTS_PER_SIM_SEC,
+    run_session, run_sessions, InjectedFault, KernelWorkspace, RunSpec, SessionConfig,
+    SessionGuard, SessionResult,
 };

@@ -1,13 +1,11 @@
 //! The discrete-event session loop.
 //!
 //! The session is an explicit poll-based state machine: [`SessionState`]
-//! holds every piece of sender/receiver state, and the event kernel
-//! (single- or multi-session) pops events off an [`EventQueue`] and
-//! feeds them to [`SessionState::step`]. One worker thread can
-//! interleave thousands of sessions over a shared queue via
-//! [`run_sessions`]; the classic [`run_session`] entry points drive a
-//! single state machine over a private queue and are byte-identical to
-//! the historical monolithic loop.
+//! holds every piece of sender/receiver state, and the one event kernel,
+//! [`run_sessions`], pops events off a shared [`EventQueue`] and feeds
+//! them to [`SessionState::step`]. Each session is described by a
+//! [`RunSpec`]; one worker thread can interleave thousands of them, and
+//! a solo run — [`run_session`] — is a population of one.
 
 use std::collections::VecDeque;
 use std::mem;
@@ -22,7 +20,7 @@ use ravel_net::{
     ChaosSchedule, ChaosSpec, ChaosTrace, CorruptSchedule, CorruptSpec, Delivery, FecDecoder,
     FecEncoder, FeedbackBuilder, FeedbackCorruptor, FeedbackReport, FeedbackValidator,
     ForwardChaos, FrameAssembler, Link, LinkConfig, MediaKind, NackBatch, NackGenerator, Pacer,
-    Packet, Packetizer, PliRequester, ReversePath, ReversePathConfig, RtxBuffer,
+    Packet, Packetizer, PliRequester, ReversePath, ReversePathConfig, RtxBuffer, SegmentKind,
 };
 use ravel_obs::{ObsEvent, ObsLog, ObsMode};
 use ravel_sim::{ArenaStats, BoxPool, Dur, EventQueue, SeriesSet, Time};
@@ -216,12 +214,6 @@ impl SessionGuard {
             horizon: Time::ZERO + cfg.duration + DRAIN_GRACE + HORIZON_MARGIN,
             cancel: None,
         }
-    }
-
-    /// This guard with a cancellation flag attached.
-    pub fn with_cancel(mut self, flag: Arc<AtomicBool>) -> SessionGuard {
-        self.cancel = Some(flag);
-        self
     }
 
     /// True when the budget is enabled and `popped` exceeds it.
@@ -469,150 +461,72 @@ const FREEZE_TERMINATION_BOUND: Dur = Dur::secs(4);
 /// rate-recovery invariant.
 const RECOVERY_CAPACITY_PROBE: Dur = Dur::millis(500);
 
-/// Runs one session over `trace` and returns its measurements.
+/// One session to run: the trace and config plus the run's optional
+/// overrides.
 ///
-/// If `cfg.chaos` is set, the fault schedule is generated from it and
-/// applied; see [`run_session_chaos`] to supply an explicit schedule
-/// (the shrinker's entry point).
-pub fn run_session<T: BandwidthTrace>(trace: T, cfg: SessionConfig) -> SessionResult {
-    run_session_obs(trace, cfg, ObsMode::Off)
+/// [`RunSpec::new`] is the plain run — fault schedules generated from
+/// `cfg.chaos` / `cfg.corrupt`, observation off, the standard runaway
+/// guard for the config. Override fields with struct-update syntax:
+///
+/// ```
+/// # use ravel_pipeline::{run_sessions, KernelWorkspace, RunSpec, Scheme, SessionConfig};
+/// # use ravel_obs::ObsMode;
+/// # use ravel_trace::ConstantTrace;
+/// let mut cfg = SessionConfig::default_with(Scheme::adaptive());
+/// cfg.duration = ravel_sim::Dur::secs(2);
+/// let spec = RunSpec {
+///     obs: ObsMode::Counters,
+///     ..RunSpec::new(ConstantTrace::new(3e6), cfg)
+/// };
+/// let results = run_sessions(vec![spec], &mut KernelWorkspace::allocating());
+/// assert!(results[0].frames_captured > 0);
+/// ```
+#[derive(Debug)]
+pub struct RunSpec<T> {
+    /// The capacity process the link serves.
+    pub trace: T,
+    /// The session configuration.
+    pub cfg: SessionConfig,
+    /// An explicit chaos schedule, bypassing generation from
+    /// `cfg.chaos` (the shrinker's entry point). Recovery bounds for
+    /// the chaos invariants still come from `cfg.chaos`. An empty
+    /// schedule is exact passthrough: zero extra RNG draws, capacity
+    /// multiplied by exactly `1.0`.
+    pub chaos: Option<ChaosSchedule>,
+    /// An explicit corruption schedule, bypassing generation from
+    /// `cfg.corrupt`. An empty schedule is exact passthrough.
+    pub corrupt: Option<CorruptSchedule>,
+    /// Observability mode. `ObsMode::Off` is exact passthrough (every
+    /// hook inlines to an early return); the other modes populate
+    /// [`SessionResult::obs`] without perturbing the simulation — event
+    /// order, RNG draws and all measurements stay byte-identical.
+    pub obs: ObsMode,
+    /// Runaway protection and optional cooperative cancellation.
+    pub guard: SessionGuard,
 }
 
-/// [`run_session`] with an observability mode. `ObsMode::Off` is exact
-/// passthrough (every hook inlines to an early return); the other modes
-/// populate [`SessionResult::obs`] without perturbing the simulation —
-/// event order, RNG draws, and all measurements stay byte-identical.
-pub fn run_session_obs<T: BandwidthTrace>(
-    trace: T,
-    cfg: SessionConfig,
-    obs: ObsMode,
-) -> SessionResult {
-    let schedule = cfg
-        .chaos
-        .map(|spec| ChaosSchedule::generate(spec, cfg.duration));
-    run_session_chaos_obs(trace, cfg, schedule, obs)
-}
-
-/// [`run_session`] with an explicit chaos schedule, bypassing schedule
-/// generation. Recovery bounds for the chaos invariants still come from
-/// `cfg.chaos` (defaults apply when it is `None`). An empty or absent
-/// schedule is exact passthrough: zero extra RNG draws, capacity
-/// multiplied by exactly `1.0`.
-pub fn run_session_chaos<T: BandwidthTrace>(
-    trace: T,
-    cfg: SessionConfig,
-    schedule: Option<ChaosSchedule>,
-) -> SessionResult {
-    run_session_chaos_obs(trace, cfg, schedule, ObsMode::Off)
-}
-
-/// [`run_session_chaos`] with an observability mode — the shrinker uses
-/// this to render the violating timeline of a minimized schedule.
-pub fn run_session_chaos_obs<T: BandwidthTrace>(
-    trace: T,
-    cfg: SessionConfig,
-    schedule: Option<ChaosSchedule>,
-    obs_mode: ObsMode,
-) -> SessionResult {
-    let guard = SessionGuard::for_config(&cfg);
-    run_session_guarded(trace, cfg, schedule, obs_mode, guard)
-}
-
-/// [`run_session`] with an explicit corruption schedule, bypassing
-/// schedule generation (the corruption shrinker's entry point). The
-/// chaos schedule, if any, still generates from `cfg.chaos`. An empty
-/// or absent schedule is exact passthrough: zero extra RNG draws.
-pub fn run_session_corrupt<T: BandwidthTrace>(
-    trace: T,
-    cfg: SessionConfig,
-    corrupt: Option<CorruptSchedule>,
-) -> SessionResult {
-    run_session_corrupt_obs(trace, cfg, corrupt, ObsMode::Off)
-}
-
-/// [`run_session_corrupt`] with an observability mode — the shrinker
-/// uses this to render the violating timeline of a minimized schedule.
-pub fn run_session_corrupt_obs<T: BandwidthTrace>(
-    trace: T,
-    cfg: SessionConfig,
-    corrupt: Option<CorruptSchedule>,
-    obs_mode: ObsMode,
-) -> SessionResult {
-    let schedule = cfg
-        .chaos
-        .map(|spec| ChaosSchedule::generate(spec, cfg.duration));
-    let guard = SessionGuard::for_config(&cfg);
-    run_session_faults(trace, cfg, schedule, corrupt, obs_mode, guard)
-}
-
-/// The standard guarded entry point: an explicit chaos schedule, an
-/// observability mode, and a [`SessionGuard`]. The corruption schedule
-/// generates from `cfg.corrupt`; see [`run_session_faults`] to supply
-/// one explicitly.
-pub fn run_session_guarded<T: BandwidthTrace>(
-    trace: T,
-    cfg: SessionConfig,
-    schedule: Option<ChaosSchedule>,
-    obs_mode: ObsMode,
-    guard: SessionGuard,
-) -> SessionResult {
-    let corrupt = cfg
-        .corrupt
-        .map(|spec| CorruptSchedule::generate(spec, cfg.duration));
-    run_session_faults(trace, cfg, schedule, corrupt, obs_mode, guard)
-}
-
-/// The fully general entry point: explicit chaos AND corruption
-/// schedules, an observability mode, and a [`SessionGuard`]. Every
-/// other entry point delegates here with the standard guard for the
-/// config, so the runaway budget and horizon are always armed.
-pub fn run_session_faults<T: BandwidthTrace>(
-    trace: T,
-    cfg: SessionConfig,
-    schedule: Option<ChaosSchedule>,
-    corrupt: Option<CorruptSchedule>,
-    obs_mode: ObsMode,
-    guard: SessionGuard,
-) -> SessionResult {
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    // Solo sessions keep the plain allocating path: it is the historical
-    // behaviour and the oracle the pooled kernel is tested against.
-    let mut pool: BoxPool<EncodedFrame> = BoxPool::disabled();
-    let mut state = SessionState::new(trace, cfg, schedule, corrupt, obs_mode, guard);
-    state.start(&mut queue);
-    while let Some(scheduled) = queue.pop() {
-        if let Step::Stop = state.step(scheduled.at, scheduled.event, &mut queue, &mut pool) {
-            break;
+impl<T: BandwidthTrace> RunSpec<T> {
+    /// The plain run of `cfg` over `trace`.
+    pub fn new(trace: T, cfg: SessionConfig) -> RunSpec<T> {
+        RunSpec {
+            trace,
+            guard: SessionGuard::for_config(&cfg),
+            cfg,
+            chaos: None,
+            corrupt: None,
+            obs: ObsMode::Off,
         }
     }
-    // Drain without processing: whatever the loop left in the queue is
-    // counted as in-flight for the conservation invariant.
-    while let Some(leftover) = queue.pop() {
-        state.note_leftover(&leftover.event);
-    }
-    state.finish()
 }
 
-/// Runs a batch of sessions interleaved over ONE shared event queue on
-/// the calling thread — the multi-session kernel. Each session's
-/// result is byte-identical to running it alone through
-/// [`run_session`]: sessions share no state, and the shared queue's
-/// FIFO tie-break preserves every per-session event order.
-pub fn run_sessions<T: BandwidthTrace>(sessions: Vec<(T, SessionConfig)>) -> Vec<SessionResult> {
-    run_sessions_obs(sessions, ObsMode::Off)
-}
-
-/// [`run_sessions`] with an observability mode applied to every session.
-///
-/// Runs through a throwaway allocating [`KernelWorkspace`]: identical
-/// results to [`run_sessions_pooled`], without payload recycling. This
-/// is the arena test oracle.
-pub fn run_sessions_obs<T: BandwidthTrace>(
-    sessions: Vec<(T, SessionConfig)>,
-    obs_mode: ObsMode,
-) -> Vec<SessionResult> {
-    let mut ws = KernelWorkspace::allocating();
-    run_sessions_pooled(sessions, obs_mode, &mut ws)
+/// Runs one session over `trace` and returns its measurements — a
+/// population of one through [`run_sessions`].
+pub fn run_session<T: BandwidthTrace>(trace: T, cfg: SessionConfig) -> SessionResult {
+    let mut results = run_sessions(
+        vec![RunSpec::new(trace, cfg)],
+        &mut KernelWorkspace::allocating(),
+    );
+    results.pop().expect("one spec in, one result out")
 }
 
 /// Reusable per-worker kernel scratch: the shared multi-session event
@@ -679,29 +593,35 @@ impl Default for KernelWorkspace {
     }
 }
 
-/// [`run_sessions_obs`] against a caller-owned [`KernelWorkspace`],
-/// recycling event-payload boxes through its arena. Results are
-/// byte-identical to [`run_sessions`] / solo [`run_session`] runs: the
-/// arena only changes *where* a payload box's memory comes from, never
-/// its contents or the event order.
-pub fn run_sessions_pooled<T: BandwidthTrace>(
-    sessions: Vec<(T, SessionConfig)>,
-    obs_mode: ObsMode,
+/// The session kernel: runs a population of sessions interleaved over
+/// ONE shared event queue on the calling thread, recycling event
+/// payload boxes through the workspace's arena. A solo run is a
+/// population of one.
+///
+/// Each session's result is byte-identical to running it alone:
+/// sessions share no state, the shared queue's FIFO tie-break preserves
+/// every per-session event order, and the arena only changes *where* a
+/// payload box's memory comes from, never its contents. Fault schedules
+/// a spec leaves `None` are generated from its config here.
+pub fn run_sessions<T: BandwidthTrace>(
+    specs: Vec<RunSpec<T>>,
     ws: &mut KernelWorkspace,
 ) -> Vec<SessionResult> {
     let queue = &mut ws.queue;
     let pool = &mut ws.pool;
     queue.reset();
-    let mut states: Vec<(SessionState<T>, bool)> = Vec::with_capacity(sessions.len());
-    for (session, (trace, cfg)) in sessions.into_iter().enumerate() {
-        let schedule = cfg
-            .chaos
-            .map(|spec| ChaosSchedule::generate(spec, cfg.duration));
-        let corrupt = cfg
-            .corrupt
-            .map(|spec| CorruptSchedule::generate(spec, cfg.duration));
-        let guard = SessionGuard::for_config(&cfg);
-        let mut state = SessionState::new(trace, cfg, schedule, corrupt, obs_mode, guard);
+    let mut states: Vec<(SessionState<T>, bool)> = Vec::with_capacity(specs.len());
+    for (session, spec) in specs.into_iter().enumerate() {
+        let cfg = spec.cfg;
+        let chaos = spec.chaos.or_else(|| {
+            cfg.chaos
+                .map(|chaos| ChaosSchedule::generate(chaos, cfg.duration))
+        });
+        let corrupt = spec.corrupt.or_else(|| {
+            cfg.corrupt
+                .map(|corrupt| CorruptSchedule::generate(corrupt, cfg.duration))
+        });
+        let mut state = SessionState::new(spec.trace, cfg, chaos, corrupt, spec.obs, spec.guard);
         state.start(&mut TaggedSink {
             queue,
             session: session as u32,
@@ -712,8 +632,8 @@ pub fn run_sessions_pooled<T: BandwidthTrace>(
         let (session, event) = scheduled.event;
         let (state, stopped) = &mut states[session as usize];
         if *stopped {
-            // A stopped session's leftovers count as in-flight, exactly
-            // like the single-session post-loop drain.
+            // A stopped session's leftovers count as in-flight for the
+            // conservation invariant.
             state.note_leftover(&event);
             reclaim(event, pool);
             continue;
@@ -736,28 +656,15 @@ fn reclaim(event: Event, pool: &mut BoxPool<EncodedFrame>) {
     }
 }
 
-/// Where a stepped session schedules its future events. The
-/// single-session kernel hands the state machine its private queue; the
-/// multi-session kernel hands it a [`TaggedSink`] that stamps the
-/// session id onto every push.
-trait EventSink {
-    /// Schedules `event` at `at`.
-    fn push(&mut self, at: Time, event: Event);
-}
-
-impl EventSink for EventQueue<Event> {
-    fn push(&mut self, at: Time, event: Event) {
-        EventQueue::push(self, at, event);
-    }
-}
-
-/// A view of the shared multi-session queue scoped to one session.
+/// Where a stepped session schedules its future events: a view of the
+/// shared population queue that stamps the session id onto every push.
 struct TaggedSink<'a> {
     queue: &'a mut EventQueue<(u32, Event)>,
     session: u32,
 }
 
-impl EventSink for TaggedSink<'_> {
+impl TaggedSink<'_> {
+    /// Schedules `event` at `at`.
     fn push(&mut self, at: Time, event: Event) {
         self.queue.push(at, (self.session, event));
     }
@@ -1022,7 +929,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         };
         // Recovery invariants are anchored to the end of the last fault.
         let chaos_bounds = cfg.chaos.unwrap_or_else(|| ChaosSpec::new(0, 1.0));
-        let chaos_clear = schedule.as_ref().and_then(|s| s.last_fault_end());
+        let chaos_clear = schedule.as_ref().and_then(|s| s.last_end());
         let recovery_deadline = chaos_clear.map(|c| c + chaos_bounds.recovery_within);
         let expected_frames = (cfg.duration.as_secs_f64() * cfg.fps as f64).ceil() as usize + 1;
         let capture_end = Time::ZERO + cfg.duration;
@@ -1092,7 +999,7 @@ impl<T: BandwidthTrace> SessionState<T> {
 
     /// Schedules the session's seed events (same order as the
     /// historical loop, so FIFO tie-breaks are preserved).
-    fn start(&mut self, sink: &mut impl EventSink) {
+    fn start(&mut self, sink: &mut TaggedSink<'_>) {
         sink.push(Time::ZERO, Event::Capture);
         sink.push(
             Time::ZERO + self.cfg.feedback_interval,
@@ -1143,7 +1050,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         &mut self,
         now: Time,
         event: Event,
-        sink: &mut impl EventSink,
+        sink: &mut TaggedSink<'_>,
         pool: &mut BoxPool<EncodedFrame>,
     ) -> Step {
         self.popped += 1;
@@ -1256,7 +1163,7 @@ impl<T: BandwidthTrace> SessionState<T> {
     fn on_capture(
         &mut self,
         now: Time,
-        sink: &mut impl EventSink,
+        sink: &mut TaggedSink<'_>,
         pool: &mut BoxPool<EncodedFrame>,
     ) {
         let frame = self.source.next_frame();
@@ -1323,7 +1230,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
     }
 
-    fn on_encode_done(&mut self, now: Time, encoded: &EncodedFrame, sink: &mut impl EventSink) {
+    fn on_encode_done(&mut self, now: Time, encoded: &EncodedFrame, sink: &mut TaggedSink<'_>) {
         if let Some(sched) = self.schedule.as_ref() {
             self.packetizer.set_payload_mtu(sched.payload_mtu(now));
         }
@@ -1407,7 +1314,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
     }
 
-    fn on_feedback_flush(&mut self, now: Time, sink: &mut impl EventSink) {
+    fn on_feedback_flush(&mut self, now: Time, sink: &mut TaggedSink<'_>) {
         let backlog = self.link.backlog_bytes(now);
         self.checker.check(
             Invariant::BoundedBacklog,
@@ -1558,7 +1465,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
     }
 
-    fn on_nack_poll(&mut self, now: Time, sink: &mut impl EventSink) {
+    fn on_nack_poll(&mut self, now: Time, sink: &mut TaggedSink<'_>) {
         let abandoned_before = self.nack_gen.abandoned();
         let batch = self.nack_gen.poll(now);
         if self.nack_gen.abandoned() > abandoned_before {
@@ -1582,7 +1489,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
     }
 
-    fn on_audio_tick(&mut self, now: Time, sink: &mut impl EventSink) {
+    fn on_audio_tick(&mut self, now: Time, sink: &mut TaggedSink<'_>) {
         // One Opus frame: bitrate x 20 ms of payload + headers.
         let payload = ((self.cfg.audio_bitrate_bps * AUDIO_TICK.as_secs_f64()) / 8.0).ceil() as u64;
         let audio = Packet {
@@ -1609,7 +1516,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
     }
 
-    fn on_nack_arrive(&mut self, now: Time, batch: &NackBatch, sink: &mut impl EventSink) {
+    fn on_nack_arrive(&mut self, now: Time, batch: &NackBatch, sink: &mut TaggedSink<'_>) {
         // Refill the RTX bucket, capped at one burst.
         let elapsed = now.saturating_since(self.rtx_tokens_updated);
         self.rtx_tokens_updated = now;
@@ -1634,7 +1541,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
     }
 
-    fn on_watchdog_tick(&mut self, now: Time, sink: &mut impl EventSink) {
+    fn on_watchdog_tick(&mut self, now: Time, sink: &mut TaggedSink<'_>) {
         if let Some(wd) = self.watchdog.as_mut() {
             // Capture ends at `capture_end`; the receiver goes
             // quiet once the pipe drains, so missing feedback in
@@ -1679,7 +1586,7 @@ impl<T: BandwidthTrace> SessionState<T> {
     /// Releases due packets from the pacer onto the link, recording
     /// them in the RTX history when retransmission is enabled, and
     /// keeps exactly one `PacerTick` outstanding for the next release.
-    fn release_pacer(&mut self, sink: &mut impl EventSink, now: Time) {
+    fn release_pacer(&mut self, sink: &mut TaggedSink<'_>, now: Time) {
         let mut scratch = mem::take(&mut self.release_scratch);
         self.pacer.release_into(now, &mut scratch);
         for packet in scratch.drain(..) {
@@ -1701,7 +1608,7 @@ impl<T: BandwidthTrace> SessionState<T> {
     /// through the per-packet chaos stage (which may drop it, jitter
     /// its arrival past FIFO order, or inject a duplicate) and
     /// recording the send for conservation.
-    fn send_forward(&mut self, sink: &mut impl EventSink, packet: Packet, now: Time) {
+    fn send_forward(&mut self, sink: &mut TaggedSink<'_>, packet: Packet, now: Time) {
         self.acct.sent += 1;
         self.obs.record(now, || ObsEvent::PacketSent {
             seq: packet.seq,
@@ -2002,6 +1909,11 @@ mod tests {
     use crate::scheme::CcKind;
     use ravel_trace::{ConstantTrace, StepTrace};
 
+    /// Runs `spec` alone: a population of one.
+    fn solo<T: BandwidthTrace>(spec: RunSpec<T>) -> SessionResult {
+        run_sessions(vec![spec], &mut KernelWorkspace::allocating()).remove(0)
+    }
+
     fn short_cfg(scheme: Scheme) -> SessionConfig {
         let mut cfg = SessionConfig::default_with(scheme);
         cfg.duration = Dur::secs(20);
@@ -2113,8 +2025,7 @@ mod tests {
         let mut cfg = SessionConfig::default_with(Scheme::baseline());
         cfg.duration = Dur::secs(4);
         let mut ws = KernelWorkspace::new();
-        let first =
-            run_sessions_pooled(vec![(ConstantTrace::new(3e6), cfg)], ObsMode::Off, &mut ws);
+        let first = run_sessions(vec![RunSpec::new(ConstantTrace::new(3e6), cfg)], &mut ws);
         let after_first = ws.arena_stats();
         // Every EncodeDone box must come back: a leak here would mean a
         // payload escaped the recycle sites in `step`.
@@ -2125,8 +2036,7 @@ mod tests {
         assert_eq!(after_first.high_water, 1);
         // Same cell again through the same workspace: the free list is
         // warm, so every payload allocation is now served from it.
-        let second =
-            run_sessions_pooled(vec![(ConstantTrace::new(3e6), cfg)], ObsMode::Off, &mut ws);
+        let second = run_sessions(vec![RunSpec::new(ConstantTrace::new(3e6), cfg)], &mut ws);
         let after_second = ws.arena_stats();
         assert_eq!(after_second.outstanding, 0);
         assert_eq!(after_second.high_water, 1);
@@ -2152,7 +2062,7 @@ mod tests {
             after_kbps in 200u64..2_000,
             n in 1usize..4,
         ) {
-            let sessions = || -> Vec<(StepTrace, SessionConfig)> {
+            let sessions = || -> Vec<RunSpec<StepTrace>> {
                 (0..n)
                     .map(|i| {
                         let scheme = if i % 2 == 0 {
@@ -2168,13 +2078,13 @@ mod tests {
                             after_kbps as f64 * 1e3,
                             Time::from_secs(2),
                         );
-                        (trace, cfg)
+                        RunSpec::new(trace, cfg)
                     })
                     .collect()
             };
             let mut ws = KernelWorkspace::new();
-            let pooled = run_sessions_pooled(sessions(), ObsMode::Off, &mut ws);
-            let allocating = run_sessions_obs(sessions(), ObsMode::Off);
+            let pooled = run_sessions(sessions(), &mut ws);
+            let allocating = run_sessions(sessions(), &mut KernelWorkspace::allocating());
             proptest::prop_assert_eq!(pooled.len(), allocating.len());
             for (a, b) in pooled.iter().zip(&allocating) {
                 assert_results_identical(a, b);
@@ -2379,7 +2289,10 @@ mod tests {
         let cfg = short_cfg(Scheme::adaptive());
         let mk = || StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10));
         let plain = run_session(mk(), cfg);
-        let empty = run_session_chaos(mk(), cfg, Some(ChaosSchedule::empty()));
+        let empty = solo(RunSpec {
+            chaos: Some(ChaosSchedule::empty()),
+            ..RunSpec::new(mk(), cfg)
+        });
         assert_eq!(plain.recorder.records(), empty.recorder.records());
         assert_eq!(plain.events_processed, empty.events_processed);
         assert_eq!(plain.packets_delivered, empty.packets_delivered);
@@ -2414,7 +2327,10 @@ mod tests {
         let cfg = short_cfg(Scheme::adaptive());
         let mk = || StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10));
         let plain = run_session(mk(), cfg);
-        let empty = run_session_corrupt(mk(), cfg, Some(ravel_net::CorruptSchedule::empty()));
+        let empty = solo(RunSpec {
+            corrupt: Some(CorruptSchedule::empty()),
+            ..RunSpec::new(mk(), cfg)
+        });
         assert_eq!(plain.recorder.records(), empty.recorder.records());
         assert_eq!(plain.events_processed, empty.events_processed);
         assert_eq!(plain.packets_delivered, empty.packets_delivered);
@@ -2432,7 +2348,7 @@ mod tests {
         // segment at rate 1.0 over [8 s, 12 s) — every report crossing
         // it is truncated and rejected, so the watchdog must see a blind
         // episode even though a report lands every interval.
-        use ravel_net::{CorruptKind, CorruptSchedule, CorruptSegment};
+        use ravel_net::{CorruptKind, CorruptMode, CorruptSegment};
         let mut cfg = short_cfg(Scheme::adaptive());
         cfg.duration = Dur::secs(40);
         cfg.record_series = true;
@@ -2444,10 +2360,15 @@ mod tests {
         let schedule = CorruptSchedule::from_segments(vec![CorruptSegment {
             from: Time::from_secs(8),
             until: Time::from_secs(12),
-            kind: CorruptKind::Truncate,
-            rate: 1.0,
+            kind: CorruptKind {
+                mode: CorruptMode::Truncate,
+                rate: 1.0,
+            },
         }]);
-        let result = run_session_corrupt(ConstantTrace::new(4e6), cfg, Some(schedule.clone()));
+        let result = solo(RunSpec {
+            corrupt: Some(schedule.clone()),
+            ..RunSpec::new(ConstantTrace::new(4e6), cfg)
+        });
         assert!(result.violations.is_empty(), "{:?}", result.violations);
         assert_eq!(result.reverse_lost, 0, "reverse path must be clean");
         assert!(result.feedback_corrupted > 0);
@@ -2488,12 +2409,11 @@ mod tests {
             "no recovery after corruption: {recovered:.0}"
         );
         // The obs layer sees the same rejections the validator counted.
-        let observed = run_session_corrupt_obs(
-            ConstantTrace::new(4e6),
-            cfg,
-            Some(schedule),
-            ObsMode::Counters,
-        );
+        let observed = solo(RunSpec {
+            corrupt: Some(schedule),
+            obs: ObsMode::Counters,
+            ..RunSpec::new(ConstantTrace::new(4e6), cfg)
+        });
         assert_eq!(
             observed.obs.counters.feedback_rejected,
             observed.rejected_reports
@@ -2544,7 +2464,10 @@ mod tests {
         cfg.chaos = Some(ChaosSpec::new(3, 0.5));
         let mk = || StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10));
         let off = run_session(mk(), cfg);
-        let full = run_session_obs(mk(), cfg, ObsMode::Full);
+        let full = solo(RunSpec {
+            obs: ObsMode::Full,
+            ..RunSpec::new(mk(), cfg)
+        });
         assert_eq!(off.recorder.records(), full.recorder.records());
         assert_eq!(off.events_processed, full.events_processed);
         assert_eq!(off.packets_delivered, full.packets_delivered);
@@ -2566,11 +2489,17 @@ mod tests {
         assert_eq!(off.obs.recorded(), 0);
         assert_eq!(off.obs.counters.total(), 0);
         // Counters mode tallies identically to full capture.
-        let counters = run_session_obs(mk(), cfg, ObsMode::Counters);
+        let counters = solo(RunSpec {
+            obs: ObsMode::Counters,
+            ..RunSpec::new(mk(), cfg)
+        });
         assert_eq!(counters.obs.counters, full.obs.counters);
         assert!(counters.obs.events().is_empty());
         // The timeline digest is deterministic across reruns.
-        let full2 = run_session_obs(mk(), cfg, ObsMode::Full);
+        let full2 = solo(RunSpec {
+            obs: ObsMode::Full,
+            ..RunSpec::new(mk(), cfg)
+        });
         assert_eq!(full.obs.digest("cell"), full2.obs.digest("cell"));
     }
 
@@ -2581,7 +2510,10 @@ mod tests {
         // Far below what a healthy 20 s session needs: the guard must
         // cut the session off and flag it, not hang or panic.
         guard.max_events = 500;
-        let result = run_session_guarded(ConstantTrace::new(4e6), cfg, None, ObsMode::Off, guard);
+        let result = solo(RunSpec {
+            guard,
+            ..RunSpec::new(ConstantTrace::new(4e6), cfg)
+        });
         assert_eq!(result.violations.len(), 1, "{:?}", result.violations);
         assert_eq!(
             result.violations[0].invariant,
@@ -2596,7 +2528,10 @@ mod tests {
         let cfg = short_cfg(Scheme::baseline());
         let mut guard = SessionGuard::for_config(&cfg);
         guard.horizon = Time::from_secs(5);
-        let result = run_session_guarded(ConstantTrace::new(4e6), cfg, None, ObsMode::Off, guard);
+        let result = solo(RunSpec {
+            guard,
+            ..RunSpec::new(ConstantTrace::new(4e6), cfg)
+        });
         assert!(
             result
                 .violations
@@ -2650,8 +2585,14 @@ mod tests {
     fn cancellation_flag_truncates_the_session() {
         let cfg = short_cfg(Scheme::baseline());
         let flag = Arc::new(AtomicBool::new(true));
-        let guard = SessionGuard::for_config(&cfg).with_cancel(flag);
-        let result = run_session_guarded(ConstantTrace::new(4e6), cfg, None, ObsMode::Off, guard);
+        let guard = SessionGuard {
+            cancel: Some(flag),
+            ..SessionGuard::for_config(&cfg)
+        };
+        let result = solo(RunSpec {
+            guard,
+            ..RunSpec::new(ConstantTrace::new(4e6), cfg)
+        });
         assert!(result.cancelled);
         assert!(result.violations.is_empty(), "{:?}", result.violations);
         assert!(result.events_processed <= CANCEL_POLL_EVERY_EVENTS);
@@ -2806,12 +2747,14 @@ mod tests {
             cfg
         };
         let mk_trace = || StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10));
-        let singles: Vec<SessionResult> = (1..=3)
-            .map(|seed| run_session_obs(mk_trace(), mk_cfg(seed), ObsMode::Counters))
-            .collect();
-        let batch = run_sessions_obs(
-            (1..=3).map(|seed| (mk_trace(), mk_cfg(seed))).collect(),
-            ObsMode::Counters,
+        let spec = |seed: u64| RunSpec {
+            obs: ObsMode::Counters,
+            ..RunSpec::new(mk_trace(), mk_cfg(seed))
+        };
+        let singles: Vec<SessionResult> = (1..=3).map(|seed| solo(spec(seed))).collect();
+        let batch = run_sessions(
+            (1..=3).map(spec).collect(),
+            &mut KernelWorkspace::allocating(),
         );
         assert_eq!(batch.len(), 3);
         for (i, (a, b)) in singles.iter().zip(batch.iter()).enumerate() {

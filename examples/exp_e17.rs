@@ -19,7 +19,7 @@ use ravel::core::WatchdogConfig;
 use ravel::harness::{default_jobs, run_cells, Cell, TraceSpec};
 use ravel::metrics::Table;
 use ravel::net::ReversePathConfig;
-use ravel::pipeline::{Scheme, SessionConfig};
+use ravel::pipeline::{run_session, Scheme, SessionConfig};
 use ravel::sim::{Dur, Time};
 
 const DROP_AT: Time = Time::from_secs(10);
@@ -110,7 +110,7 @@ fn main() {
 
     // Determinism: identical seed + fault schedule => byte-identical
     // run, even though the first copy ran on a pool worker.
-    let r2 = cells[2].run();
+    let r2 = run_session(cells[2].trace.build(), cells[2].cfg);
     assert_eq!(r.recorder.records(), r2.recorder.records());
     assert_eq!(r.watchdog_timeouts, r2.watchdog_timeouts);
     assert_eq!(r.reports_discarded, r2.reports_discarded);

@@ -3,7 +3,7 @@
 
 use ravel::core::WatchdogConfig;
 use ravel::net::{ChaosSchedule, FaultKind, FaultSegment, GilbertElliott, ReversePathConfig};
-use ravel::pipeline::{run_session, run_session_chaos, Scheme, SessionConfig};
+use ravel::pipeline::{run_session, run_sessions, KernelWorkspace, RunSpec, Scheme, SessionConfig};
 use ravel::sim::{Dur, Time};
 use ravel::trace::{ConstantTrace, StepTrace};
 use ravel::video::Resolution;
@@ -401,7 +401,11 @@ fn forward_burst_loss_freeze_recovers_via_pli_keyframe() {
     };
     for scheme in [Scheme::baseline(), Scheme::adaptive()] {
         let schedule = ChaosSchedule::from_segments(vec![burst]);
-        let result = run_session_chaos(ConstantTrace::new(4e6), cfg(scheme), Some(schedule));
+        let spec = RunSpec {
+            chaos: Some(schedule),
+            ..RunSpec::new(ConstantTrace::new(4e6), cfg(scheme))
+        };
+        let result = run_sessions(vec![spec], &mut KernelWorkspace::allocating()).remove(0);
         assert_sane(&result);
         assert!(
             result.chain_breaks >= 1,
