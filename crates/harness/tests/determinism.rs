@@ -163,8 +163,8 @@ fn cached_output_matches_no_cache_serial_reference_exactly() {
 
 #[test]
 fn batched_output_matches_batch_1_oracle_exactly() {
-    // The batched-worker acceptance bar: `--batch 1` (the historical
-    // per-cell path) is the oracle, and every other batch mode must
+    // The batched-worker acceptance bar: `--batch 1` (one cell per
+    // kernel call) is the oracle, and every other batch mode must
     // reproduce its tables and timing-free JSON byte-for-byte — at any
     // pool width, with the cache on or off. The grid is doubled so the
     // cached runs exercise memo claim/wait *inside* batches.
