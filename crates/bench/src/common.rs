@@ -1,17 +1,14 @@
-//! Shared experiment plumbing: canonical scenario constants (now owned
-//! by `ravel-harness`, re-exported here for compatibility) and serial
-//! session helpers for the Criterion targets.
+//! Serial session helpers for the Criterion targets: one canonical
+//! drop session, and mixed session populations for the multi-session
+//! kernel.
 
+use ravel_harness::experiments::{DROP_AT, PRE_RATE, SESSION_LEN};
 use ravel_pipeline::{
     run_session, run_sessions, KernelWorkspace, RunSpec, Scheme, SessionConfig, SessionResult,
 };
 use ravel_sim::Dur;
-use ravel_trace::{BandwidthTrace, StepTrace};
+use ravel_trace::StepTrace;
 use ravel_video::ContentClass;
-
-pub use ravel_harness::{
-    fmt_reduction, pct_change, window_after, DROP_AT, POST_WINDOW, PRE_RATE, SESSION_LEN,
-};
 
 /// Runs one drop session: `PRE_RATE` falling to `after_bps` at
 /// [`DROP_AT`], under `scheme` and `content`.
@@ -81,22 +78,10 @@ pub fn run_population_batched(
     out
 }
 
-/// Runs one session over an arbitrary trace with config tweaks applied
-/// by `adjust`.
-pub fn run_with<T: BandwidthTrace>(
-    scheme: Scheme,
-    trace: T,
-    adjust: impl FnOnce(&mut SessionConfig),
-) -> SessionResult {
-    let mut cfg = SessionConfig::default_with(scheme);
-    cfg.duration = SESSION_LEN;
-    adjust(&mut cfg);
-    run_session(trace, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ravel_harness::experiments::{fmt_reduction, pct_change};
 
     #[test]
     fn pct_change_signs() {

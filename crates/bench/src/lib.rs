@@ -1,18 +1,17 @@
-//! # ravel-bench — the experiment harness
+//! # ravel-bench — Criterion benches
 //!
-//! One function per experiment in DESIGN.md §5 (E1–E9; E10 is a pure
-//! Criterion microbench). Each returns the table/series the paper-style
-//! evaluation reports; the `benches/` targets print them so that
-//! `cargo bench` regenerates every table and figure, and EXPERIMENTS.md
-//! records the measured numbers next to the paper's claims.
+//! Three bench targets, all timing rather than table printing (the
+//! experiment tables come from `cargo run --release -p ravel-harness --
+//! -e eN`):
 //!
-//! All experiments run on seeded, deterministic sessions: same binary →
-//! same numbers, down to the last digit.
+//! * `e10_overhead` — per-call cost of the adaptive controller, the
+//!   encoder and GCC;
+//! * `single_session` — one full canonical-drop session end to end;
+//! * `e18_multi_session` — population throughput of the interleaved
+//!   multi-session kernel.
+//!
+//! [`common`] holds the serial session helpers they share.
 
 #![warn(missing_docs)]
 
 pub mod common;
-pub mod experiments;
-
-pub use common::{window_after, DROP_AT, POST_WINDOW};
-pub use experiments::*;

@@ -22,8 +22,9 @@
 //! * [`experiments`] — E1–E22 ported to expansion + assembly form, plus
 //!   the [`experiments::select`] registry the CLI uses and the
 //!   [`experiments::chaos_sweep`] / [`experiments::corrupt_sweep`]
-//!   generators behind `--chaos N` and `--corrupt N`. Cells may carry a
-//!   declarative recovery contract ([`ravel_pipeline::ContractSpec`]);
+//!   generators behind `--faults chaos:N@S` and `--faults corrupt:N@S`.
+//!   Cells may carry a declarative recovery contract
+//!   ([`ravel_pipeline::ContractSpec`]);
 //!   verdicts are evaluated per cell and failed clauses fail the run.
 //!   The pool is also the fault-isolation boundary: each simulation
 //!   runs under panic quarantine, the kernel's runaway guard, and an
@@ -46,7 +47,8 @@
 //!   deterministic, wall-clock-free JSON object per recorded
 //!   observability event, diffable across pool widths.
 //!
-//! The binary (`cargo run --release -p ravel-harness -- --jobs 8`)
+//! The binary (`cargo run --release -p ravel-harness -- --jobs 8`) is
+//! the one entry point for every experiment table and fault sweep. It
 //! prints the deterministic tables to stdout, timing to stderr, and the
 //! JSON report to `BENCH_harness.json`.
 
@@ -62,8 +64,7 @@ pub mod timeline;
 
 pub use cell::{Cell, TraceSpec};
 pub use experiments::{
-    fmt_reduction, pct_change, run_suite, run_suite_opts, window_after, Experiment, ExperimentRun,
-    Output, DROP_AT, E1_AFTER_BPS, FIXTURE_FAULT_AT, POST_WINDOW, PRE_RATE, SESSION_LEN,
+    run_suite, run_suite_opts, Experiment, ExperimentRun, Output, FIXTURE_FAULT_AT,
 };
 pub use pool::{
     run_cells, run_cells_opts, BatchMode, CellFailure, CellRun, CellStatus, PoolOptions, PoolStats,

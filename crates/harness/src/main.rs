@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p ravel-harness -- --jobs 8 --experiments e1,e2
-//! cargo run --release -p ravel-harness -- --chaos 25 --chaos-seed 7
+//! cargo run --release -p ravel-harness -- --faults chaos:25@7
 //! cargo run --release -p ravel-harness -- --soak 30 --soak-seed 1
 //! ```
 //!
@@ -11,14 +11,18 @@
 //! stderr, and the structured report to `--out` (default
 //! `BENCH_harness.json`).
 //!
-//! Chaos mode (`--chaos N`) replaces the experiment selection with an
-//! N-cell seeded fault sweep. Any cell that fails — invariant
-//! violation, panic, runaway — is minimized with the shrinker and its
-//! reproducer spec is printed; the process then exits nonzero so CI
-//! gates on it. Corrupt mode (`--corrupt N`) is the control-plane
-//! analogue: an N-cell seeded feedback-corruption sweep whose failures
-//! (invariant violations *or* broken recovery contracts) shrink to a
-//! minimal corruption schedule the same way.
+//! Each run has one mode: the experiment grid (the default), a fault
+//! sweep, a soak, or the isolation fixture. A second, different mode
+//! flag is an error.
+//!
+//! A fault sweep (`--faults PLANE:N[@SEED]`) replaces the experiment
+//! selection with an N-cell seeded sweep on one fault plane. On the
+//! `chaos` (data) plane, any cell that fails — invariant violation,
+//! panic, runaway — is minimized with the shrinker and its reproducer
+//! spec is printed; the process then exits nonzero so CI gates on it.
+//! The `corrupt` (control) plane is the analogue for feedback
+//! corruption: failures (invariant violations *or* broken recovery
+//! contracts) shrink to a minimal corruption schedule the same way.
 //!
 //! In every mode, cells that carry recovery contracts (E21, the corrupt
 //! sweep) report their verdicts; any failed clause fails the run.
@@ -49,6 +53,9 @@ ravel-harness — run the E1-E22 grid on a deterministic thread pool
 USAGE:
     ravel-harness [OPTIONS]
 
+One mode per run: the experiment grid (default), --faults, --soak or
+--fixture.
+
 OPTIONS:
     --jobs N             worker threads (default: all cores)
     --batch N|auto       grid positions a worker claims per pass and
@@ -61,26 +68,20 @@ OPTIONS:
     --controller LIST    restrict the E22 arena grid to a comma-separated
                          controller list (gcc, nada, bbr, loss-ema);
                          requires e22 in the selected experiments
-    --chaos N            run an N-cell seeded chaos sweep instead of the
-                         experiment grid; exits nonzero if any session
-                         invariant is violated (violating schedules are
-                         shrunk and printed as minimal reproducers)
-    --chaos-seed S       first seed of the chaos sweep (default: 1);
-                         cell i uses seed S+i, so (S, N) names the
-                         sweep; requires --chaos
-    --corrupt N          run an N-cell seeded feedback-corruption sweep
-                         instead of the experiment grid; every cell
-                         carries a recovery contract, and any failure —
-                         invariant violation, broken contract clause,
-                         panic — is shrunk to a minimal corruption
-                         schedule and printed; exits nonzero
-    --corrupt-seed S     first seed of the corruption sweep (default:
-                         1); cell i uses seed S+i; requires --corrupt
+    --faults PLANE:N[@SEED]
+                         run an N-cell seeded fault sweep instead of the
+                         experiment grid; cell i uses seed SEED+i
+                         (default SEED: 1), so the spec names the sweep.
+                         PLANE chaos: forward-link faults, exits nonzero
+                         if any session invariant is violated. PLANE
+                         corrupt: feedback corruption, every cell
+                         carries a recovery contract. Failing schedules
+                         are shrunk and printed as minimal reproducers
     --soak SECS          stream seeded random chaos x impairment x
                          content cells through the fault-isolated pool
                          for SECS seconds of wall clock; prints merged
                          status/violation tallies and exits nonzero on
-                         any failing cell (no JSON report)
+                         any failing cell (no JSON report, no --list)
     --soak-seed S        soak stream seed (default: 1); requires --soak
     --soak-cells N       stop the soak after exactly N cells even with
                          budget left, so coverage is independent of
@@ -113,21 +114,61 @@ OPTIONS:
     --help               this text
 ";
 
+/// The fault plane a `--faults` sweep runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Plane {
+    /// Forward-link chaos ([`experiments::chaos_sweep`]).
+    Chaos,
+    /// Feedback corruption ([`experiments::corrupt_sweep`]).
+    Corrupt,
+}
+
+impl Plane {
+    fn name(self) -> &'static str {
+        match self {
+            Plane::Chaos => "chaos",
+            Plane::Corrupt => "corrupt",
+        }
+    }
+}
+
+/// What one run does. Each mode flag sets it; a second, different mode
+/// is an error.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    /// The experiment grid (`--experiments`, default all).
+    Grid,
+    /// `--faults PLANE:N[@SEED]`: an N-cell sweep whose cell i uses
+    /// seed SEED+i.
+    Faults { plane: Plane, cells: u64, seed: u64 },
+    /// `--soak SECS`: a randomized stream for SECS of wall clock.
+    Soak(u64),
+    /// `--fixture KIND`: the injected-fault isolation grid.
+    Fixture(InjectedFault),
+}
+
+impl Mode {
+    /// The flag that selected this mode; `None` for the grid.
+    fn flag(self) -> Option<&'static str> {
+        match self {
+            Mode::Grid => None,
+            Mode::Faults { .. } => Some("--faults"),
+            Mode::Soak(_) => Some("--soak"),
+            Mode::Fixture(_) => Some("--fixture"),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Args {
     jobs: usize,
     batch: BatchMode,
+    mode: Mode,
     experiments: Option<String>,
     controller: Option<String>,
-    chaos: Option<u64>,
-    chaos_seed: Option<u64>,
-    corrupt: Option<u64>,
-    corrupt_seed: Option<u64>,
-    soak: Option<u64>,
     soak_seed: Option<u64>,
     soak_cells: Option<u64>,
     deadline: Option<Duration>,
-    fixture: Option<InjectedFault>,
     obs: ObsMode,
     obs_out: String,
     out: String,
@@ -142,17 +183,12 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         jobs: default_jobs(),
         batch: BatchMode::Auto,
+        mode: Mode::Grid,
         experiments: None,
         controller: None,
-        chaos: None,
-        chaos_seed: None,
-        corrupt: None,
-        corrupt_seed: None,
-        soak: None,
         soak_seed: None,
         soak_cells: None,
         deadline: None,
-        fixture: None,
         obs: ObsMode::Off,
         obs_out: "OBS_timeline.jsonl".to_string(),
         out: "BENCH_harness.json".to_string(),
@@ -190,37 +226,9 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
             "--experiments" | "-e" => args.experiments = Some(value("--experiments")?),
             "--controller" => args.controller = Some(value("--controller")?),
-            "--chaos" => {
-                let n: u64 = value("--chaos")?
-                    .parse()
-                    .map_err(|_| "--chaos expects a positive cell count".to_string())?;
-                if n == 0 {
-                    return Err("--chaos must be at least 1".into());
-                }
-                args.chaos = Some(n);
-            }
-            "--chaos-seed" => {
-                args.chaos_seed = Some(
-                    value("--chaos-seed")?
-                        .parse()
-                        .map_err(|_| "--chaos-seed expects an unsigned integer".to_string())?,
-                );
-            }
-            "--corrupt" => {
-                let n: u64 = value("--corrupt")?
-                    .parse()
-                    .map_err(|_| "--corrupt expects a positive cell count".to_string())?;
-                if n == 0 {
-                    return Err("--corrupt must be at least 1".into());
-                }
-                args.corrupt = Some(n);
-            }
-            "--corrupt-seed" => {
-                args.corrupt_seed = Some(
-                    value("--corrupt-seed")?
-                        .parse()
-                        .map_err(|_| "--corrupt-seed expects an unsigned integer".to_string())?,
-                );
+            "--faults" => {
+                let mode = parse_faults(&value("--faults")?)?;
+                set_mode(&mut args.mode, mode)?;
             }
             "--soak" => {
                 let secs: u64 = value("--soak")?.parse().map_err(|_| {
@@ -229,7 +237,7 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 if secs == 0 {
                     return Err("--soak must be at least 1 second".into());
                 }
-                args.soak = Some(secs);
+                set_mode(&mut args.mode, Mode::Soak(secs))?;
             }
             "--soak-seed" => {
                 args.soak_seed = Some(
@@ -254,11 +262,17 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err("--deadline must be a positive number of seconds".into());
                 }
-                args.deadline = Some(Duration::from_secs_f64(secs));
+                let deadline = Duration::try_from_secs_f64(secs).map_err(|_| {
+                    format!(
+                        "--deadline must be at most {} seconds",
+                        Duration::MAX.as_secs()
+                    )
+                })?;
+                args.deadline = Some(deadline);
             }
             "--fixture" => {
                 let kind = value("--fixture")?;
-                args.fixture = Some(match kind.as_str() {
+                let fault = match kind.as_str() {
                     "panic" => InjectedFault::Panic {
                         at: FIXTURE_FAULT_AT,
                     },
@@ -268,7 +282,8 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     other => {
                         return Err(format!("--fixture expects panic or runaway, got '{other}'"))
                     }
-                });
+                };
+                set_mode(&mut args.mode, Mode::Fixture(fault))?;
             }
             "--obs" => {
                 let mode = value("--obs")?;
@@ -289,60 +304,85 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Cross-flag validation: mode flags are mutually exclusive, and
-/// mode-scoped seeds require their mode.
+/// Parses a `--faults` spec, `PLANE:N[@SEED]`: N >= 1 cells on plane
+/// `chaos` or `corrupt`, first seed SEED (default 1). Cell i uses seed
+/// SEED+i, so SEED+N-1 must fit in a u64 for the spec to name exactly
+/// one sweep.
+fn parse_faults(spec: &str) -> Result<Mode, String> {
+    let (plane, rest) = spec
+        .split_once(':')
+        .ok_or_else(|| format!("--faults expects PLANE:N[@SEED], e.g. chaos:25@7, got '{spec}'"))?;
+    let plane = match plane {
+        "chaos" => Plane::Chaos,
+        "corrupt" => Plane::Corrupt,
+        other => {
+            return Err(format!(
+                "--faults plane must be chaos or corrupt, got '{other}'"
+            ))
+        }
+    };
+    let (cells, seed) = match rest.split_once('@') {
+        Some((cells, seed)) => (cells, Some(seed)),
+        None => (rest, None),
+    };
+    let cells: u64 = cells
+        .parse()
+        .map_err(|_| format!("--faults expects a positive cell count, got '{cells}'"))?;
+    if cells == 0 {
+        return Err("--faults cell count must be at least 1".into());
+    }
+    let seed: u64 = match seed {
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("--faults seed must be an unsigned integer, got '{s}'"))?,
+        None => 1,
+    };
+    if seed.checked_add(cells - 1).is_none() {
+        return Err(format!(
+            "--faults seeds {seed}..={seed}+{} overflow u64; the first seed may be at most {}",
+            cells - 1,
+            u64::MAX - (cells - 1)
+        ));
+    }
+    Ok(Mode::Faults { plane, cells, seed })
+}
+
+/// Sets the run mode; a second, different mode is an error.
+fn set_mode(mode: &mut Mode, new: Mode) -> Result<(), String> {
+    if *mode != Mode::Grid && *mode != new {
+        return Err(
+            "--faults, --soak and --fixture are mutually exclusive (one mode per run)".into(),
+        );
+    }
+    *mode = new;
+    Ok(())
+}
+
+/// Cross-flag validation: grid-only flags conflict with the other
+/// modes, and soak-scoped flags require the soak.
 fn validate(args: &Args) -> Result<(), String> {
-    let modes = [
-        args.chaos.is_some(),
-        args.corrupt.is_some(),
-        args.soak.is_some(),
-        args.fixture.is_some(),
-    ];
-    if modes.iter().filter(|&&on| on).count() > 1 {
-        return Err("--chaos, --corrupt, --soak and --fixture are mutually exclusive".into());
-    }
-    if args.experiments.is_some() {
-        if args.chaos.is_some() {
-            return Err("--experiments cannot be combined with --chaos".into());
+    if let Some(mode) = args.mode.flag() {
+        if args.experiments.is_some() {
+            return Err(format!("--experiments cannot be combined with {mode}"));
         }
-        if args.corrupt.is_some() {
-            return Err("--experiments cannot be combined with --corrupt".into());
-        }
-        if args.soak.is_some() {
-            return Err("--experiments cannot be combined with --soak".into());
-        }
-        if args.fixture.is_some() {
-            return Err("--experiments cannot be combined with --fixture".into());
+        if args.controller.is_some() {
+            return Err(format!("--controller cannot be combined with {mode}"));
         }
     }
-    if args.controller.is_some() {
-        if args.chaos.is_some() {
-            return Err("--controller cannot be combined with --chaos".into());
+    if matches!(args.mode, Mode::Soak(_)) {
+        if args.obs != ObsMode::Off {
+            return Err("--soak cannot be combined with --obs (soak cells are unobserved)".into());
         }
-        if args.corrupt.is_some() {
-            return Err("--controller cannot be combined with --corrupt".into());
+        if args.list {
+            return Err("--soak cannot be combined with --list (a soak has no fixed grid)".into());
         }
-        if args.soak.is_some() {
-            return Err("--controller cannot be combined with --soak".into());
+    } else {
+        if args.soak_seed.is_some() {
+            return Err("--soak-seed requires --soak".into());
         }
-        if args.fixture.is_some() {
-            return Err("--controller cannot be combined with --fixture".into());
+        if args.soak_cells.is_some() {
+            return Err("--soak-cells requires --soak".into());
         }
-    }
-    if args.chaos_seed.is_some() && args.chaos.is_none() {
-        return Err("--chaos-seed requires --chaos".into());
-    }
-    if args.corrupt_seed.is_some() && args.corrupt.is_none() {
-        return Err("--corrupt-seed requires --corrupt".into());
-    }
-    if args.soak_seed.is_some() && args.soak.is_none() {
-        return Err("--soak-seed requires --soak".into());
-    }
-    if args.soak_cells.is_some() && args.soak.is_none() {
-        return Err("--soak-cells requires --soak".into());
-    }
-    if args.soak.is_some() && args.obs != ObsMode::Off {
-        return Err("--soak cannot be combined with --obs (soak cells are unobserved)".into());
     }
     if args.deadline.is_some() {
         if let BatchMode::Fixed(n) = args.batch {
@@ -371,27 +411,20 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if let Some(budget_s) = args.soak {
-        return run_soak_mode(&args, budget_s);
-    }
-
-    let selected = if let Some(n) = args.chaos {
-        vec![experiments::chaos_sweep(n, args.chaos_seed.unwrap_or(1))]
-    } else if let Some(n) = args.corrupt {
-        vec![experiments::corrupt_sweep(
-            n,
-            args.corrupt_seed.unwrap_or(1),
-        )]
-    } else if let Some(fault) = args.fixture {
-        vec![experiments::fixture(fault)]
-    } else {
-        match experiments::select(args.experiments.as_deref().unwrap_or("all")) {
+    let selected = match args.mode {
+        Mode::Soak(budget_s) => return run_soak_mode(&args, budget_s),
+        Mode::Faults { plane, cells, seed } => vec![match plane {
+            Plane::Chaos => experiments::chaos_sweep(cells, seed),
+            Plane::Corrupt => experiments::corrupt_sweep(cells, seed),
+        }],
+        Mode::Fixture(fault) => vec![experiments::fixture(fault)],
+        Mode::Grid => match experiments::select(args.experiments.as_deref().unwrap_or("all")) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }
-        }
+        },
     };
 
     // --controller narrows the E22 arena grid in place; every other
@@ -486,12 +519,12 @@ fn main() -> ExitCode {
         println!("{}", t.render());
     }
 
-    // In chaos and corrupt mode, shrink every failing cell — invariant
+    // In a fault sweep, shrink every failing cell — invariant
     // violation, broken recovery contract, or quarantined
-    // panic/runaway — to a minimal reproducer on each fault plane it
-    // carries before deciding the exit code.
+    // panic/runaway — to a minimal reproducer on the sweep's plane
+    // before deciding the exit code.
     let mut violating_cells = 0usize;
-    if args.chaos.is_some() || args.corrupt.is_some() {
+    if let Mode::Faults { plane, .. } = args.mode {
         for (exp, run) in selected.iter().zip(&report.experiments) {
             for (cell, cell_run) in exp.cells.iter().zip(&run.cells) {
                 let broken = cell_run.failed_contracts();
@@ -513,8 +546,12 @@ fn main() -> ExitCode {
                 for verdict in &broken {
                     println!("  contract {}: {}", verdict.name, verdict.detail);
                 }
-                print_reproducer::<FaultKind>(cell, "minimal reproducer");
-                print_reproducer::<CorruptKind>(cell, "minimal corruption reproducer");
+                match plane {
+                    Plane::Chaos => print_reproducer::<FaultKind>(cell, "minimal reproducer"),
+                    Plane::Corrupt => {
+                        print_reproducer::<CorruptKind>(cell, "minimal corruption reproducer")
+                    }
+                }
             }
         }
     }
@@ -577,14 +614,11 @@ fn main() -> ExitCode {
         eprintln!("report written to {}", args.out);
     }
 
-    if violating_cells > 0 {
-        let mode = if args.chaos.is_some() {
-            "chaos"
-        } else {
-            "corrupt"
-        };
-        eprintln!("error: {violating_cells} {mode} cells failed");
-        return ExitCode::FAILURE;
+    if let Mode::Faults { plane, .. } = args.mode {
+        if violating_cells > 0 {
+            eprintln!("error: {violating_cells} {} cells failed", plane.name());
+            return ExitCode::FAILURE;
+        }
     }
     if !failing.is_empty() {
         eprintln!("error: {} cells did not complete ok", failing.len());
@@ -668,24 +702,36 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let a = parse(&[]).unwrap();
+        assert_eq!(a.mode, Mode::Grid);
         assert_eq!(a.experiments, None);
-        assert_eq!(a.chaos, None);
-        assert_eq!(a.chaos_seed, None);
-        assert_eq!(a.corrupt, None);
-        assert_eq!(a.corrupt_seed, None);
-        assert_eq!(a.soak, None);
         assert_eq!(a.soak_seed, None);
+        assert_eq!(a.soak_cells, None);
         assert_eq!(a.deadline, None);
-        assert_eq!(a.fixture, None);
         assert!(a.write_json && a.use_cache && !a.list && !a.help);
     }
 
     #[test]
     fn parses_chaos_options() {
-        let a = parse(&["--chaos", "25", "--chaos-seed", "7", "--jobs", "2"]).unwrap();
-        assert_eq!(a.chaos, Some(25));
-        assert_eq!(a.chaos_seed, Some(7));
+        let a = parse(&["--faults", "chaos:25@7", "--jobs", "2"]).unwrap();
+        assert_eq!(
+            a.mode,
+            Mode::Faults {
+                plane: Plane::Chaos,
+                cells: 25,
+                seed: 7
+            }
+        );
         assert_eq!(a.jobs, 2);
+        // The seed defaults to 1.
+        let a = parse(&["--faults", "chaos:3"]).unwrap();
+        assert_eq!(
+            a.mode,
+            Mode::Faults {
+                plane: Plane::Chaos,
+                cells: 3,
+                seed: 1
+            }
+        );
         assert!(!a.timing_free);
         let a = parse(&["--timing-free"]).unwrap();
         assert!(a.timing_free);
@@ -715,12 +761,21 @@ mod tests {
 
     #[test]
     fn malformed_chaos_is_a_clear_error() {
-        let e = parse(&["--chaos", "zero"]).unwrap_err();
-        assert_eq!(e, "--chaos expects a positive cell count");
-        let e = parse(&["--chaos", "0"]).unwrap_err();
-        assert_eq!(e, "--chaos must be at least 1");
-        let e = parse(&["--chaos", "5", "--chaos-seed", "x"]).unwrap_err();
-        assert_eq!(e, "--chaos-seed expects an unsigned integer");
+        let e = parse(&["--faults", "chaos:zero"]).unwrap_err();
+        assert_eq!(e, "--faults expects a positive cell count, got 'zero'");
+        let e = parse(&["--faults", "chaos:0"]).unwrap_err();
+        assert_eq!(e, "--faults cell count must be at least 1");
+        let e = parse(&["--faults", "chaos:5@x"]).unwrap_err();
+        assert_eq!(e, "--faults seed must be an unsigned integer, got 'x'");
+        let e = parse(&["--faults", "chaos:3@"]).unwrap_err();
+        assert_eq!(e, "--faults seed must be an unsigned integer, got ''");
+        let e = parse(&["--faults", "chaos"]).unwrap_err();
+        assert_eq!(
+            e,
+            "--faults expects PLANE:N[@SEED], e.g. chaos:25@7, got 'chaos'"
+        );
+        let e = parse(&["--faults"]).unwrap_err();
+        assert_eq!(e, "--faults requires a value");
     }
 
     #[test]
@@ -739,8 +794,8 @@ mod tests {
     #[test]
     fn controller_conflicts_with_sweep_modes() {
         for mode in [
-            ["--chaos", "5"],
-            ["--corrupt", "5"],
+            ["--faults", "chaos:5"],
+            ["--faults", "corrupt:5"],
             ["--soak", "5"],
             ["--fixture", "panic"],
         ] {
@@ -754,20 +809,54 @@ mod tests {
 
     #[test]
     fn parses_corrupt_options() {
-        let a = parse(&["--corrupt", "40", "--corrupt-seed", "9", "--jobs", "4"]).unwrap();
-        assert_eq!(a.corrupt, Some(40));
-        assert_eq!(a.corrupt_seed, Some(9));
+        let a = parse(&["--faults", "corrupt:40@9", "--jobs", "4"]).unwrap();
+        assert_eq!(
+            a.mode,
+            Mode::Faults {
+                plane: Plane::Corrupt,
+                cells: 40,
+                seed: 9
+            }
+        );
         assert_eq!(a.jobs, 4);
     }
 
     #[test]
     fn malformed_corrupt_is_a_clear_error() {
-        let e = parse(&["--corrupt", "lots"]).unwrap_err();
-        assert_eq!(e, "--corrupt expects a positive cell count");
-        let e = parse(&["--corrupt", "0"]).unwrap_err();
-        assert_eq!(e, "--corrupt must be at least 1");
-        let e = parse(&["--corrupt", "5", "--corrupt-seed", "x"]).unwrap_err();
-        assert_eq!(e, "--corrupt-seed expects an unsigned integer");
+        let e = parse(&["--faults", "corrupt:lots"]).unwrap_err();
+        assert_eq!(e, "--faults expects a positive cell count, got 'lots'");
+        let e = parse(&["--faults", "corrupt:0@3"]).unwrap_err();
+        assert_eq!(e, "--faults cell count must be at least 1");
+        let e = parse(&["--faults", "corrupt:5@-1"]).unwrap_err();
+        assert_eq!(e, "--faults seed must be an unsigned integer, got '-1'");
+        let e = parse(&["--faults", "nope:3"]).unwrap_err();
+        assert_eq!(e, "--faults plane must be chaos or corrupt, got 'nope'");
+    }
+
+    #[test]
+    fn overflowing_fault_seed_ranges_are_rejected() {
+        let max = u64::MAX.to_string();
+        // One cell at the top seed is fine; a second would wrap.
+        let a = parse(&["--faults", &format!("chaos:1@{max}")]).unwrap();
+        assert_eq!(
+            a.mode,
+            Mode::Faults {
+                plane: Plane::Chaos,
+                cells: 1,
+                seed: u64::MAX
+            }
+        );
+        let e = parse(&["--faults", &format!("chaos:2@{max}")]).unwrap_err();
+        assert_eq!(
+            e,
+            format!(
+                "--faults seeds {max}..={max}+1 overflow u64; the first seed may be at most {}",
+                u64::MAX - 1
+            )
+        );
+        let e = parse(&["--faults", &format!("corrupt:{max}@2")]).unwrap_err();
+        assert!(e.contains("overflow u64"), "{e}");
+        assert!(parse(&["--faults", &format!("corrupt:{max}@1")]).is_ok());
     }
 
     #[test]
@@ -783,7 +872,7 @@ mod tests {
             "2.5",
         ])
         .unwrap();
-        assert_eq!(a.soak, Some(30));
+        assert_eq!(a.mode, Mode::Soak(30));
         assert_eq!(a.soak_seed, Some(9));
         assert_eq!(a.soak_cells, Some(256));
         assert_eq!(a.deadline, Some(Duration::from_secs_f64(2.5)));
@@ -855,21 +944,27 @@ mod tests {
         assert_eq!(e, "--deadline must be a positive number of seconds");
         let e = parse(&["--deadline", "inf"]).unwrap_err();
         assert_eq!(e, "--deadline must be a positive number of seconds");
+        // Finite but beyond what a Duration holds.
+        let e = parse(&["--deadline", "1e30"]).unwrap_err();
+        assert_eq!(
+            e,
+            format!("--deadline must be at most {} seconds", u64::MAX)
+        );
     }
 
     #[test]
     fn parses_fixture_kinds() {
         let a = parse(&["--fixture", "panic"]).unwrap();
         assert_eq!(
-            a.fixture,
-            Some(InjectedFault::Panic {
+            a.mode,
+            Mode::Fixture(InjectedFault::Panic {
                 at: FIXTURE_FAULT_AT
             })
         );
         let a = parse(&["--fixture", "runaway"]).unwrap();
         assert_eq!(
-            a.fixture,
-            Some(InjectedFault::Runaway {
+            a.mode,
+            Mode::Fixture(InjectedFault::Runaway {
                 at: FIXTURE_FAULT_AT
             })
         );
@@ -879,35 +974,35 @@ mod tests {
 
     #[test]
     fn mode_seeds_require_their_mode() {
-        let e = parse(&["--chaos-seed", "7"]).unwrap_err();
-        assert_eq!(e, "--chaos-seed requires --chaos");
-        let e = parse(&["--corrupt-seed", "7"]).unwrap_err();
-        assert_eq!(e, "--corrupt-seed requires --corrupt");
         let e = parse(&["--soak-seed", "7"]).unwrap_err();
         assert_eq!(e, "--soak-seed requires --soak");
+        let e = parse(&["--faults", "chaos:5", "--soak-seed", "7"]).unwrap_err();
+        assert_eq!(e, "--soak-seed requires --soak");
+        // Fault sweep seeds live inside the --faults spec; the old
+        // per-plane flags are gone.
+        for gone in ["--chaos", "--chaos-seed", "--corrupt", "--corrupt-seed"] {
+            let e = parse(&[gone, "7"]).unwrap_err();
+            assert!(e.starts_with(&format!("unknown argument '{gone}'")), "{e}");
+        }
     }
 
     #[test]
     fn conflicting_modes_are_rejected() {
-        let e = parse(&["--chaos", "5", "--soak", "10"]).unwrap_err();
-        assert_eq!(
-            e,
-            "--chaos, --corrupt, --soak and --fixture are mutually exclusive"
-        );
-        let e = parse(&["--soak", "10", "--fixture", "panic"]).unwrap_err();
-        assert_eq!(
-            e,
-            "--chaos, --corrupt, --soak and --fixture are mutually exclusive"
-        );
-        let e = parse(&["--chaos", "5", "--corrupt", "5"]).unwrap_err();
-        assert_eq!(
-            e,
-            "--chaos, --corrupt, --soak and --fixture are mutually exclusive"
-        );
-        let e = parse(&["--chaos", "5", "-e", "e1"]).unwrap_err();
-        assert_eq!(e, "--experiments cannot be combined with --chaos");
-        let e = parse(&["--corrupt", "5", "-e", "e1"]).unwrap_err();
-        assert_eq!(e, "--experiments cannot be combined with --corrupt");
+        const ONE_MODE: &str =
+            "--faults, --soak and --fixture are mutually exclusive (one mode per run)";
+        for words in [
+            &["--faults", "chaos:5", "--soak", "10"][..],
+            &["--soak", "10", "--fixture", "panic"],
+            &["--faults", "chaos:5", "--faults", "corrupt:5"],
+            &["--faults", "chaos:5", "--faults", "chaos:6"],
+            &["--fixture", "panic", "--fixture", "runaway"],
+        ] {
+            assert_eq!(parse(words).unwrap_err(), ONE_MODE, "{words:?}");
+        }
+        // Repeating the same mode is not a conflict.
+        assert!(parse(&["--soak", "10", "--soak", "10"]).is_ok());
+        let e = parse(&["--faults", "chaos:5", "-e", "e1"]).unwrap_err();
+        assert_eq!(e, "--experiments cannot be combined with --faults");
         let e = parse(&["--soak", "10", "-e", "e1"]).unwrap_err();
         assert_eq!(e, "--experiments cannot be combined with --soak");
         let e = parse(&["--fixture", "panic", "-e", "e1"]).unwrap_err();
@@ -917,6 +1012,18 @@ mod tests {
             e,
             "--soak cannot be combined with --obs (soak cells are unobserved)"
         );
+    }
+
+    #[test]
+    fn list_is_rejected_with_soak() {
+        let e = parse(&["--soak", "1", "--list"]).unwrap_err();
+        assert_eq!(
+            e,
+            "--soak cannot be combined with --list (a soak has no fixed grid)"
+        );
+        // Every fixed-grid mode still lists.
+        assert!(parse(&["--faults", "corrupt:4", "--list"]).is_ok());
+        assert!(parse(&["--fixture", "panic", "--list"]).is_ok());
     }
 
     #[test]
@@ -954,5 +1061,92 @@ mod tests {
         assert!(a.help);
         let a = parse(&["-h"]).unwrap();
         assert!(a.help);
+    }
+
+    const FLAGS: [&str; 22] = [
+        "--jobs",
+        "-j",
+        "--batch",
+        "--experiments",
+        "-e",
+        "--controller",
+        "--faults",
+        "--soak",
+        "--soak-seed",
+        "--soak-cells",
+        "--deadline",
+        "--fixture",
+        "--obs",
+        "--obs-out",
+        "--out",
+        "-o",
+        "--no-json",
+        "--timing-free",
+        "--no-cache",
+        "--list",
+        "--help",
+        "-h",
+    ];
+
+    const VALUES: [&str; 28] = [
+        "1e30",
+        "inf",
+        "NaN",
+        "-0",
+        "18446744073709551615",
+        "chaos:0",
+        "corrupt:3@",
+        "chaos:1@18446744073709551615",
+        "chaos:2@18446744073709551615",
+        ":",
+        "",
+        "débit→帯域",
+        "0",
+        "1",
+        "2.5",
+        "-1",
+        "1e-300",
+        "auto",
+        "e1,e22",
+        "all",
+        "nada,bbr",
+        "full",
+        "panic",
+        "chaos:25@7",
+        "corrupt:12@3",
+        "corrupt:18446744073709551615",
+        "@",
+        "--faults",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 4096,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// Any argument vector built from the flag vocabulary and an
+        /// adversarial value pool parses to `Ok` or `Err`, never a panic.
+        #[test]
+        fn no_argument_vector_panics(
+            words in proptest::collection::vec((0..FLAGS.len(), 0..VALUES.len(), 0..4u8), 1..4)
+        ) {
+            let mut argv = Vec::new();
+            for (flag, value, shape) in words {
+                argv.push(FLAGS[flag]);
+                // Mostly flag-value pairs; sometimes a bare flag, or a
+                // pair followed by a stray value.
+                match shape {
+                    0 => {}
+                    1 => {
+                        argv.push(VALUES[value]);
+                        argv.push(VALUES[(value + 1) % VALUES.len()]);
+                    }
+                    _ => argv.push(VALUES[value]),
+                }
+            }
+            let parsed = std::panic::catch_unwind(|| parse(&argv).is_ok());
+            proptest::prop_assert!(parsed.is_ok(), "parse_args panicked on {argv:?}");
+        }
     }
 }
