@@ -6,10 +6,9 @@
 //! delta is pure kernel overhead.
 //!
 //! A second sweep drives the population through ONE reused
-//! [`KernelWorkspace`] in batches of 1/4/16/64 sessions with the
-//! event-payload arena on and off — the shape of work a batched
-//! harness worker performs. The batch axis isolates kernel-setup
-//! amortization; the arena axis isolates `EncodeDone` box recycling.
+//! `KernelWorkspace` in batches of 1/4/16/64 sessions — the shape of
+//! work a batched harness worker performs — isolating kernel-setup
+//! amortization.
 
 use criterion::{criterion_group, Criterion};
 use ravel_bench::common::{population, run_population, run_population_batched};
@@ -46,15 +45,9 @@ fn bench(c: &mut Criterion) {
         b.iter(|| run_population(POP, DUR))
     });
     for batch in [1usize, 4, 16, 64] {
-        for arena in [false, true] {
-            let name = format!(
-                "batched_{POP}x10s_batch{batch}_arena_{}",
-                if arena { "on" } else { "off" }
-            );
-            g.bench_function(&name, |b| {
-                b.iter(|| run_population_batched(POP, DUR, batch, arena))
-            });
-        }
+        g.bench_function(&format!("batched_{POP}x10s_batch{batch}"), |b| {
+            b.iter(|| run_population_batched(POP, DUR, batch))
+        });
     }
     g.finish();
 }

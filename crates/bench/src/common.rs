@@ -49,25 +49,14 @@ pub fn population(n: usize, duration: Dur) -> Vec<RunSpec<StepTrace>> {
 /// Runs a [`population`] on the interleaved multi-session kernel —
 /// every session stepped from one shared event queue on one thread.
 pub fn run_population(n: usize, duration: Dur) -> Vec<SessionResult> {
-    run_sessions(population(n, duration), &mut KernelWorkspace::allocating())
+    run_sessions(population(n, duration), &mut KernelWorkspace::new())
 }
 
 /// Runs a [`population`] through the kernel in batches of `batch`
-/// sessions, reusing ONE workspace across batches —
-/// the shape of work a batched harness worker performs. `pooled`
-/// selects the recycling payload arena; `false` is the allocating
-/// oracle, byte-identical in results.
-pub fn run_population_batched(
-    n: usize,
-    duration: Dur,
-    batch: usize,
-    pooled: bool,
-) -> Vec<SessionResult> {
-    let mut ws = if pooled {
-        KernelWorkspace::new()
-    } else {
-        KernelWorkspace::allocating()
-    };
+/// sessions, reusing ONE workspace across batches — the shape of work
+/// a batched harness worker performs.
+pub fn run_population_batched(n: usize, duration: Dur, batch: usize) -> Vec<SessionResult> {
+    let mut ws = KernelWorkspace::new();
     let mut sessions = population(n, duration);
     let mut out = Vec::with_capacity(n);
     while !sessions.is_empty() {
@@ -114,12 +103,12 @@ mod tests {
 
     #[test]
     fn batched_pooled_population_matches_the_full_kernel() {
-        // Chunked through a reused pooled workspace == one allocating
-        // kernel call over the whole population, per session.
+        // Chunked through one reused workspace == one kernel call over
+        // the whole population, per session.
         let dur = Dur::secs(8);
         let whole = run_population(6, dur);
-        for (batch, pooled) in [(1, true), (2, true), (4, false), (64, true)] {
-            let chunked = run_population_batched(6, dur, batch, pooled);
+        for batch in [1, 2, 4, 64] {
+            let chunked = run_population_batched(6, dur, batch);
             assert_eq!(chunked.len(), whole.len());
             for (a, b) in chunked.iter().zip(&whole) {
                 assert_eq!(a.events_processed, b.events_processed);

@@ -126,11 +126,6 @@ impl AbrState {
         self.cfg.bitrate_bps
     }
 
-    /// The per-frame bit budget at the current target.
-    pub fn frame_budget_bits(&self) -> f64 {
-        self.cfg.bitrate_bps / self.cfg.fps
-    }
-
     /// Accumulated overshoot vs. the wanted-bits line, in bits. Positive
     /// when the encoder has emitted more than the target would allow.
     pub fn overshoot_bits(&self) -> f64 {

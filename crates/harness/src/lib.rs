@@ -13,8 +13,7 @@
 //!   byte-identical at any thread count. Workers claim cells in
 //!   *batches* (`--batch`, default auto) and drive each batch as one
 //!   interleaved session population through the shared-queue kernel
-//!   with a per-worker event-payload arena — same bytes out, fewer
-//!   kernel setups and allocations. The pool memoizes by content
+//!   — same bytes out, fewer kernel setups. The pool memoizes by content
 //!   address ([`Cell::canonical_key`]): every *unique* cell simulates
 //!   exactly once per run, and grid positions that repeat it (E1 and E2
 //!   share their entire grid) are served from the in-process cache.

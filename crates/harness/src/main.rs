@@ -578,7 +578,7 @@ fn main() -> ExitCode {
     }
 
     eprintln!(
-        "{} cells ({} unique, {} executed, {} cache hits), {:.0} simulated seconds in {:.2} s wall ({:.1} sim-s/s, {:.2e} events/s, jobs={}, arena {} avoided / hw {})",
+        "{} cells ({} unique, {} executed, {} cache hits), {:.0} simulated seconds in {:.2} s wall ({:.1} sim-s/s, {:.2e} events/s, jobs={})",
         stats.total_cells,
         stats.unique_cells,
         stats.executed,
@@ -587,9 +587,7 @@ fn main() -> ExitCode {
         report.total_wall.as_secs_f64(),
         report.sim_rate(),
         report.events_rate(),
-        report.jobs,
-        stats.allocs_avoided,
-        stats.arena_high_water
+        report.jobs
     );
 
     if args.obs == ObsMode::Full {

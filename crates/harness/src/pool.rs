@@ -13,9 +13,7 @@
 //! ([`PoolOptions::batch`], default [`BatchMode::Auto`]), group each
 //! range into same-sim-horizon sub-batches, and drive every sub-batch
 //! as one session population through the kernel ([`run_sessions`]):
-//! one shared calendar queue and one event-payload arena per worker,
-//! reused batch after batch so steady-state event processing is
-//! allocation-free.
+//! one shared calendar queue per worker, reused batch after batch.
 //! Every claim takes this one path — a claim of one
 //! (`BatchMode::Fixed(1)`, the differential oracle) is a population of
 //! one — and every batch size yields byte-identical deterministic
@@ -209,10 +207,10 @@ impl CellRun {
 pub enum BatchMode {
     /// Size batches from the grid: `ceil(total / (jobs * 4))` clamped
     /// to `[1, 2]`. The upper clamp is the measured locality knee:
-    /// pairing cells amortizes workspace reuse (warm queue buckets,
-    /// warm arena free list), but interleaving more sessions through
-    /// one shared queue round-robins across that many live session
-    /// states and the cache misses outweigh the amortization — the
+    /// pairing cells amortizes workspace reuse (warm queue buckets),
+    /// but interleaving more sessions through one shared queue
+    /// round-robins across that many live session states and the
+    /// cache misses outweigh the amortization — the
     /// E18 batch sweep shows per-event cost rising monotonically from
     /// population 4 upward. Explicit [`BatchMode::Fixed`] sizes are
     /// honoured as given for anyone who wants the trade.
@@ -298,15 +296,11 @@ pub struct PoolStats {
     /// proportion to kernel-reported per-session event counts, so the
     /// sum of executed cells' walls still equals busy exactly.
     pub busy: Duration,
-    /// Event-payload allocations served from the per-worker arenas'
-    /// free lists instead of the allocator, summed over all workers.
-    /// Schedule-dependent, so excluded from the byte-compared
-    /// (timing-free) report.
+    /// Always 0. The field stays only because the benchmark's traced
+    /// run (`perfbench/src/traced.rs`) reads it as
+    /// `harness.allocs_avoided`, and the benchmark is changed on its
+    /// own; both go together with the next change to the benchmark.
     pub allocs_avoided: u64,
-    /// Peak number of live pooled payload boxes in any single worker's
-    /// arena — a leak here would grow with cell count instead of
-    /// staying at the pipeline's natural in-flight depth.
-    pub arena_high_water: u64,
 }
 
 /// What one computation produced: the session result, or the
@@ -462,12 +456,17 @@ fn finished(result: SessionResult, opts: PoolOptions) -> CellOutcome {
 /// Re-runs one cell alone under panic quarantine — the fallback after
 /// a batch attempt panicked — with the runaway guard and (when a
 /// deadline is set) supervisor cancellation still armed.
-fn execute_cell(cell: &Cell, opts: PoolOptions, slot: &WatchSlot) -> CachedCell {
+fn execute_cell(
+    cell: &Cell,
+    opts: PoolOptions,
+    slot: &WatchSlot,
+    ws: &mut KernelWorkspace,
+) -> CachedCell {
     let cancel = arm(opts, slot);
     let started = Instant::now();
     let caught = catch_unwind(AssertUnwindSafe(|| {
         let spec = pool_spec(cell, opts, &cancel);
-        run_sessions(vec![spec], &mut KernelWorkspace::allocating()).remove(0)
+        run_sessions(vec![spec], ws).remove(0)
     }));
     let wall = started.elapsed();
     if cancel.is_some() {
@@ -555,7 +554,6 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
                 cache_hits: 0,
                 busy: Duration::ZERO,
                 allocs_avoided: 0,
-                arena_high_water: 0,
             },
         );
     }
@@ -566,8 +564,6 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
     let workers_done = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<CellRun>>> = Mutex::new((0..cells.len()).map(|_| None).collect());
     let busy_total: Mutex<Duration> = Mutex::new(Duration::ZERO);
-    // (allocs_avoided summed, high_water maxed) across workers.
-    let arena_total: Mutex<(u64, u64)> = Mutex::new((0, 0));
     let cache: Mutex<HashMap<&str, Arc<Memo>>> = Mutex::new(HashMap::new());
     let watch: Vec<WatchSlot> = (0..jobs).map(|_| WatchSlot::default()).collect();
     std::thread::scope(|scope| {
@@ -577,14 +573,12 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
             let workers_done = &workers_done;
             let slots = &slots;
             let busy_total = &busy_total;
-            let arena_total = &arena_total;
             let cache = &cache;
             let keys = &keys;
             scope.spawn(move || {
                 let mut busy = Duration::ZERO;
                 // Per-worker kernel scratch, reused across batches so
-                // the queue's bucket Vecs and the payload arena's free
-                // list stay warm.
+                // the queue's bucket Vecs stay warm.
                 let mut ws = KernelWorkspace::new();
                 loop {
                     let start = next.fetch_add(batch, Ordering::Relaxed);
@@ -604,12 +598,6 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
                         &mut busy,
                         executed,
                     );
-                }
-                let stats = ws.arena_stats();
-                {
-                    let mut total = arena_total.lock().expect("arena total poisoned");
-                    total.0 += stats.allocs_avoided;
-                    total.1 = total.1.max(stats.high_water);
                 }
                 *busy_total.lock().expect("busy total poisoned") += busy;
                 workers_done.fetch_add(1, Ordering::Release);
@@ -631,16 +619,13 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
         }
     });
     let executed = executed.into_inner();
-    let (allocs_avoided, arena_high_water) =
-        arena_total.into_inner().expect("arena total poisoned");
     let stats = PoolStats {
         total_cells: cells.len(),
         unique_cells,
         executed,
         cache_hits: cells.len() - executed,
         busy: busy_total.into_inner().expect("busy total poisoned"),
-        allocs_avoided,
-        arena_high_water,
+        allocs_avoided: 0,
     };
     let runs = slots
         .into_inner()
@@ -669,9 +654,9 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
 /// every claimed position re-runs through the per-cell quarantine path
 /// ([`execute_cell`]): the panicking cell records exactly the failure
 /// it would have solo, batch-mates recompute cleanly, and every claim
-/// is still fulfilled. The workspace is replaced afterwards (its queue
-/// and arena may hold the aborted batch's state), preserving its arena
-/// counters.
+/// is still fulfilled. The re-runs reuse the worker's workspace: the
+/// kernel resets its queue on entry, discarding the aborted batch's
+/// leftovers.
 #[allow(clippy::too_many_arguments)]
 fn run_batch<'g>(
     cells: &'g [Cell],
@@ -742,13 +727,10 @@ fn run_batch<'g>(
                         .map(|(result, wall_i)| (finished(result, opts), wall_i))
                         .collect()
                 }
-                Err(_) => {
-                    ws.quarantine_reset();
-                    computing
-                        .iter()
-                        .map(|&(i, _)| execute_cell(&cells[i], opts, slot))
-                        .collect()
-                }
+                Err(_) => computing
+                    .iter()
+                    .map(|&(i, _)| execute_cell(&cells[i], opts, slot, ws))
+                    .collect(),
             };
             for ((i, memo), (outcome, wall_i)) in computing.into_iter().zip(outcomes) {
                 *busy += wall_i;

@@ -2,12 +2,11 @@
 //!
 //! Serialized with the workspace's hand-rolled JSON module
 //! ([`ravel_trace::json`]) so offline builds never need serde. Schema
-//! (version 7 — version 6 plus the feedback-corruption counters and
-//! per-cell recovery-contract verdicts, all timing-free):
+//! (version 8 — see [`SCHEMA_VERSION`] for what each version added):
 //!
 //! ```json
 //! {
-//!   "schema": 6,
+//!   "schema": 8,
 //!   "jobs": 8,
 //!   "total_wall_ms": 12345.678,          // omitted when timing is off
 //!   "total_cells": 189,
@@ -15,8 +14,6 @@
 //!   "executed": 161,                     // omitted when timing is off
 //!   "cache_hits": 28,                    // omitted when timing is off
 //!   "busy_ms": 10234.5,                  // omitted when timing is off
-//!   "allocs_avoided": 120034,            // omitted when timing is off
-//!   "arena_high_water": 8,               // omitted when timing is off
 //!   "sim_seconds": 7560.0,
 //!   "sim_seconds_per_second": 612.3,     // omitted when timing is off
 //!   "events_total": 123456789,
@@ -38,6 +35,7 @@
 //!           "cache_hit": false,           // omitted when timing is off
 //!           "events": 654321,            // simulation events processed
 //!           "events_per_sec": 805412.0,   // omitted when timing is off
+//!           "controller": "nada",        // E22 arena cells only
 //!           "mean_ms": 123.4,            // session-wide mean G2G latency
 //!           "p50_ms": 98.7,
 //!           "p95_ms": 310.0,
@@ -102,10 +100,10 @@ use crate::pool::{CellRun, PoolStats};
 /// and the timing-gated `events_per_sec` aggregate throughput, so the
 /// multi-session kernel's event volume can be gated per experiment
 /// without summing cells by hand. Version 6 added the timing-gated
-/// `allocs_avoided` / `arena_high_water` aggregates from the batched
-/// workers' event-payload arenas: they depend on batch formation and
-/// worker scheduling, so — like `busy_ms` — they are omitted from the
-/// timing-free rendering. Version 7 added the control-plane corruption
+/// `allocs_avoided` / `arena_high_water` counters of the event-payload
+/// arena; the arena and both fields are gone, and since they never
+/// appeared in the timing-free rendering the version was not bumped
+/// for their removal. Version 7 added the control-plane corruption
 /// block — per-cell `rejected_reports`, `rejected_by_reason`,
 /// `feedback_corrupted`, `plis_suppressed` (each omitted when
 /// zero/empty, so clean grids keep their old byte layout) — and the
@@ -344,18 +342,6 @@ pub fn render_json(report: &RunReport, with_timing: bool) -> String {
             "busy_ms".to_string(),
             Json::Num(r3(report.stats.busy.as_secs_f64() * 1e3)),
         ));
-        // Schema 6: arena accounting from the batched workers' payload
-        // pools. Both numbers depend on batch formation (worker count,
-        // batch size, cache hits), so they sit with the other
-        // schedule-dependent fields behind `with_timing`.
-        fields.push((
-            "allocs_avoided".to_string(),
-            Json::Num(report.stats.allocs_avoided as f64),
-        ));
-        fields.push((
-            "arena_high_water".to_string(),
-            Json::Num(report.stats.arena_high_water as f64),
-        ));
     }
     fields.push((
         "sim_seconds".to_string(),
@@ -440,9 +426,6 @@ mod tests {
         assert!(doc.get("executed").and_then(Json::as_f64).is_some());
         assert!(doc.get("cache_hits").and_then(Json::as_f64).is_some());
         assert!(doc.get("busy_ms").is_some());
-        // Schema 6: arena counters ride with the timing block.
-        assert!(doc.get("allocs_avoided").and_then(Json::as_f64).is_some());
-        assert!(doc.get("arena_high_water").and_then(Json::as_f64).is_some());
         assert!(doc.get("events_total").and_then(Json::as_f64).unwrap() > 0.0);
         assert!(doc.get("events_per_second").is_some());
         let exps_json = doc.get("experiments").and_then(Json::as_array).unwrap();

@@ -131,7 +131,7 @@ pub fn shrink_schedule<K: SegmentKind>(
 fn run_under<K: FaultPlane>(cell: &Cell, schedule: &Schedule<K>, obs: ObsMode) -> SessionResult {
     let mut run = RunSpec { obs, ..cell.spec() };
     K::install(&mut run, schedule.clone());
-    run_sessions(vec![run], &mut KernelWorkspace::allocating()).remove(0)
+    run_sessions(vec![run], &mut KernelWorkspace::new()).remove(0)
 }
 
 /// Shrinks the schedule that made `cell` fail, using a fresh

@@ -13,7 +13,7 @@ fn run_under(cell: &Cell, schedule: &ChaosSchedule) -> ravel_pipeline::SessionRe
         chaos: Some(schedule.clone()),
         ..cell.spec()
     };
-    run_sessions(vec![spec], &mut KernelWorkspace::allocating()).remove(0)
+    run_sessions(vec![spec], &mut KernelWorkspace::new()).remove(0)
 }
 
 fn blackout(from_s: u64, until_s: u64) -> FaultSegment {

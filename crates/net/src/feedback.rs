@@ -143,11 +143,6 @@ impl FeedbackBuilder {
         self.last_send_time = self.last_send_time.max(packet.send_time);
     }
 
-    /// Packets recorded since the last flush.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Produces a report covering every sequence number from the last
     /// report's end through the highest arrival recorded, marking gaps as
     /// lost. Returns `None` when nothing new arrived.

@@ -21,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use ravel_sim::Time;
@@ -301,15 +300,6 @@ pub enum ObsSink {
     None,
     /// Keep every event in order.
     Full(Vec<ObsRecord>),
-    /// Keep only the most recent `cap` events.
-    Ring {
-        /// Maximum retained records.
-        cap: usize,
-        /// Retained records, oldest first.
-        buf: VecDeque<ObsRecord>,
-        /// Records evicted to make room.
-        dropped: u64,
-    },
 }
 
 impl ObsSink {
@@ -317,13 +307,6 @@ impl ObsSink {
         match self {
             ObsSink::None => {}
             ObsSink::Full(v) => v.push(rec),
-            ObsSink::Ring { cap, buf, dropped } => {
-                if buf.len() == *cap {
-                    buf.pop_front();
-                    *dropped += 1;
-                }
-                buf.push_back(rec);
-            }
         }
     }
 }
@@ -335,7 +318,7 @@ pub struct ObsLog {
     /// Per-subsystem tallies (zero in `Off` mode).
     pub counters: ObsCounters,
     sink: ObsSink,
-    /// Events recorded, including any a ring sink later evicted.
+    /// Events recorded, whether or not the sink stores them.
     recorded: u64,
 }
 
@@ -351,21 +334,6 @@ impl ObsLog {
             mode,
             counters: ObsCounters::default(),
             sink,
-            recorded: 0,
-        }
-    }
-
-    /// A full-mode log that retains only the most recent `cap` events.
-    pub fn ring(cap: usize) -> ObsLog {
-        assert!(cap > 0, "ObsLog::ring: zero capacity");
-        ObsLog {
-            mode: ObsMode::Full,
-            counters: ObsCounters::default(),
-            sink: ObsSink::Ring {
-                cap,
-                buf: VecDeque::with_capacity(cap),
-                dropped: 0,
-            },
             recorded: 0,
         }
     }
@@ -403,20 +371,11 @@ impl ObsLog {
         self.recorded
     }
 
-    /// Events evicted by a ring sink (0 for other sinks).
-    pub fn evicted(&self) -> u64 {
-        match &self.sink {
-            ObsSink::Ring { dropped, .. } => *dropped,
-            _ => 0,
-        }
-    }
-
     /// The retained records, oldest first.
     pub fn events(&self) -> Vec<&ObsRecord> {
         match &self.sink {
             ObsSink::None => Vec::new(),
             ObsSink::Full(v) => v.iter().collect(),
-            ObsSink::Ring { buf, .. } => buf.iter().collect(),
         }
     }
 
@@ -569,22 +528,6 @@ mod tests {
         assert_eq!(ev.len(), 5);
         assert_eq!(ev[0].at, at(0));
         assert_eq!(ev[4].event, ObsEvent::FrameCaptured { index: 4 });
-        assert_eq!(log.evicted(), 0);
-    }
-
-    #[test]
-    fn ring_sink_keeps_the_most_recent() {
-        let mut log = ObsLog::ring(3);
-        for i in 0..10u64 {
-            log.record(at(i), || ObsEvent::FrameCaptured { index: i });
-        }
-        let ev = log.events();
-        assert_eq!(ev.len(), 3);
-        assert_eq!(ev[0].event, ObsEvent::FrameCaptured { index: 7 });
-        assert_eq!(ev[2].event, ObsEvent::FrameCaptured { index: 9 });
-        assert_eq!(log.evicted(), 7);
-        assert_eq!(log.recorded(), 10);
-        assert_eq!(log.counters.frames_captured, 10);
     }
 
     #[test]

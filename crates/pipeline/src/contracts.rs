@@ -92,12 +92,6 @@ impl ContractSpec {
         self.recover_within = within;
         self
     }
-
-    /// This contract with a different freeze bound.
-    pub fn with_max_freeze(mut self, bound: Dur) -> ContractSpec {
-        self.max_freeze = bound;
-        self
-    }
 }
 
 /// One clause's outcome.

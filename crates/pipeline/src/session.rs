@@ -23,9 +23,9 @@ use ravel_net::{
     Packet, Packetizer, PliRequester, ReversePath, ReversePathConfig, RtxBuffer, SegmentKind,
 };
 use ravel_obs::{ObsEvent, ObsLog, ObsMode};
-use ravel_sim::{ArenaStats, BoxPool, Dur, EventQueue, SeriesSet, Time};
+use ravel_sim::{Dur, EventQueue, SeriesSet, Time};
 use ravel_trace::BandwidthTrace;
-use ravel_video::{ContentClass, RawFrame, Resolution, VideoSource};
+use ravel_video::{ContentClass, Resolution, VideoSource};
 
 use crate::invariants::{Invariant, InvariantChecker, InvariantViolation};
 use crate::scheme::Scheme;
@@ -380,10 +380,9 @@ enum SentFrame {
 enum Event {
     /// Capture the next frame.
     Capture,
-    /// An encoded frame is ready to packetize (encode finished). Boxed:
-    /// frames are ~30/s against thousands of packet events, and boxing
-    /// halves the size of every queued event.
-    EncodeDone(Box<EncodedFrame>),
+    /// The frame with this capture index finished encoding and is ready
+    /// to packetize. The frame itself is `sent[index]`.
+    EncodeDone(u64),
     /// The pacer may have packets due.
     PacerTick,
     /// A packet reached the receiver.
@@ -478,7 +477,7 @@ const RECOVERY_CAPACITY_PROBE: Dur = Dur::millis(500);
 ///     obs: ObsMode::Counters,
 ///     ..RunSpec::new(ConstantTrace::new(3e6), cfg)
 /// };
-/// let results = run_sessions(vec![spec], &mut KernelWorkspace::allocating());
+/// let results = run_sessions(vec![spec], &mut KernelWorkspace::new());
 /// assert!(results[0].frames_captured > 0);
 /// ```
 #[derive(Debug)]
@@ -522,93 +521,42 @@ impl<T: BandwidthTrace> RunSpec<T> {
 /// Runs one session over `trace` and returns its measurements — a
 /// population of one through [`run_sessions`].
 pub fn run_session<T: BandwidthTrace>(trace: T, cfg: SessionConfig) -> SessionResult {
-    let mut results = run_sessions(
-        vec![RunSpec::new(trace, cfg)],
-        &mut KernelWorkspace::allocating(),
-    );
+    let mut results = run_sessions(vec![RunSpec::new(trace, cfg)], &mut KernelWorkspace::new());
     results.pop().expect("one spec in, one result out")
 }
 
 /// Reusable per-worker kernel scratch: the shared multi-session event
-/// queue and the boxed-payload arena.
+/// queue.
 ///
-/// A worker that drives batch after batch through one workspace gets
-/// allocation-free steady-state event processing: the queue's bucket
-/// `Vec`s keep their capacity across [`EventQueue::reset`], and the
-/// [`BoxPool`] free list carries recycled `EncodeDone` boxes from one
-/// batch into the next. The arena counters accumulate across batches —
-/// harvest them once per worker with [`KernelWorkspace::arena_stats`].
+/// A worker that drives batch after batch through one workspace keeps
+/// the queue's bucket `Vec`s and their capacity across
+/// [`EventQueue::reset`]. [`run_sessions`] resets the queue on entry, so
+/// a workspace left dirty by a panicked batch is clean on its next use.
+#[derive(Default)]
 pub struct KernelWorkspace {
     queue: EventQueue<(u32, Event)>,
-    pool: BoxPool<EncodedFrame>,
 }
 
 impl KernelWorkspace {
-    /// A workspace whose arena recycles event payload boxes.
+    /// An empty workspace.
     pub fn new() -> Self {
-        KernelWorkspace {
-            queue: EventQueue::new(),
-            pool: BoxPool::pooled(),
-        }
-    }
-
-    /// A workspace whose arena is a pure allocating passthrough —
-    /// behaviourally the pre-arena kernel, used as the test oracle.
-    pub fn allocating() -> Self {
-        KernelWorkspace {
-            queue: EventQueue::new(),
-            pool: BoxPool::disabled(),
-        }
-    }
-
-    /// Arena counters accumulated over every batch this workspace ran.
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.pool.stats()
-    }
-
-    /// Discards all scratch state — used after an aborted (panicked)
-    /// batch leaves the queue and free list possibly inconsistent —
-    /// while carrying the arena's lifetime counters forward.
-    /// `outstanding` resets to zero: boxes that were live during the
-    /// unwind were dropped with the queue.
-    pub fn quarantine_reset(&mut self) {
-        let stats = self.pool.stats();
-        let pooled = self.pool.is_pooled();
-        self.queue = EventQueue::new();
-        self.pool = if pooled {
-            BoxPool::pooled()
-        } else {
-            BoxPool::disabled()
-        };
-        self.pool.set_stats(ArenaStats {
-            outstanding: 0,
-            ..stats
-        });
-    }
-}
-
-impl Default for KernelWorkspace {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
 /// The session kernel: runs a population of sessions interleaved over
-/// ONE shared event queue on the calling thread, recycling event
-/// payload boxes through the workspace's arena. A solo run is a
+/// ONE shared event queue on the calling thread. A solo run is a
 /// population of one.
 ///
 /// Each session's result is byte-identical to running it alone:
-/// sessions share no state, the shared queue's FIFO tie-break preserves
-/// every per-session event order, and the arena only changes *where* a
-/// payload box's memory comes from, never its contents. Fault schedules
-/// a spec leaves `None` are generated from its config here.
+/// sessions share no state, and the shared queue's FIFO tie-break
+/// preserves every per-session event order. Fault schedules a spec
+/// leaves `None` are generated from its config here.
 pub fn run_sessions<T: BandwidthTrace>(
     specs: Vec<RunSpec<T>>,
     ws: &mut KernelWorkspace,
 ) -> Vec<SessionResult> {
     let queue = &mut ws.queue;
-    let pool = &mut ws.pool;
     queue.reset();
     let mut states: Vec<(SessionState<T>, bool)> = Vec::with_capacity(specs.len());
     for (session, spec) in specs.into_iter().enumerate() {
@@ -635,11 +583,10 @@ pub fn run_sessions<T: BandwidthTrace>(
             // A stopped session's leftovers count as in-flight for the
             // conservation invariant.
             state.note_leftover(&event);
-            reclaim(event, pool);
             continue;
         }
         let mut sink = TaggedSink { queue, session };
-        if let Step::Stop = state.step(scheduled.at, event, &mut sink, pool) {
+        if let Step::Stop = state.step(scheduled.at, event, &mut sink) {
             *stopped = true;
         }
     }
@@ -647,13 +594,6 @@ pub fn run_sessions<T: BandwidthTrace>(
         .into_iter()
         .map(|(state, _stopped)| state.finish())
         .collect()
-}
-
-/// Returns an event's boxed payload (if any) to the worker's arena.
-fn reclaim(event: Event, pool: &mut BoxPool<EncodedFrame>) {
-    if let Event::EncodeDone(frame) = event {
-        pool.recycle(frame);
-    }
 }
 
 /// Where a stepped session schedules its future events: a view of the
@@ -1046,13 +986,7 @@ impl<T: BandwidthTrace> SessionState<T> {
     /// chaos-segment announcements, then the event itself) matches the
     /// historical loop exactly, so guard trips and violation details
     /// are byte-identical.
-    fn step(
-        &mut self,
-        now: Time,
-        event: Event,
-        sink: &mut TaggedSink<'_>,
-        pool: &mut BoxPool<EncodedFrame>,
-    ) -> Step {
+    fn step(&mut self, now: Time, event: Event, sink: &mut TaggedSink<'_>) -> Step {
         self.popped += 1;
         if now < self.last_event_at {
             self.checker.violate(
@@ -1079,7 +1013,6 @@ impl<T: BandwidthTrace> SessionState<T> {
             );
             self.note_violations(now);
             self.note_leftover(&event);
-            reclaim(event, pool);
             return Step::Stop;
         }
         if self.guard.over_horizon(now) {
@@ -1089,20 +1022,17 @@ impl<T: BandwidthTrace> SessionState<T> {
             );
             self.note_violations(now);
             self.note_leftover(&event);
-            reclaim(event, pool);
             return Step::Stop;
         }
         if self.guard.cancelled(self.popped) {
             self.cancelled = true;
             self.note_leftover(&event);
-            reclaim(event, pool);
             return Step::Stop;
         }
         if now > self.hard_end {
             // The popped event is past the session's end; if it was an
             // arrival, the packet is in flight for conservation.
             self.note_leftover(&event);
-            reclaim(event, pool);
             return Step::Stop;
         }
         match self.cfg.inject {
@@ -1126,10 +1056,12 @@ impl<T: BandwidthTrace> SessionState<T> {
             self.seg_cursor += 1;
         }
         match event {
-            Event::Capture => self.on_capture(now, sink, pool),
-            Event::EncodeDone(encoded) => {
-                self.on_encode_done(now, &encoded, sink);
-                pool.recycle(encoded);
+            Event::Capture => self.on_capture(now, sink),
+            Event::EncodeDone(index) => {
+                let SentFrame::Encoded { frame, .. } = self.sent[index as usize] else {
+                    unreachable!("on_capture pushes an Encoded slot for every EncodeDone");
+                };
+                self.on_encode_done(now, &frame, sink);
             }
             Event::PacerTick => {
                 self.pacer_tick_pending = false;
@@ -1160,12 +1092,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         Step::Continue
     }
 
-    fn on_capture(
-        &mut self,
-        now: Time,
-        sink: &mut TaggedSink<'_>,
-        pool: &mut BoxPool<EncodedFrame>,
-    ) {
+    fn on_capture(&mut self, now: Time, sink: &mut TaggedSink<'_>) {
         let frame = self.source.next_frame();
         debug_assert_eq!(frame.pts, now, "capture clock drift");
         self.obs
@@ -1217,7 +1144,7 @@ impl<T: BandwidthTrace> SessionState<T> {
                         encoded.size_bits() as f64 * self.cfg.fps as f64,
                     );
                 }
-                sink.push(encoded.encoded_at, Event::EncodeDone(pool.alloc(encoded)));
+                sink.push(encoded.encoded_at, Event::EncodeDone(frame.index));
                 self.sent.push(SentFrame::Encoded {
                     frame: encoded,
                     temporal: frame.complexity.temporal,
@@ -1270,20 +1197,8 @@ impl<T: BandwidthTrace> SessionState<T> {
         if self.cfg.enable_fec && packet.kind != MediaKind::Fec {
             // Every non-parity arrival in a covered span counts
             // toward that span's recovery bookkeeping.
-            for seq in self.fec_decoder.on_media_packet(packet.seq) {
-                if let Some(rec) = self.sent_video.get(seq) {
-                    self.nack_gen.on_packet(seq, now);
-                    if let Some(done) = self.assembler.push(&rec, now) {
-                        // Only a COMPLETE keyframe satisfies an
-                        // outstanding PLI (a lone fragment may
-                        // never assemble; retries must go on).
-                        if done.is_keyframe {
-                            self.pli.on_keyframe(rec.send_time);
-                        }
-                        self.completed.note(done.frame_index, done.complete_at);
-                    }
-                }
-            }
+            let recovered = self.fec_decoder.on_media_packet(packet.seq);
+            self.on_fec_recovered(recovered, now);
         }
         match packet.kind {
             MediaKind::Audio => {
@@ -1291,26 +1206,34 @@ impl<T: BandwidthTrace> SessionState<T> {
                     .push((packet.pts, now.saturating_since(packet.pts)));
             }
             MediaKind::Fec => {
-                for seq in self.fec_decoder.on_parity_packet(&packet) {
-                    if let Some(rec) = self.sent_video.get(seq) {
-                        self.nack_gen.on_packet(seq, now);
-                        if let Some(done) = self.assembler.push(&rec, now) {
-                            if done.is_keyframe {
-                                self.pli.on_keyframe(rec.send_time);
-                            }
-                            self.completed.note(done.frame_index, done.complete_at);
-                        }
-                    }
-                }
+                let recovered = self.fec_decoder.on_parity_packet(&packet);
+                self.on_fec_recovered(recovered, now);
             }
-            MediaKind::Video => {
-                if let Some(done) = self.assembler.push(&packet, now) {
-                    if done.is_keyframe {
-                        self.pli.on_keyframe(packet.send_time);
-                    }
-                    self.completed.note(done.frame_index, done.complete_at);
-                }
+            MediaKind::Video => self.assemble(&packet, now),
+        }
+    }
+
+    /// Materializes FEC-recovered video packets from the sent-video
+    /// window and receives them as if they had arrived.
+    fn on_fec_recovered(&mut self, seqs: Vec<u64>, now: Time) {
+        for seq in seqs {
+            if let Some(rec) = self.sent_video.get(seq) {
+                self.nack_gen.on_packet(seq, now);
+                self.assemble(&rec, now);
             }
+        }
+    }
+
+    /// Feeds a received video packet to the assembler and notes the
+    /// frame it completes, if any. Only a COMPLETE keyframe satisfies an
+    /// outstanding PLI (a lone fragment may never assemble; retries must
+    /// go on).
+    fn assemble(&mut self, packet: &Packet, now: Time) {
+        if let Some(done) = self.assembler.push(packet, now) {
+            if done.is_keyframe {
+                self.pli.on_keyframe(packet.send_time);
+            }
+            self.completed.note(done.frame_index, done.complete_at);
         }
     }
 
@@ -1716,7 +1639,7 @@ impl<T: BandwidthTrace> SessionState<T> {
                         // survives — exactly like a sender-side skip.
                         decoder.feed_sender_skip(*temporal)
                     } else {
-                        decoder.feed(frame.as_opt(complete_at), true, *temporal)
+                        decoder.feed(complete_at.map(|_| frame), true, *temporal)
                     };
                     if outcome.is_displayed() {
                         recorder.push(FrameRecord {
@@ -1885,24 +1808,6 @@ fn frame_interval(fps: u32) -> Dur {
     Dur::micros(1_000_000 / fps as u64)
 }
 
-/// Helper: a displayed frame needs both its metadata and a completion.
-trait AsOpt {
-    fn as_opt(&self, complete_at: Option<Time>) -> Option<&EncodedFrame>;
-}
-
-impl AsOpt for EncodedFrame {
-    fn as_opt(&self, complete_at: Option<Time>) -> Option<&EncodedFrame> {
-        complete_at.map(|_| self)
-    }
-}
-
-// Re-export the raw-frame type for doc examples.
-pub use ravel_video::RawFrame as _RawFrame;
-const _: () = {
-    // Compile-time sanity: RawFrame stays in the public dependency graph.
-    fn _assert(_: RawFrame) {}
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1911,7 +1816,7 @@ mod tests {
 
     /// Runs `spec` alone: a population of one.
     fn solo<T: BandwidthTrace>(spec: RunSpec<T>) -> SessionResult {
-        run_sessions(vec![spec], &mut KernelWorkspace::allocating()).remove(0)
+        run_sessions(vec![spec], &mut KernelWorkspace::new()).remove(0)
     }
 
     fn short_cfg(scheme: Scheme) -> SessionConfig {
@@ -2018,39 +1923,9 @@ mod tests {
         assert_eq!(a.cancelled, b.cancelled);
     }
 
-    #[test]
-    fn pooled_workspace_reuses_boxes_and_leaks_nothing() {
-        // A known cell: baseline scheme, 4 s on a constant 3 Mbps link —
-        // the same fixture the harness quarantine tests use.
-        let mut cfg = SessionConfig::default_with(Scheme::baseline());
-        cfg.duration = Dur::secs(4);
-        let mut ws = KernelWorkspace::new();
-        let first = run_sessions(vec![RunSpec::new(ConstantTrace::new(3e6), cfg)], &mut ws);
-        let after_first = ws.arena_stats();
-        // Every EncodeDone box must come back: a leak here would mean a
-        // payload escaped the recycle sites in `step`.
-        assert_eq!(after_first.outstanding, 0, "payload boxes leaked");
-        // The capture→encode pipeline keeps at most a couple of encoded
-        // frames in flight at once; the observed peak for this cell is
-        // exactly one box live at a time.
-        assert_eq!(after_first.high_water, 1);
-        // Same cell again through the same workspace: the free list is
-        // warm, so every payload allocation is now served from it.
-        let second = run_sessions(vec![RunSpec::new(ConstantTrace::new(3e6), cfg)], &mut ws);
-        let after_second = ws.arena_stats();
-        assert_eq!(after_second.outstanding, 0);
-        assert_eq!(after_second.high_water, 1);
-        assert_eq!(
-            after_second.allocs_avoided - after_first.allocs_avoided,
-            second[0].frames_encoded,
-            "second batch should alloc entirely from the free list"
-        );
-        assert_results_identical(&first[0], &second[0]);
-    }
-
-    // The arena only changes where payload boxes come from — pooled
-    // populations must match the allocating oracle result-for-result
-    // across seeds, drop depths, and population sizes.
+    // A workspace reused across populations must give the same results
+    // as a fresh one, result-for-result across seeds, drop depths, and
+    // population sizes — and a second run through it equals the first.
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig {
             cases: 24,
@@ -2083,13 +1958,14 @@ mod tests {
                     .collect()
             };
             let mut ws = KernelWorkspace::new();
-            let pooled = run_sessions(sessions(), &mut ws);
-            let allocating = run_sessions(sessions(), &mut KernelWorkspace::allocating());
-            proptest::prop_assert_eq!(pooled.len(), allocating.len());
-            for (a, b) in pooled.iter().zip(&allocating) {
+            let first = run_sessions(sessions(), &mut ws);
+            let reused = run_sessions(sessions(), &mut ws);
+            let fresh = run_sessions(sessions(), &mut KernelWorkspace::new());
+            proptest::prop_assert_eq!(reused.len(), fresh.len());
+            for ((a, b), c) in reused.iter().zip(&fresh).zip(&first) {
                 assert_results_identical(a, b);
+                assert_results_identical(a, c);
             }
-            proptest::prop_assert_eq!(ws.arena_stats().outstanding, 0);
         }
     }
 
@@ -2752,10 +2628,7 @@ mod tests {
             ..RunSpec::new(mk_trace(), mk_cfg(seed))
         };
         let singles: Vec<SessionResult> = (1..=3).map(|seed| solo(spec(seed))).collect();
-        let batch = run_sessions(
-            (1..=3).map(spec).collect(),
-            &mut KernelWorkspace::allocating(),
-        );
+        let batch = run_sessions((1..=3).map(spec).collect(), &mut KernelWorkspace::new());
         assert_eq!(batch.len(), 3);
         for (i, (a, b)) in singles.iter().zip(batch.iter()).enumerate() {
             assert_eq!(a.recorder.records(), b.recorder.records(), "session {i}");

@@ -117,7 +117,6 @@ pub struct EventQueue<E> {
     len: usize,
     next_seq: u64,
     now: Time,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -148,20 +147,12 @@ impl<E> EventQueue<E> {
             len: 0,
             next_seq: 0,
             now: Time::ZERO,
-            popped: 0,
         }
     }
 
     /// The time of the most recently popped event (the simulation clock).
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// Lifetime count of events handed out by [`EventQueue::pop`] — the
-    /// per-event work a simulation actually performed, used by the
-    /// harness to report events/second per cell.
-    pub fn events_popped(&self) -> u64 {
-        self.popped
     }
 
     /// Number of pending events.
@@ -288,7 +279,6 @@ impl<E> EventQueue<E> {
                 }
                 self.len -= 1;
                 self.now = s.at;
-                self.popped += 1;
                 return Some(s);
             }
             // Current bucket exhausted: advance the cursor to the next
@@ -309,36 +299,11 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The firing time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<Time> {
-        if self.len == 0 {
-            return None;
-        }
-        let ring = self.next_occupied_distance().map(|d| {
-            let bucket = &self.buckets[slot_of(self.cursor_day + d)];
-            if d == 0 && self.cur_sorted {
-                bucket.last().expect("occupied").at
-            } else {
-                bucket.iter().map(|s| s.at).min().expect("occupied")
-            }
-        });
-        let over = self.overflow.peek().map(|e| e.0.at);
-        match (ring, over) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Pops the next event only if it fires at or before `deadline`.
-    pub fn pop_before(&mut self, deadline: Time) -> Option<Scheduled<E>> {
-        match self.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Drops all pending events without touching the clock.
-    pub fn clear(&mut self) {
+    /// Drops all pending events and rewinds the queue to a fresh state
+    /// while retaining bucket `Vec` capacities, so a worker can run many
+    /// simulations back to back without re-growing the ring each time.
+    /// The clock returns to [`Time::ZERO`] and sequence numbers restart.
+    pub fn reset(&mut self) {
         for b in &mut self.buckets {
             b.clear();
         }
@@ -346,15 +311,6 @@ impl<E> EventQueue<E> {
         self.overflow.clear();
         self.cur_sorted = false;
         self.len = 0;
-    }
-
-    /// Rewinds the queue to a fresh state while retaining bucket `Vec`
-    /// capacities, so a worker can run many simulations back to back
-    /// without re-growing the ring each time. The clock returns to
-    /// [`Time::ZERO`] and sequence numbers restart; only the lifetime
-    /// [`EventQueue::events_popped`] counter survives.
-    pub fn reset(&mut self) {
-        self.clear();
         self.cursor_day = 0;
         self.next_seq = 0;
         self.now = Time::ZERO;
@@ -387,23 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn popped_counter_tracks_pops() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.events_popped(), 0);
-        q.push(Time::from_millis(1), ());
-        q.push(Time::from_millis(2), ());
-        q.pop();
-        assert_eq!(q.events_popped(), 1);
-        q.pop();
-        assert_eq!(q.events_popped(), 2);
-        // Empty pops and clears don't count.
-        assert!(q.pop().is_none());
-        q.push(Time::from_millis(3), ());
-        q.clear();
-        assert_eq!(q.events_popped(), 2);
-    }
-
-    #[test]
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
         q.push(Time::from_millis(5), ());
@@ -422,16 +361,6 @@ mod tests {
         q.push(Time::from_millis(10), ());
         q.pop();
         q.push(Time::from_millis(5), ());
-    }
-
-    #[test]
-    fn pop_before_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_millis(10), 1);
-        q.push(Time::from_millis(20), 2);
-        assert_eq!(q.pop_before(Time::from_millis(15)).unwrap().event, 1);
-        assert!(q.pop_before(Time::from_millis(15)).is_none());
-        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -595,17 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_millis(1), ());
-        q.push(Time::from_millis(2), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-        assert!(q.peek_time().is_none());
-    }
-
-    #[test]
     fn reset_behaves_like_a_fresh_queue() {
         let mut used = EventQueue::new();
         // Dirty the queue thoroughly: advance the clock, cross bucket
@@ -615,15 +533,11 @@ mod tests {
         used.pop();
         used.push(Time::from_millis(700), "z");
         assert!(used.now() > Time::ZERO);
-        let popped_before = used.events_popped();
         used.reset();
         assert!(used.is_empty());
+        assert_eq!(used.len(), 0);
+        assert!(used.pop().is_none());
         assert_eq!(used.now(), Time::ZERO);
-        assert_eq!(
-            used.events_popped(),
-            popped_before,
-            "lifetime counter survives"
-        );
 
         // A reset queue must produce the same pop sequence as a new one,
         // including seq-based FIFO tie-breaks starting from zero again.

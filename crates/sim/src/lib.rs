@@ -23,13 +23,11 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod event;
 pub mod rng;
 pub mod series;
 pub mod time;
 
-pub use arena::{ArenaStats, BoxPool};
 pub use event::{EventQueue, Scheduled};
 pub use rng::Rng;
 pub use series::{SeriesSet, TimeSeries};

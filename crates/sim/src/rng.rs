@@ -110,12 +110,6 @@ impl Rng {
         }
     }
 
-    /// A normal deviate with the given mean and standard deviation.
-    #[inline]
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// An exponential deviate with the given mean (`mean = 1/λ`).
     pub fn exponential(&mut self, mean: f64) -> f64 {
         debug_assert!(mean > 0.0);

@@ -304,4 +304,53 @@ mod tests {
         let t2 = FileTrace::from_json(&t.to_json()).unwrap();
         assert_eq!(t2.note(), "a\"b\\c\nd");
     }
+
+    /// Characters hostile text is drawn from: JSON punctuation, escapes,
+    /// digits, literal letters, whitespace, a control character and
+    /// multi-byte UTF-8.
+    const ALPHABET: &[char] = &[
+        '{', '}', '[', ']', ',', ':', '"', '\\', '/', '-', '+', '.', '0', '1', '9', 'e', 'E', 'n',
+        'u', 'l', 't', 'r', 'f', 'a', 's', ' ', '\n', '\t', '\u{0}', 'é', '😀',
+    ];
+
+    proptest::proptest! {
+        /// Microsecond-aligned samples round-trip through `to_json` /
+        /// `from_json` exactly, and arbitrary text — random bytes,
+        /// random JSON-ish characters, or a real trace file with one
+        /// character replaced — parses to a value or an error, never a
+        /// panic.
+        #[test]
+        fn samples_roundtrip_and_parsing_never_panics(
+            steps in proptest::collection::vec((1u64..5_000_000, 0u64..20_000_000), 1..12),
+            note in proptest::collection::vec(0usize..ALPHABET.len(), 0..20),
+            noise in proptest::collection::vec(0usize..ALPHABET.len(), 0..80),
+            bytes in proptest::collection::vec(0u16..256, 0..80),
+            splice in (0usize..4096, 0usize..ALPHABET.len()),
+        ) {
+            let mut at_us = 0u64;
+            let samples: Vec<(f64, f64)> = steps
+                .iter()
+                .map(|&(gap_us, rate)| {
+                    let sample = (at_us as f64 / 1e6, rate as f64 * 0.37);
+                    at_us += gap_us;
+                    sample
+                })
+                .collect();
+            let note: String = note.iter().map(|&i| ALPHABET[i]).collect();
+            let trace = FileTrace::from_samples(&note, &samples).unwrap();
+            let text = trace.to_json();
+            proptest::prop_assert_eq!(FileTrace::from_json(&text).ok(), Some(trace));
+
+            let mut chars: Vec<char> = text.chars().collect();
+            let at = splice.0 % chars.len();
+            chars[at] = ALPHABET[splice.1];
+            let spliced: String = chars.into_iter().collect();
+            let random: String = noise.iter().map(|&i| ALPHABET[i]).collect();
+            let raw: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+            for hostile in [spliced, random, String::from_utf8_lossy(&raw).into_owned()] {
+                let _ = json::parse(&hostile);
+                let _ = FileTrace::from_json(&hostile);
+            }
+        }
+    }
 }

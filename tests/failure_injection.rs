@@ -405,7 +405,7 @@ fn forward_burst_loss_freeze_recovers_via_pli_keyframe() {
             chaos: Some(schedule),
             ..RunSpec::new(ConstantTrace::new(4e6), cfg(scheme))
         };
-        let result = run_sessions(vec![spec], &mut KernelWorkspace::allocating()).remove(0);
+        let result = run_sessions(vec![spec], &mut KernelWorkspace::new()).remove(0);
         assert_sane(&result);
         assert!(
             result.chain_breaks >= 1,
