@@ -1923,6 +1923,26 @@ mod tests {
         assert_eq!(a.cancelled, b.cancelled);
     }
 
+    #[test]
+    fn pooled_workspace_reuses_boxes_and_leaks_nothing() {
+        // A known cell: baseline scheme, 4 s on a constant 3 Mbps link —
+        // the same fixture the harness quarantine tests use.
+        let mut cfg = SessionConfig::default_with(Scheme::baseline());
+        cfg.duration = Dur::secs(4);
+        let mut ws = KernelWorkspace::new();
+        let first = run_sessions(vec![RunSpec::new(ConstantTrace::new(3e6), cfg)], &mut ws);
+        // The kernel drains its queue: no event of this population is
+        // left behind for the next batch through the workspace.
+        assert!(ws.queue.is_empty(), "events leaked past the run");
+        // Leave a stray event behind, as a panicked batch would: the
+        // next run resets the reused queue on entry and is unaffected.
+        let stray_at = ws.queue.now() + Dur::millis(5);
+        ws.queue.push(stray_at, (0, Event::EncodeDone(0)));
+        let second = run_sessions(vec![RunSpec::new(ConstantTrace::new(3e6), cfg)], &mut ws);
+        assert!(ws.queue.is_empty(), "events leaked past the run");
+        assert_results_identical(&first[0], &second[0]);
+    }
+
     // A workspace reused across populations must give the same results
     // as a fresh one, result-for-result across seeds, drop depths, and
     // population sizes — and a second run through it equals the first.
