@@ -279,7 +279,7 @@ mod tests {
             contracts: None,
         };
         let mut ws = ravel_pipeline::KernelWorkspace::new();
-        let mut run = || ravel_pipeline::run_sessions(vec![cell.spec()], &mut ws).remove(0);
+        let mut run = || ravel_pipeline::run_spec(cell.spec(), &mut ws);
         let (a, b) = (run(), run());
         assert_eq!(a.recorder.records(), b.recorder.records());
     }

@@ -10,10 +10,9 @@
 //! * [`run_cells`] — a std-only work-stealing pool (`std::thread::scope`
 //!   plus one atomic job counter) that runs cells on `--jobs N` workers
 //!   and returns results in *cell order*, so aggregated output is
-//!   byte-identical at any thread count. Workers claim cells in
-//!   *batches* (`--batch`, default auto) and drive each batch as one
-//!   interleaved session population through the shared-queue kernel
-//!   — same bytes out, fewer kernel setups. The pool memoizes by content
+//!   byte-identical at any thread count. Each claim is one cell, run
+//!   as one kernel call on the worker's reused workspace. The pool
+//!   memoizes by content
 //!   address ([`Cell::canonical_key`]): every *unique* cell simulates
 //!   exactly once per run, and grid positions that repeat it (E1 and E2
 //!   share their entire grid) are served from the in-process cache.

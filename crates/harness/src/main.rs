@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 
 use ravel_harness::{
     default_jobs, experiments, render_json, render_timeline, run_soak, run_suite_opts, shrink_cell,
-    violating_timeline, BatchMode, Cell, CellRun, FaultPlane, ObsMode, PoolOptions, RunReport,
-    SoakOptions, FIXTURE_FAULT_AT,
+    violating_timeline, Cell, CellRun, FaultPlane, ObsMode, PoolOptions, RunReport, SoakOptions,
+    FIXTURE_FAULT_AT,
 };
 use ravel_metrics::Table;
 use ravel_net::{CorruptKind, FaultKind, Schedule};
@@ -58,12 +58,6 @@ One mode per run: the experiment grid (default), --faults, --soak or
 
 OPTIONS:
     --jobs N             worker threads (default: all cores)
-    --batch N|auto       grid positions a worker claims per pass and
-                         runs as one interleaved session population
-                         through the shared-queue kernel (default:
-                         auto, sized from the grid and worker count;
-                         1 = one cell per kernel call; output is
-                         byte-identical at any batch size)
     --experiments LIST   comma-separated ids, e.g. e1,e4,e17 (default: all)
     --controller LIST    restrict the E22 arena grid to a comma-separated
                          controller list (gcc, nada, bbr, loss-ema);
@@ -162,7 +156,6 @@ impl Mode {
 #[derive(Debug)]
 struct Args {
     jobs: usize,
-    batch: BatchMode,
     mode: Mode,
     experiments: Option<String>,
     controller: Option<String>,
@@ -182,7 +175,6 @@ struct Args {
 fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         jobs: default_jobs(),
-        batch: BatchMode::Auto,
         mode: Mode::Grid,
         experiments: None,
         controller: None,
@@ -209,20 +201,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 if args.jobs == 0 {
                     return Err("--jobs must be at least 1".into());
                 }
-            }
-            "--batch" => {
-                let v = value("--batch")?;
-                args.batch = if v == "auto" {
-                    BatchMode::Auto
-                } else {
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| "--batch expects a positive integer or 'auto'".to_string())?;
-                    if n == 0 {
-                        return Err("--batch must be at least 1".into());
-                    }
-                    BatchMode::Fixed(n)
-                };
             }
             "--experiments" | "-e" => args.experiments = Some(value("--experiments")?),
             "--controller" => args.controller = Some(value("--controller")?),
@@ -384,17 +362,6 @@ fn validate(args: &Args) -> Result<(), String> {
             return Err("--soak-cells requires --soak".into());
         }
     }
-    if args.deadline.is_some() {
-        if let BatchMode::Fixed(n) = args.batch {
-            if n > 1 {
-                return Err(
-                    "--batch above 1 cannot be combined with --deadline (per-cell \
-                     cancellation needs per-cell kernel calls; use --batch 1 or auto)"
-                        .into(),
-                );
-            }
-        }
-    }
     Ok(())
 }
 
@@ -473,7 +440,7 @@ fn main() -> ExitCode {
         use_cache: args.use_cache,
         obs: args.obs,
         deadline: args.deadline,
-        batch: args.batch,
+        ..PoolOptions::default()
     };
     let (runs, stats) = run_suite_opts(&selected, args.jobs, opts);
     let report = RunReport {
@@ -665,7 +632,6 @@ fn run_soak_mode(args: &Args, budget_s: u64) -> ExitCode {
         jobs: args.jobs,
         deadline: args.deadline,
         max_cells: args.soak_cells,
-        batch: args.batch,
     };
     eprintln!(
         "soaking for {budget_s}s (seed {}, {} workers)...",
@@ -901,38 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_batch_modes() {
-        let a = parse(&[]).unwrap();
-        assert_eq!(a.batch, BatchMode::Auto);
-        let a = parse(&["--batch", "auto"]).unwrap();
-        assert_eq!(a.batch, BatchMode::Auto);
-        let a = parse(&["--batch", "1"]).unwrap();
-        assert_eq!(a.batch, BatchMode::Fixed(1));
-        let a = parse(&["--batch", "16"]).unwrap();
-        assert_eq!(a.batch, BatchMode::Fixed(16));
-    }
-
-    #[test]
-    fn malformed_batch_is_a_clear_error() {
-        let e = parse(&["--batch", "lots"]).unwrap_err();
-        assert_eq!(e, "--batch expects a positive integer or 'auto'");
-        let e = parse(&["--batch", "0"]).unwrap_err();
-        assert_eq!(e, "--batch must be at least 1");
-        let e = parse(&["--batch"]).unwrap_err();
-        assert_eq!(e, "--batch requires a value");
-    }
-
-    #[test]
-    fn explicit_batch_conflicts_with_deadline() {
-        let e = parse(&["--batch", "8", "--deadline", "2"]).unwrap_err();
-        assert!(e.starts_with("--batch above 1 cannot be combined with --deadline"));
-        // Batch 1 and auto stay compatible: auto resolves to 1 when a
-        // deadline is set.
-        assert!(parse(&["--batch", "1", "--deadline", "2"]).is_ok());
-        assert!(parse(&["--batch", "auto", "--deadline", "2"]).is_ok());
-    }
-
-    #[test]
     fn malformed_deadline_is_rejected() {
         let e = parse(&["--deadline", "soon"]).unwrap_err();
         assert_eq!(e, "--deadline expects seconds, e.g. 2.5");
@@ -1061,10 +995,9 @@ mod tests {
         assert!(a.help);
     }
 
-    const FLAGS: [&str; 22] = [
+    const FLAGS: [&str; 21] = [
         "--jobs",
         "-j",
-        "--batch",
         "--experiments",
         "-e",
         "--controller",

@@ -9,27 +9,21 @@
 //! *cell order*, not completion order — aggregated output is
 //! byte-identical whether the grid ran on 1 thread or 64.
 //!
-//! **Batching.** Workers claim *ranges* of grid positions
-//! ([`PoolOptions::batch`], default [`BatchMode::Auto`]), group each
-//! range into same-sim-horizon sub-batches, and drive every sub-batch
-//! as one session population through the kernel ([`run_sessions`]):
-//! one shared calendar queue per worker, reused batch after batch.
-//! Every claim takes this one path — a claim of one
-//! (`BatchMode::Fixed(1)`, the differential oracle) is a population of
-//! one — and every batch size yields byte-identical deterministic
-//! output.
+//! **One cell per claim.** A worker claims one grid position at a time
+//! and runs it as one kernel call ([`run_spec`]) on its own
+//! [`KernelWorkspace`], whose queue stays warm from cell to cell. Each
+//! cell's wall clock is its own measurement.
 //!
 //! **Memoization.** Many experiments share cells — E1 and E2 expand the
 //! identical drop grid, and the canonical `talking-head/4→1 Mbps/gcc`
 //! cell recurs across most of E1–E17. Every cell has a content address
 //! ([`Cell::canonical_key`]); the pool keeps one in-process map from
-//! address to a [`Memo`] slot, so each *unique* cell simulates exactly
-//! once per run no matter how many grid positions reference it. The
-//! first claimant reserves the address (possibly computing it inside a
-//! kernel batch); duplicates block on the memo and then clone the
-//! finished result. Results still come back in cell order with
-//! per-cell labels intact, so tables and JSON stay byte-identical to an
-//! uncached serial run (timing fields aside).
+//! address to a [`OnceLock`] slot, so each *unique* cell simulates
+//! exactly once per run no matter how many grid positions reference
+//! it. The first claimant computes the address; duplicates block on the
+//! slot and then clone the finished result. Results still come back in
+//! cell order with per-cell labels intact, so tables and JSON stay
+//! byte-identical to an uncached serial run (timing fields aside).
 //!
 //! **Fault isolation.** One bad cell must not take down a
 //! thousand-cell sweep. Each simulation runs inside
@@ -54,17 +48,15 @@
 //! dependencies.
 
 use std::collections::{HashMap, HashSet};
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ravel_obs::ObsMode;
 use ravel_pipeline::{
-    evaluate, run_sessions, ContractVerdict, Invariant, KernelWorkspace, RunSpec, SessionResult,
+    evaluate, run_spec, ContractVerdict, Invariant, KernelWorkspace, RunSpec, SessionResult,
 };
-use ravel_trace::BandwidthTrace;
 
 use crate::cell::Cell;
 
@@ -177,7 +169,7 @@ pub struct CellRun {
     pub status: CellStatus,
     /// The failure record when `status` is not [`CellStatus::Ok`].
     pub failure: Option<CellFailure>,
-    /// The full session measurements ([`SessionResult::empty`] for
+    /// The full session measurements ([`SessionResult::default`] for
     /// panicked and timed-out cells, a truncated prefix for runaways).
     pub result: SessionResult,
     /// Recovery-contract verdicts, evaluated from `result` when the
@@ -201,41 +193,19 @@ impl CellRun {
     }
 }
 
-/// How many grid positions a worker claims (and runs as one
-/// interleaved session population) per pass.
+/// Accepted and ignored: the pool always runs one cell per kernel
+/// call, whatever the value. The type stays only because the
+/// benchmark's driver (`perfbench/src/main.rs` and
+/// `perfbench/src/workload.rs`) sets and compares it, and the
+/// benchmark is changed on its own; it goes with the next change to
+/// the benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchMode {
-    /// Size batches from the grid: `ceil(total / (jobs * 4))` clamped
-    /// to `[1, 2]`. The upper clamp is the measured locality knee:
-    /// pairing cells amortizes workspace reuse (warm queue buckets),
-    /// but interleaving more sessions through one shared queue
-    /// round-robins across that many live session states and the
-    /// cache misses outweigh the amortization — the
-    /// E18 batch sweep shows per-event cost rising monotonically from
-    /// population 4 upward. Explicit [`BatchMode::Fixed`] sizes are
-    /// honoured as given for anyone who wants the trade.
+    /// The default.
     #[default]
     Auto,
-    /// Exactly `n` positions per claim (`n >= 1`). `Fixed(1)` runs
-    /// every cell as a population of one — one kernel call per cell —
-    /// and is the differential oracle batched runs are byte-compared
-    /// against.
+    /// A claim size, ignored like [`BatchMode::Auto`].
     Fixed(usize),
-}
-
-impl BatchMode {
-    /// The concrete claim size for a grid. A wall-clock deadline forces
-    /// 1: supervisor cancellation is per-cell, and a shared batch wall
-    /// clock cannot honour a per-cell deadline.
-    fn effective(self, total: usize, jobs: usize, deadline: Option<Duration>) -> usize {
-        if deadline.is_some() {
-            return 1;
-        }
-        match self {
-            BatchMode::Fixed(n) => n.max(1),
-            BatchMode::Auto => total.div_ceil(jobs.max(1) * 4).clamp(1, 2),
-        }
-    }
 }
 
 /// Pool behaviour switches.
@@ -257,8 +227,7 @@ pub struct PoolOptions {
     /// [`CellStatus::TimedOut`]. `None` (the default) spawns no
     /// supervisor.
     pub deadline: Option<Duration>,
-    /// Batch size for worker claims (`--batch`). See [`BatchMode`];
-    /// ignored (forced to 1) while `deadline` is set.
+    /// Accepted and ignored; see [`BatchMode`] for why it stays.
     pub batch: BatchMode,
 }
 
@@ -291,10 +260,8 @@ pub struct PoolStats {
     /// clock of the simulations *it* executed on a monotonic clock, and
     /// the pool sums those totals. Unlike the run's end-to-end wall,
     /// this excludes claim contention and result cloning, so
-    /// `busy / executed` approximates true per-cell cost. Batched
-    /// executions attribute their shared batch wall to cells in
-    /// proportion to kernel-reported per-session event counts, so the
-    /// sum of executed cells' walls still equals busy exactly.
+    /// `busy / executed` approximates true per-cell cost. It equals the
+    /// sum of the executed cells' walls exactly.
     pub busy: Duration,
     /// Always 0. The field stays only because the benchmark's traced
     /// run (`perfbench/src/traced.rs`) reads it as
@@ -310,71 +277,9 @@ type CellOutcome = Result<SessionResult, CellFailure>;
 /// One memoized computation: the finished outcome (success *or*
 /// quarantined failure) plus its first-run wall clock (echoed into
 /// every duplicate's [`CellRun::wall`]). Storing the `Result` is what
-/// makes failure echo deterministic: waiters blocked on the [`Memo`]
-/// wake to the recorded failure instead of deadlocking on a
-/// never-fulfilled slot.
+/// makes failure echo deterministic: waiters blocked on the slot wake
+/// to the recorded failure.
 type CachedCell = (CellOutcome, Duration);
-
-/// One content address's memoization slot. This replaces the former
-/// `OnceLock`: a batch worker must *reserve* an address up front, run
-/// it inside a kernel batch, and fulfill it afterwards — a
-/// reserve-then-fill shape `OnceLock::get_or_init`'s closure cannot
-/// express. [`Memo::claim`] returns true exactly once per address;
-/// the claimant is obligated to [`Memo::fulfill`] (even when the
-/// computation is a quarantined failure, and even when a batch attempt
-/// panics and falls back to per-cell execution), or waiters would
-/// block forever.
-#[derive(Default)]
-struct Memo {
-    claimed: AtomicBool,
-    slot: Mutex<Option<CachedCell>>,
-    ready: Condvar,
-}
-
-impl Memo {
-    /// Reserves the address; true for the first caller only.
-    fn claim(&self) -> bool {
-        !self.claimed.swap(true, Ordering::AcqRel)
-    }
-
-    /// Publishes the finished computation and wakes every waiter.
-    fn fulfill(&self, value: CachedCell) {
-        *self.slot.lock().expect("memo slot poisoned") = Some(value);
-        self.ready.notify_all();
-    }
-
-    /// Blocks until the claimant fulfills, then clones the outcome.
-    fn wait(&self) -> CachedCell {
-        let mut slot = self.slot.lock().expect("memo slot poisoned");
-        loop {
-            if let Some(cached) = slot.as_ref() {
-                return cached.clone();
-            }
-            slot = self.ready.wait(slot).expect("memo slot poisoned");
-        }
-    }
-}
-
-/// Splits a batch's shared wall clock across its sessions in
-/// proportion to the events each processed — the kernel's per-session
-/// event counts are the only deterministic measure of how much of the
-/// batch each cell was. (Even split when the batch processed no events
-/// at all.) The shares sum back to (within rounding of) the batch
-/// wall, so `PoolStats::busy` keeps its meaning, and per-cell
-/// `events_per_sec` derived from the share reflects the batch's actual
-/// aggregate throughput instead of crediting one cell with its batch-
-/// mates' wall time.
-fn attribute_walls(wall: Duration, results: &[SessionResult]) -> Vec<Duration> {
-    let total: u64 = results.iter().map(|r| r.events_processed).sum();
-    if total == 0 {
-        let share = wall / results.len().max(1) as u32;
-        return vec![share; results.len()];
-    }
-    results
-        .iter()
-        .map(|r| wall.mul_f64(r.events_processed as f64 / total as f64))
-        .collect()
-}
 
 /// One worker's in-flight registration for the supervisor: when it
 /// started its current simulation and the flag that cancels it.
@@ -413,63 +318,29 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// `cell`'s run under the pool's options: its observability mode, and
-/// the supervisor's cancel flag when a deadline is set.
-fn pool_spec(
-    cell: &Cell,
-    opts: PoolOptions,
-    cancel: &Option<Arc<AtomicBool>>,
-) -> RunSpec<Box<dyn BandwidthTrace>> {
-    let mut spec = RunSpec {
-        obs: opts.obs,
-        ..cell.spec()
-    };
-    spec.guard.cancel = cancel.clone();
-    spec
-}
-
-/// A fresh cancel flag registered with the worker's watch slot when a
-/// deadline is set; `None` (and no supervisor registration) otherwise.
-fn arm(opts: PoolOptions, slot: &WatchSlot) -> Option<Arc<AtomicBool>> {
-    let cancel = opts.deadline.map(|_| Arc::new(AtomicBool::new(false)));
-    if let Some(flag) = &cancel {
-        slot.arm(flag.clone());
-    }
-    cancel
-}
-
-/// A finished session's outcome: a session the supervisor cancelled is
-/// a timeout, anything else is the session's own result.
-fn finished(result: SessionResult, opts: PoolOptions) -> CellOutcome {
-    if result.cancelled {
-        return Err(CellFailure::new(
-            CellStatus::TimedOut,
-            format!(
-                "wall-clock deadline {:.3}s exceeded; session cancelled by the pool supervisor",
-                opts.deadline.unwrap_or_default().as_secs_f64()
-            ),
-        ));
-    }
-    Ok(result)
-}
-
-/// Re-runs one cell alone under panic quarantine — the fallback after
-/// a batch attempt panicked — with the runaway guard and (when a
-/// deadline is set) supervisor cancellation still armed.
+/// Runs one cell under panic quarantine, with the runaway guard and
+/// (when a deadline is set) supervisor cancellation armed: a fresh
+/// cancel flag is registered with the worker's watch slot for the
+/// length of the run.
 fn execute_cell(
     cell: &Cell,
     opts: PoolOptions,
     slot: &WatchSlot,
     ws: &mut KernelWorkspace,
 ) -> CachedCell {
-    let cancel = arm(opts, slot);
+    let mut spec = RunSpec {
+        obs: opts.obs,
+        ..cell.spec()
+    };
+    if opts.deadline.is_some() {
+        let flag = Arc::new(AtomicBool::new(false));
+        slot.arm(flag.clone());
+        spec.guard.cancel = Some(flag);
+    }
     let started = Instant::now();
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        let spec = pool_spec(cell, opts, &cancel);
-        run_sessions(vec![spec], ws).remove(0)
-    }));
+    let caught = catch_unwind(AssertUnwindSafe(|| run_spec(spec, ws)));
     let wall = started.elapsed();
-    if cancel.is_some() {
+    if opts.deadline.is_some() {
         slot.disarm();
     }
     let outcome = match caught {
@@ -477,7 +348,15 @@ fn execute_cell(
             CellStatus::Panicked,
             panic_message(payload.as_ref()),
         )),
-        Ok(result) => finished(result, opts),
+        // A session the supervisor cancelled is a timeout.
+        Ok(result) if result.cancelled => Err(CellFailure::new(
+            CellStatus::TimedOut,
+            format!(
+                "wall-clock deadline {:.3}s exceeded; session cancelled by the pool supervisor",
+                opts.deadline.unwrap_or_default().as_secs_f64()
+            ),
+        )),
+        Ok(result) => Ok(result),
     };
     (outcome, wall)
 }
@@ -504,7 +383,7 @@ fn make_run(cell: &Cell, wall: Duration, cache_hit: bool, outcome: &CellOutcome)
         Err(failure) => (
             failure.status,
             Some(failure.clone()),
-            SessionResult::empty(),
+            SessionResult::default(),
         ),
     };
     let contracts = match &cell.contracts {
@@ -537,9 +416,9 @@ pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<CellRun> {
 /// the determinism reference the tests compare against.
 ///
 /// With `opts.use_cache`, each unique content address simulates exactly
-/// once: the first worker to claim an address computes it and fulfills
-/// its per-address memo; later claimants (and concurrent claimants,
-/// which block on the same memo) clone the finished outcome — including
+/// once: the first worker to claim an address computes it into its
+/// per-address slot; later claimants (and concurrent claimants, which
+/// block on the same slot) clone the finished outcome — including
 /// quarantined failures, which echo identically at every position.
 pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<CellRun>, PoolStats) {
     let keys: Vec<String> = cells.iter().map(Cell::canonical_key).collect();
@@ -558,13 +437,12 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
         );
     }
     let jobs = jobs.clamp(1, cells.len());
-    let batch = opts.batch.effective(cells.len(), jobs, opts.deadline);
     let next = AtomicUsize::new(0);
     let executed = AtomicUsize::new(0);
     let workers_done = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<CellRun>>> = Mutex::new((0..cells.len()).map(|_| None).collect());
     let busy_total: Mutex<Duration> = Mutex::new(Duration::ZERO);
-    let cache: Mutex<HashMap<&str, Arc<Memo>>> = Mutex::new(HashMap::new());
+    let cache: Mutex<HashMap<&str, Arc<OnceLock<CachedCell>>>> = Mutex::new(HashMap::new());
     let watch: Vec<WatchSlot> = (0..jobs).map(|_| WatchSlot::default()).collect();
     std::thread::scope(|scope| {
         for slot in &watch {
@@ -577,27 +455,37 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
             let keys = &keys;
             scope.spawn(move || {
                 let mut busy = Duration::ZERO;
-                // Per-worker kernel scratch, reused across batches so
-                // the queue's bucket Vecs stay warm.
+                // Per-worker kernel scratch, reused across cells so the
+                // queue's bucket Vecs stay warm.
                 let mut ws = KernelWorkspace::new();
                 loop {
-                    let start = next.fetch_add(batch, Ordering::Relaxed);
-                    if start >= cells.len() {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(cell) = cells.get(i) else {
                         break;
+                    };
+                    let mut execute = || execute_cell(cell, opts, slot, &mut ws);
+                    let run = if opts.use_cache {
+                        let memo = cache
+                            .lock()
+                            .expect("cell cache poisoned")
+                            .entry(keys[i].as_str())
+                            .or_default()
+                            .clone();
+                        let mut computed = false;
+                        let (outcome, wall) = memo.get_or_init(|| {
+                            computed = true;
+                            execute()
+                        });
+                        make_run(cell, *wall, !computed, outcome)
+                    } else {
+                        let (outcome, wall) = execute();
+                        make_run(cell, wall, false, &outcome)
+                    };
+                    if !run.cache_hit {
+                        busy += run.wall;
+                        executed.fetch_add(1, Ordering::Relaxed);
                     }
-                    let end = (start + batch).min(cells.len());
-                    run_batch(
-                        cells,
-                        keys,
-                        start..end,
-                        opts,
-                        cache,
-                        &mut ws,
-                        slot,
-                        slots,
-                        &mut busy,
-                        executed,
-                    );
+                    slots.lock().expect("pool slots poisoned")[i] = Some(run);
                 }
                 *busy_total.lock().expect("busy total poisoned") += busy;
                 workers_done.fetch_add(1, Ordering::Release);
@@ -634,120 +522,6 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
         .map(|slot| slot.expect("every cell index was claimed"))
         .collect();
     (runs, stats)
-}
-
-/// Runs one claimed index range as kernel batches: groups the range
-/// into same-duration sub-batches (the "sim horizon class" — sessions
-/// of one class finish together, so interleaving them wastes no queue
-/// sweeps on a long straggler), reserves cache addresses, drives the
-/// computing positions as one session population through the worker's
-/// [`KernelWorkspace`], then de-interleaves results back into their
-/// grid slots. Cache-hit positions resolve *after* the batch runs, so
-/// a worker never waits on a memo while holding unfulfilled claims.
-///
-/// The per-cell wall clock covers the batch's trace builds, schedule
-/// generation and sessions, split across cells by event count. With a
-/// deadline set, claims are single cells, so the supervisor's cancel
-/// flag is per cell.
-///
-/// If anything in the batch panics, the whole attempt is discarded and
-/// every claimed position re-runs through the per-cell quarantine path
-/// ([`execute_cell`]): the panicking cell records exactly the failure
-/// it would have solo, batch-mates recompute cleanly, and every claim
-/// is still fulfilled. The re-runs reuse the worker's workspace: the
-/// kernel resets its queue on entry, discarding the aborted batch's
-/// leftovers.
-#[allow(clippy::too_many_arguments)]
-fn run_batch<'g>(
-    cells: &'g [Cell],
-    keys: &'g [String],
-    range: Range<usize>,
-    opts: PoolOptions,
-    cache: &Mutex<HashMap<&'g str, Arc<Memo>>>,
-    ws: &mut KernelWorkspace,
-    slot: &WatchSlot,
-    slots: &Mutex<Vec<Option<CellRun>>>,
-    busy: &mut Duration,
-    executed: &AtomicUsize,
-) {
-    // Same-horizon grouping, order-preserving: first-seen duration
-    // order across groups, ascending index order within each group.
-    let mut groups: Vec<(f64, Vec<usize>)> = Vec::new();
-    for i in range {
-        let horizon = cells[i].cfg.duration.as_secs_f64();
-        match groups.iter_mut().find(|(h, _)| *h == horizon) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((horizon, vec![i])),
-        }
-    }
-    for (_, group) in groups {
-        // Reserve addresses: the first claimant of each unique address
-        // (across the whole run, including within this batch) computes
-        // it; the rest wait. With the cache off every position is its
-        // own session, duplicates included.
-        let mut computing: Vec<(usize, Option<Arc<Memo>>)> = Vec::new();
-        let mut waiting: Vec<(usize, Arc<Memo>)> = Vec::new();
-        for &i in &group {
-            if opts.use_cache {
-                let memo = cache
-                    .lock()
-                    .expect("cell cache poisoned")
-                    .entry(keys[i].as_str())
-                    .or_default()
-                    .clone();
-                if memo.claim() {
-                    computing.push((i, Some(memo)));
-                } else {
-                    waiting.push((i, memo));
-                }
-            } else {
-                computing.push((i, None));
-            }
-        }
-        if !computing.is_empty() {
-            let cancel = arm(opts, slot);
-            let started = Instant::now();
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                let specs = computing
-                    .iter()
-                    .map(|&(i, _)| pool_spec(&cells[i], opts, &cancel))
-                    .collect();
-                run_sessions(specs, ws)
-            }));
-            let wall = started.elapsed();
-            if cancel.is_some() {
-                slot.disarm();
-            }
-            let outcomes: Vec<CachedCell> = match attempt {
-                Ok(results) => {
-                    let walls = attribute_walls(wall, &results);
-                    results
-                        .into_iter()
-                        .zip(walls)
-                        .map(|(result, wall_i)| (finished(result, opts), wall_i))
-                        .collect()
-                }
-                Err(_) => computing
-                    .iter()
-                    .map(|&(i, _)| execute_cell(&cells[i], opts, slot, ws))
-                    .collect(),
-            };
-            for ((i, memo), (outcome, wall_i)) in computing.into_iter().zip(outcomes) {
-                *busy += wall_i;
-                executed.fetch_add(1, Ordering::Relaxed);
-                let run = make_run(&cells[i], wall_i, false, &outcome);
-                slots.lock().expect("pool slots poisoned")[i] = Some(run);
-                if let Some(memo) = memo {
-                    memo.fulfill((outcome, wall_i));
-                }
-            }
-        }
-        for (i, memo) in waiting {
-            let (outcome, wall) = memo.wait();
-            let run = make_run(&cells[i], wall, true, &outcome);
-            slots.lock().expect("pool slots poisoned")[i] = Some(run);
-        }
-    }
 }
 
 #[cfg(test)]

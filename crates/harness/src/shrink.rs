@@ -20,7 +20,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use ravel_net::{CorruptKind, FaultKind, Schedule, SegmentKind};
 use ravel_obs::ObsMode;
 use ravel_pipeline::{
-    all_pass, evaluate, run_sessions, KernelWorkspace, RunSpec, SessionConfig, SessionResult,
+    all_pass, evaluate, run_spec, KernelWorkspace, RunSpec, SessionConfig, SessionResult,
 };
 use ravel_sim::Dur;
 
@@ -131,7 +131,7 @@ pub fn shrink_schedule<K: SegmentKind>(
 fn run_under<K: FaultPlane>(cell: &Cell, schedule: &Schedule<K>, obs: ObsMode) -> SessionResult {
     let mut run = RunSpec { obs, ..cell.spec() };
     K::install(&mut run, schedule.clone());
-    run_sessions(vec![run], &mut KernelWorkspace::new()).remove(0)
+    run_spec(run, &mut KernelWorkspace::new())
 }
 
 /// Shrinks the schedule that made `cell` fail, using a fresh

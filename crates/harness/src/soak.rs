@@ -27,13 +27,12 @@ use std::time::{Duration, Instant};
 
 use ravel_core::WatchdogConfig;
 use ravel_net::{ChaosSpec, CorruptKind, CorruptSpec, FaultKind, ReversePathConfig, Schedule};
-use ravel_obs::ObsMode;
 use ravel_pipeline::{Scheme, SessionConfig};
 use ravel_sim::{Dur, Rng, Time};
 use ravel_video::ContentClass;
 
 use crate::cell::{Cell, TraceSpec};
-use crate::pool::{run_cells_opts, BatchMode, CellRun, CellStatus, PoolOptions, PoolStats};
+use crate::pool::{run_cells_opts, CellRun, CellStatus, PoolOptions, PoolStats};
 use crate::shrink::{shrink_cell, FaultPlane};
 
 /// RNG substream tag for soak cell generation (distinct from the chaos
@@ -60,8 +59,6 @@ pub struct SoakOptions {
     /// `max_cells` even with budget left, making coverage independent
     /// of host speed (CI runs the exact same cell range everywhere).
     pub max_cells: Option<u64>,
-    /// Kernel batch size for each pumped pool batch (`--batch`).
-    pub batch: BatchMode,
 }
 
 /// One failing soak cell, with everything needed to reproduce it.
@@ -298,10 +295,8 @@ pub fn run_soak(opts: SoakOptions) -> SoakOutcome {
     let started = Instant::now();
     let batch = opts.jobs.max(1) * 4;
     let pool_opts = PoolOptions {
-        use_cache: true,
-        obs: ObsMode::Off,
         deadline: opts.deadline,
-        batch: opts.batch,
+        ..PoolOptions::default()
     };
     let mut outcome = SoakOutcome {
         seed: opts.seed,
@@ -428,7 +423,6 @@ mod tests {
             jobs: 2,
             deadline: None,
             max_cells: None,
-            batch: BatchMode::Auto,
         };
         let a = run_soak(opts);
         let b = run_soak(opts);
@@ -452,7 +446,6 @@ mod tests {
             jobs: 2,
             deadline: None,
             max_cells: Some(10),
-            batch: BatchMode::Auto,
         };
         let capped = run_soak(opts);
         assert_eq!(capped.cells, 10);

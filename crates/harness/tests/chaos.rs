@@ -4,7 +4,7 @@
 
 use ravel_harness::{shrink_cell, shrink_schedule, Cell, TraceSpec, MIN_SEGMENT};
 use ravel_net::{ChaosSchedule, ChaosSpec, FaultKind, FaultSegment};
-use ravel_pipeline::{run_sessions, Invariant, KernelWorkspace, RunSpec, Scheme, SessionConfig};
+use ravel_pipeline::{run_spec, Invariant, KernelWorkspace, RunSpec, Scheme, SessionConfig};
 use ravel_sim::{Dur, Time};
 
 /// Runs `cell` under an explicit chaos schedule.
@@ -13,7 +13,7 @@ fn run_under(cell: &Cell, schedule: &ChaosSchedule) -> ravel_pipeline::SessionRe
         chaos: Some(schedule.clone()),
         ..cell.spec()
     };
-    run_sessions(vec![spec], &mut KernelWorkspace::new()).remove(0)
+    run_spec(spec, &mut KernelWorkspace::new())
 }
 
 fn blackout(from_s: u64, until_s: u64) -> FaultSegment {

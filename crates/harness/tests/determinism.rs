@@ -163,11 +163,11 @@ fn cached_output_matches_no_cache_serial_reference_exactly() {
 
 #[test]
 fn batched_output_matches_batch_1_oracle_exactly() {
-    // The batched-worker acceptance bar: `--batch 1` (one cell per
-    // kernel call) is the oracle, and every other batch mode must
-    // reproduce its tables and timing-free JSON byte-for-byte — at any
-    // pool width, with the cache on or off. The grid is doubled so the
-    // cached runs exercise memo claim/wait *inside* batches.
+    // The pool runs one cell per kernel call whatever `BatchMode` says;
+    // the benchmark relies on every mode giving the `Fixed(1)` bytes.
+    // Every mode must reproduce the `Fixed(1)` tables and timing-free
+    // JSON byte-for-byte — at any pool width, with the cache on or off.
+    // The grid is doubled so the cached runs exercise memo waits.
     let base = smoke_grid();
     let mut cells = base.cells.clone();
     cells.extend(base.cells.iter().cloned());
@@ -204,12 +204,12 @@ fn batched_output_matches_batch_1_oracle_exactly() {
                 let (table, json, stats) = run_with(jobs, batch, use_cache);
                 assert_eq!(
                     table, ref_table,
-                    "table diverged from the --batch 1 oracle \
+                    "table diverged from the Fixed(1) oracle \
                      (jobs={jobs}, batch={batch:?}, cache={use_cache})"
                 );
                 assert_eq!(
                     json, ref_json,
-                    "timing-free JSON diverged from the --batch 1 oracle \
+                    "timing-free JSON diverged from the Fixed(1) oracle \
                      (jobs={jobs}, batch={batch:?}, cache={use_cache})"
                 );
                 if use_cache {
@@ -226,9 +226,8 @@ fn batched_output_matches_batch_1_oracle_exactly() {
 
 #[test]
 fn mixed_duration_grid_batches_without_divergence() {
-    // Batch formation splits a claimed range into same-duration groups;
-    // a grid that interleaves 6 s and 8 s cells must still match the
-    // per-cell oracle byte-for-byte.
+    // A grid that interleaves 6 s and 8 s cells must give the
+    // `Fixed(1)` bytes under every `BatchMode`.
     let mut cells = Vec::new();
     for (i, secs) in [8u64, 6, 8, 6, 6, 8, 8, 6, 6, 8].iter().enumerate() {
         let scheme = if i % 2 == 0 {

@@ -130,12 +130,10 @@ fn survivors_are_byte_identical_to_a_clean_run() {
 
 #[test]
 fn panic_inside_a_batch_quarantines_without_poisoning_batch_mates() {
-    // `Fixed(8)` packs the whole fixture grid — the panicking cell and
-    // every healthy mate — into one claimed batch, so the panic unwinds
-    // out of the *shared* interleaved kernel. The pool must fall back to
-    // per-cell execution on a fresh workspace: the failure keeps its
-    // per-cell status and digest, and every batch-mate's output is
-    // byte-identical to the --batch 1 oracle and to a clean run.
+    // `BatchMode` is ignored, so `Fixed(8)` must give the `Fixed(1)`
+    // bytes: the panicking cell keeps its per-cell status and digest,
+    // and the cells run after it on the same worker workspace are
+    // byte-identical to a clean run.
     let fault = || InjectedFault::Panic {
         at: experiments::FIXTURE_FAULT_AT,
     };
@@ -155,7 +153,7 @@ fn panic_inside_a_batch_quarantines_without_poisoning_batch_mates() {
         assert_eq!(
             oracle.output.render(),
             batched.output.render(),
-            "jobs={jobs}: batched fixture table diverged from the --batch 1 oracle"
+            "jobs={jobs}: Fixed(8) fixture table diverged from the Fixed(1) oracle"
         );
         let faulty: Vec<&CellRun> = batched.cells.iter().filter(|c| !c.ok()).collect();
         assert_eq!(faulty.len(), 1, "jobs={jobs}: exactly one cell fails");
@@ -164,12 +162,12 @@ fn panic_inside_a_batch_quarantines_without_poisoning_batch_mates() {
         assert_eq!(
             faulty[0].failure.as_ref().unwrap().digest(),
             oracle_digest,
-            "jobs={jobs}: digest changed under batching"
+            "jobs={jobs}: digest changed under Fixed(8)"
         );
         assert_eq!(
             survivor_rows(&clean),
             survivor_rows(&batched),
-            "jobs={jobs}: a batch-mate was poisoned by the panic"
+            "jobs={jobs}: a cell was poisoned by the panic"
         );
     }
 }

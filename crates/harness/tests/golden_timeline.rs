@@ -143,17 +143,15 @@ fn digests_are_byte_identical_across_job_counts() {
 
 #[test]
 fn digests_are_byte_identical_across_batch_modes() {
-    // The golden cells share one duration class, so `Fixed(8)` drives
-    // all four through a single interleaved kernel population.
-    // Full-observability digests must match the per-cell oracle
-    // byte-for-byte.
+    // `BatchMode` is ignored: full-observability digests under every
+    // mode must match the `Fixed(1)` digests byte-for-byte.
     let oracle = digests_batched(golden_cells(), 1, false, BatchMode::Fixed(1));
     for jobs in [1, 4] {
         for batch in [BatchMode::Fixed(8), BatchMode::Auto] {
             let got = digests_batched(golden_cells(), jobs, false, batch);
             assert_eq!(
                 oracle, got,
-                "digests diverged from --batch 1 (jobs={jobs}, batch={batch:?})"
+                "digests diverged from Fixed(1) (jobs={jobs}, batch={batch:?})"
             );
         }
     }

@@ -303,6 +303,46 @@ mod tests {
     }
 
     #[test]
+    fn step_drop_queueing_matches_the_fluid_model() {
+        // An independent reference for the serializer. Arrivals at a
+        // constant rate λ into a capacity that steps from C1 > λ down to
+        // C2 < λ at t_d: the fluid queue is empty before the drop and
+        // holds ∫(λ − C2) dt = (λ − C2)(t − t_d) bits after it, so a bit
+        // arriving at t waits (λ − C2)(t − t_d)/C2. Every packet's
+        // sojourn (queueing plus its own service) must stay within one
+        // packet's serialization time at C2 of that closed form.
+        const BYTES: u64 = 1200;
+        let (c1, c2, lambda) = (4e6, 1e6, 2e6);
+        let drop_at = 1.0;
+        let bits = (BYTES * 8) as f64;
+        let cfg = LinkConfig {
+            // Deep enough that nothing drops over the 3 s of growth.
+            queue_capacity_bytes: 10_000_000,
+            ..quiet_cfg()
+        };
+        let trace = StepTrace::sudden_drop(c1, c2, Time::from_secs(1));
+        let mut link = Link::new(trace, cfg, 0);
+        let gap = bits / lambda;
+        let mut worst: f64 = 0.0;
+        let mut last_fluid = 0.0;
+        for k in 0..(4.0 / gap) as u64 {
+            let sent = k as f64 * gap;
+            let now = Time::ZERO + Dur::from_secs_f64(sent);
+            let arrival = link.send(&pkt(k, BYTES), now).arrival().expect("no drop");
+            let sojourn = (arrival.saturating_since(now) - cfg.propagation).as_secs_f64();
+            last_fluid = (lambda - c2) * (sent - drop_at).max(0.0) / c2;
+            worst = worst.max((sojourn - last_fluid).abs());
+        }
+        assert!(last_fluid > 2.9, "the fluid queue grew to {last_fluid} s");
+        assert!(
+            worst <= bits / c2,
+            "sojourn strayed {worst} s from the fluid delay (bound {} s)",
+            bits / c2
+        );
+        assert_eq!(link.queue_drops(), 0);
+    }
+
+    #[test]
     fn queue_delay_reflects_backlog() {
         let mut link = Link::new(ConstantTrace::new(1e6), quiet_cfg(), 0);
         for i in 0..8 {

@@ -246,7 +246,7 @@ mod tests {
     /// t=0), and `frozen` names the frozen frame-slot indexes of a
     /// 30 fps run from t=0 to t=20 s.
     fn synthetic(targets: &[(u64, f64)], frozen: &[std::ops::Range<usize>]) -> SessionResult {
-        let mut result = SessionResult::empty();
+        let mut result = SessionResult::default();
         for &(sec, bps) in targets {
             result.series.push("target_bps", Time::from_secs(sec), bps);
         }
@@ -341,7 +341,7 @@ mod tests {
         let mut result = synthetic(&[(0, 4e6), (12, 9e5)], &[]);
         // Rewrite the post-drop tail with 400 ms latencies: p95 over
         // the post-drop window blows the 200 ms bound.
-        let mut doctored = SessionResult::empty();
+        let mut doctored = SessionResult::default();
         for r in result.recorder.records() {
             let mut r = *r;
             if r.pts >= Time::from_secs(10) {
@@ -379,7 +379,7 @@ mod tests {
 
     #[test]
     fn missing_series_fails_closed() {
-        let mut result = SessionResult::empty();
+        let mut result = SessionResult::default();
         result.recorder.push(FrameRecord {
             pts: Time::ZERO,
             outcome: FrameOutcomeKind::Displayed,

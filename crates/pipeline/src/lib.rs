@@ -14,8 +14,10 @@
 //! per-frame latency/quality records and optional time series — the raw
 //! material for every table and figure in EXPERIMENTS.md. Everything
 //! beyond the plain run — explicit fault schedules, observability, a
-//! cancellable guard, whole populations on one queue — is a
-//! [`RunSpec`] handed to the one kernel, [`run_sessions`].
+//! cancellable guard, a reused workspace — is a [`RunSpec`] handed to
+//! the one kernel, [`run_spec`]. Inside, a session is a sender, the
+//! network path and a receiver, each in its own module; the kernel's
+//! dispatch only routes events between them.
 //!
 //! The **baseline** scheme is GCC driving the encoder through the
 //! production slow path (`set_target_bitrate`); the **adaptive** scheme
@@ -28,13 +30,16 @@
 
 pub mod contracts;
 pub mod invariants;
+mod path;
+mod receiver;
 pub mod scheme;
+mod sender;
 pub mod session;
 
 pub use contracts::{all_pass, evaluate, ContractSpec, ContractVerdict};
 pub use invariants::{Invariant, InvariantChecker, InvariantViolation};
 pub use scheme::{CcKind, Scheme};
 pub use session::{
-    run_session, run_sessions, InjectedFault, KernelWorkspace, RunSpec, SessionConfig,
-    SessionGuard, SessionResult,
+    run_session, run_spec, InjectedFault, KernelWorkspace, RunSpec, SessionConfig, SessionGuard,
+    SessionResult,
 };

@@ -1,34 +1,34 @@
-//! The discrete-event session loop.
+//! The discrete-event session kernel.
 //!
-//! The session is an explicit poll-based state machine: [`SessionState`]
-//! holds every piece of sender/receiver state, and the one event kernel,
-//! [`run_sessions`], pops events off a shared [`EventQueue`] and feeds
-//! them to [`SessionState::step`]. Each session is described by a
-//! [`RunSpec`]; one worker thread can interleave thousands of them, and
-//! a solo run — [`run_session`] — is a population of one.
+//! A session is a sender, the network path and a receiver (the
+//! `sender`, `path` and `receiver` modules), sharing one context of
+//! config, observability log, invariant checker and series. The kernel,
+//! [`run_spec`], pops the session's events off an [`EventQueue`]: it
+//! first admits each one past the runaway guards, fault injection and
+//! chaos-segment announcements, then routes it to the side that
+//! handles it. A session is described by a [`RunSpec`]; the plain run
+//! is [`run_session`].
 
-use std::collections::VecDeque;
-use std::mem;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use ravel_cc::CongestionController;
-use ravel_codec::{Decoder, EncodedFrame, Encoder, EncoderConfig};
-use ravel_core::{AdaptiveController, FeedbackWatchdog, FrameDecision, WatchdogConfig};
+use ravel_codec::Decoder;
+use ravel_core::WatchdogConfig;
 use ravel_metrics::{FrameOutcomeKind, FrameRecord, LatencyRecorder};
 use ravel_net::{
-    ChaosSchedule, ChaosSpec, ChaosTrace, CorruptSchedule, CorruptSpec, Delivery, FecDecoder,
-    FecEncoder, FeedbackBuilder, FeedbackCorruptor, FeedbackReport, FeedbackValidator,
-    ForwardChaos, FrameAssembler, Link, LinkConfig, MediaKind, NackBatch, NackGenerator, Pacer,
-    Packet, Packetizer, PliRequester, ReversePath, ReversePathConfig, RtxBuffer, SegmentKind,
+    ChaosSchedule, ChaosSpec, CorruptSchedule, CorruptSpec, FeedbackReport, LinkConfig, NackBatch,
+    Packet, ReversePathConfig, SegmentKind,
 };
 use ravel_obs::{ObsEvent, ObsLog, ObsMode};
-use ravel_sim::{Dur, EventQueue, SeriesSet, Time};
+use ravel_sim::{Dur, EventQueue, Scheduled, SeriesSet, Time};
 use ravel_trace::BandwidthTrace;
-use ravel_video::{ContentClass, Resolution, VideoSource};
+use ravel_video::{ContentClass, Resolution};
 
 use crate::invariants::{Invariant, InvariantChecker, InvariantViolation};
+use crate::path::Path;
+use crate::receiver::{Receiver, NACK_POLL_EVERY};
 use crate::scheme::Scheme;
+use crate::sender::{Sender, SentFrame};
 
 /// Everything one experiment run needs to know.
 #[derive(Debug, Clone, Copy)]
@@ -244,48 +244,8 @@ const DECODE_RENDER_DELAY: Dur = Dur::millis(5);
 /// media and feedback.
 const DRAIN_GRACE: Dur = Dur::secs(2);
 
-/// Fraction of the current video target the RTX token bucket refills at.
-/// libwebrtc similarly bounds retransmission bitrate so congestion losses
-/// cannot trigger a self-sustaining RTX storm.
-const RTX_RATE_FRACTION: f64 = 0.1;
-
-/// Tokens one retransmitted packet costs: a generous bound on the wire
-/// size of an MTU packet (1250 B = 10 kbit).
-const RTX_GRANT_BITS: f64 = 10_000.0;
-
-/// Cap on accumulated RTX tokens — at most ~13 back-to-back
-/// retransmissions after an idle stretch.
-const RTX_BURST_BITS: f64 = 128_000.0;
-
-/// Tokens available at session start (half a burst: enough to repair an
-/// early loss without funding a storm).
-const RTX_INITIAL_TOKENS_BITS: f64 = 64_000.0;
-
-/// The pacer never drains slower than this, even if the encoder target
-/// collapses — matching libwebrtc's minimum pacing rate, which keeps
-/// feedback flowing so recovery stays possible.
-const PACER_FLOOR_BPS: f64 = 100_000.0;
-
-/// Sender-side PLI rate limit: requests inside this window coalesce into
-/// one IDR, so a lossy burst cannot trigger an IDR storm.
-const PLI_MIN_INTERVAL: Dur = Dur::millis(300);
-
-/// Receiver NACK poll cadence.
-const NACK_POLL_EVERY: Dur = Dur::millis(10);
-
-/// One Opus frame per tick.
-const AUDIO_TICK: Dur = Dur::millis(20);
-
-/// Audio packets carry frame indexes in a disjoint namespace so they
-/// never collide with video frames in feedback-side bookkeeping.
-const AUDIO_INDEX_BASE: u64 = 1 << 40;
-
-/// Most recent sent video packets the simulation retains for FEC
-/// reconstruction (the omniscient sent-video window).
-const SENT_VIDEO_WINDOW: usize = 4096;
-
 /// What the session produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SessionResult {
     /// Per-frame latency/quality records (capture order).
     pub recorder: LatencyRecorder,
@@ -369,19 +329,12 @@ pub struct SessionResult {
     pub obs: ObsLog,
 }
 
-/// Per-captured-frame sender-side record for the display post-pass.
-#[derive(Debug, Clone)]
-enum SentFrame {
-    Skipped { pts: Time, temporal: f64 },
-    Encoded { frame: EncodedFrame, temporal: f64 },
-}
-
 /// Events in the session's queue.
-enum Event {
+pub(crate) enum Event {
     /// Capture the next frame.
     Capture,
     /// The frame with this capture index finished encoding and is ready
-    /// to packetize. The frame itself is `sent[index]`.
+    /// to packetize. The frame itself is the sender's `sent[index]`.
     EncodeDone(u64),
     /// The pacer may have packets due.
     PacerTick,
@@ -405,49 +358,6 @@ enum Event {
     RunawayTick,
 }
 
-impl SessionResult {
-    /// A zeroed result standing in for a computation that produced
-    /// nothing: the harness pool substitutes this for quarantined
-    /// (panicked or timed-out) cells so downstream table assembly stays
-    /// deterministic without special-casing every consumer.
-    pub fn empty() -> SessionResult {
-        SessionResult {
-            recorder: LatencyRecorder::new(),
-            series: SeriesSet::new(),
-            frames_captured: 0,
-            frames_skipped: 0,
-            frames_encoded: 0,
-            events_processed: 0,
-            packets_delivered: 0,
-            queue_drops: 0,
-            random_losses: 0,
-            drops_handled: 0,
-            retransmissions: 0,
-            fec_recovered: 0,
-            fec_parity_sent: 0,
-            audio_latencies: Vec::new(),
-            nacks_sent: 0,
-            vbv_underflows: 0,
-            reverse_lost: 0,
-            reverse_duplicates: 0,
-            reports_discarded: 0,
-            rejected_reports: 0,
-            rejected_by_reason: Vec::new(),
-            feedback_corrupted: 0,
-            plis_suppressed: 0,
-            watchdog_timeouts: 0,
-            watchdog_episodes: 0,
-            plis_sent: 0,
-            chaos_lost: 0,
-            chaos_duplicates: 0,
-            chain_breaks: 0,
-            violations: Vec::new(),
-            cancelled: false,
-            obs: ObsLog::new(ObsMode::Off),
-        }
-    }
-}
-
 /// Bound on how long after the last fault clears the decoder's
 /// reference chain may stay broken: a (PLI-requested) keyframe must
 /// land and repair it within this window. Covers PLI retry backoff (up
@@ -468,7 +378,7 @@ const RECOVERY_CAPACITY_PROBE: Dur = Dur::millis(500);
 /// guard for the config. Override fields with struct-update syntax:
 ///
 /// ```
-/// # use ravel_pipeline::{run_sessions, KernelWorkspace, RunSpec, Scheme, SessionConfig};
+/// # use ravel_pipeline::{run_spec, KernelWorkspace, RunSpec, Scheme, SessionConfig};
 /// # use ravel_obs::ObsMode;
 /// # use ravel_trace::ConstantTrace;
 /// let mut cfg = SessionConfig::default_with(Scheme::adaptive());
@@ -477,8 +387,8 @@ const RECOVERY_CAPACITY_PROBE: Dur = Dur::millis(500);
 ///     obs: ObsMode::Counters,
 ///     ..RunSpec::new(ConstantTrace::new(3e6), cfg)
 /// };
-/// let results = run_sessions(vec![spec], &mut KernelWorkspace::new());
-/// assert!(results[0].frames_captured > 0);
+/// let result = run_spec(spec, &mut KernelWorkspace::new());
+/// assert!(result.frames_captured > 0);
 /// ```
 #[derive(Debug)]
 pub struct RunSpec<T> {
@@ -518,23 +428,21 @@ impl<T: BandwidthTrace> RunSpec<T> {
     }
 }
 
-/// Runs one session over `trace` and returns its measurements — a
-/// population of one through [`run_sessions`].
+/// Runs one session over `trace` and returns its measurements — the
+/// plain [`RunSpec::new`] through [`run_spec`].
 pub fn run_session<T: BandwidthTrace>(trace: T, cfg: SessionConfig) -> SessionResult {
-    let mut results = run_sessions(vec![RunSpec::new(trace, cfg)], &mut KernelWorkspace::new());
-    results.pop().expect("one spec in, one result out")
+    run_spec(RunSpec::new(trace, cfg), &mut KernelWorkspace::new())
 }
 
-/// Reusable per-worker kernel scratch: the shared multi-session event
-/// queue.
+/// Reusable per-worker kernel scratch: the session's event queue.
 ///
-/// A worker that drives batch after batch through one workspace keeps
-/// the queue's bucket `Vec`s and their capacity across
-/// [`EventQueue::reset`]. [`run_sessions`] resets the queue on entry, so
-/// a workspace left dirty by a panicked batch is clean on its next use.
+/// A worker that runs session after session through one workspace
+/// keeps the queue's bucket `Vec`s and their capacity across
+/// [`EventQueue::reset`]. [`run_spec`] resets the queue on entry, so a
+/// workspace left dirty by a panicked session is clean on its next use.
 #[derive(Default)]
 pub struct KernelWorkspace {
-    queue: EventQueue<(u32, Event)>,
+    queue: EventQueue<Event>,
 }
 
 impl KernelWorkspace {
@@ -544,22 +452,136 @@ impl KernelWorkspace {
     }
 }
 
-/// The session kernel: runs a population of sessions interleaved over
-/// ONE shared event queue on the calling thread. A solo run is a
-/// population of one.
-///
-/// Each session's result is byte-identical to running it alone:
-/// sessions share no state, and the shared queue's FIFO tie-break
-/// preserves every per-session event order. Fault schedules a spec
-/// leaves `None` are generated from its config here.
-pub fn run_sessions<T: BandwidthTrace>(
-    specs: Vec<RunSpec<T>>,
-    ws: &mut KernelWorkspace,
-) -> Vec<SessionResult> {
+/// The session kernel: runs one session on the calling thread, through
+/// `ws`'s queue. Fault schedules the spec leaves `None` are generated
+/// from its config here.
+pub fn run_spec<T: BandwidthTrace>(spec: RunSpec<T>, ws: &mut KernelWorkspace) -> SessionResult {
     let queue = &mut ws.queue;
     queue.reset();
-    let mut states: Vec<(SessionState<T>, bool)> = Vec::with_capacity(specs.len());
-    for (session, spec) in specs.into_iter().enumerate() {
+    let mut state = SessionState::new(spec);
+    state.start(queue);
+    while let Some(Scheduled { at, event, .. }) = queue.pop() {
+        if state.admit(at, queue) {
+            state.dispatch(at, event, queue);
+            continue;
+        }
+        // The session is over. Every arrival still queued, the refused
+        // event included, is a packet in flight for conservation.
+        let rest = std::iter::from_fn(|| queue.pop().map(|s| s.event));
+        let inflight = std::iter::once(event)
+            .chain(rest)
+            .filter(|e| matches!(e, Event::Arrival(_)))
+            .count();
+        state.path.acct.inflight += inflight as u64;
+    }
+    state.finish()
+}
+
+/// What every part of a session shares: the config, the observability
+/// log, the invariant checker and the recorded series.
+pub(crate) struct Ctx {
+    pub(crate) cfg: SessionConfig,
+    pub(crate) obs: ObsLog,
+    pub(crate) checker: InvariantChecker,
+    pub(crate) series: SeriesSet,
+}
+
+impl Ctx {
+    /// A fresh context for `cfg`, observed at `obs`.
+    pub(crate) fn new(cfg: SessionConfig, obs: ObsMode) -> Ctx {
+        Ctx {
+            cfg,
+            obs: ObsLog::new(obs),
+            checker: InvariantChecker::new(),
+            series: SeriesSet::new(),
+        }
+    }
+
+    /// When capture stops.
+    pub(crate) fn capture_end(&self) -> Time {
+        Time::ZERO + self.cfg.duration
+    }
+
+    /// When the drain window after capture closes: the session's end.
+    pub(crate) fn hard_end(&self) -> Time {
+        self.capture_end() + DRAIN_GRACE
+    }
+
+    /// Recovery bounds for the chaos invariants: `cfg.chaos`, or the
+    /// defaults when only an explicit schedule was given.
+    fn chaos_bounds(&self) -> ChaosSpec {
+        self.cfg.chaos.unwrap_or_else(|| ChaosSpec::new(0, 1.0))
+    }
+
+    /// Flags `invariant` and mirrors it into the obs log, stamped at
+    /// `at`. Only an invariant's first violation is kept, and logged.
+    pub(crate) fn violate(&mut self, at: Time, invariant: Invariant, detail: String) {
+        let flagged = self.checker.violations().len();
+        self.checker.violate(invariant, detail);
+        if let Some(v) = self.checker.violations().get(flagged) {
+            self.obs.record(at, || ObsEvent::InvariantViolated {
+                name: v.invariant.name(),
+                detail: v.detail.clone(),
+            });
+        }
+    }
+
+    /// Checks `condition`, flagging `invariant` with `detail()` if false.
+    pub(crate) fn check(
+        &mut self,
+        at: Time,
+        invariant: Invariant,
+        condition: bool,
+        detail: impl FnOnce() -> String,
+    ) {
+        if !condition {
+            self.violate(at, invariant, detail());
+        }
+    }
+}
+
+/// Staleness (in frame intervals) of a late frame. A late verdict
+/// implies a completion record; if bookkeeping ever desyncs, this
+/// records a [`Invariant::FiniteMetrics`] violation (stamped at `at`)
+/// and displays the frame un-stale instead of aborting the cell.
+pub(crate) fn late_staleness(latency: Option<Dur>, pts: Time, at: Time, ctx: &mut Ctx) -> f64 {
+    match latency {
+        Some(l) => l / Dur::micros(1_000_000 / ctx.cfg.fps as u64),
+        None => {
+            ctx.violate(
+                at,
+                Invariant::FiniteMetrics,
+                format!("late frame at pts {pts} has no completion record"),
+            );
+            0.0
+        }
+    }
+}
+
+/// One session's complete state, stepped event-by-event by the kernel:
+/// the two ends, the path between them, and the kernel's own guard
+/// bookkeeping.
+struct SessionState<T: BandwidthTrace> {
+    ctx: Ctx,
+    sender: Sender,
+    path: Path<T>,
+    receiver: Receiver,
+    guard: SessionGuard,
+    /// Chaos segments announced as the event clock crosses their start.
+    /// Empty when obs is off, so the admit-time scan is free.
+    seg_meta: Vec<(Time, Time, &'static str)>,
+    seg_cursor: usize,
+    last_event_at: Time,
+    cancelled: bool,
+    runaway_armed: bool,
+    /// Events this session has processed.
+    popped: u64,
+}
+
+impl<T: BandwidthTrace> SessionState<T> {
+    /// Builds the initial state, generating the fault schedules the
+    /// spec leaves to its config.
+    fn new(spec: RunSpec<T>) -> SessionState<T> {
         let cfg = spec.cfg;
         let chaos = spec.chaos.or_else(|| {
             cfg.chaos
@@ -569,434 +591,68 @@ pub fn run_sessions<T: BandwidthTrace>(
             cfg.corrupt
                 .map(|corrupt| CorruptSchedule::generate(corrupt, cfg.duration))
         });
-        let mut state = SessionState::new(spec.trace, cfg, chaos, corrupt, spec.obs, spec.guard);
-        state.start(&mut TaggedSink {
-            queue,
-            session: session as u32,
-        });
-        states.push((state, false));
-    }
-    while let Some(scheduled) = queue.pop() {
-        let (session, event) = scheduled.event;
-        let (state, stopped) = &mut states[session as usize];
-        if *stopped {
-            // A stopped session's leftovers count as in-flight for the
-            // conservation invariant.
-            state.note_leftover(&event);
-            continue;
-        }
-        let mut sink = TaggedSink { queue, session };
-        if let Step::Stop = state.step(scheduled.at, event, &mut sink) {
-            *stopped = true;
-        }
-    }
-    states
-        .into_iter()
-        .map(|(state, _stopped)| state.finish())
-        .collect()
-}
-
-/// Where a stepped session schedules its future events: a view of the
-/// shared population queue that stamps the session id onto every push.
-struct TaggedSink<'a> {
-    queue: &'a mut EventQueue<(u32, Event)>,
-    session: u32,
-}
-
-impl TaggedSink<'_> {
-    /// Schedules `event` at `at`.
-    fn push(&mut self, at: Time, event: Event) {
-        self.queue.push(at, (self.session, event));
-    }
-}
-
-/// What [`SessionState::step`] tells the kernel after each event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Step {
-    /// Keep stepping.
-    Continue,
-    /// The session is done (end of drain window, guard trip, or
-    /// cancellation): stop feeding it events and route the remainder to
-    /// [`SessionState::note_leftover`].
-    Stop,
-}
-
-/// The simulation's bounded omniscient view of sent video packets, used
-/// to materialize FEC-reconstructed packets (a real XOR decoder holds
-/// the actual recovered bytes; the metadata is identical).
-///
-/// Packet seqs are handed out monotonically, so the window is a plain
-/// ring of packets in seq order: O(1) insert/evict, binary-search get —
-/// the struct-of-arrays replacement for the old `BTreeMap`, with no
-/// panic path when the window is empty.
-#[derive(Debug, Default)]
-struct SentVideoWindow {
-    packets: VecDeque<Packet>,
-}
-
-impl SentVideoWindow {
-    /// Records a sent packet, evicting the oldest past the window bound.
-    fn insert(&mut self, p: Packet) {
-        debug_assert!(
-            self.packets.back().is_none_or(|b| b.seq < p.seq),
-            "sent-video seqs must be monotone"
-        );
-        self.packets.push_back(p);
-        while self.packets.len() > SENT_VIDEO_WINDOW {
-            self.packets.pop_front();
-        }
-    }
-
-    /// Looks a packet up by seq; `None` when evicted, never recorded,
-    /// or the window is empty.
-    fn get(&self, seq: u64) -> Option<Packet> {
-        let idx = self.packets.partition_point(|p| p.seq < seq);
-        self.packets.get(idx).filter(|p| p.seq == seq).copied()
-    }
-}
-
-/// Frame completion instants, dense by frame index (video frame indexes
-/// start at 0 and grow by 1 per capture) — the struct-of-arrays
-/// replacement for the old `BTreeMap<u64, Time>`.
-#[derive(Debug, Default)]
-struct CompletedFrames {
-    slots: Vec<Option<Time>>,
-}
-
-impl CompletedFrames {
-    /// Records the first completion of `frame_index` (duplicates and
-    /// FEC/RTX re-completions keep the earliest instant).
-    fn note(&mut self, frame_index: u64, at: Time) {
-        let idx = frame_index as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-        }
-        let slot = &mut self.slots[idx];
-        if slot.is_none() {
-            *slot = Some(at);
-        }
-    }
-
-    /// The completion instant of `frame_index`, if it ever assembled.
-    fn get(&self, frame_index: u64) -> Option<Time> {
-        self.slots.get(frame_index as usize).copied().flatten()
-    }
-}
-
-/// Staleness (in frame intervals) of a late frame. A late verdict
-/// implies a completion record; if bookkeeping ever desyncs, this
-/// records a [`Invariant::FiniteMetrics`] violation and displays the
-/// frame un-stale instead of aborting the cell.
-fn late_staleness(
-    latency: Option<Dur>,
-    fps: u32,
-    pts: Time,
-    checker: &mut InvariantChecker,
-) -> f64 {
-    match latency {
-        Some(l) => l / frame_interval(fps),
-        None => {
-            checker.violate(
-                Invariant::FiniteMetrics,
-                format!("late frame at pts {pts} has no completion record"),
-            );
-            0.0
-        }
-    }
-}
-
-/// One session's complete state, stepped event-by-event by the kernel.
-///
-/// Everything the historical monolithic loop held in locals lives here,
-/// so the kernel can interleave thousands of sessions on one thread:
-/// pop an event, call [`SessionState::step`], repeat.
-struct SessionState<T: BandwidthTrace> {
-    cfg: SessionConfig,
-    guard: SessionGuard,
-    schedule: Option<ChaosSchedule>,
-
-    // --- sender ---------------------------------------------------------
-    source: VideoSource,
-    encoder: Encoder,
-    cc: Box<dyn CongestionController>,
-    controller: Option<AdaptiveController>,
-    packetizer: Packetizer,
-    pacer: Pacer,
-    rtx_buffer: RtxBuffer,
-    fec_encoder: Option<FecEncoder>,
-    rtx_tokens_bits: f64,
-    rtx_tokens_updated: Time,
-    watchdog: Option<FeedbackWatchdog>,
-    blind_skip_toggle: bool,
-    last_pli: Time,
-    last_report_seq: Option<u64>,
-    reports_discarded: u64,
-    /// Sanitizes every arriving report before any estimator sees it.
-    /// Always armed: on clean runs it draws no randomness and rejects
-    /// nothing, so it costs only the per-report field scan.
-    validator: FeedbackValidator,
-
-    // --- network --------------------------------------------------------
-    link: Link<ChaosTrace<T>>,
-    fwd_chaos: Option<ForwardChaos>,
-    reverse: ReversePath,
-    /// Control-plane corruption applied to delivered feedback/PLI
-    /// copies at the reverse path's send boundary. `None` is exact
-    /// passthrough.
-    corruptor: Option<FeedbackCorruptor>,
-    acct: ForwardAcct,
-
-    // --- receiver -------------------------------------------------------
-    assembler: FrameAssembler,
-    feedback: FeedbackBuilder,
-    nack_gen: NackGenerator,
-    fec_decoder: FecDecoder,
-    pli: PliRequester,
-    sent_video: SentVideoWindow,
-    completed: CompletedFrames,
-    audio_seq_count: u64,
-    audio_latencies: Vec<(Time, Dur)>,
-
-    // --- bookkeeping ----------------------------------------------------
-    checker: InvariantChecker,
-    obs: ObsLog,
-    /// Violations already mirrored into the obs log (index into the
-    /// checker's first-flagged order).
-    obs_violations_seen: usize,
-    /// Chaos segments announced as the event clock crosses their start.
-    /// Empty when obs is off, so the step-top scan is free.
-    seg_meta: Vec<(Time, Time, &'static str)>,
-    seg_cursor: usize,
-    chaos_bounds: ChaosSpec,
-    chaos_clear: Option<Time>,
-    recovery_deadline: Option<Time>,
-    max_target_after_deadline: f64,
-    last_event_at: Time,
-    sent: Vec<SentFrame>,
-    series: SeriesSet,
-    frames_encoded: u64,
-    /// Hot-path scratch buffers, reused across the whole session so
-    /// packetization, pacer release, and NACK admission stop allocating
-    /// per event.
-    pkt_scratch: Vec<Packet>,
-    release_scratch: Vec<Packet>,
-    affordable_scratch: Vec<u64>,
-
-    // --- kernel ---------------------------------------------------------
-    capture_end: Time,
-    hard_end: Time,
-    cancelled: bool,
-    runaway_armed: bool,
-    /// Events this session has processed (the per-session equivalent of
-    /// the old private queue's popped counter).
-    popped: u64,
-    /// True while a `PacerTick` is in the queue. One outstanding tick
-    /// is always enough: `Pacer::next_release` only moves forward, and
-    /// until the pending tick fires every re-poll computes the same
-    /// release instant — so deduplicating changes no release time, it
-    /// only stops the queue population from growing without bound (the
-    /// E20 event storm).
-    pacer_tick_pending: bool,
-}
-
-impl<T: BandwidthTrace> SessionState<T> {
-    /// Builds the initial state. Mirrors the historical setup section
-    /// exactly, including its RNG draw order.
-    fn new(
-        trace: T,
-        cfg: SessionConfig,
-        schedule: Option<ChaosSchedule>,
-        corrupt: Option<CorruptSchedule>,
-        obs_mode: ObsMode,
-        guard: SessionGuard,
-    ) -> SessionState<T> {
-        let schedule = schedule.filter(|s| !s.is_empty());
-        let corrupt = corrupt.filter(|s| !s.is_empty());
-        let source = VideoSource::new(cfg.content.profile(), cfg.resolution, cfg.fps, cfg.seed);
-        let mut enc_cfg = EncoderConfig::rtc(cfg.start_rate_bps, cfg.fps);
-        enc_cfg.capture_resolution = cfg.resolution;
-        enc_cfg.temporal_layers = cfg.temporal_layers;
-        let encoder = Encoder::new(enc_cfg);
-        let cc = cfg.scheme.cc.build(cfg.start_rate_bps);
-        let controller = cfg.scheme.adaptive.map(|acfg| {
-            let mut ctl = AdaptiveController::new(acfg, cfg.fps);
-            // Tell the controller what the transport adds around the
-            // encoder's payload: ~4% packet headers, plus FEC parity, plus
-            // the audio flow's wire rate.
-            let mut factor = 1.04;
-            if cfg.enable_fec {
-                factor *= 1.0 + 1.0 / cfg.fec_group_size as f64;
-            }
-            let reserved = if cfg.enable_audio {
-                // Audio wire rate: payload bitrate plus 40 B of headers on
-                // each of the 50 packets per second.
-                cfg.audio_bitrate_bps + 40.0 * 8.0 * 50.0
-            } else {
-                0.0
-            };
-            ctl.set_rate_overheads(factor, reserved);
-            ctl
-        });
-        // The link always sees a chaos-wrapped trace: outside every capacity
-        // fault (and always, for the empty schedule) the wrapper multiplies
-        // by exactly 1.0, so chaos-free sessions stay byte-identical.
-        let link = Link::new(
-            ChaosTrace::new(trace, schedule.clone().unwrap_or_default()),
-            cfg.link,
-            cfg.seed,
-        );
-        // Per-packet chaos (burst loss, reordering, duplication) applied
-        // after the link's delivery decision, at the send boundary — the
-        // link itself enforces FIFO, so reordering must live outside it.
-        let fwd_chaos = schedule
-            .as_ref()
-            .map(|s| ForwardChaos::new(s.clone(), cfg.seed));
-        let obs = ObsLog::new(obs_mode);
-        let seg_meta: Vec<(Time, Time, &'static str)> = if obs.enabled() {
-            let mut meta: Vec<_> = schedule
-                .as_ref()
-                .map(|s| {
-                    s.segments
-                        .iter()
-                        .map(|seg| (seg.from, seg.until, seg.kind.name()))
-                        .collect()
-                })
-                .unwrap_or_default();
-            meta.sort_by_key(|&(from, _, _)| from);
-            meta
-        } else {
-            Vec::new()
+        let ctx = Ctx::new(cfg, spec.obs);
+        let path = Path::new(spec.trace, &cfg, chaos, corrupt);
+        let mut seg_meta: Vec<(Time, Time, &'static str)> = match path.schedule() {
+            Some(s) if ctx.obs.enabled() => s
+                .segments
+                .iter()
+                .map(|seg| (seg.from, seg.until, seg.kind.name()))
+                .collect(),
+            _ => Vec::new(),
         };
+        seg_meta.sort_by_key(|&(from, _, _)| from);
         // Recovery invariants are anchored to the end of the last fault.
-        let chaos_bounds = cfg.chaos.unwrap_or_else(|| ChaosSpec::new(0, 1.0));
-        let chaos_clear = schedule.as_ref().and_then(|s| s.last_end());
-        let recovery_deadline = chaos_clear.map(|c| c + chaos_bounds.recovery_within);
-        let expected_frames = (cfg.duration.as_secs_f64() * cfg.fps as f64).ceil() as usize + 1;
-        let capture_end = Time::ZERO + cfg.duration;
+        let recovery = path
+            .schedule()
+            .and_then(ChaosSchedule::last_end)
+            .map(|clear| (clear, clear + ctx.chaos_bounds().recovery_within));
         SessionState {
-            guard,
-            source,
-            encoder,
-            cc,
-            controller,
-            packetizer: Packetizer::new(),
-            pacer: Pacer::new(cfg.start_rate_bps, 2.5),
-            // WebRTC-flavoured RTX: 30 ms NACK retries, give up after the
-            // playout deadline (PLI takes over), 1 s of sender history.
-            rtx_buffer: RtxBuffer::new(Dur::SECOND, 2048),
-            fec_encoder: cfg.enable_fec.then(|| FecEncoder::new(cfg.fec_group_size)),
-            rtx_tokens_bits: RTX_INITIAL_TOKENS_BITS,
-            rtx_tokens_updated: Time::ZERO,
-            watchdog: cfg.watchdog.map(FeedbackWatchdog::new),
-            blind_skip_toggle: false,
-            last_pli: Time::ZERO,
-            last_report_seq: None,
-            reports_discarded: 0,
-            validator: FeedbackValidator::new(),
-            link,
-            fwd_chaos,
-            corruptor: corrupt.map(|s| FeedbackCorruptor::new(s, cfg.seed)),
-            // All receiver → sender traffic crosses the (possibly impaired)
-            // reverse path; the receiver keeps PLI requests alive until a
-            // post-request keyframe actually lands.
-            reverse: ReversePath::new(cfg.reverse_path, cfg.reverse_delay, cfg.seed),
-            acct: ForwardAcct::default(),
-            assembler: FrameAssembler::new(),
-            feedback: FeedbackBuilder::new(),
-            nack_gen: NackGenerator::new(Dur::millis(30), 5, cfg.max_playout_delay),
-            fec_decoder: FecDecoder::new(),
-            pli: PliRequester::new(),
-            sent_video: SentVideoWindow::default(),
-            completed: CompletedFrames::default(),
-            audio_seq_count: 0,
-            audio_latencies: Vec::new(),
-            checker: InvariantChecker::new(),
-            obs,
-            obs_violations_seen: 0,
+            sender: Sender::new(&cfg, recovery),
+            receiver: Receiver::new(&cfg),
+            path,
+            ctx,
+            guard: spec.guard,
             seg_meta,
             seg_cursor: 0,
-            chaos_bounds,
-            chaos_clear,
-            recovery_deadline,
-            max_target_after_deadline: 0.0,
             last_event_at: Time::ZERO,
-            sent: Vec::with_capacity(expected_frames),
-            series: SeriesSet::new(),
-            frames_encoded: 0,
-            pkt_scratch: Vec::new(),
-            release_scratch: Vec::new(),
-            affordable_scratch: Vec::new(),
-            capture_end,
-            hard_end: capture_end + DRAIN_GRACE,
             cancelled: false,
             runaway_armed: false,
             popped: 0,
-            pacer_tick_pending: false,
-            cfg,
-            schedule,
         }
     }
 
     /// Schedules the session's seed events (same order as the
     /// historical loop, so FIFO tie-breaks are preserved).
-    fn start(&mut self, sink: &mut TaggedSink<'_>) {
-        sink.push(Time::ZERO, Event::Capture);
-        sink.push(
-            Time::ZERO + self.cfg.feedback_interval,
-            Event::FeedbackFlush,
-        );
-        if self.cfg.enable_rtx {
-            sink.push(Time::ZERO + NACK_POLL_EVERY, Event::NackPoll);
+    fn start(&self, queue: &mut EventQueue<Event>) {
+        let cfg = &self.ctx.cfg;
+        queue.push(Time::ZERO, Event::Capture);
+        queue.push(Time::ZERO + cfg.feedback_interval, Event::FeedbackFlush);
+        if cfg.enable_rtx {
+            queue.push(Time::ZERO + NACK_POLL_EVERY, Event::NackPoll);
         }
-        if self.watchdog.is_some() {
-            sink.push(Time::ZERO + self.cfg.feedback_interval, Event::WatchdogTick);
+        if cfg.watchdog.is_some() {
+            queue.push(Time::ZERO + cfg.feedback_interval, Event::WatchdogTick);
         }
-        if self.cfg.enable_audio {
-            sink.push(Time::ZERO, Event::AudioTick);
+        if cfg.enable_audio {
+            queue.push(Time::ZERO, Event::AudioTick);
         }
     }
 
-    /// Counts an unprocessed leftover event: queued arrivals are
-    /// in-flight packets for the conservation invariant.
-    fn note_leftover(&mut self, event: &Event) {
-        if matches!(event, Event::Arrival(_)) {
-            self.acct.inflight += 1;
-        }
-    }
-
-    /// Mirrors any violations the checker flagged since the last call
-    /// into the observability log, stamped at `at`.
-    fn note_violations(&mut self, at: Time) {
-        if !self.obs.enabled() {
-            return;
-        }
-        let all = self.checker.violations();
-        while self.obs_violations_seen < all.len() {
-            let v = &all[self.obs_violations_seen];
-            self.obs.record(at, || ObsEvent::InvariantViolated {
-                name: v.invariant.name(),
-                detail: v.detail.clone(),
-            });
-            self.obs_violations_seen += 1;
-        }
-    }
-
-    /// Processes one popped event. The check order (monotonic clock,
-    /// budget, horizon, cancellation, drain deadline, fault injection,
-    /// chaos-segment announcements, then the event itself) matches the
-    /// historical loop exactly, so guard trips and violation details
-    /// are byte-identical.
-    fn step(&mut self, now: Time, event: Event, sink: &mut TaggedSink<'_>) -> Step {
+    /// Decides whether the event popped at `now` may run; false ends
+    /// the session. The check order (monotonic clock, budget, horizon,
+    /// cancellation, drain deadline, then fault injection and
+    /// chaos-segment announcements) matches the historical loop
+    /// exactly, so guard trips and violation details are
+    /// byte-identical.
+    fn admit(&mut self, now: Time, queue: &mut EventQueue<Event>) -> bool {
         self.popped += 1;
         if now < self.last_event_at {
-            self.checker.violate(
-                Invariant::MonotonicDelivery,
-                format!(
-                    "event clock ran backwards: {now} after {}",
-                    self.last_event_at
-                ),
+            let detail = format!(
+                "event clock ran backwards: {now} after {}",
+                self.last_event_at
             );
-            self.note_violations(now);
+            self.ctx.violate(now, Invariant::MonotonicDelivery, detail);
         }
         self.last_event_at = now;
         // Runaway guard. Details carry simulation values only (the
@@ -1004,38 +660,26 @@ impl<T: BandwidthTrace> SessionState<T> {
         // run), so the violation is byte-identical at any worker count
         // and on cache hits.
         if self.guard.over_budget(self.popped) {
-            self.checker.violate(
-                Invariant::RunawayTermination,
-                format!(
-                    "event budget exhausted at {now}: {} events popped (budget {})",
-                    self.popped, self.guard.max_events
-                ),
+            let detail = format!(
+                "event budget exhausted at {now}: {} events popped (budget {})",
+                self.popped, self.guard.max_events
             );
-            self.note_violations(now);
-            self.note_leftover(&event);
-            return Step::Stop;
+            self.ctx.violate(now, Invariant::RunawayTermination, detail);
+            return false;
         }
         if self.guard.over_horizon(now) {
-            self.checker.violate(
-                Invariant::RunawayTermination,
-                format!("sim-time horizon {} exceeded at {now}", self.guard.horizon),
-            );
-            self.note_violations(now);
-            self.note_leftover(&event);
-            return Step::Stop;
+            let detail = format!("sim-time horizon {} exceeded at {now}", self.guard.horizon);
+            self.ctx.violate(now, Invariant::RunawayTermination, detail);
+            return false;
         }
         if self.guard.cancelled(self.popped) {
             self.cancelled = true;
-            self.note_leftover(&event);
-            return Step::Stop;
+            return false;
         }
-        if now > self.hard_end {
-            // The popped event is past the session's end; if it was an
-            // arrival, the packet is in flight for conservation.
-            self.note_leftover(&event);
-            return Step::Stop;
+        if now > self.ctx.hard_end() {
+            return false;
         }
-        match self.cfg.inject {
+        match self.ctx.cfg.inject {
             InjectedFault::None => {}
             InjectedFault::Panic { at } => {
                 if now >= at {
@@ -1045,567 +689,73 @@ impl<T: BandwidthTrace> SessionState<T> {
             InjectedFault::Runaway { at } => {
                 if now >= at && !self.runaway_armed {
                     self.runaway_armed = true;
-                    sink.push(now, Event::RunawayTick);
+                    queue.push(now, Event::RunawayTick);
                 }
             }
         }
-        while self.seg_cursor < self.seg_meta.len() && self.seg_meta[self.seg_cursor].0 <= now {
-            let (from, until, kind) = self.seg_meta[self.seg_cursor];
-            self.obs
+        while let Some(&(from, until, kind)) = self.seg_meta.get(self.seg_cursor) {
+            if from > now {
+                break;
+            }
+            self.ctx
+                .obs
                 .record(now, || ObsEvent::ChaosSegmentEntered { kind, from, until });
             self.seg_cursor += 1;
         }
+        true
+    }
+
+    /// Routes one admitted event to the part of the session that
+    /// handles it.
+    fn dispatch(&mut self, now: Time, event: Event, queue: &mut EventQueue<Event>) {
+        let SessionState {
+            ctx,
+            sender,
+            path,
+            receiver,
+            ..
+        } = self;
         match event {
-            Event::Capture => self.on_capture(now, sink),
-            Event::EncodeDone(index) => {
-                let SentFrame::Encoded { frame, .. } = self.sent[index as usize] else {
-                    unreachable!("on_capture pushes an Encoded slot for every EncodeDone");
-                };
-                self.on_encode_done(now, &frame, sink);
+            Event::Capture => sender.on_capture(now, ctx, queue),
+            Event::EncodeDone(index) => sender.on_encode_done(now, index, path, ctx, queue),
+            Event::PacerTick => sender.on_pacer_tick(now, path, ctx, queue),
+            Event::Arrival(packet) => {
+                receiver.on_arrival(now, packet, &sender.sent_video, path, ctx)
             }
-            Event::PacerTick => {
-                self.pacer_tick_pending = false;
-                self.release_pacer(sink, now);
-            }
-            Event::Arrival(packet) => self.on_arrival(now, packet),
-            Event::FeedbackFlush => self.on_feedback_flush(now, sink),
-            Event::FeedbackArrive(report) => self.on_feedback_arrive(now, &report),
-            Event::NackPoll => self.on_nack_poll(now, sink),
-            Event::AudioTick => self.on_audio_tick(now, sink),
-            Event::NackArrive(batch) => self.on_nack_arrive(now, &batch, sink),
-            Event::PliArrive => {
-                // Sender-side IDR generation, rate-limited so a burst of
-                // (possibly duplicated) PLIs coalesces into one keyframe.
-                if now.saturating_since(self.last_pli) >= PLI_MIN_INTERVAL {
-                    self.encoder.force_idr();
-                    self.last_pli = now;
-                }
-            }
-            Event::WatchdogTick => self.on_watchdog_tick(now, sink),
-            Event::RunawayTick => {
-                // The fixture's storm: re-schedule at the current
-                // instant so simulation time never advances and the
-                // event budget is what stops the session.
-                sink.push(now, Event::RunawayTick);
-            }
-        }
-        Step::Continue
-    }
-
-    fn on_capture(&mut self, now: Time, sink: &mut TaggedSink<'_>) {
-        let frame = self.source.next_frame();
-        debug_assert_eq!(frame.pts, now, "capture clock drift");
-        self.obs
-            .record(now, || ObsEvent::FrameCaptured { index: frame.index });
-        // While the feedback loop is blind, optionally skip every
-        // other frame (both schemes): at a given target rate this
-        // halves the data fired into an unobservable network.
-        let blind_skip = self
-            .watchdog
-            .as_ref()
-            .is_some_and(|wd| wd.is_degraded() && wd.config().skip_while_blind)
-            && {
-                self.blind_skip_toggle = !self.blind_skip_toggle;
-                self.blind_skip_toggle
-            };
-        let decision = if blind_skip {
-            self.encoder.skip_frame();
-            FrameDecision::Skip
-        } else {
-            match self.controller.as_mut() {
-                Some(ctl) => ctl.on_frame(&frame, now, &mut self.encoder),
-                None => FrameDecision::Encode,
-            }
-        };
-        match decision {
-            FrameDecision::Skip => {
-                self.sent.push(SentFrame::Skipped {
-                    pts: frame.pts,
-                    temporal: frame.complexity.temporal,
-                });
-            }
-            FrameDecision::Encode => {
-                let encoded = self.encoder.encode(&frame, now);
-                self.frames_encoded += 1;
-                self.obs.record(now, || ObsEvent::FrameEncoded {
-                    index: encoded.index,
-                    size_bytes: encoded.size_bytes,
-                    qp: encoded.qp.value(),
-                    target_bps: self.encoder.target_bps(),
-                });
-                if encoded.frame_type.is_intra() {
-                    self.obs.record(now, || ObsEvent::KeyframeEmitted);
-                }
-                if self.cfg.record_series {
-                    self.series.push("qp", now, encoded.qp.value());
-                    self.series.push(
-                        "send_rate_bps",
-                        now,
-                        encoded.size_bits() as f64 * self.cfg.fps as f64,
-                    );
-                }
-                sink.push(encoded.encoded_at, Event::EncodeDone(frame.index));
-                self.sent.push(SentFrame::Encoded {
-                    frame: encoded,
-                    temporal: frame.complexity.temporal,
-                });
-            }
-        }
-        let next_pts = self.source.pts_of(frame.index + 1);
-        if next_pts < self.capture_end {
-            sink.push(next_pts, Event::Capture);
-        }
-    }
-
-    fn on_encode_done(&mut self, now: Time, encoded: &EncodedFrame, sink: &mut TaggedSink<'_>) {
-        if let Some(sched) = self.schedule.as_ref() {
-            self.packetizer.set_payload_mtu(sched.payload_mtu(now));
-        }
-        let mut pkts = mem::take(&mut self.pkt_scratch);
-        self.packetizer.packetize_into(encoded, &mut pkts);
-        if let Some(fec) = self.fec_encoder.as_mut() {
-            for p in pkts.drain(..) {
-                self.sent_video.insert(p);
-                let parity = fec.on_media_packet(&p, || self.packetizer.take_seq(), now);
-                self.pacer.enqueue(std::iter::once(p).chain(parity));
-            }
-        } else {
-            self.pacer.enqueue(pkts.drain(..));
-        }
-        self.pkt_scratch = pkts;
-        self.release_pacer(sink, now);
-    }
-
-    fn on_arrival(&mut self, now: Time, packet: Packet) {
-        self.acct.arrivals += 1;
-        self.obs
-            .record(now, || ObsEvent::PacketDelivered { seq: packet.seq });
-        if now < packet.send_time {
-            self.checker.violate(
-                Invariant::MonotonicDelivery,
-                format!(
-                    "packet seq {} arrived at {now} before its send time {}",
-                    packet.seq, packet.send_time
-                ),
-            );
-            self.note_violations(now);
-        }
-        self.feedback.on_packet(&packet, now);
-        if self.cfg.enable_rtx {
-            self.nack_gen.on_packet(packet.seq, now);
-        }
-        if self.cfg.enable_fec && packet.kind != MediaKind::Fec {
-            // Every non-parity arrival in a covered span counts
-            // toward that span's recovery bookkeeping.
-            let recovered = self.fec_decoder.on_media_packet(packet.seq);
-            self.on_fec_recovered(recovered, now);
-        }
-        match packet.kind {
-            MediaKind::Audio => {
-                self.audio_latencies
-                    .push((packet.pts, now.saturating_since(packet.pts)));
-            }
-            MediaKind::Fec => {
-                let recovered = self.fec_decoder.on_parity_packet(&packet);
-                self.on_fec_recovered(recovered, now);
-            }
-            MediaKind::Video => self.assemble(&packet, now),
-        }
-    }
-
-    /// Materializes FEC-recovered video packets from the sent-video
-    /// window and receives them as if they had arrived.
-    fn on_fec_recovered(&mut self, seqs: Vec<u64>, now: Time) {
-        for seq in seqs {
-            if let Some(rec) = self.sent_video.get(seq) {
-                self.nack_gen.on_packet(seq, now);
-                self.assemble(&rec, now);
-            }
-        }
-    }
-
-    /// Feeds a received video packet to the assembler and notes the
-    /// frame it completes, if any. Only a COMPLETE keyframe satisfies an
-    /// outstanding PLI (a lone fragment may never assemble; retries must
-    /// go on).
-    fn assemble(&mut self, packet: &Packet, now: Time) {
-        if let Some(done) = self.assembler.push(packet, now) {
-            if done.is_keyframe {
-                self.pli.on_keyframe(packet.send_time);
-            }
-            self.completed.note(done.frame_index, done.complete_at);
-        }
-    }
-
-    fn on_feedback_flush(&mut self, now: Time, sink: &mut TaggedSink<'_>) {
-        let backlog = self.link.backlog_bytes(now);
-        self.checker.check(
-            Invariant::BoundedBacklog,
-            backlog <= self.cfg.link.queue_capacity_bytes,
-            || {
-                format!(
-                    "link backlog {backlog} B exceeds queue capacity {} B at {now}",
-                    self.cfg.link.queue_capacity_bytes
-                )
-            },
-        );
-        self.note_violations(now);
-        if let Some(report) = self.feedback.flush(now) {
-            // Reported losses mean some frame will be
-            // undecodable: arm (or keep alive) the keyframe
-            // request. It stays armed until a post-request
-            // keyframe actually arrives.
-            if report.lost_count() > 0 {
-                self.pli.request(now);
-            }
-            // Each delivered copy is corrupted independently — a
-            // duplicated reverse path can deliver one honest and one
-            // mutated copy of the same report.
-            for at in self.reverse.transit(now).into_iter().flatten() {
-                let mut copy = report.clone();
-                if let Some(c) = self.corruptor.as_mut() {
-                    c.corrupt(&mut copy, now);
-                }
-                sink.push(at, Event::FeedbackArrive(copy));
-            }
-        }
-        // PLI emission (first send and backoff retries) shares
-        // the feedback cadence — and the impaired reverse path.
-        if self.pli.poll(now) {
-            self.obs.record(now, || ObsEvent::PliSent);
-            for at in self.reverse.transit(now).into_iter().flatten() {
-                // A corrupted PLI is unparseable at the sender: the
-                // delivery slot is consumed but nothing arrives. The
-                // requester's retry loop keeps the request alive.
-                if self.corruptor.as_mut().is_some_and(|c| c.suppress_pli(now)) {
-                    continue;
-                }
-                sink.push(at, Event::PliArrive);
-            }
-        }
-        let next = now + self.cfg.feedback_interval;
-        if next <= self.hard_end {
-            sink.push(next, Event::FeedbackFlush);
-        }
-    }
-
-    fn on_feedback_arrive(&mut self, now: Time, report: &FeedbackReport) {
-        // Report integrity: a duplicated or reordered reverse
-        // path may deliver a report twice, or deliver an older
-        // report after a newer one. Both would corrupt GCC's
-        // inter-arrival model and the drop detector's windows —
-        // discard them before any estimator sees them.
-        if self
-            .last_report_seq
-            .is_some_and(|last| report.report_seq <= last)
-        {
-            self.reports_discarded += 1;
-            return;
-        }
-        // Field-level sanitation, after the cheap duplicate gate and
-        // before ANY estimator state advances. A rejected report is
-        // dropped whole: it does not move the freshness gate (the next
-        // honest report must still be accepted) and it does NOT reset
-        // the watchdog's feedback deadline — an attacker feeding
-        // garbage looks like silence, and sustained garbage trips
-        // `Degraded` exactly like a blackout does.
-        if let Err(reason) = self.validator.check(report, self.last_report_seq) {
-            self.obs.record(now, || ObsEvent::FeedbackRejected {
-                report_seq: report.report_seq,
-                reason,
-            });
-            return;
-        }
-        self.last_report_seq = Some(report.report_seq);
-        self.obs.record(now, || ObsEvent::FeedbackReceived {
-            report_seq: report.report_seq,
-            lost: report.lost_count() as u64,
-        });
-        let old_target = self.encoder.target_bps();
-        if let Some(wd) = self.watchdog.as_mut() {
-            wd.on_valid_report(now);
-        }
-        let gcc_target = self.cc.on_feedback(report, now);
-        match self.controller.as_mut() {
-            Some(ctl) => {
-                ctl.on_feedback(report, gcc_target, now, &mut self.encoder);
-            }
-            None => {
-                // Baseline: production slow path.
-                self.encoder.set_target_bitrate(gcc_target);
-            }
-        }
-        self.pacer
-            .set_target_bitrate(self.encoder.target_bps().max(PACER_FLOOR_BPS));
-        let target = self.encoder.target_bps();
-        if target != old_target {
-            self.obs.record(now, || ObsEvent::TargetChanged {
-                old_bps: old_target,
-                new_bps: target,
-                reason: self.cc.decision_reason(),
-            });
-        }
-        if !target.is_finite() || !gcc_target.is_finite() {
-            self.checker.violate(
-                Invariant::FiniteMetrics,
-                format!("non-finite rate at {now}: encoder {target}, gcc {gcc_target}"),
-            );
-            self.note_violations(now);
-        }
-        // Recovery-within-T: the target counts as recovered if
-        // it reaches the goal at any point between the last
-        // fault clearing and the deadline.
-        if self.chaos_clear.is_some_and(|c| now >= c)
-            && self.recovery_deadline.is_some_and(|d| now <= d)
-        {
-            self.max_target_after_deadline = self.max_target_after_deadline.max(target);
-        }
-        if self.cfg.record_series {
-            self.series
-                .push("target_bps", now, self.encoder.target_bps());
-            self.series.push("gcc_target_bps", now, gcc_target);
-            if let Some(gcc) = self.cc.as_any().downcast_ref::<ravel_cc::Gcc>() {
-                let state = match gcc.detector_state() {
-                    ravel_cc::BandwidthUsage::Normal => 0.0,
-                    ravel_cc::BandwidthUsage::Overusing => 1.0,
-                    ravel_cc::BandwidthUsage::Underusing => -1.0,
-                };
-                self.series.push("gcc_detector", now, state);
-                self.series.push("gcc_trend_ms", now, gcc.trend_ms());
-            }
-            self.series
-                .push("capacity_bps", now, self.link.trace().rate_bps(now));
-            self.series.push(
-                "link_queue_ms",
-                now,
-                self.link.queue_delay(now).as_millis_f64(),
-            );
-            self.series.push(
-                "pacer_queue_ms",
-                now,
-                self.pacer.drain_time().as_millis_f64(),
-            );
-        }
-    }
-
-    fn on_nack_poll(&mut self, now: Time, sink: &mut TaggedSink<'_>) {
-        let abandoned_before = self.nack_gen.abandoned();
-        let batch = self.nack_gen.poll(now);
-        if self.nack_gen.abandoned() > abandoned_before {
-            // RTX gave up on a gap: some frame will never
-            // assemble and the reference chain will break when
-            // playout reaches it. Feedback already reported the
-            // loss (possibly while an earlier PLI was pending and
-            // got satisfied by a keyframe that predates this
-            // gap), so this is the receiver's only remaining
-            // signal — recovery is the PLI path's job now.
-            self.pli.request(now);
-        }
-        if let Some(batch) = batch {
-            for at in self.reverse.transit(now).into_iter().flatten() {
-                sink.push(at, Event::NackArrive(batch.clone()));
-            }
-        }
-        let next = now + NACK_POLL_EVERY;
-        if next <= self.hard_end {
-            sink.push(next, Event::NackPoll);
-        }
-    }
-
-    fn on_audio_tick(&mut self, now: Time, sink: &mut TaggedSink<'_>) {
-        // One Opus frame: bitrate x 20 ms of payload + headers.
-        let payload = ((self.cfg.audio_bitrate_bps * AUDIO_TICK.as_secs_f64()) / 8.0).ceil() as u64;
-        let audio = Packet {
-            kind: MediaKind::Audio,
-            seq: self.packetizer.take_seq(),
-            frame_index: AUDIO_INDEX_BASE + self.audio_seq_count,
-            fragment: 0,
-            num_fragments: 1,
-            size_bytes: payload + ravel_net::packet::HEADER_BYTES,
-            pts: now,
-            send_time: now,
-            is_keyframe: false,
-        };
-        self.audio_seq_count += 1;
-        // Audio bypasses the video pacer (WebRTC sends it
-        // directly) but shares the bottleneck and feedback.
-        if self.cfg.enable_rtx {
-            self.rtx_buffer.store(&audio, now);
-        }
-        self.send_forward(sink, audio, now);
-        let next = now + AUDIO_TICK;
-        if next < self.capture_end {
-            sink.push(next, Event::AudioTick);
-        }
-    }
-
-    fn on_nack_arrive(&mut self, now: Time, batch: &NackBatch, sink: &mut TaggedSink<'_>) {
-        // Refill the RTX bucket, capped at one burst.
-        let elapsed = now.saturating_since(self.rtx_tokens_updated);
-        self.rtx_tokens_updated = now;
-        self.rtx_tokens_bits = (self.rtx_tokens_bits
-            + RTX_RATE_FRACTION * self.encoder.target_bps() * elapsed.as_secs_f64())
-        .min(RTX_BURST_BITS);
-        let mut affordable = mem::take(&mut self.affordable_scratch);
-        affordable.clear();
-        for &seq in batch.seqs.iter() {
-            if self.rtx_tokens_bits >= RTX_GRANT_BITS {
-                self.rtx_tokens_bits -= RTX_GRANT_BITS;
-                affordable.push(seq);
-            } else {
-                break;
-            }
-        }
-        let packets = self.rtx_buffer.retransmit(&affordable);
-        self.affordable_scratch = affordable;
-        if !packets.is_empty() {
-            self.pacer.enqueue(packets);
-            self.release_pacer(sink, now);
-        }
-    }
-
-    fn on_watchdog_tick(&mut self, now: Time, sink: &mut TaggedSink<'_>) {
-        if let Some(wd) = self.watchdog.as_mut() {
-            // Capture ends at `capture_end`; the receiver goes
-            // quiet once the pipe drains, so missing feedback in
-            // the drain tail is expected, not a blind episode.
-            if now <= self.capture_end && wd.poll(now) {
-                // No valid report within the timeout: back the
-                // target off toward the floor. The baseline gets
-                // the same production-equivalent cut through the
-                // slow path; the adaptive controller routes it
-                // through its Degraded phase (fast reconfigure +
-                // Recover hand-off when feedback resumes).
-                let old_target = self.encoder.target_bps();
-                let target = wd.apply_backoff(old_target);
-                match self.controller.as_mut() {
-                    Some(ctl) => ctl.on_feedback_timeout(target, now, &mut self.encoder),
-                    None => self.encoder.set_target_bitrate(target),
-                }
-                self.pacer
-                    .set_target_bitrate(self.encoder.target_bps().max(PACER_FLOOR_BPS));
-                let new_target = self.encoder.target_bps();
-                if new_target != old_target {
-                    self.obs.record(now, || ObsEvent::TargetChanged {
-                        old_bps: old_target,
-                        new_bps: new_target,
-                        reason: "watchdog",
-                    });
-                }
-                if self.cfg.record_series {
-                    // FeedbackArrive cannot log while blind, so
-                    // the decay is recorded here.
-                    self.series
-                        .push("target_bps", now, self.encoder.target_bps());
-                }
-            }
-            let next = now + self.cfg.feedback_interval;
-            if next <= self.capture_end {
-                sink.push(next, Event::WatchdogTick);
-            }
-        }
-    }
-
-    /// Releases due packets from the pacer onto the link, recording
-    /// them in the RTX history when retransmission is enabled, and
-    /// keeps exactly one `PacerTick` outstanding for the next release.
-    fn release_pacer(&mut self, sink: &mut TaggedSink<'_>, now: Time) {
-        let mut scratch = mem::take(&mut self.release_scratch);
-        self.pacer.release_into(now, &mut scratch);
-        for packet in scratch.drain(..) {
-            if self.cfg.enable_rtx {
-                self.rtx_buffer.store(&packet, now);
-            }
-            self.send_forward(sink, packet, now);
-        }
-        self.release_scratch = scratch;
-        if !self.pacer_tick_pending {
-            if let Some(next) = self.pacer.next_release_time() {
-                self.pacer_tick_pending = true;
-                sink.push(next.max(now), Event::PacerTick);
-            }
-        }
-    }
-
-    /// Sends one packet over the link, routing a delivered packet
-    /// through the per-packet chaos stage (which may drop it, jitter
-    /// its arrival past FIFO order, or inject a duplicate) and
-    /// recording the send for conservation.
-    fn send_forward(&mut self, sink: &mut TaggedSink<'_>, packet: Packet, now: Time) {
-        self.acct.sent += 1;
-        self.obs.record(now, || ObsEvent::PacketSent {
-            seq: packet.seq,
-            size_bytes: packet.size_bytes,
-        });
-        match self.link.send(&packet, now) {
-            Delivery::At(arrival) => match self.fwd_chaos.as_mut() {
-                Some(ch) => {
-                    let fate = ch.transit(now, arrival);
-                    if let Some(at) = fate.duplicate {
-                        sink.push(at, Event::Arrival(packet));
-                    }
-                    match fate.arrival {
-                        Some(at) => sink.push(at, Event::Arrival(packet)),
-                        None => self.obs.record(now, || ObsEvent::PacketDropped {
-                            seq: packet.seq,
-                            reason: "chaos",
-                        }),
-                    }
-                }
-                None => sink.push(arrival, Event::Arrival(packet)),
-            },
-            Delivery::QueueDrop => self.obs.record(now, || ObsEvent::PacketDropped {
-                seq: packet.seq,
-                reason: "queue",
-            }),
-            Delivery::Lost => self.obs.record(now, || ObsEvent::PacketDropped {
-                seq: packet.seq,
-                reason: "loss",
-            }),
+            Event::FeedbackFlush => receiver.on_feedback_flush(now, path, ctx, queue),
+            Event::FeedbackArrive(report) => sender.on_feedback_arrive(now, &report, path, ctx),
+            Event::NackPoll => receiver.on_nack_poll(now, path, ctx, queue),
+            Event::AudioTick => sender.on_audio_tick(now, path, ctx, queue),
+            Event::NackArrive(batch) => sender.on_nack_arrive(now, &batch, path, ctx, queue),
+            Event::PliArrive => sender.on_pli_arrive(now),
+            Event::WatchdogTick => sender.on_watchdog_tick(now, ctx, queue),
+            // The fixture's storm: re-schedule at the current instant
+            // so simulation time never advances and the event budget
+            // is what stops the session.
+            Event::RunawayTick => queue.push(now, Event::RunawayTick),
         }
     }
 
     /// End-of-run checks and result assembly: conservation, the display
     /// post-pass, chaos-conditioned invariants, finite-metrics sweep.
+    /// Every end-of-run verdict is stamped at the last event-loop
+    /// instant.
     fn finish(mut self) -> SessionResult {
-        let events_processed = self.popped;
-        let chaos_lost = self.fwd_chaos.as_ref().map(|c| c.lost()).unwrap_or(0);
-        let chaos_duplicates = self.fwd_chaos.as_ref().map(|c| c.duplicated()).unwrap_or(0);
-        let expected = self.acct.arrivals
-            + self.acct.inflight
-            + self.link.queue_drops()
-            + self.link.random_losses()
-            + chaos_lost;
-        self.checker.check(
-            Invariant::Conservation,
-            self.acct.sent + chaos_duplicates == expected,
-            || {
-                format!(
-                    "sent {} + chaos duplicates {} != arrivals {} + in-flight {} \
-                     + queue drops {} + random losses {} + chaos losses {}",
-                    self.acct.sent,
-                    chaos_duplicates,
-                    self.acct.arrivals,
-                    self.acct.inflight,
-                    self.link.queue_drops(),
-                    self.link.random_losses(),
-                    chaos_lost
-                )
-            },
-        );
         let last_event_at = self.last_event_at;
-        self.note_violations(last_event_at);
+        let ctx = &mut self.ctx;
+        self.path.check_conservation(last_event_at, ctx);
 
         // --- display post-pass --------------------------------------------
+        let chaos_clear = self.sender.recovery.map(|(clear, _)| clear);
+        let capture_end = ctx.capture_end();
         let mut decoder = Decoder::new();
-        let mut recorder = LatencyRecorder::with_capacity(self.sent.len());
+        let mut recorder = LatencyRecorder::with_capacity(self.sender.sent.len());
         let mut frames_skipped = 0u64;
         // First capture instant at/after the last fault cleared where the
         // reference chain was healthy (freeze-termination invariant).
         let mut chain_ok_after_clear: Option<Time> = None;
-        for (idx, sf) in self.sent.iter().enumerate() {
-            let idx = idx as u64;
-            match sf {
+        for (idx, sf) in self.sender.sent.iter().enumerate() {
+            let pts = match sf {
                 SentFrame::Skipped { pts, temporal } => {
                     frames_skipped += 1;
                     // Sender-side skips freeze one slot but do not break the
@@ -1619,19 +769,17 @@ impl<T: BandwidthTrace> SessionState<T> {
                         ssim: outcome.displayed_ssim(),
                         psnr_db: None,
                     });
+                    *pts
                 }
                 SentFrame::Encoded { frame, temporal } => {
-                    let complete_at = self.completed.get(idx);
+                    let complete_at = self.receiver.completed.get(idx as u64);
                     let latency =
                         complete_at.map(|c| (c + DECODE_RENDER_DELAY).saturating_since(frame.pts));
-                    let late = latency
-                        .map(|l| l > self.cfg.max_playout_delay)
-                        .unwrap_or(false);
+                    let late = latency.is_some_and(|l| l > ctx.cfg.max_playout_delay);
                     let outcome = if late {
                         // Blew the playout deadline: decoded for reference,
                         // displayed stale.
-                        let staleness =
-                            late_staleness(latency, self.cfg.fps, frame.pts, &mut self.checker);
+                        let staleness = late_staleness(latency, frame.pts, last_event_at, ctx);
                         decoder.feed_late(frame, staleness, *temporal)
                     } else if complete_at.is_none() && frame.temporal_layer == 1 {
                         // A lost enhancement-layer frame: nothing references
@@ -1641,47 +789,30 @@ impl<T: BandwidthTrace> SessionState<T> {
                     } else {
                         decoder.feed(complete_at.map(|_| frame), true, *temporal)
                     };
-                    if outcome.is_displayed() {
-                        recorder.push(FrameRecord {
-                            pts: frame.pts,
-                            outcome: FrameOutcomeKind::Displayed,
-                            latency,
-                            ssim: outcome.displayed_ssim(),
-                            psnr_db: Some(frame.psnr_db),
-                        });
-                    } else {
-                        recorder.push(FrameRecord {
-                            pts: frame.pts,
-                            outcome: FrameOutcomeKind::Frozen,
-                            // Late frames still carry their measured latency.
-                            latency,
-                            ssim: outcome.displayed_ssim(),
-                            psnr_db: None,
-                        });
+                    let displayed = outcome.is_displayed();
+                    recorder.push(FrameRecord {
+                        pts: frame.pts,
+                        outcome: if displayed {
+                            FrameOutcomeKind::Displayed
+                        } else {
+                            FrameOutcomeKind::Frozen
+                        },
+                        // Late frames still carry their measured latency.
+                        latency,
+                        ssim: outcome.displayed_ssim(),
+                        psnr_db: displayed.then_some(frame.psnr_db),
+                    });
+                    if let (true, Some(l)) = (ctx.cfg.record_series, latency) {
+                        ctx.series
+                            .push("frame_latency_ms", frame.pts, l.as_millis_f64());
                     }
-                    if self.cfg.record_series {
-                        if let Some(c) = complete_at {
-                            self.series.push(
-                                "frame_latency_ms",
-                                frame.pts,
-                                (c + DECODE_RENDER_DELAY)
-                                    .saturating_since(frame.pts)
-                                    .as_millis_f64(),
-                            );
-                        }
-                    }
+                    frame.pts
                 }
-            }
-            if chain_ok_after_clear.is_none() {
-                if let Some(clear) = self.chaos_clear {
-                    let pts = match sf {
-                        SentFrame::Skipped { pts, .. } => *pts,
-                        SentFrame::Encoded { frame, .. } => frame.pts,
-                    };
-                    if pts >= clear && !decoder.chain_broken() {
-                        chain_ok_after_clear = Some(pts);
-                    }
-                }
+            };
+            if chain_ok_after_clear.is_none()
+                && chaos_clear.is_some_and(|clear| pts >= clear && !decoder.chain_broken())
+            {
+                chain_ok_after_clear = Some(pts);
             }
         }
 
@@ -1689,134 +820,111 @@ impl<T: BandwidthTrace> SessionState<T> {
         // Freeze termination: once the last fault clears, the PLI → keyframe
         // path must repair the reference chain within a bound (checkable
         // only if capture extends past the bound).
-        if let Some(clear) = self.chaos_clear {
+        if let Some(clear) = chaos_clear {
             let bound_end = clear + FREEZE_TERMINATION_BOUND;
-            if bound_end <= self.capture_end {
+            if bound_end <= capture_end {
                 let repaired = chain_ok_after_clear.is_some_and(|t| t <= bound_end);
-                self.checker
-                    .check(Invariant::FreezeTermination, repaired, || {
+                ctx.check(
+                    last_event_at,
+                    Invariant::FreezeTermination,
+                    repaired,
+                    || {
                         format!(
                             "reference chain not repaired within {FREEZE_TERMINATION_BOUND} \
                          of the last fault clearing at {clear} (first healthy capture: {:?})",
                             chain_ok_after_clear
                         )
-                    });
+                    },
+                );
             }
         }
         // Rate recovery: the encoder target must climb back to a fraction of
         // the available rate within the configured bound after the faults.
-        if let (Some(clear), Some(deadline)) = (self.chaos_clear, self.recovery_deadline) {
-            if deadline <= self.capture_end {
-                let mut capacity_floor = self.cfg.start_rate_bps;
+        if let Some((clear, deadline)) = self.sender.recovery {
+            if deadline <= capture_end {
+                let mut capacity_floor = ctx.cfg.start_rate_bps;
                 let mut t = deadline;
-                while t <= self.capture_end {
-                    capacity_floor = capacity_floor.min(self.link.trace().rate_bps(t));
+                while t <= capture_end {
+                    capacity_floor = capacity_floor.min(self.path.link.trace().rate_bps(t));
                     t += RECOVERY_CAPACITY_PROBE;
                 }
-                let goal = self.chaos_bounds.recovery_fraction * capacity_floor;
-                let max_target_after_deadline = self.max_target_after_deadline;
-                self.checker.check(
-                    Invariant::RateRecovery,
-                    max_target_after_deadline >= goal,
-                    || {
-                        format!(
-                            "target peaked at {max_target_after_deadline:.0} bps after {deadline} \
-                             (last fault cleared {clear}); needed {goal:.0} bps"
-                        )
-                    },
-                );
+                let goal = ctx.chaos_bounds().recovery_fraction * capacity_floor;
+                let peak = self.sender.peak_target_in_recovery;
+                ctx.check(last_event_at, Invariant::RateRecovery, peak >= goal, || {
+                    format!(
+                        "target peaked at {peak:.0} bps after {deadline} \
+                         (last fault cleared {clear}); needed {goal:.0} bps"
+                    )
+                });
             }
         }
         // Finite metrics: nothing non-finite may reach the recorder or the
         // recorded series.
         if let Some(r) = recorder.records().iter().find(|r| !r.is_finite()) {
-            self.checker.violate(
-                Invariant::FiniteMetrics,
-                format!("non-finite frame record at pts {}", r.pts),
-            );
+            let detail = format!("non-finite frame record at pts {}", r.pts);
+            ctx.violate(last_event_at, Invariant::FiniteMetrics, detail);
         }
-        'series: for (name, s) in self.series.iter() {
-            for &(at, v) in s.points() {
-                if !v.is_finite() {
-                    self.checker.violate(
-                        Invariant::FiniteMetrics,
-                        format!("series {name} holds non-finite value {v} at {at}"),
-                    );
-                    break 'series;
-                }
-            }
+        let non_finite = ctx.series.iter().find_map(|(name, s)| {
+            let &(at, v) = s.points().iter().find(|(_, v)| !v.is_finite())?;
+            Some(format!("series {name} holds non-finite value {v} at {at}"))
+        });
+        if let Some(detail) = non_finite {
+            ctx.violate(last_event_at, Invariant::FiniteMetrics, detail);
         }
-        // Post-pass invariants (freeze termination, rate recovery, finite
-        // metrics) are stamped at the last event-loop instant: they are
-        // end-of-run verdicts, not point-in-time observations.
-        self.note_violations(last_event_at);
 
+        let (sender, path, receiver) = (self.sender, self.path, self.receiver);
+        let chaos = path.fwd_chaos.as_ref();
+        let corruptor = path.corruptor.as_ref();
+        let watchdog = sender.watchdog.as_ref();
         SessionResult {
             recorder,
-            series: self.series,
-            frames_captured: self.sent.len() as u64,
+            series: self.ctx.series,
+            frames_captured: sender.sent.len() as u64,
             frames_skipped,
-            frames_encoded: self.frames_encoded,
-            events_processed,
-            packets_delivered: self.link.delivered(),
-            queue_drops: self.link.queue_drops(),
-            random_losses: self.link.random_losses(),
-            drops_handled: self.controller.map(|c| c.drops_handled()).unwrap_or(0),
-            retransmissions: self.rtx_buffer.retransmissions(),
-            fec_recovered: self.fec_decoder.recovered(),
-            fec_parity_sent: self.fec_encoder.map(|f| f.parity_sent()).unwrap_or(0),
-            audio_latencies: self.audio_latencies,
-            nacks_sent: self.nack_gen.nacks_sent(),
-            vbv_underflows: self.encoder.vbv_underflows(),
-            reverse_lost: self.reverse.lost() + self.reverse.blackout_dropped(),
-            reverse_duplicates: self.reverse.duplicated(),
-            reports_discarded: self.reports_discarded,
-            rejected_reports: self.validator.rejected(),
-            rejected_by_reason: self.validator.by_reason(),
-            feedback_corrupted: self.corruptor.as_ref().map(|c| c.corrupted()).unwrap_or(0),
-            plis_suppressed: self
-                .corruptor
-                .as_ref()
-                .map(|c| c.plis_suppressed())
-                .unwrap_or(0),
-            watchdog_timeouts: self.watchdog.as_ref().map(|wd| wd.timeouts()).unwrap_or(0),
-            watchdog_episodes: self.watchdog.as_ref().map(|wd| wd.episodes()).unwrap_or(0),
-            plis_sent: self.pli.sent(),
-            chaos_lost,
-            chaos_duplicates,
+            frames_encoded: sender.frames_encoded,
+            events_processed: self.popped,
+            packets_delivered: path.link.delivered(),
+            queue_drops: path.link.queue_drops(),
+            random_losses: path.link.random_losses(),
+            drops_handled: sender.controller.map_or(0, |c| c.drops_handled()),
+            retransmissions: sender.rtx_buffer.retransmissions(),
+            fec_recovered: receiver.fec_decoder.recovered(),
+            fec_parity_sent: sender.fec_encoder.map_or(0, |f| f.parity_sent()),
+            audio_latencies: receiver.audio_latencies,
+            nacks_sent: receiver.nack_gen.nacks_sent(),
+            vbv_underflows: sender.encoder.vbv_underflows(),
+            reverse_lost: path.reverse.lost() + path.reverse.blackout_dropped(),
+            reverse_duplicates: path.reverse.duplicated(),
+            reports_discarded: sender.reports_discarded,
+            rejected_reports: sender.validator.rejected(),
+            rejected_by_reason: sender.validator.by_reason(),
+            feedback_corrupted: corruptor.map_or(0, |c| c.corrupted()),
+            plis_suppressed: corruptor.map_or(0, |c| c.plis_suppressed()),
+            watchdog_timeouts: watchdog.map_or(0, |wd| wd.timeouts()),
+            watchdog_episodes: watchdog.map_or(0, |wd| wd.episodes()),
+            plis_sent: receiver.pli.sent(),
+            chaos_lost: chaos.map_or(0, |c| c.lost()),
+            chaos_duplicates: chaos.map_or(0, |c| c.duplicated()),
             chain_breaks: decoder.chain_breaks(),
-            violations: self.checker.into_violations(),
+            violations: self.ctx.checker.into_violations(),
             cancelled: self.cancelled,
-            obs: self.obs,
+            obs: self.ctx.obs,
         }
     }
-}
-
-/// Forward-path accounting for the conservation invariant.
-#[derive(Debug, Default)]
-struct ForwardAcct {
-    /// Packets handed to the link (`Link::send` calls).
-    sent: u64,
-    /// Arrival events the loop processed.
-    arrivals: u64,
-    /// Arrival events still queued when the session ended.
-    inflight: u64,
-}
-
-/// One frame interval at the session's frame rate.
-fn frame_interval(fps: u32) -> Dur {
-    Dur::micros(1_000_000 / fps as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::receiver::CompletedFrames;
     use crate::scheme::CcKind;
+    use crate::sender::{SentVideoWindow, SENT_VIDEO_WINDOW};
+    use ravel_net::MediaKind;
     use ravel_trace::{ConstantTrace, StepTrace};
 
-    /// Runs `spec` alone: a population of one.
+    /// Runs `spec` on a fresh workspace.
     fn solo<T: BandwidthTrace>(spec: RunSpec<T>) -> SessionResult {
-        run_sessions(vec![spec], &mut KernelWorkspace::new()).remove(0)
+        run_spec(spec, &mut KernelWorkspace::new())
     }
 
     fn short_cfg(scheme: Scheme) -> SessionConfig {
@@ -1930,22 +1038,23 @@ mod tests {
         let mut cfg = SessionConfig::default_with(Scheme::baseline());
         cfg.duration = Dur::secs(4);
         let mut ws = KernelWorkspace::new();
-        let first = run_sessions(vec![RunSpec::new(ConstantTrace::new(3e6), cfg)], &mut ws);
-        // The kernel drains its queue: no event of this population is
-        // left behind for the next batch through the workspace.
+        let first = run_spec(RunSpec::new(ConstantTrace::new(3e6), cfg), &mut ws);
+        // The kernel drains its queue: no event of this session is
+        // left behind for the next session through the workspace.
         assert!(ws.queue.is_empty(), "events leaked past the run");
-        // Leave a stray event behind, as a panicked batch would: the
+        // Leave a stray event behind, as a panicked session would: the
         // next run resets the reused queue on entry and is unaffected.
         let stray_at = ws.queue.now() + Dur::millis(5);
-        ws.queue.push(stray_at, (0, Event::EncodeDone(0)));
-        let second = run_sessions(vec![RunSpec::new(ConstantTrace::new(3e6), cfg)], &mut ws);
+        ws.queue.push(stray_at, Event::EncodeDone(0));
+        let second = run_spec(RunSpec::new(ConstantTrace::new(3e6), cfg), &mut ws);
         assert!(ws.queue.is_empty(), "events leaked past the run");
-        assert_results_identical(&first[0], &second[0]);
+        assert_results_identical(&first, &second);
     }
 
-    // A workspace reused across populations must give the same results
-    // as a fresh one, result-for-result across seeds, drop depths, and
-    // population sizes — and a second run through it equals the first.
+    // Sessions run one after another through one reused workspace must
+    // give the same results as fresh workspaces, result-for-result
+    // across seeds, drop depths, and session counts — and a second
+    // pass through the workspace equals the first.
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig {
             cases: 24,
@@ -1977,10 +1086,13 @@ mod tests {
                     })
                     .collect()
             };
+            let through = |ws: &mut KernelWorkspace| -> Vec<SessionResult> {
+                sessions().into_iter().map(|spec| run_spec(spec, ws)).collect()
+            };
             let mut ws = KernelWorkspace::new();
-            let first = run_sessions(sessions(), &mut ws);
-            let reused = run_sessions(sessions(), &mut ws);
-            let fresh = run_sessions(sessions(), &mut KernelWorkspace::new());
+            let first = through(&mut ws);
+            let reused = through(&mut ws);
+            let fresh: Vec<SessionResult> = sessions().into_iter().map(solo).collect();
             proptest::prop_assert_eq!(reused.len(), fresh.len());
             for ((a, b), c) in reused.iter().zip(&fresh).zip(&first) {
                 assert_results_identical(a, b);
@@ -2583,10 +1695,11 @@ mod tests {
     fn late_frame_without_completion_records_violation_not_panic() {
         // The desync path: a frame judged late with no completion record
         // must flag finite-metrics and display un-stale, not abort.
-        let mut checker = InvariantChecker::new();
-        let s = late_staleness(None, 30, Time::from_secs(1), &mut checker);
+        let cfg = SessionConfig::default_with(Scheme::baseline());
+        let mut ctx = Ctx::new(cfg, ObsMode::Off);
+        let s = late_staleness(None, Time::from_secs(1), Time::from_secs(2), &mut ctx);
         assert_eq!(s, 0.0);
-        let v = checker.into_violations();
+        let v = ctx.checker.into_violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].invariant, Invariant::FiniteMetrics);
         assert!(
@@ -2595,10 +1708,10 @@ mod tests {
             v[0].detail
         );
         // The healthy path is the plain ratio, with nothing flagged.
-        let mut checker = InvariantChecker::new();
-        let s = late_staleness(Some(Dur::millis(100)), 30, Time::ZERO, &mut checker);
+        let mut ctx = Ctx::new(cfg, ObsMode::Off);
+        let s = late_staleness(Some(Dur::millis(100)), Time::ZERO, Time::ZERO, &mut ctx);
         assert!((s - 3.0).abs() < 0.01, "staleness {s}");
-        assert!(checker.into_violations().is_empty());
+        assert!(ctx.checker.into_violations().is_empty());
     }
 
     #[test]
@@ -2627,9 +1740,9 @@ mod tests {
 
     #[test]
     fn multi_session_kernel_matches_single_session_runs() {
-        // Interleaving sessions over one shared queue must reproduce
-        // each single-session run byte-for-byte, including guard
-        // bookkeeping, violations, and obs timelines.
+        // Running sessions one after another through one workspace
+        // must reproduce each fresh-workspace run byte-for-byte,
+        // including guard bookkeeping, violations, and obs timelines.
         let mk_cfg = |seed: u64| {
             let mut cfg = short_cfg(if seed.is_multiple_of(2) {
                 Scheme::baseline()
@@ -2648,9 +1761,11 @@ mod tests {
             ..RunSpec::new(mk_trace(), mk_cfg(seed))
         };
         let singles: Vec<SessionResult> = (1..=3).map(|seed| solo(spec(seed))).collect();
-        let batch = run_sessions((1..=3).map(spec).collect(), &mut KernelWorkspace::new());
-        assert_eq!(batch.len(), 3);
-        for (i, (a, b)) in singles.iter().zip(batch.iter()).enumerate() {
+        let mut ws = KernelWorkspace::new();
+        let reused: Vec<SessionResult> =
+            (1..=3).map(|seed| run_spec(spec(seed), &mut ws)).collect();
+        assert_eq!(reused.len(), 3);
+        for (i, (a, b)) in singles.iter().zip(reused.iter()).enumerate() {
             assert_eq!(a.recorder.records(), b.recorder.records(), "session {i}");
             assert_eq!(a.events_processed, b.events_processed, "session {i}");
             assert_eq!(a.packets_delivered, b.packets_delivered, "session {i}");

@@ -3,7 +3,7 @@
 
 use ravel::core::WatchdogConfig;
 use ravel::net::{ChaosSchedule, FaultKind, FaultSegment, GilbertElliott, ReversePathConfig};
-use ravel::pipeline::{run_session, run_sessions, KernelWorkspace, RunSpec, Scheme, SessionConfig};
+use ravel::pipeline::{run_session, run_spec, KernelWorkspace, RunSpec, Scheme, SessionConfig};
 use ravel::sim::{Dur, Time};
 use ravel::trace::{ConstantTrace, StepTrace};
 use ravel::video::Resolution;
@@ -405,7 +405,7 @@ fn forward_burst_loss_freeze_recovers_via_pli_keyframe() {
             chaos: Some(schedule),
             ..RunSpec::new(ConstantTrace::new(4e6), cfg(scheme))
         };
-        let result = run_sessions(vec![spec], &mut KernelWorkspace::new()).remove(0);
+        let result = run_spec(spec, &mut KernelWorkspace::new());
         assert_sane(&result);
         assert!(
             result.chain_breaks >= 1,
