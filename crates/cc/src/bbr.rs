@@ -348,6 +348,79 @@ mod tests {
         assert!(target >= 1.6e6, "no recovery: {target}");
     }
 
+    /// `n` reports at random non-decreasing instants (gaps up to 1.5 s,
+    /// so samples age out of the 2 s window), with random sizes, one-way
+    /// delays and losses; some deliver far above the 8 Mbps ceiling and
+    /// some carry fewer than two arrivals.
+    fn random_reports(seed: u64, n: usize) -> Vec<(Time, FeedbackReport)> {
+        let mut rng = ravel_sim::Rng::seed_from_u64(seed);
+        let mut now = Time::ZERO;
+        let mut seq = 0;
+        (0..n as u64)
+            .map(|report_seq| {
+                now += Dur::micros(rng.below(1_500_000));
+                let packets = (0..rng.below(8))
+                    .map(|_| {
+                        let send_time =
+                            Time::from_micros(now.as_micros().saturating_sub(rng.below(300_000)));
+                        seq += 1;
+                        PacketResult {
+                            seq,
+                            send_time,
+                            arrival: rng
+                                .chance(0.8)
+                                .then(|| send_time + Dur::micros(rng.below(200_000))),
+                            size_bytes: 50 + rng.below(20_000),
+                        }
+                    })
+                    .collect();
+                let report = FeedbackReport {
+                    report_seq,
+                    generated_at: now,
+                    packets,
+                };
+                (now, report)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The filters against naive references that share no code with
+        /// them: `btlbw_bps` is the maximum of every delivery-rate sample
+        /// (capped at the ceiling) taken at most 2 s ago, and
+        /// `rtprop_ms` the minimum one-way delay over every arrival ever
+        /// reported — no window, as documented.
+        #[test]
+        fn filters_match_naive_references(seed in 0u64..1_000_000, n in 1usize..60) {
+            let cfg = BbrConfig::new(1e6);
+            let mut cc = Bbr::new(cfg);
+            let mut samples: Vec<(Time, f64)> = Vec::new();
+            let mut min_owd: Option<f64> = None;
+            for (now, report) in random_reports(seed, n) {
+                cc.on_feedback(&report, now);
+                if let Some(rate) = report.delivered_rate_bps() {
+                    if rate.is_finite() && rate > 0.0 {
+                        samples.push((now, rate.min(cfg.max_bps)));
+                    }
+                }
+                let mut btlbw: Option<f64> = None;
+                for &(taken, bps) in &samples {
+                    if now.saturating_since(taken) <= Dur::secs(2) {
+                        btlbw = Some(btlbw.map_or(bps, |m| m.max(bps)));
+                    }
+                }
+                for p in &report.packets {
+                    if let Some(arrival) = p.arrival {
+                        let owd = arrival.saturating_since(p.send_time).as_millis_f64();
+                        min_owd = Some(min_owd.map_or(owd, |m| m.min(owd)));
+                    }
+                }
+                proptest::prop_assert_eq!(cc.btlbw_bps(), btlbw, "btlbw at {:?}", now);
+                proptest::prop_assert_eq!(cc.rtprop_ms(), min_owd, "rtprop at {:?}", now);
+            }
+        }
+    }
+
     #[test]
     fn rate_stays_within_bounds() {
         let mut cc = Bbr::new(BbrConfig::new(4e6));

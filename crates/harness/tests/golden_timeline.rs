@@ -1,10 +1,11 @@
 //! Golden-timeline snapshot tests.
 //!
-//! Seven representative cells — the first grid position of E1 (sudden
+//! Eight representative cells — the first grid position of E1 (sudden
 //! drop), E3 (scheme comparison), E17 (feedback impairment + watchdog),
 //! E18 (data-plane chaos), E21 (control-plane feedback corruption),
-//! plus the NADA and BBR adaptive drop cells of the E22 controller
-//! arena — run with `--obs full` over a shortened
+//! the NADA and BBR adaptive drop cells of the E22 controller arena,
+//! and E9's adaptive LTE-like cell under blackouts and capacity
+//! collapses — run with `--obs full` over a shortened
 //! 12 s session, and their timeline digests are compared byte-for-byte
 //! against checked-in snapshots in `tests/golden/`. The digests must
 //! also be byte-identical at any pool width and when served from the
@@ -20,8 +21,10 @@ use std::fs;
 use std::path::PathBuf;
 
 use ravel_harness::{
-    experiments, run_suite_opts, BatchMode, Cell, CellRun, Experiment, ObsMode, Output, PoolOptions,
+    experiments, run_suite_opts, BatchMode, Cell, CellRun, Experiment, ObsMode, Output,
+    PoolOptions, TraceSpec,
 };
+use ravel_net::{ChaosSchedule, ChaosSpec, FaultKind};
 use ravel_sim::Dur;
 
 /// Session length for the golden cells: long enough to cross the E1/E3
@@ -29,7 +32,24 @@ use ravel_sim::Dur;
 /// keep the snapshots readable and the test fast.
 const GOLDEN_LEN: Dur = Dur::secs(12);
 
-const GOLDEN: [&str; 7] = ["e1", "e3", "e17", "e18", "e21", "e22-nada", "e22-bbr"];
+const GOLDEN: [&str; 8] = [
+    "e1",
+    "e3",
+    "e17",
+    "e18",
+    "e21",
+    "e22-nada",
+    "e22-bbr",
+    "e9-lte-chaos",
+];
+
+/// The capacity faults laid over the E9 LTE-like golden cell. Over the
+/// 12 s golden window this schedule holds two blackouts and two
+/// capacity collapses, one of each overlapping, so the link serializes
+/// across zero-rate spans and collapse edges of a stochastic trace.
+fn lte_chaos() -> ChaosSpec {
+    ChaosSpec::new(8, 1.0)
+}
 
 fn golden_cells() -> Vec<Cell> {
     let shorten = |mut cell: Cell| {
@@ -52,6 +72,13 @@ fn golden_cells() -> Vec<Cell> {
         // second controller block, BBR the third).
         shorten(experiments::e22().cells[7].clone()),
         shorten(experiments::e22().cells[13].clone()),
+        // E9's adaptive cell on the seed-0 LTE-like trace, with capacity
+        // faults on top.
+        {
+            let mut cell = shorten(experiments::e9(1).cells[1].clone());
+            cell.cfg.chaos = Some(lte_chaos());
+            cell
+        },
     ]
 }
 
@@ -61,6 +88,33 @@ fn golden_arena_cells_are_the_intended_grid_positions() {
     let e22 = experiments::e22();
     assert_eq!(e22.cells[7].label, "arena/nada/drop/adpt");
     assert_eq!(e22.cells[13].label, "arena/bbr/drop/adpt");
+}
+
+#[test]
+fn golden_lte_chaos_cell_has_blackouts_and_collapses() {
+    let e9 = experiments::e9(1);
+    assert_eq!(e9.cells[1].label, "seed0/adpt");
+    let cell = golden_cells().pop().unwrap();
+    assert!(matches!(cell.trace, TraceSpec::LteLike { .. }));
+    assert_eq!(cell.cfg.chaos, Some(lte_chaos()));
+    let schedule = ChaosSchedule::generate(lte_chaos(), GOLDEN_LEN);
+    let segments = |want: fn(&FaultKind) -> bool| {
+        schedule
+            .segments
+            .iter()
+            .filter(|s| want(&s.kind))
+            .collect::<Vec<_>>()
+    };
+    let blackouts = segments(|k| matches!(k, FaultKind::Blackout));
+    let collapses = segments(|k| matches!(k, FaultKind::CapacityCollapse { .. }));
+    assert!(!blackouts.is_empty() && !collapses.is_empty());
+    assert!(
+        blackouts.iter().any(|b| collapses
+            .iter()
+            .any(|c| b.from < c.until && c.from < b.until)),
+        "no blackout overlaps a capacity collapse:\n{}",
+        schedule.reproducer()
+    );
 }
 
 fn assemble(_: &Experiment, _: &[CellRun]) -> Output {

@@ -217,6 +217,26 @@ impl ChaosSchedule {
         factor
     }
 
+    /// The first start or end of a blackout or capacity collapse after
+    /// `at` ([`Time::FAR_FUTURE`] if none): [`capacity_factor`] is
+    /// constant from `at` up to it.
+    ///
+    /// [`capacity_factor`]: ChaosSchedule::capacity_factor
+    fn next_capacity_edge(&self, at: Time) -> Time {
+        self.segments
+            .iter()
+            .filter(|s| {
+                matches!(
+                    s.kind,
+                    FaultKind::Blackout | FaultKind::CapacityCollapse { .. }
+                )
+            })
+            .flat_map(|s| [s.from, s.until])
+            .filter(|&edge| edge > at)
+            .min()
+            .unwrap_or(Time::FAR_FUTURE)
+    }
+
     /// The smallest active shrunken payload MTU at `at`, if any.
     pub fn payload_mtu(&self, at: Time) -> Option<u64> {
         self.segments
@@ -289,6 +309,15 @@ impl<T> ChaosTrace<T> {
 impl<T: BandwidthTrace> BandwidthTrace for ChaosTrace<T> {
     fn rate_bps(&self, at: Time) -> f64 {
         self.inner.rate_bps(at) * self.schedule.capacity_factor(at)
+    }
+
+    /// The inner span, cut at the next blackout or collapse edge.
+    fn rate_span(&self, at: Time) -> (f64, Time) {
+        let (rate, until) = self.inner.rate_span(at);
+        (
+            rate * self.schedule.capacity_factor(at),
+            until.min(self.schedule.next_capacity_edge(at)),
+        )
     }
 }
 
@@ -488,6 +517,95 @@ mod tests {
         assert_eq!(t.rate_bps(Time::from_secs(1)), 4e6);
         assert_eq!(t.rate_bps(Time::from_millis(2_500)), 0.0);
         assert_eq!(t.rate_bps(Time::from_secs(3)), 4e6);
+    }
+
+    /// Overlapping blackouts and collapses (plus faults that leave
+    /// capacity alone), placed from `seed` inside the first 20 s.
+    fn capacity_schedule(seed: u64) -> ChaosSchedule {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut segments: Vec<FaultSegment> = (0..6)
+            .map(|i| {
+                let from = Time::from_micros(rng.below(15_000_000));
+                let kind = match i % 3 {
+                    0 => FaultKind::Blackout,
+                    1 => FaultKind::CapacityCollapse {
+                        factor: 0.02 + 0.08 * rng.uniform(),
+                    },
+                    _ => FaultKind::Duplicate { prob: 0.5 },
+                };
+                FaultSegment {
+                    from,
+                    until: from + Dur::micros(1 + rng.below(4_000_000)),
+                    kind,
+                }
+            })
+            .collect();
+        // One blackout always sits inside a collapse.
+        segments.push(FaultSegment {
+            from: Time::from_secs(2),
+            until: Time::from_secs(6),
+            kind: FaultKind::CapacityCollapse { factor: 0.05 },
+        });
+        segments.push(FaultSegment {
+            from: Time::from_secs(3),
+            until: Time::from_secs(4),
+            kind: FaultKind::Blackout,
+        });
+        segments.sort_by_key(|seg| (seg.from, seg.until));
+        ChaosSchedule::from_segments(segments)
+    }
+
+    proptest::proptest! {
+        /// `ChaosTrace::rate_span` keeps the trace span contract: walking
+        /// span by span from a random instant past every fault, each span
+        /// is non-empty, starts at `rate_bps` bit for bit, and holds that
+        /// rate through `until − 1 µs`.
+        #[test]
+        fn chaos_trace_keeps_the_span_contract(
+            at_us in 0u64..16_000_000,
+            seed in 0u64..1_000,
+        ) {
+            let schedule = capacity_schedule(seed);
+            let lte = ravel_trace::StochasticTrace::generate(
+                &ravel_trace::CellularProfile::lte_like(),
+                Dur::secs(30),
+                seed,
+            );
+            let traces: [(&str, Box<dyn BandwidthTrace>); 3] = [
+                ("constant", Box::new(ravel_trace::ConstantTrace::new(2e6))),
+                (
+                    "step",
+                    Box::new(ravel_trace::StepTrace::drop_and_recover(
+                        4e6,
+                        1e6,
+                        Time::from_millis(2_500),
+                        Time::from_millis(9_000),
+                    )),
+                ),
+                ("lte", Box::new(lte)),
+            ];
+            for (name, inner) in traces {
+                let trace = ChaosTrace::new(inner, schedule.clone());
+                let mut at = Time::from_micros(at_us);
+                while at < Time::from_secs(25) {
+                    let (rate, until) = trace.rate_span(at);
+                    proptest::prop_assert!(until > at, "{name}: empty span at {at:?}");
+                    let last = until.min(Time::from_secs(40)) - Dur::MICRO;
+                    for s in [at, at + (last - at) / 2, last] {
+                        proptest::prop_assert_eq!(
+                            trace.rate_bps(s).to_bits(),
+                            rate.to_bits(),
+                            "{}: span [{:?}, {:?}) at {:?}",
+                            name,
+                            at,
+                            until,
+                            s
+                        );
+                    }
+                    at = until;
+                }
+            }
+        }
     }
 
     #[test]

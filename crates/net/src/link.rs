@@ -12,6 +12,12 @@
 //! piecewise-constant traces in `ravel-trace` down to that grain). This
 //! keeps the simulation event count at one event per packet while
 //! producing the same queueing dynamics as a byte-level model.
+//!
+//! The rate is looked up once per constant span of the trace
+//! ([`BandwidthTrace::rate_span`]), not once per slice: the link keeps
+//! the current span across slices and across sends, since both only
+//! move forward in time, so most packets need no trace lookup at all.
+//! A zero-rate span (a blackout, a dead link) is crossed in one step.
 
 use std::collections::VecDeque;
 
@@ -86,6 +92,8 @@ pub struct Link<T> {
     backlog: u64,
     /// Monotonic delivery floor so jitter cannot reorder.
     last_arrival: Time,
+    /// The trace's rate over `[from, until)`, from the last lookup.
+    span: Span,
     /// Lifetime counters.
     delivered: u64,
     queue_drops: u64,
@@ -110,6 +118,11 @@ impl<T: BandwidthTrace> Link<T> {
             scheduled: VecDeque::with_capacity(128),
             backlog: 0,
             last_arrival: Time::ZERO,
+            span: Span {
+                from: Time::ZERO,
+                until: Time::ZERO,
+                rate: 0.0,
+            },
             delivered: 0,
             queue_drops: 0,
             random_losses: 0,
@@ -190,18 +203,38 @@ impl<T: BandwidthTrace> Link<T> {
         Delivery::At(arrival)
     }
 
+    /// The trace's rate at `t` and the end of its constant span, looked
+    /// up only when `t` leaves the cached span.
+    fn rate_span(&mut self, t: Time) -> (f64, Time) {
+        if !(self.span.from <= t && t < self.span.until) {
+            let (rate, until) = self.trace.rate_span(t);
+            self.span = Span {
+                from: t,
+                until,
+                rate,
+            };
+        }
+        (self.span.rate, self.span.until)
+    }
+
     /// Integrates the capacity trace from `start` until `bits` have been
-    /// transmitted, in ≤1 ms slices.
-    fn serialize(&self, start: Time, bits: u64) -> Time {
+    /// transmitted, in ≤1 ms slices. The rate comes from the cached
+    /// constant span, so a lookup happens only at a span edge; a
+    /// zero-rate span is crossed in one step, to the first slice
+    /// boundary at or past its end (or the deadline). The slice
+    /// arithmetic is the same as with a lookup per slice, so the finish
+    /// time is too.
+    fn serialize(&mut self, start: Time, bits: u64) -> Time {
         const SLICE: Dur = Dur::MILLI;
         let mut t = start;
         let mut remaining = bits as f64;
         // Hard ceiling to avoid spinning on a dead link: 60 s per packet.
         let deadline = start + Dur::secs(60);
         while remaining > 0.0 && t < deadline {
-            let rate = self.trace.rate_bps(t);
+            let (rate, until) = self.rate_span(t);
             if rate <= 0.0 {
-                t += SLICE;
+                let gap = until.min(deadline).since(t);
+                t += SLICE * gap.as_micros().div_ceil(SLICE.as_micros());
                 continue;
             }
             let slice_bits = rate * SLICE.as_secs_f64();
@@ -217,11 +250,19 @@ impl<T: BandwidthTrace> Link<T> {
     }
 }
 
+/// A stretch of constant capacity: `rate` over `[from, until)`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    from: Time,
+    until: Time,
+    rate: f64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::MediaKind;
-    use ravel_trace::{ConstantTrace, StepTrace};
+    use ravel_trace::{CellularProfile, ConstantTrace, StepTrace, StochasticTrace};
 
     fn pkt(seq: u64, size_bytes: u64) -> Packet {
         Packet {
@@ -390,9 +431,87 @@ mod tests {
     fn dead_link_does_not_hang() {
         let mut link = Link::new(ConstantTrace::new(0.0), quiet_cfg(), 0);
         let d = link.send(&pkt(0, 1250), Time::ZERO);
-        // Packet "arrives" only after the 60 s safety ceiling; the
-        // important property is that send() returns.
-        assert!(d.arrival().unwrap() >= Time::from_secs(60));
+        // Packet "arrives" only after the 60 s safety ceiling (plus
+        // propagation); the important property is that send() returns.
+        assert_eq!(d, Delivery::At(Time::from_millis(60_020)));
+    }
+
+    /// A trace that implements only `rate_bps`, so it keeps the default
+    /// one-microsecond span: a link over it looks the rate up on every
+    /// slice and steps a zero rate one slice at a time.
+    #[derive(Clone)]
+    struct PerSlice<T>(T);
+
+    impl<T: BandwidthTrace> BandwidthTrace for PerSlice<T> {
+        fn rate_bps(&self, at: Time) -> f64 {
+            self.0.rate_bps(at)
+        }
+    }
+
+    /// Offers the same packets at the same instants to a link over
+    /// `trace` and to one over its per-slice wrapper: every delivery,
+    /// queue delay and backlog must agree.
+    fn same_as_per_slice<T: BandwidthTrace + Clone>(
+        trace: T,
+        cfg: LinkConfig,
+        sends: &[(u64, u64)],
+    ) -> Result<(), proptest::TestCaseError> {
+        let mut spans = Link::new(trace.clone(), cfg, 9);
+        let mut slices = Link::new(PerSlice(trace), cfg, 9);
+        let mut now = Time::ZERO;
+        for (seq, &(gap_us, size)) in sends.iter().enumerate() {
+            now += Dur::micros(gap_us);
+            let p = pkt(seq as u64, size);
+            proptest::prop_assert_eq!(spans.send(&p, now), slices.send(&p, now), "seq {}", seq);
+            proptest::prop_assert_eq!(spans.queue_delay(now), slices.queue_delay(now));
+            proptest::prop_assert_eq!(spans.backlog_bytes(now), slices.backlog_bytes(now));
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// The span-cached serializer is a pure speed-up: over step,
+        /// LTE-like and chaos-wrapped traces (blackouts inside capacity
+        /// collapses), and a dead link, it gives the per-slice lookup's
+        /// deliveries, queue delays and backlogs exactly — with a small
+        /// drop-tail queue, jitter and random loss in play.
+        #[test]
+        fn span_cache_matches_per_slice_lookups(
+            sends in proptest::collection::vec((0u64..40_000, 60u64..1_500), 1..120),
+            seed in 0u64..1_000,
+            fault_ms in 0u64..1_500,
+        ) {
+            use crate::chaos::{ChaosSchedule, ChaosTrace, FaultKind, FaultSegment};
+            let lossy = LinkConfig {
+                queue_capacity_bytes: 40_000,
+                jitter_std: Dur::millis(2),
+                random_loss: 0.05,
+                ..quiet_cfg()
+            };
+            let step = StepTrace::new(vec![
+                (Time::ZERO, 4e6),
+                (Time::from_millis(300 + fault_ms), 0.0),
+                (Time::from_millis(900 + fault_ms), 0.5e6),
+                (Time::from_millis(1_700 + fault_ms), 2e6),
+            ]);
+            let lte = StochasticTrace::generate(&CellularProfile::lte_like(), Dur::secs(10), seed);
+            let at = |ms: u64| Time::from_millis(ms + fault_ms);
+            let fault = |from, until, kind| FaultSegment { from: at(from), until: at(until), kind };
+            let schedule = ChaosSchedule::from_segments(vec![
+                fault(200, 1_400, FaultKind::CapacityCollapse { factor: 0.05 }),
+                fault(500, 900, FaultKind::Blackout),
+                fault(1_300, 1_350, FaultKind::Blackout),
+            ]);
+            let chaos = ChaosTrace::new(lte.clone(), schedule);
+            for cfg in [quiet_cfg(), lossy] {
+                same_as_per_slice(step.clone(), cfg, &sends)?;
+                same_as_per_slice(lte.clone(), cfg, &sends)?;
+                same_as_per_slice(chaos.clone(), cfg, &sends)?;
+                // Each dead-link packet walks 60 000 slices per-slice.
+                let dead = &sends[..sends.len().min(3)];
+                same_as_per_slice(ConstantTrace::new(0.0), cfg, dead)?;
+            }
+        }
     }
 
     #[test]

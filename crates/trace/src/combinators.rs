@@ -31,6 +31,11 @@ impl<T: BandwidthTrace> BandwidthTrace for Scaled<T> {
     fn rate_bps(&self, at: Time) -> f64 {
         self.inner.rate_bps(at) * self.factor
     }
+
+    fn rate_span(&self, at: Time) -> (f64, Time) {
+        let (rate, until) = self.inner.rate_span(at);
+        (rate * self.factor, until)
+    }
 }
 
 /// Clamps an inner trace's rate into `[lo, hi]`.
@@ -56,6 +61,11 @@ impl<T: BandwidthTrace> BandwidthTrace for Clamped<T> {
     fn rate_bps(&self, at: Time) -> f64 {
         self.inner.rate_bps(at).clamp(self.lo, self.hi)
     }
+
+    fn rate_span(&self, at: Time) -> (f64, Time) {
+        let (rate, until) = self.inner.rate_span(at);
+        (rate.clamp(self.lo, self.hi), until)
+    }
 }
 
 /// Shifts an inner trace later in time: the inner t=0 maps to `offset`.
@@ -73,10 +83,25 @@ impl<T: BandwidthTrace> Shifted<T> {
     }
 }
 
+impl<T: BandwidthTrace> Shifted<T> {
+    /// The inner instant that `at` maps to.
+    fn inner_at(&self, at: Time) -> Time {
+        Time::from_micros(at.as_micros().saturating_sub(self.offset.as_micros()))
+    }
+}
+
 impl<T: BandwidthTrace> BandwidthTrace for Shifted<T> {
     fn rate_bps(&self, at: Time) -> f64 {
-        let inner_at = Time::from_micros(at.as_micros().saturating_sub(self.offset.as_micros()));
-        self.inner.rate_bps(inner_at)
+        self.inner.rate_bps(self.inner_at(at))
+    }
+
+    /// Before `offset` every query maps to the inner t=0, so the span
+    /// runs on to the end of the inner t=0 span, shifted. A span ending
+    /// at [`Time::FAR_FUTURE`] stays there instead of overflowing.
+    fn rate_span(&self, at: Time) -> (f64, Time) {
+        let (rate, until) = self.inner.rate_span(self.inner_at(at));
+        let until = until.as_micros().saturating_add(self.offset.as_micros());
+        (rate, Time::from_micros(until))
     }
 }
 
@@ -98,6 +123,12 @@ impl<A: BandwidthTrace, B: BandwidthTrace> MinOf<A, B> {
 impl<A: BandwidthTrace, B: BandwidthTrace> BandwidthTrace for MinOf<A, B> {
     fn rate_bps(&self, at: Time) -> f64 {
         self.a.rate_bps(at).min(self.b.rate_bps(at))
+    }
+
+    fn rate_span(&self, at: Time) -> (f64, Time) {
+        let (a, a_until) = self.a.rate_span(at);
+        let (b, b_until) = self.b.rate_span(at);
+        (a.min(b), a_until.min(b_until))
     }
 }
 

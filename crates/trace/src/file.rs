@@ -189,6 +189,10 @@ impl BandwidthTrace for FileTrace {
     fn rate_bps(&self, at: Time) -> f64 {
         self.path.rate_bps(at)
     }
+
+    fn rate_span(&self, at: Time) -> (f64, Time) {
+        self.path.rate_span(at)
+    }
 }
 
 #[cfg(test)]

@@ -30,6 +30,10 @@ impl BandwidthTrace for ConstantTrace {
         self.rate_bps
     }
 
+    fn rate_span(&self, _at: Time) -> (f64, Time) {
+        (self.rate_bps, Time::FAR_FUTURE)
+    }
+
     fn mean_rate_bps(&self, _from: Time, _span: Dur, _step: Dur) -> f64 {
         self.rate_bps
     }
@@ -149,14 +153,17 @@ impl StepTrace {
 
 impl BandwidthTrace for StepTrace {
     fn rate_bps(&self, at: Time) -> f64 {
+        self.rate_span(at).0
+    }
+
+    /// The span ends at the next breakpoint after `at`.
+    fn rate_span(&self, at: Time) -> (f64, Time) {
         // partition_point returns the index of the first breakpoint after
         // `at`; the active rate is the breakpoint before it.
         let idx = self.points.partition_point(|&(t, _)| t <= at);
-        if idx == 0 {
-            self.points[0].1
-        } else {
-            self.points[idx - 1].1
-        }
+        let rate = self.points[idx.saturating_sub(1)].1;
+        let until = self.points.get(idx).map_or(Time::FAR_FUTURE, |&(t, _)| t);
+        (rate, until)
     }
 }
 

@@ -196,6 +196,10 @@ impl BandwidthTrace for StochasticTrace {
     fn rate_bps(&self, at: Time) -> f64 {
         self.path.rate_bps(at)
     }
+
+    fn rate_span(&self, at: Time) -> (f64, Time) {
+        self.path.rate_span(at)
+    }
 }
 
 #[cfg(test)]
