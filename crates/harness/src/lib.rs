@@ -71,7 +71,7 @@ pub use ravel_obs::ObsMode;
 pub use report::{render_json, RunReport};
 pub use shrink::{shrink_cell, shrink_schedule, violating_timeline, FaultPlane, MIN_SEGMENT};
 pub use soak::{run_soak, soak_cell, SoakFailure, SoakOptions, SoakOutcome, SOAK_SESSION_LEN};
-pub use timeline::{record_json, render_timeline};
+pub use timeline::{record_json, write_timeline};
 
 /// A sensible default worker count: every available core.
 pub fn default_jobs() -> usize {

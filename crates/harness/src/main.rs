@@ -39,9 +39,9 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use ravel_harness::{
-    default_jobs, experiments, render_json, render_timeline, run_soak, run_suite_opts, shrink_cell,
-    violating_timeline, Cell, CellRun, FaultPlane, ObsMode, PoolOptions, RunReport, SoakOptions,
-    FIXTURE_FAULT_AT,
+    default_jobs, experiments, render_json, run_soak, run_suite_opts, shrink_cell,
+    violating_timeline, write_timeline, Cell, CellRun, FaultPlane, ObsMode, PoolOptions, RunReport,
+    SoakOptions, FIXTURE_FAULT_AT,
 };
 use ravel_metrics::Table;
 use ravel_net::{CorruptKind, FaultKind, Schedule};
@@ -558,16 +558,15 @@ fn main() -> ExitCode {
     );
 
     if args.obs == ObsMode::Full {
-        let jsonl = render_timeline(&report.experiments);
-        if let Err(e) = std::fs::write(&args.obs_out, &jsonl) {
-            eprintln!("error: writing {}: {e}", args.obs_out);
-            return ExitCode::FAILURE;
+        let written = std::fs::File::create(&args.obs_out)
+            .and_then(|mut file| write_timeline(&report.experiments, &mut file));
+        match written {
+            Ok(events) => eprintln!("timeline ({events} events) written to {}", args.obs_out),
+            Err(e) => {
+                eprintln!("error: writing {}: {e}", args.obs_out);
+                return ExitCode::FAILURE;
+            }
         }
-        eprintln!(
-            "timeline ({} events) written to {}",
-            jsonl.lines().count(),
-            args.obs_out
-        );
     }
 
     if args.write_json {

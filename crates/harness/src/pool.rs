@@ -3,36 +3,38 @@
 //!
 //! Cells are independent and seed-deterministic, so the pool can hand
 //! them to any worker in any order: workers claim the next unclaimed
-//! index from a shared atomic counter (work stealing degenerates to
-//! work sharing because every job is sizeable), and results are written
+//! job from a shared atomic counter (work stealing degenerates to work
+//! sharing because every job is sizeable), and results are written
 //! back into their cell's slot. The returned vector is therefore in
 //! *cell order*, not completion order — aggregated output is
 //! byte-identical whether the grid ran on 1 thread or 64.
 //!
-//! **One cell per claim.** A worker claims one grid position at a time
-//! and runs it as one kernel call ([`run_spec`]) on its own
-//! [`KernelWorkspace`], whose queue stays warm from cell to cell. Each
-//! cell's wall clock is its own measurement.
+//! **One cell per claim.** A worker claims one job at a time and runs
+//! it as one kernel call ([`run_spec`]) on its own [`KernelWorkspace`],
+//! whose queue stays warm from cell to cell. Each cell's wall clock is
+//! its own measurement.
 //!
 //! **Memoization.** Many experiments share cells — E1 and E2 expand the
 //! identical drop grid, and the canonical `talking-head/4→1 Mbps/gcc`
 //! cell recurs across most of E1–E17. Every cell has a content address
-//! ([`Cell::canonical_key`]); the pool keeps one in-process map from
-//! address to a [`OnceLock`] slot, so each *unique* cell simulates
-//! exactly once per run no matter how many grid positions reference
-//! it. The first claimant computes the address; duplicates block on the
-//! slot and then clone the finished result. Results still come back in
-//! cell order with per-cell labels intact, so tables and JSON stay
-//! byte-identical to an uncached serial run (timing fields aside).
+//! ([`Cell::canonical_key`]). Before any worker starts, the pool plans
+//! its jobs: each unique address is one job, owned by the first grid
+//! position that carries it, so each *unique* cell simulates exactly
+//! once per run no matter how many positions reference it. The owner's
+//! run takes the session result by move; once every job has finished,
+//! each later (duplicate) position becomes a clone of its owner's run
+//! under its own label. So a result is held once while the grid runs,
+//! and only duplicates ever copy it. Results come back in cell order
+//! with per-cell labels intact, so tables and JSON stay byte-identical
+//! to an uncached serial run (timing fields aside).
 //!
 //! **Fault isolation.** One bad cell must not take down a
 //! thousand-cell sweep. Each simulation runs inside
-//! [`catch_unwind`](std::panic::catch_unwind), and the cache stores a
-//! `Result` per content address: a panicked computation is recorded
-//! once and *echoed* deterministically at every grid position that
-//! addresses it — waiters on the `OnceLock` see the stored failure
-//! instead of deadlocking, and the `thread::scope` never aborts. The
-//! kernel-level runaway guard (event budget + sim-time horizon, see
+//! [`catch_unwind`](std::panic::catch_unwind), and a panicked
+//! computation becomes its owner's quarantined failure, which every
+//! duplicate position of the address *echoes* deterministically. No
+//! worker ever waits on another, and the `thread::scope` never aborts.
+//! The kernel-level runaway guard (event budget + sim-time horizon, see
 //! `ravel_pipeline::SessionGuard`) surfaces here as
 //! [`CellStatus::Runaway`]; a wall-clock deadline
 //! ([`PoolOptions::deadline`]) is enforced by a supervisor thread that
@@ -43,14 +45,13 @@
 //! on the host's speed, but its reported detail is still
 //! deterministic.
 //!
-//! std-only by design: `std::thread::scope` plus one `AtomicUsize`, one
-//! `Mutex`ed slot vector and one `Mutex`ed cache map; no registry
-//! dependencies.
+//! std-only by design: `std::thread::scope` plus one `AtomicUsize` and
+//! one `Mutex`ed slot vector; no registry dependencies.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ravel_obs::ObsMode;
@@ -143,8 +144,7 @@ impl CellFailure {
 }
 
 /// One finished cell: its measurements plus wall-clock accounting for
-/// the perf report. Everything except `wall` and `cache_hit` is
-/// deterministic.
+/// the perf report. Everything except `wall` is deterministic.
 #[derive(Debug, Clone)]
 pub struct CellRun {
     /// The cell's label, copied for report assembly.
@@ -157,8 +157,10 @@ pub struct CellRun {
     /// (nondeterministic; excluded from byte-compared output).
     pub wall: Duration,
     /// Whether this grid position was served from the cell cache rather
-    /// than executing the simulation (schedule-dependent; excluded from
-    /// byte-compared output).
+    /// than executing the simulation. Deterministic: false exactly at
+    /// the first position of each content address in cell order (and
+    /// everywhere under `--no-cache`). Still excluded from byte-compared
+    /// output, because it depends on whether the cache is on.
     pub cache_hit: bool,
     /// The arena controller behind this cell (schema ≥ 8 `controller`
     /// field), from [`CcKind::arena_name`](ravel_pipeline::CcKind):
@@ -175,8 +177,8 @@ pub struct CellRun {
     /// Recovery-contract verdicts, evaluated from `result` when the
     /// cell declares a [`ravel_pipeline::ContractSpec`] and the status
     /// carries real metrics. Empty otherwise. Pure derivation: cache
-    /// hits re-evaluate from the cached result and land on identical
-    /// verdicts at any worker count.
+    /// hits evaluate their own contracts on the owner's result and land
+    /// on identical verdicts at any worker count.
     pub contracts: Vec<ContractVerdict>,
 }
 
@@ -259,7 +261,8 @@ pub struct PoolStats {
     /// Sum of per-worker busy time: each worker accumulates the wall
     /// clock of the simulations *it* executed on a monotonic clock, and
     /// the pool sums those totals. Unlike the run's end-to-end wall,
-    /// this excludes claim contention and result cloning, so
+    /// this excludes planning, claim contention and the cloning of
+    /// duplicate positions after the workers finish, so
     /// `busy / executed` approximates true per-cell cost. It equals the
     /// sum of the executed cells' walls exactly.
     pub busy: Duration,
@@ -273,13 +276,6 @@ pub struct PoolStats {
 /// What one computation produced: the session result, or the
 /// quarantined failure that replaced it.
 type CellOutcome = Result<SessionResult, CellFailure>;
-
-/// One memoized computation: the finished outcome (success *or*
-/// quarantined failure) plus its first-run wall clock (echoed into
-/// every duplicate's [`CellRun::wall`]). Storing the `Result` is what
-/// makes failure echo deterministic: waiters blocked on the slot wake
-/// to the recorded failure.
-type CachedCell = (CellOutcome, Duration);
 
 /// One worker's in-flight registration for the supervisor: when it
 /// started its current simulation and the flag that cancels it.
@@ -327,7 +323,7 @@ fn execute_cell(
     opts: PoolOptions,
     slot: &WatchSlot,
     ws: &mut KernelWorkspace,
-) -> CachedCell {
+) -> (CellOutcome, Duration) {
     let mut spec = RunSpec {
         obs: opts.obs,
         ..cell.spec()
@@ -361,45 +357,57 @@ fn execute_cell(
     (outcome, wall)
 }
 
-/// Materializes one grid position's [`CellRun`] from a (possibly
-/// cached) outcome. Derivation is pure, so every position of one
-/// content address reports the identical status, failure, and digest.
-fn make_run(cell: &Cell, wall: Duration, cache_hit: bool, outcome: &CellOutcome) -> CellRun {
+/// Materializes an owner position's [`CellRun`] from its outcome, which
+/// it takes by move: the run holds the only copy of the session result.
+/// Derivation is pure, so the status, failure and digest depend on the
+/// outcome alone.
+fn make_run(cell: &Cell, wall: Duration, outcome: CellOutcome) -> CellRun {
     let (status, failure, result) = match outcome {
         Ok(result) => {
             let runaway = result
                 .violations
                 .iter()
-                .find(|v| v.invariant == Invariant::RunawayTermination);
-            match runaway {
-                Some(v) => (
-                    CellStatus::Runaway,
-                    Some(CellFailure::new(CellStatus::Runaway, v.detail.clone())),
-                    result.clone(),
-                ),
-                None => (CellStatus::Ok, None, result.clone()),
-            }
+                .find(|v| v.invariant == Invariant::RunawayTermination)
+                .map(|v| CellFailure::new(CellStatus::Runaway, v.detail.clone()));
+            let status = runaway.as_ref().map_or(CellStatus::Ok, |f| f.status);
+            (status, runaway, result)
         }
-        Err(failure) => (
-            failure.status,
-            Some(failure.clone()),
-            SessionResult::default(),
-        ),
-    };
-    let contracts = match &cell.contracts {
-        Some(spec) if status.has_metrics() => evaluate(spec, &result),
-        _ => Vec::new(),
+        Err(failure) => (failure.status, Some(failure), SessionResult::default()),
     };
     CellRun {
         label: cell.label.clone(),
         sim_secs: cell.cfg.duration.as_secs_f64(),
         wall,
-        cache_hit,
+        cache_hit: false,
         controller: cell.cfg.scheme.cc.arena_name(),
         status,
         failure,
+        contracts: contracts_for(cell, status, &result),
         result,
-        contracts,
+    }
+}
+
+/// A duplicate position's run: a clone of its owner's under the cell's
+/// own label, marked as a cache hit. Status, failure and wall echo the
+/// owner's; contracts sit outside the content address, so the cell's
+/// own are evaluated on the owner's result.
+fn echo_run(cell: &Cell, owner: &CellRun) -> CellRun {
+    CellRun {
+        label: cell.label.clone(),
+        cache_hit: true,
+        failure: owner.failure.clone(),
+        contracts: contracts_for(cell, owner.status, &owner.result),
+        result: owner.result.clone(),
+        ..*owner
+    }
+}
+
+/// The cell's recovery-contract verdicts on `result`, or none when the
+/// cell declares no contract or `status` carries no metrics.
+fn contracts_for(cell: &Cell, status: CellStatus, result: &SessionResult) -> Vec<ContractVerdict> {
+    match &cell.contracts {
+        Some(spec) if status.has_metrics() => evaluate(spec, result),
+        _ => Vec::new(),
     }
 }
 
@@ -411,80 +419,69 @@ pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<CellRun> {
 }
 
 /// Runs every cell on `jobs` worker threads and returns results in cell
-/// order plus pool accounting. `jobs` is clamped to `[1, cells.len()]`;
+/// order plus pool accounting. `jobs` is clamped to `[1, executed]`;
 /// `jobs = 1` runs the grid serially on one spawned worker, which is
 /// the determinism reference the tests compare against.
 ///
-/// With `opts.use_cache`, each unique content address simulates exactly
-/// once: the first worker to claim an address computes it into its
-/// per-address slot; later claimants (and concurrent claimants, which
-/// block on the same slot) clone the finished outcome — including
-/// quarantined failures, which echo identically at every position.
+/// The work is planned before any worker starts. With
+/// `opts.use_cache`, each unique content address is one job, owned by
+/// its first grid position: the owner's run takes the result by move,
+/// and after the workers finish every later position with the same
+/// address is cloned from its owner — quarantined failures included,
+/// which echo identically at every position. Without the cache every
+/// position is its own job.
 pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<CellRun>, PoolStats) {
     let keys: Vec<String> = cells.iter().map(Cell::canonical_key).collect();
-    let unique_cells = keys.iter().collect::<HashSet<_>>().len();
+    // Each position's owner: the first position with its address, or
+    // the position itself when the cache is off.
+    let mut first: HashMap<&str, usize> = HashMap::new();
+    let owner: Vec<usize> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, key)| {
+            let first_position = *first.entry(key.as_str()).or_insert(i);
+            if opts.use_cache {
+                first_position
+            } else {
+                i
+            }
+        })
+        .collect();
+    // The jobs to execute: the owner positions, in cell order.
+    let planned: Vec<usize> = (0..cells.len()).filter(|&i| owner[i] == i).collect();
+    let stats = |busy| PoolStats {
+        total_cells: cells.len(),
+        unique_cells: first.len(),
+        executed: planned.len(),
+        cache_hits: cells.len() - planned.len(),
+        busy,
+        allocs_avoided: 0,
+    };
     if cells.is_empty() {
-        return (
-            Vec::new(),
-            PoolStats {
-                total_cells: 0,
-                unique_cells: 0,
-                executed: 0,
-                cache_hits: 0,
-                busy: Duration::ZERO,
-                allocs_avoided: 0,
-            },
-        );
+        return (Vec::new(), stats(Duration::ZERO));
     }
-    let jobs = jobs.clamp(1, cells.len());
+    let jobs = jobs.clamp(1, planned.len());
     let next = AtomicUsize::new(0);
-    let executed = AtomicUsize::new(0);
     let workers_done = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<CellRun>>> = Mutex::new((0..cells.len()).map(|_| None).collect());
     let busy_total: Mutex<Duration> = Mutex::new(Duration::ZERO);
-    let cache: Mutex<HashMap<&str, Arc<OnceLock<CachedCell>>>> = Mutex::new(HashMap::new());
     let watch: Vec<WatchSlot> = (0..jobs).map(|_| WatchSlot::default()).collect();
     std::thread::scope(|scope| {
         for slot in &watch {
             let next = &next;
-            let executed = &executed;
             let workers_done = &workers_done;
             let slots = &slots;
             let busy_total = &busy_total;
-            let cache = &cache;
-            let keys = &keys;
+            let planned = &planned;
             scope.spawn(move || {
                 let mut busy = Duration::ZERO;
                 // Per-worker kernel scratch, reused across cells so the
                 // queue's bucket Vecs stay warm.
                 let mut ws = KernelWorkspace::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else {
-                        break;
-                    };
-                    let mut execute = || execute_cell(cell, opts, slot, &mut ws);
-                    let run = if opts.use_cache {
-                        let memo = cache
-                            .lock()
-                            .expect("cell cache poisoned")
-                            .entry(keys[i].as_str())
-                            .or_default()
-                            .clone();
-                        let mut computed = false;
-                        let (outcome, wall) = memo.get_or_init(|| {
-                            computed = true;
-                            execute()
-                        });
-                        make_run(cell, *wall, !computed, outcome)
-                    } else {
-                        let (outcome, wall) = execute();
-                        make_run(cell, wall, false, &outcome)
-                    };
-                    if !run.cache_hit {
-                        busy += run.wall;
-                        executed.fetch_add(1, Ordering::Relaxed);
-                    }
+                while let Some(&i) = planned.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let (outcome, wall) = execute_cell(&cells[i], opts, slot, &mut ws);
+                    busy += wall;
+                    let run = make_run(&cells[i], wall, outcome);
                     slots.lock().expect("pool slots poisoned")[i] = Some(run);
                 }
                 *busy_total.lock().expect("busy total poisoned") += busy;
@@ -506,22 +503,26 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
             });
         }
     });
-    let executed = executed.into_inner();
-    let stats = PoolStats {
-        total_cells: cells.len(),
-        unique_cells,
-        executed,
-        cache_hits: cells.len() - executed,
-        busy: busy_total.into_inner().expect("busy total poisoned"),
-        allocs_avoided: 0,
-    };
+    let mut slots = slots.into_inner().expect("pool slots poisoned");
+    // Owners precede their duplicates, so every owner slot is filled by
+    // the time a duplicate reads it.
+    for (i, &o) in owner.iter().enumerate() {
+        if o != i {
+            let run = echo_run(
+                &cells[i],
+                slots[o].as_ref().expect("owner ran before duplicate"),
+            );
+            slots[i] = Some(run);
+        }
+    }
     let runs = slots
-        .into_inner()
-        .expect("pool slots poisoned")
         .into_iter()
-        .map(|slot| slot.expect("every cell index was claimed"))
+        .map(|slot| slot.expect("every planned job ran"))
         .collect();
-    (runs, stats)
+    (
+        runs,
+        stats(busy_total.into_inner().expect("busy total poisoned")),
+    )
 }
 
 #[cfg(test)]
@@ -646,16 +647,20 @@ mod tests {
     #[test]
     fn cache_hits_echo_the_first_runs_wall_clock() {
         let cells = duplicated_grid();
-        let (runs, _) = run_cells_opts(&cells, 2, PoolOptions::default());
         let half = cells.len() / 2;
-        for (first, dup) in runs[..half].iter().zip(&runs[half..]) {
-            assert_eq!(dup.label, format!("dup-{}", first.label));
-            // Identical content address -> identical reported wall.
-            assert_eq!(first.wall, dup.wall);
+        for jobs in [1, 2, 8] {
+            let (runs, _) = run_cells_opts(&cells, jobs, PoolOptions::default());
+            for (first, dup) in runs[..half].iter().zip(&runs[half..]) {
+                assert_eq!(dup.label, format!("dup-{}", first.label));
+                // Identical content address -> identical reported wall.
+                assert_eq!(first.wall, dup.wall);
+            }
+            // The first position of each address computed, at any
+            // worker count; every later one hit.
+            let hits: Vec<bool> = runs.iter().map(|r| r.cache_hit).collect();
+            let expected: Vec<bool> = (0..cells.len()).map(|i| i >= half).collect();
+            assert_eq!(hits, expected, "jobs={jobs}");
         }
-        // Exactly one position per address computed, the rest hit.
-        let hits = runs.iter().filter(|r| r.cache_hit).count();
-        assert_eq!(hits, half);
     }
 
     #[test]
@@ -736,8 +741,9 @@ mod tests {
                 a.failure.as_ref().map(CellFailure::digest),
                 b.failure.as_ref().map(CellFailure::digest)
             );
-            // Exactly one of the two positions was the cache hit.
-            assert_eq!([a, b].iter().filter(|r| r.cache_hit).count(), 1);
+            // The first position executed; the second echoed it.
+            assert!(!a.cache_hit, "jobs={jobs}");
+            assert!(b.cache_hit, "jobs={jobs}");
             assert_eq!(a.wall, b.wall);
         }
     }

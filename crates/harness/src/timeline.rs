@@ -20,6 +20,8 @@
 //! kind discriminator from [`ObsEvent::kind`]; the remaining fields are
 //! the variant's payload.
 
+use std::io::{self, BufWriter, Write};
+
 use ravel_obs::{ObsEvent, ObsRecord};
 use ravel_trace::json::Json;
 
@@ -91,28 +93,111 @@ pub fn record_json(cell: &str, rec: &ObsRecord) -> Json {
     Json::Obj(fields)
 }
 
-/// Renders the full JSONL timeline of a run: every recorded event of
-/// every cell of every experiment, one object per line, ending with a
-/// newline (empty string when nothing was recorded, e.g. `--obs off`
-/// or `counters`).
-pub fn render_timeline(experiments: &[ExperimentRun]) -> String {
-    let mut out = String::new();
+/// Streams the full JSONL timeline of a run to `out`, buffered: every
+/// recorded event of every cell of every experiment, one object per
+/// line, each ending with a newline (nothing at all when nothing was
+/// recorded, e.g. `--obs off` or `counters`). Returns the number of
+/// records written.
+pub fn write_timeline(experiments: &[ExperimentRun], out: &mut impl Write) -> io::Result<u64> {
+    let mut out = BufWriter::new(out);
+    let mut records = 0;
     for exp in experiments {
         for cell in &exp.cells {
             for rec in cell.result.obs.events() {
-                out.push_str(&record_json(&cell.label, rec).render());
-                out.push('\n');
+                out.write_all(record_json(&cell.label, rec).render().as_bytes())?;
+                out.write_all(b"\n")?;
+                records += 1;
             }
         }
     }
-    out
+    out.flush()?;
+    Ok(records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::Output;
+    use crate::pool::{CellRun, CellStatus};
+    use ravel_obs::{ObsLog, ObsMode};
+    use ravel_pipeline::SessionResult;
     use ravel_sim::Time;
     use ravel_trace::json::parse;
+    use std::time::Duration;
+
+    /// A finished cell whose `Full` obs log holds `events`, one per
+    /// millisecond.
+    fn cell_with(label: &str, events: &[ObsEvent]) -> CellRun {
+        let mut obs = ObsLog::new(ObsMode::Full);
+        for (i, event) in events.iter().enumerate() {
+            obs.record(Time::from_millis(i as u64), || event.clone());
+        }
+        CellRun {
+            label: label.to_string(),
+            sim_secs: 1.0,
+            wall: Duration::ZERO,
+            cache_hit: false,
+            controller: None,
+            status: CellStatus::Ok,
+            failure: None,
+            result: SessionResult {
+                obs,
+                ..SessionResult::default()
+            },
+            contracts: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn write_timeline_streams_one_rendered_record_per_line() {
+        let exp = |id, cells| ExperimentRun {
+            id,
+            title: "t",
+            output: Output::Text(String::new()),
+            cells,
+        };
+        let experiments = vec![
+            exp(
+                "a",
+                vec![
+                    cell_with("a/0", &[ObsEvent::PliSent, ObsEvent::KeyframeEmitted]),
+                    cell_with("a/1", &[]),
+                ],
+            ),
+            exp(
+                "b",
+                vec![cell_with(
+                    "b/0",
+                    &[
+                        ObsEvent::PacketSent {
+                            seq: 7,
+                            size_bytes: 1200,
+                        },
+                        ObsEvent::PacketDelivered { seq: 7 },
+                        ObsEvent::FrameCaptured { index: 3 },
+                    ],
+                )],
+            ),
+        ];
+        let mut expected = String::new();
+        for exp in &experiments {
+            for cell in &exp.cells {
+                for rec in cell.result.obs.events() {
+                    expected.push_str(&record_json(&cell.label, rec).render());
+                    expected.push('\n');
+                }
+            }
+        }
+        let mut out = Vec::new();
+        let records = write_timeline(&experiments, &mut out).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), expected);
+        assert_eq!(records, expected.lines().count() as u64);
+        assert_eq!(records, 5);
+        // Nothing recorded writes nothing.
+        let mut empty = Vec::new();
+        assert_eq!(write_timeline(&[exp("c", vec![])], &mut empty).unwrap(), 0);
+        assert!(empty.is_empty());
+    }
 
     #[test]
     fn record_json_round_trips_payload_fields() {

@@ -26,10 +26,21 @@ use ravel_sim::{Dur, Time};
 use crate::packet::Packet;
 
 /// Sender-side packet history for retransmission.
+///
+/// Packets live in a window indexed by `seq - base`: one slot per
+/// sequence number from the lowest retained one up, `None` where a seq
+/// was never stored (or has been evicted). Sequence numbers are nearly
+/// ascending in send order, so the window stays about as long as the
+/// history, and a store or lookup is an index rather than a tree walk.
 #[derive(Debug, Clone)]
 pub struct RtxBuffer {
-    /// Retained packets by sequence number.
-    packets: BTreeMap<u64, Packet>,
+    /// Retained packets; slot `i` holds seq `base + i`. Never starts
+    /// with an empty slot.
+    window: VecDeque<Option<Packet>>,
+    /// The seq of `window[0]`.
+    base: u64,
+    /// Occupied slots in `window`.
+    live: usize,
     /// Insertion order for age eviction: (send time, seq).
     order: VecDeque<(Time, u64)>,
     /// Maximum retention age.
@@ -45,7 +56,9 @@ impl RtxBuffer {
     pub fn new(max_age: Dur, max_count: usize) -> RtxBuffer {
         assert!(max_count > 0, "RtxBuffer: zero capacity");
         RtxBuffer {
-            packets: BTreeMap::new(),
+            window: VecDeque::new(),
+            base: 0,
+            live: 0,
             order: VecDeque::new(),
             max_age,
             max_count,
@@ -55,12 +68,12 @@ impl RtxBuffer {
 
     /// Packets currently retained.
     pub fn len(&self) -> usize {
-        self.packets.len()
+        self.live
     }
 
     /// True if no packets are retained.
     pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
+        self.live == 0
     }
 
     /// Total retransmissions served.
@@ -68,11 +81,52 @@ impl RtxBuffer {
         self.retransmissions
     }
 
-    /// Records a packet as sent at `now`.
+    /// Records a packet as sent at `now`. Storing a retained seq again
+    /// replaces the packet (a retransmission carries its new send time).
     pub fn store(&mut self, packet: &Packet, now: Time) {
-        self.packets.insert(packet.seq, *packet);
+        self.insert(*packet);
         self.order.push_back((now, packet.seq));
         self.evict(now);
+    }
+
+    /// Places `packet` in its slot, growing the window at whichever end
+    /// it falls beyond: audio bypasses the pacer, so a video packet
+    /// released later can carry a lower seq than one already stored.
+    fn insert(&mut self, packet: Packet) {
+        let seq = packet.seq;
+        if self.window.is_empty() {
+            self.base = seq;
+        }
+        while seq < self.base {
+            self.window.push_front(None);
+            self.base -= 1;
+        }
+        let i = (seq - self.base) as usize;
+        if i >= self.window.len() {
+            self.window.resize(i + 1, None);
+        }
+        if self.window[i].replace(packet).is_none() {
+            self.live += 1;
+        }
+    }
+
+    fn get(&self, seq: u64) -> Option<&Packet> {
+        let i = seq.checked_sub(self.base)? as usize;
+        self.window.get(i)?.as_ref()
+    }
+
+    /// Clears `seq`'s slot, then drops the window's leading empty slots.
+    fn remove(&mut self, seq: u64) {
+        let slot = seq
+            .checked_sub(self.base)
+            .and_then(|i| self.window.get_mut(i as usize));
+        if slot.and_then(Option::take).is_some() {
+            self.live -= 1;
+        }
+        while let Some(None) = self.window.front() {
+            self.window.pop_front();
+            self.base += 1;
+        }
     }
 
     /// Looks up packets for a NACK batch; increments the retransmission
@@ -81,7 +135,7 @@ impl RtxBuffer {
     pub fn retransmit(&mut self, seqs: &[u64]) -> Vec<Packet> {
         let mut out = Vec::with_capacity(seqs.len());
         for &seq in seqs {
-            if let Some(p) = self.packets.get(&seq) {
+            if let Some(p) = self.get(seq) {
                 out.push(*p);
                 self.retransmissions += 1;
             }
@@ -93,7 +147,7 @@ impl RtxBuffer {
         let cutoff = Time::from_micros(now.as_micros().saturating_sub(self.max_age.as_micros()));
         while let Some(&(t, seq)) = self.order.front() {
             if t < cutoff || self.order.len() > self.max_count {
-                self.packets.remove(&seq);
+                self.remove(seq);
                 self.order.pop_front();
             } else {
                 break;
@@ -330,7 +384,108 @@ mod tests {
         assert_eq!(nack.outstanding(), 0);
     }
 
+    /// The history as a `BTreeMap` keyed by seq, with the same eviction
+    /// order and rule: the reference the window is checked against.
+    struct MapHistory {
+        packets: BTreeMap<u64, Packet>,
+        order: VecDeque<(Time, u64)>,
+        max_age: Dur,
+        max_count: usize,
+        retransmissions: u64,
+    }
+
+    impl MapHistory {
+        fn store(&mut self, packet: &Packet, now: Time) {
+            self.packets.insert(packet.seq, *packet);
+            self.order.push_back((now, packet.seq));
+            let cutoff =
+                Time::from_micros(now.as_micros().saturating_sub(self.max_age.as_micros()));
+            while let Some(&(t, seq)) = self.order.front() {
+                if t < cutoff || self.order.len() > self.max_count {
+                    self.packets.remove(&seq);
+                    self.order.pop_front();
+                } else {
+                    break;
+                }
+            }
+        }
+
+        fn retransmit(&mut self, seqs: &[u64]) -> Vec<Packet> {
+            let out: Vec<Packet> = seqs
+                .iter()
+                .filter_map(|seq| self.packets.get(seq).copied())
+                .collect();
+            self.retransmissions += out.len() as u64;
+            out
+        }
+    }
+
     proptest::proptest! {
+        /// The seq-indexed window behaves exactly like a map keyed by
+        /// seq under any interleaving of ascending stores, re-stores of
+        /// retained seqs, stores below the window, time jumps and NACK
+        /// batches: every batch, the retransmission count and the
+        /// length agree after every step, and a probe over the whole
+        /// seq range finds the same packets.
+        #[test]
+        fn window_matches_a_map_history(
+            limits in (20u64..400, 1usize..40),
+            ops in proptest::collection::vec((0u8..10, 0u64..1000, 0u64..1000), 1..300),
+        ) {
+            let (max_age_ms, max_count) = limits;
+            let mut window = RtxBuffer::new(Dur::millis(max_age_ms), max_count);
+            let mut map = MapHistory {
+                packets: BTreeMap::new(),
+                order: VecDeque::new(),
+                max_age: Dur::millis(max_age_ms),
+                max_count,
+                retransmissions: 0,
+            };
+            let mut now = ms(0);
+            let mut next_seq = 100u64;
+            for (op, a, b) in ops {
+                let stored = match op {
+                    // Ascending store, sometimes skipping seqs.
+                    0..=4 => {
+                        next_seq += 1 + a % 3;
+                        Some(next_seq)
+                    }
+                    // Re-store a retained seq (a retransmission).
+                    5 => map.packets.keys().nth(a as usize % map.packets.len().max(1)).copied(),
+                    // Store below the lowest retained seq.
+                    6 => {
+                        let low = map.packets.keys().next().copied().unwrap_or(next_seq);
+                        Some(low.saturating_sub(1 + a % 6))
+                    }
+                    // Jump the clock; the next store evicts by age.
+                    7 => {
+                        now += Dur::millis(a % 500);
+                        None
+                    }
+                    // A NACK batch around the live range.
+                    _ => {
+                        let lo = next_seq.saturating_sub(30 + a % 20);
+                        let seqs: Vec<u64> =
+                            (lo..next_seq + 3).filter(|s| (s ^ b) % 3 != 0).collect();
+                        proptest::prop_assert_eq!(window.retransmit(&seqs), map.retransmit(&seqs));
+                        None
+                    }
+                };
+                if let Some(seq) = stored {
+                    now += Dur::millis(b % 20);
+                    let mut packet = pkt(seq);
+                    packet.send_time = now;
+                    window.store(&packet, now);
+                    map.store(&packet, now);
+                }
+                proptest::prop_assert_eq!(window.len(), map.packets.len());
+                proptest::prop_assert_eq!(window.is_empty(), map.packets.is_empty());
+                let probe: Vec<u64> = (0..next_seq + 2).collect();
+                proptest::prop_assert_eq!(window.retransmit(&probe), map.retransmit(&probe));
+                proptest::prop_assert_eq!(window.retransmissions(), map.retransmissions);
+            }
+        }
+
         /// Whatever the loss pattern, every missing seq below the highest
         /// arrival is either outstanding, filled, or abandoned — never
         /// silently forgotten.
