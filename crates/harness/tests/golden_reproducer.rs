@@ -16,37 +16,13 @@
 //! UPDATE_GOLDEN=1 cargo test -p ravel-harness --test golden_reproducer
 //! ```
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
 
 use ravel_harness::{shrink_cell, soak_cell, violating_timeline};
 use ravel_net::{ChaosSchedule, CorruptSchedule};
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.repro"))
-}
-
 fn render(reproducer: &str, timeline: &str) -> String {
     format!("== reproducer ==\n{reproducer}== timeline ==\n{timeline}")
-}
-
-fn check(name: &str, got: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden snapshot {path:?} ({e}); regenerate with UPDATE_GOLDEN=1")
-    });
-    assert_eq!(
-        got, want,
-        "{name} reproducer diverged from {path:?}; \
-         if the change is intentional, regenerate with UPDATE_GOLDEN=1"
-    );
 }
 
 fn chaos_golden(index: u64, segments: usize) {
@@ -56,7 +32,7 @@ fn chaos_golden(index: u64, segments: usize) {
     let min = shrink_cell(&cell, &schedule).expect("the soak failure reproduces");
     assert_eq!(min.segments.len(), segments, "{}", min.reproducer());
     let got = render(&min.reproducer(), &violating_timeline(&cell, &min));
-    check(&format!("soak-s1-c{index}"), &got);
+    common::check_golden(&format!("soak-s1-c{index}.repro"), &got);
 }
 
 #[test]
@@ -80,5 +56,5 @@ fn soak_s7_c361_corruption_minimizes_to_its_golden_reproducer() {
     let min = shrink_cell(&cell, &schedule).expect("the soak failure reproduces");
     assert_eq!(min.segments.len(), 2, "{}", min.reproducer());
     let got = render(&min.reproducer(), &violating_timeline(&cell, &min));
-    check("soak-s7-c361-corrupt", &got);
+    common::check_golden("soak-s7-c361-corrupt.repro", &got);
 }
