@@ -1,17 +1,21 @@
 //! E1–E22 (DESIGN.md §5, plus the chaos, corruption and arena grids) expressed as harness
 //! grids.
 //!
-//! Every experiment is two pure pieces:
-//!
-//! * **expansion** — a flat `Vec<Cell>` covering the experiment's full
-//!   cross-product, generated in a fixed nested-loop order, and
-//! * **assembly** — a function that folds the per-cell results (in cell
-//!   order) back into the paper-style table or CSV.
+//! Every experiment is a flat `Vec<Cell>` covering its full
+//! cross-product plus one assembly closure that folds the per-cell
+//! results, in cell order, back into the paper-style table or CSV.
+//! Each builder walks its loop nest once: a table grid pushes every row
+//! together with the cells it reads and a formatter that captures that
+//! iteration's loop values, so expansion order and table layout cannot
+//! drift apart. Formatters read results, never cells: the values a
+//! row prints come from the loop that built it.
 //!
 //! Because cells are independent and assembly only sees results in cell
 //! order, the rendered output is byte-identical at any `--jobs` count.
 //! (E10 is a Criterion microbench of controller overhead, not a session
 //! grid, so it is `ravel-bench`'s `e10_overhead` target.)
+
+use std::ops::Range;
 
 use ravel_core::{AdaptiveConfig, WatchdogConfig};
 use ravel_metrics::{LatencySummary, Table};
@@ -97,9 +101,10 @@ impl Output {
 }
 
 /// Folds per-cell results (in cell order) into an experiment's output.
-pub type AssembleFn = fn(&Experiment, &[CellRun]) -> Output;
+type Assemble = Box<dyn Fn(&[CellRun]) -> Output + Send + Sync>;
 
-/// One experiment: an id, a cell grid, and an assembly function.
+/// One experiment: an id, a cell grid, and the assembly that folds the
+/// grid's results back into its output.
 pub struct Experiment {
     /// Short id, e.g. `"e1"`.
     pub id: &'static str,
@@ -107,23 +112,23 @@ pub struct Experiment {
     pub title: &'static str,
     /// The flat cell grid, in deterministic expansion order.
     pub cells: Vec<Cell>,
-    assemble_fn: AssembleFn,
+    assemble: Assemble,
 }
 
 impl Experiment {
-    /// Builds a custom experiment from a cell grid and an assembly
-    /// function (the registry's E1–E17 use this same shape).
+    /// Builds a custom experiment from a cell grid and a function that
+    /// folds the grid's results, in cell order, into its output.
     pub fn new(
         id: &'static str,
         title: &'static str,
         cells: Vec<Cell>,
-        assemble_fn: AssembleFn,
+        assemble: impl Fn(&[CellRun]) -> Output + Send + Sync + 'static,
     ) -> Experiment {
         Experiment {
             id,
             title,
             cells,
-            assemble_fn,
+            assemble: Box::new(assemble),
         }
     }
 
@@ -138,7 +143,7 @@ impl Experiment {
             self.cells.len(),
             runs.len()
         );
-        (self.assemble_fn)(self, runs)
+        (self.assemble)(runs)
     }
 }
 
@@ -193,22 +198,71 @@ pub fn run_suite_opts(
     (assembled, stats)
 }
 
-/// Sequential cursor over cell results, consumed in expansion order.
-struct Runs<'a> {
-    runs: &'a [CellRun],
-    i: usize,
+/// Formats one table row from the results of the cells it covers.
+type RowFn = Box<dyn Fn(&[CellRun]) -> Vec<String> + Send + Sync>;
+
+/// A table experiment under construction. Each row is pushed together
+/// with its own cells and a formatter over their results; the
+/// formatter captures the loop values that built the cells, so one
+/// walk of the loop nest both expands the grid and lays out its table.
+struct Grid {
+    header: &'static [&'static str],
+    cells: Vec<Cell>,
+    /// Each row's span of `cells` and its formatter.
+    rows: Vec<(Range<usize>, RowFn)>,
 }
 
-impl<'a> Runs<'a> {
-    fn new(runs: &'a [CellRun]) -> Runs<'a> {
-        Runs { runs, i: 0 }
+impl Grid {
+    fn new(header: &'static [&'static str]) -> Grid {
+        Grid {
+            header,
+            cells: Vec::new(),
+            rows: Vec::new(),
+        }
     }
 
-    fn next(&mut self) -> &'a SessionResult {
-        let r = &self.runs[self.i].result;
-        self.i += 1;
-        r
+    /// Appends `cells` and a row formatted from their results.
+    fn row<const N: usize>(
+        &mut self,
+        cells: [Cell; N],
+        fmt: impl Fn(&[CellRun; N]) -> Vec<String> + Send + Sync + 'static,
+    ) {
+        let start = self.cells.len();
+        self.cells.extend(cells);
+        self.rows.push((
+            start..self.cells.len(),
+            Box::new(move |runs: &[CellRun]| {
+                fmt(runs.try_into().expect("one result per row cell"))
+            }),
+        ));
     }
+
+    /// Appends a row formatted from the results of every cell pushed so
+    /// far (an aggregate such as E9's MEAN row).
+    fn summary(&mut self, fmt: impl Fn(&[CellRun]) -> Vec<String> + Send + Sync + 'static) {
+        self.rows.push((0..self.cells.len(), Box::new(fmt)));
+    }
+
+    fn build(self, id: &'static str, title: &'static str) -> Experiment {
+        let Grid {
+            header,
+            cells,
+            rows,
+        } = self;
+        Experiment::new(id, title, cells, move |runs| {
+            let mut t = Table::new(header);
+            for (span, fmt) in &rows {
+                t.row_owned(fmt(&runs[span.clone()]));
+            }
+            Output::Table(t)
+        })
+    }
+}
+
+/// The two schemes a paired grid compares, with their label tags, in
+/// grid order: baseline first.
+fn schemes() -> [(&'static str, Scheme); 2] {
+    [("base", Scheme::baseline()), ("adpt", Scheme::adaptive())]
 }
 
 /// A canonical-drop cell: `PRE_RATE → after_bps` at [`DROP_AT`].
@@ -255,27 +309,34 @@ fn canonical_drop() -> TraceSpec {
     }
 }
 
-const BASE_ADPT: [&str; 2] = ["base", "adpt"];
-
-fn base_adpt() -> [Scheme; 2] {
-    [Scheme::baseline(), Scheme::adaptive()]
+/// The E1/E2 grid: both headline content classes × [`E1_AFTER_BPS`],
+/// one baseline/adaptive pair per row, laid out by `fmt`.
+fn headline(
+    id: &'static str,
+    title: &'static str,
+    header: &'static [&'static str],
+    fmt: fn(ContentClass, f64, &SessionResult, &SessionResult) -> Vec<String>,
+) -> Experiment {
+    let mut g = Grid::new(header);
+    for content in [ContentClass::TalkingHead, ContentClass::Gaming] {
+        for after in E1_AFTER_BPS {
+            g.row(
+                schemes().map(|(_, scheme)| drop_cell(scheme, content, after)),
+                move |[b, a]| fmt(content, after, &b.result, &a.result),
+            );
+        }
+    }
+    g.build(id, title)
 }
 
 /// E1 — headline latency: per-frame G2G latency in the post-drop
 /// window, baseline vs. adaptive, across drop severities and two
 /// content classes.
 pub fn e1() -> Experiment {
-    let mut cells = Vec::new();
-    for content in [ContentClass::TalkingHead, ContentClass::Gaming] {
-        for after in E1_AFTER_BPS {
-            for scheme in base_adpt() {
-                cells.push(drop_cell(scheme, content, after));
-            }
-        }
-    }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
+    headline(
+        "e1",
+        "headline post-drop G2G latency, baseline vs adaptive",
+        &[
             "content",
             "drop",
             "base_mean_ms",
@@ -284,47 +345,30 @@ pub fn e1() -> Experiment {
             "base_p95_ms",
             "adpt_p95_ms",
             "p95_reduction",
-        ]);
-        for content in [ContentClass::TalkingHead, ContentClass::Gaming] {
-            for after in E1_AFTER_BPS {
-                let b = window_after(rs.next());
-                let a = window_after(rs.next());
-                t.row_owned(vec![
-                    content.to_string(),
-                    format!("4->{:.1}Mbps", after / 1e6),
-                    format!("{:.1}", b.mean_latency_ms),
-                    format!("{:.1}", a.mean_latency_ms),
-                    fmt_reduction(b.mean_latency_ms, a.mean_latency_ms),
-                    format!("{:.1}", b.p95_latency_ms),
-                    format!("{:.1}", a.p95_latency_ms),
-                    fmt_reduction(b.p95_latency_ms, a.p95_latency_ms),
-                ]);
-            }
-        }
-        Output::Table(t)
-    }
-    Experiment {
-        id: "e1",
-        title: "headline post-drop G2G latency, baseline vs adaptive",
-        cells,
-        assemble_fn: assemble,
-    }
+        ],
+        |content, after, b, a| {
+            let (b, a) = (window_after(b), window_after(a));
+            vec![
+                content.to_string(),
+                format!("4->{:.1}Mbps", after / 1e6),
+                format!("{:.1}", b.mean_latency_ms),
+                format!("{:.1}", a.mean_latency_ms),
+                fmt_reduction(b.mean_latency_ms, a.mean_latency_ms),
+                format!("{:.1}", b.p95_latency_ms),
+                format!("{:.1}", a.p95_latency_ms),
+                fmt_reduction(b.p95_latency_ms, a.p95_latency_ms),
+            ]
+        },
+    )
 }
 
 /// E2 — headline quality: session-wide mean SSIM (and PSNR of displayed
 /// frames), baseline vs. adaptive, same grid as E1.
 pub fn e2() -> Experiment {
-    let mut cells = Vec::new();
-    for content in [ContentClass::TalkingHead, ContentClass::Gaming] {
-        for after in E1_AFTER_BPS {
-            for scheme in base_adpt() {
-                cells.push(drop_cell(scheme, content, after));
-            }
-        }
-    }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
+    headline(
+        "e2",
+        "headline session quality (SSIM/PSNR/freezes)",
+        &[
             "content",
             "drop",
             "base_ssim",
@@ -334,32 +378,22 @@ pub fn e2() -> Experiment {
             "adpt_psnr_db",
             "freeze_base",
             "freeze_adpt",
-        ]);
-        for content in [ContentClass::TalkingHead, ContentClass::Gaming] {
-            for after in E1_AFTER_BPS {
-                let b = rs.next().recorder.summarize_all();
-                let a = rs.next().recorder.summarize_all();
-                t.row_owned(vec![
-                    content.to_string(),
-                    format!("4->{:.1}Mbps", after / 1e6),
-                    format!("{:.4}", b.mean_ssim),
-                    format!("{:.4}", a.mean_ssim),
-                    format!("{:+.2}%", pct_change(b.mean_ssim, a.mean_ssim)),
-                    format!("{:.1}", b.mean_psnr_db),
-                    format!("{:.1}", a.mean_psnr_db),
-                    format!("{:.1}%", b.freeze_ratio() * 100.0),
-                    format!("{:.1}%", a.freeze_ratio() * 100.0),
-                ]);
-            }
-        }
-        Output::Table(t)
-    }
-    Experiment {
-        id: "e2",
-        title: "headline session quality (SSIM/PSNR/freezes)",
-        cells,
-        assemble_fn: assemble,
-    }
+        ],
+        |content, after, b, a| {
+            let (b, a) = (b.recorder.summarize_all(), a.recorder.summarize_all());
+            vec![
+                content.to_string(),
+                format!("4->{:.1}Mbps", after / 1e6),
+                format!("{:.4}", b.mean_ssim),
+                format!("{:.4}", a.mean_ssim),
+                format!("{:+.2}%", pct_change(b.mean_ssim, a.mean_ssim)),
+                format!("{:.1}", b.mean_psnr_db),
+                format!("{:.1}", a.mean_psnr_db),
+                format!("{:.1}%", b.freeze_ratio() * 100.0),
+                format!("{:.1}%", a.freeze_ratio() * 100.0),
+            ]
+        },
+    )
 }
 
 /// E3 — the motivating time-series figure: capacity, encoder target,
@@ -371,111 +405,96 @@ pub fn e2() -> Experiment {
 /// hardcoded, so moving the canonical drop instant moves the figure
 /// with it.
 pub fn e3() -> Experiment {
-    let cells = base_adpt()
-        .into_iter()
-        .map(|scheme| {
+    let schemes = schemes().map(|(_, scheme)| scheme);
+    let cells = schemes
+        .iter()
+        .map(|&scheme| {
             cell_with(scheme.name(), scheme, canonical_drop(), |cfg| {
                 cfg.record_series = true;
             })
         })
         .collect();
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut out = String::new();
-        let window_start = DROP_AT - Dur::secs(2);
-        for scheme in base_adpt() {
-            let result = rs.next();
-            out.push_str(&format!("# scheme={}\n", scheme.name()));
-            out.push_str("time_s,capacity_mbps,target_mbps,send_mbps,queue_ms,latency_ms\n");
-            let get = |name: &str| result.series.get(name).expect("series recorded");
-            let (cap, tgt, snd, q, lat) = (
-                get("capacity_bps"),
-                get("target_bps"),
-                get("send_rate_bps"),
-                get("link_queue_ms"),
-                get("frame_latency_ms"),
-            );
-            for step in 0..120u64 {
-                let t = window_start + Dur::millis(step * 100);
-                let w = window_start + Dur::millis((step + 1) * 100);
-                out.push_str(&format!(
-                    "{:.1},{:.3},{:.3},{:.3},{:.1},{:.1}\n",
-                    t.as_secs_f64(),
-                    cap.mean_in(t, w) / 1e6,
-                    tgt.mean_in(t, w) / 1e6,
-                    snd.mean_in(t, w) / 1e6,
-                    q.mean_in(t, w),
-                    lat.mean_in(t, w),
-                ));
-            }
-            out.push('\n');
-        }
-        Output::Text(out)
-    }
-    Experiment {
-        id: "e3",
-        title: "time series around the drop (motivating figure)",
+    Experiment::new(
+        "e3",
+        "time series around the drop (motivating figure)",
         cells,
-        assemble_fn: assemble,
-    }
+        move |runs| {
+            let mut out = String::new();
+            let window_start = DROP_AT - Dur::secs(2);
+            for (scheme, run) in schemes.iter().zip(runs) {
+                out.push_str(&format!("# scheme={}\n", scheme.name()));
+                out.push_str("time_s,capacity_mbps,target_mbps,send_mbps,queue_ms,latency_ms\n");
+                let get = |name: &str| run.result.series.get(name).expect("series recorded");
+                let (cap, tgt, snd, q, lat) = (
+                    get("capacity_bps"),
+                    get("target_bps"),
+                    get("send_rate_bps"),
+                    get("link_queue_ms"),
+                    get("frame_latency_ms"),
+                );
+                for step in 0..120u64 {
+                    let t = window_start + Dur::millis(step * 100);
+                    let w = window_start + Dur::millis((step + 1) * 100);
+                    out.push_str(&format!(
+                        "{:.1},{:.3},{:.3},{:.3},{:.1},{:.1}\n",
+                        t.as_secs_f64(),
+                        cap.mean_in(t, w) / 1e6,
+                        tgt.mean_in(t, w) / 1e6,
+                        snd.mean_in(t, w) / 1e6,
+                        q.mean_in(t, w),
+                        lat.mean_in(t, w),
+                    ));
+                }
+                out.push('\n');
+            }
+            Output::Text(out)
+        },
+    )
 }
-
-const E4_RATIOS: [f64; 6] = [1.25, 1.6, 2.0, 2.7, 4.0, 8.0];
 
 /// E4 — latency reduction vs. drop magnitude (figure series): ratios
 /// from 1.25× to 8×.
 pub fn e4() -> Experiment {
-    let mut cells = Vec::new();
-    for ratio in E4_RATIOS {
-        for scheme in base_adpt() {
-            cells.push(drop_cell(
-                scheme,
-                ContentClass::TalkingHead,
-                PRE_RATE / ratio,
-            ));
-        }
+    let mut g = Grid::new(&[
+        "drop_ratio",
+        "after_mbps",
+        "base_mean_ms",
+        "adpt_mean_ms",
+        "mean_reduction",
+        "p95_reduction",
+    ]);
+    for ratio in [1.25, 1.6, 2.0, 2.7, 4.0, 8.0] {
+        let after = PRE_RATE / ratio;
+        g.row(
+            schemes().map(|(_, scheme)| drop_cell(scheme, ContentClass::TalkingHead, after)),
+            move |[b, a]| {
+                let (b, a) = (window_after(&b.result), window_after(&a.result));
+                vec![
+                    format!("{ratio:.2}x"),
+                    format!("{:.2}", after / 1e6),
+                    format!("{:.1}", b.mean_latency_ms),
+                    format!("{:.1}", a.mean_latency_ms),
+                    fmt_reduction(b.mean_latency_ms, a.mean_latency_ms),
+                    fmt_reduction(b.p95_latency_ms, a.p95_latency_ms),
+                ]
+            },
+        );
     }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
-            "drop_ratio",
-            "after_mbps",
-            "base_mean_ms",
-            "adpt_mean_ms",
-            "mean_reduction",
-            "p95_reduction",
-        ]);
-        for ratio in E4_RATIOS {
-            let after = PRE_RATE / ratio;
-            let b = window_after(rs.next());
-            let a = window_after(rs.next());
-            t.row_owned(vec![
-                format!("{ratio:.2}x"),
-                format!("{:.2}", after / 1e6),
-                format!("{:.1}", b.mean_latency_ms),
-                format!("{:.1}", a.mean_latency_ms),
-                fmt_reduction(b.mean_latency_ms, a.mean_latency_ms),
-                fmt_reduction(b.p95_latency_ms, a.p95_latency_ms),
-            ]);
-        }
-        Output::Table(t)
-    }
-    Experiment {
-        id: "e4",
-        title: "latency reduction vs drop magnitude",
-        cells,
-        assemble_fn: assemble,
-    }
+    g.build("e4", "latency reduction vs drop magnitude")
 }
-
-const E5_RTTS_MS: [u64; 5] = [10, 20, 40, 80, 160];
 
 /// E5 — adaptation benefit vs. feedback RTT (figure series).
 pub fn e5() -> Experiment {
-    let mut cells = Vec::new();
-    for rtt_ms in E5_RTTS_MS {
-        for (tag, scheme) in BASE_ADPT.into_iter().zip(base_adpt()) {
-            cells.push(cell_with(
+    let mut g = Grid::new(&[
+        "rtt_ms",
+        "base_mean_ms",
+        "adpt_mean_ms",
+        "mean_reduction",
+        "adpt_p95_ms",
+    ]);
+    for rtt_ms in [10u64, 20, 40, 80, 160] {
+        let cells = schemes().map(|(tag, scheme)| {
+            cell_with(
                 format!("rtt{rtt_ms}ms/{tag}"),
                 scheme,
                 canonical_drop(),
@@ -483,152 +502,114 @@ pub fn e5() -> Experiment {
                     cfg.link.propagation = Dur::millis(rtt_ms / 2);
                     cfg.reverse_delay = Dur::millis(rtt_ms / 2);
                 },
-            ));
-        }
-    }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
-            "rtt_ms",
-            "base_mean_ms",
-            "adpt_mean_ms",
-            "mean_reduction",
-            "adpt_p95_ms",
-        ]);
-        for rtt_ms in E5_RTTS_MS {
-            let b = window_after(rs.next());
-            let a = window_after(rs.next());
-            t.row_owned(vec![
+            )
+        });
+        g.row(cells, move |[b, a]| {
+            let (b, a) = (window_after(&b.result), window_after(&a.result));
+            vec![
                 rtt_ms.to_string(),
                 format!("{:.1}", b.mean_latency_ms),
                 format!("{:.1}", a.mean_latency_ms),
                 fmt_reduction(b.mean_latency_ms, a.mean_latency_ms),
                 format!("{:.1}", a.p95_latency_ms),
-            ]);
-        }
-        Output::Table(t)
+            ]
+        });
     }
-    Experiment {
-        id: "e5",
-        title: "adaptation benefit vs feedback RTT",
-        cells,
-        assemble_fn: assemble,
-    }
+    g.build("e5", "adaptation benefit vs feedback RTT")
 }
 
 /// E6 — content sensitivity: all four content classes through the
 /// canonical 4→1 Mbps drop.
 pub fn e6() -> Experiment {
-    let mut cells = Vec::new();
+    let mut g = Grid::new(&[
+        "content",
+        "base_mean_ms",
+        "adpt_mean_ms",
+        "mean_reduction",
+        "base_ssim",
+        "adpt_ssim",
+        "ssim_delta",
+    ]);
     for content in ContentClass::ALL {
-        for scheme in base_adpt() {
-            cells.push(drop_cell(scheme, content, 1e6));
-        }
+        g.row(
+            schemes().map(|(_, scheme)| drop_cell(scheme, content, 1e6)),
+            move |[b, a]| {
+                let (bw, aw) = (window_after(&b.result), window_after(&a.result));
+                let ball = b.result.recorder.summarize_all();
+                let aall = a.result.recorder.summarize_all();
+                vec![
+                    content.to_string(),
+                    format!("{:.1}", bw.mean_latency_ms),
+                    format!("{:.1}", aw.mean_latency_ms),
+                    fmt_reduction(bw.mean_latency_ms, aw.mean_latency_ms),
+                    format!("{:.4}", ball.mean_ssim),
+                    format!("{:.4}", aall.mean_ssim),
+                    format!("{:+.2}%", pct_change(ball.mean_ssim, aall.mean_ssim)),
+                ]
+            },
+        );
     }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
-            "content",
-            "base_mean_ms",
-            "adpt_mean_ms",
-            "mean_reduction",
-            "base_ssim",
-            "adpt_ssim",
-            "ssim_delta",
-        ]);
-        for content in ContentClass::ALL {
-            let rb = rs.next();
-            let ra = rs.next();
-            let bw = window_after(rb);
-            let aw = window_after(ra);
-            let ball = rb.recorder.summarize_all();
-            let aall = ra.recorder.summarize_all();
-            t.row_owned(vec![
-                content.to_string(),
-                format!("{:.1}", bw.mean_latency_ms),
-                format!("{:.1}", aw.mean_latency_ms),
-                fmt_reduction(bw.mean_latency_ms, aw.mean_latency_ms),
-                format!("{:.4}", ball.mean_ssim),
-                format!("{:.4}", aall.mean_ssim),
-                format!("{:+.2}%", pct_change(ball.mean_ssim, aall.mean_ssim)),
-            ]);
-        }
-        Output::Table(t)
-    }
-    Experiment {
-        id: "e6",
-        title: "content-class sensitivity (4->1 Mbps)",
-        cells,
-        assemble_fn: assemble,
-    }
-}
-
-fn e7_levels() -> [(&'static str, Scheme); 5] {
-    [
-        ("baseline", Scheme::baseline()),
-        (
-            "fast-qp",
-            Scheme::adaptive_with(AdaptiveConfig::fast_qp_only()),
-        ),
-        (
-            "+vbv",
-            Scheme::adaptive_with(AdaptiveConfig::fast_qp_and_vbv()),
-        ),
-        (
-            "+skip",
-            Scheme::adaptive_with(AdaptiveConfig::without_ladder()),
-        ),
-        ("full", Scheme::adaptive_with(AdaptiveConfig::default())),
-    ]
+    g.build("e6", "content-class sensitivity (4->1 Mbps)")
 }
 
 /// E7 — mechanism ablation on moderate (4→1) and deep (4→0.5) drops.
 pub fn e7() -> Experiment {
-    let mut cells = Vec::new();
+    let mut g = Grid::new(&[
+        "mechanisms",
+        "drop",
+        "mean_ms",
+        "p95_ms",
+        "sess_ssim",
+        "skips",
+    ]);
     for after in [1e6, 0.5e6] {
-        for (name, scheme) in e7_levels() {
+        for (name, scheme) in [
+            ("baseline", Scheme::baseline()),
+            (
+                "fast-qp",
+                Scheme::adaptive_with(AdaptiveConfig::fast_qp_only()),
+            ),
+            (
+                "+vbv",
+                Scheme::adaptive_with(AdaptiveConfig::fast_qp_and_vbv()),
+            ),
+            (
+                "+skip",
+                Scheme::adaptive_with(AdaptiveConfig::without_ladder()),
+            ),
+            ("full", Scheme::adaptive_with(AdaptiveConfig::default())),
+        ] {
             let mut cell = drop_cell(scheme, ContentClass::TalkingHead, after);
             cell.label = format!("{name}/4->{:.1}M", after / 1e6);
-            cells.push(cell);
-        }
-    }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
-            "mechanisms",
-            "drop",
-            "mean_ms",
-            "p95_ms",
-            "sess_ssim",
-            "skips",
-        ]);
-        for after in [1e6, 0.5e6] {
-            for (name, _) in e7_levels() {
-                let result = rs.next();
-                let w = window_after(result);
-                let all = result.recorder.summarize_all();
-                t.row_owned(vec![
+            g.row([cell], move |[run]| {
+                let w = window_after(&run.result);
+                let all = run.result.recorder.summarize_all();
+                vec![
                     name.to_string(),
                     format!("4->{:.1}Mbps", after / 1e6),
                     format!("{:.1}", w.mean_latency_ms),
                     format!("{:.1}", w.p95_latency_ms),
                     format!("{:.4}", all.mean_ssim),
-                    result.frames_skipped.to_string(),
-                ]);
-            }
+                    run.result.frames_skipped.to_string(),
+                ]
+            });
         }
-        Output::Table(t)
     }
-    Experiment {
-        id: "e7",
-        title: "mechanism ablation (fast-QP, VBV, skip, ladder)",
-        cells,
-        assemble_fn: assemble,
-    }
+    g.build("e7", "mechanism ablation (fast-QP, VBV, skip, ladder)")
 }
 
-fn e8_schemes() -> [Scheme; 5] {
-    [
+/// E8 — congestion-controller comparison: the adaptive controller on
+/// top of GCC vs. GCC alone vs. the loss-only and fixed-rate strawmen.
+pub fn e8() -> Experiment {
+    let mut g = Grid::new(&[
+        "scheme",
+        "mean_ms",
+        "p95_ms",
+        "sess_ssim",
+        "freeze_%",
+        "queue_drops",
+    ]);
+    for scheme in [
         Scheme::baseline(),
         Scheme::adaptive(),
         Scheme {
@@ -643,56 +624,40 @@ fn e8_schemes() -> [Scheme; 5] {
             cc: CcKind::Fixed,
             adaptive: None,
         },
-    ]
-}
-
-/// E8 — congestion-controller comparison: the adaptive controller on
-/// top of GCC vs. GCC alone vs. the loss-only and fixed-rate strawmen.
-pub fn e8() -> Experiment {
-    let cells = e8_schemes()
-        .into_iter()
-        .map(|scheme| drop_cell(scheme, ContentClass::TalkingHead, 1e6))
-        .collect();
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
-            "scheme",
-            "mean_ms",
-            "p95_ms",
-            "sess_ssim",
-            "freeze_%",
-            "queue_drops",
-        ]);
-        for scheme in e8_schemes() {
-            let result = rs.next();
-            let w = window_after(result);
-            let all = result.recorder.summarize_all();
-            t.row_owned(vec![
-                scheme.name(),
-                format!("{:.1}", w.mean_latency_ms),
-                format!("{:.1}", w.p95_latency_ms),
-                format!("{:.4}", all.mean_ssim),
-                format!("{:.1}%", all.freeze_ratio() * 100.0),
-                result.queue_drops.to_string(),
-            ]);
-        }
-        Output::Table(t)
+    ] {
+        g.row(
+            [drop_cell(scheme, ContentClass::TalkingHead, 1e6)],
+            move |[run]| {
+                let w = window_after(&run.result);
+                let all = run.result.recorder.summarize_all();
+                vec![
+                    scheme.name(),
+                    format!("{:.1}", w.mean_latency_ms),
+                    format!("{:.1}", w.p95_latency_ms),
+                    format!("{:.4}", all.mean_ssim),
+                    format!("{:.1}%", all.freeze_ratio() * 100.0),
+                    run.result.queue_drops.to_string(),
+                ]
+            },
+        );
     }
-    Experiment {
-        id: "e8",
-        title: "congestion-controller comparison",
-        cells,
-        assemble_fn: assemble,
-    }
+    g.build("e8", "congestion-controller comparison")
 }
 
 /// E9 — robustness across seeded stochastic LTE-like traces: per-seed
 /// mean latency plus an aggregate MEAN row.
 pub fn e9(seeds: u64) -> Experiment {
-    let mut cells = Vec::new();
+    let mut g = Grid::new(&[
+        "seed",
+        "base_mean_ms",
+        "adpt_mean_ms",
+        "base_p95_ms",
+        "adpt_p95_ms",
+        "drops_handled",
+    ]);
     for seed in 0..seeds {
-        for (tag, scheme) in BASE_ADPT.into_iter().zip(base_adpt()) {
-            cells.push(cell_with(
+        let cells = schemes().map(|(tag, scheme)| {
+            cell_with(
                 format!("seed{seed}/{tag}"),
                 scheme,
                 TraceSpec::LteLike {
@@ -702,126 +667,107 @@ pub fn e9(seeds: u64) -> Experiment {
                 |cfg| {
                     cfg.seed = seed;
                 },
-            ));
-        }
-    }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let seeds = (runs.len() / 2) as u64;
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
-            "seed",
-            "base_mean_ms",
-            "adpt_mean_ms",
-            "base_p95_ms",
-            "adpt_p95_ms",
-            "drops_handled",
-        ]);
-        let mut base_sum = 0.0;
-        let mut adpt_sum = 0.0;
-        for seed in 0..seeds {
-            let rb = rs.next();
-            let ra = rs.next();
-            let b = rb.recorder.summarize_all();
-            let a = ra.recorder.summarize_all();
-            base_sum += b.mean_latency_ms;
-            adpt_sum += a.mean_latency_ms;
-            t.row_owned(vec![
+            )
+        });
+        g.row(cells, move |[b, a]| {
+            let (bs, as_) = (
+                b.result.recorder.summarize_all(),
+                a.result.recorder.summarize_all(),
+            );
+            vec![
                 seed.to_string(),
-                format!("{:.1}", b.mean_latency_ms),
-                format!("{:.1}", a.mean_latency_ms),
-                format!("{:.1}", b.p95_latency_ms),
-                format!("{:.1}", a.p95_latency_ms),
-                ra.drops_handled.to_string(),
-            ]);
-        }
-        t.row_owned(vec![
+                format!("{:.1}", bs.mean_latency_ms),
+                format!("{:.1}", as_.mean_latency_ms),
+                format!("{:.1}", bs.p95_latency_ms),
+                format!("{:.1}", as_.p95_latency_ms),
+                a.result.drops_handled.to_string(),
+            ]
+        });
+    }
+    g.summary(move |runs| {
+        // Runs alternate baseline, adaptive; average each scheme's
+        // session means over the seeds.
+        let mean = |first: usize| {
+            let sum: f64 = runs
+                .iter()
+                .skip(first)
+                .step_by(2)
+                .map(|run| run.result.recorder.summarize_all().mean_latency_ms)
+                .fold(0.0, |sum, ms| sum + ms);
+            sum / seeds as f64
+        };
+        vec![
             "MEAN".to_string(),
-            format!("{:.1}", base_sum / seeds as f64),
-            format!("{:.1}", adpt_sum / seeds as f64),
+            format!("{:.1}", mean(0)),
+            format!("{:.1}", mean(1)),
             String::new(),
             String::new(),
             String::new(),
-        ]);
-        Output::Table(t)
-    }
-    Experiment {
-        id: "e9",
-        title: "robustness across seeded LTE-like traces",
-        cells,
-        assemble_fn: assemble,
-    }
+        ]
+    });
+    g.build("e9", "robustness across seeded LTE-like traces")
 }
 
 /// E11 — lossy-link robustness: random wireless loss on top of the
 /// canonical drop, with NACK/RTX on and off.
 pub fn e11() -> Experiment {
-    let mut cells = Vec::new();
+    let mut g = Grid::new(&[
+        "loss",
+        "rtx",
+        "scheme",
+        "mean_ms",
+        "sess_ssim",
+        "freeze_%",
+        "retransmissions",
+    ]);
     for loss in [0.0, 0.01, 0.03, 0.05] {
         for rtx in [true, false] {
-            for (tag, scheme) in BASE_ADPT.into_iter().zip(base_adpt()) {
-                cells.push(cell_with(
-                    format!(
-                        "loss{:.0}%/rtx-{}/{tag}",
-                        loss * 100.0,
-                        if rtx { "on" } else { "off" }
-                    ),
+            let on_off = if rtx { "on" } else { "off" };
+            for (tag, scheme) in schemes() {
+                let cell = cell_with(
+                    format!("loss{:.0}%/rtx-{on_off}/{tag}", loss * 100.0),
                     scheme,
                     canonical_drop(),
                     |cfg| {
                         cfg.link.random_loss = loss;
                         cfg.enable_rtx = rtx;
                     },
-                ));
-            }
-        }
-    }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
-            "loss",
-            "rtx",
-            "scheme",
-            "mean_ms",
-            "sess_ssim",
-            "freeze_%",
-            "retransmissions",
-        ]);
-        for loss in [0.0, 0.01, 0.03, 0.05] {
-            for rtx in [true, false] {
-                for scheme in base_adpt() {
-                    let result = rs.next();
-                    let w = window_after(result);
-                    let all = result.recorder.summarize_all();
-                    t.row_owned(vec![
+                );
+                g.row([cell], move |[run]| {
+                    let w = window_after(&run.result);
+                    let all = run.result.recorder.summarize_all();
+                    vec![
                         format!("{:.0}%", loss * 100.0),
-                        if rtx { "on" } else { "off" }.to_string(),
+                        on_off.to_string(),
                         scheme.name(),
                         format!("{:.1}", w.mean_latency_ms),
                         format!("{:.4}", all.mean_ssim),
                         format!("{:.1}%", all.freeze_ratio() * 100.0),
-                        result.retransmissions.to_string(),
-                    ]);
-                }
+                        run.result.retransmissions.to_string(),
+                    ]
+                });
             }
         }
-        Output::Table(t)
     }
-    Experiment {
-        id: "e11",
-        title: "lossy links with NACK/RTX on/off",
-        cells,
-        assemble_fn: assemble,
-    }
+    g.build("e11", "lossy links with NACK/RTX on/off")
 }
 
 /// E12 — temporal-scalability extension: hierarchical-P (2 layers) vs
 /// plain IPPP under the canonical and deep drops.
 pub fn e12() -> Experiment {
-    let mut cells = Vec::new();
+    let mut g = Grid::new(&[
+        "layers",
+        "scheme",
+        "drop",
+        "mean_ms",
+        "p95_ms",
+        "sess_ssim",
+        "skips",
+    ]);
     for after in [1e6, 0.5e6] {
         for layers in [1u8, 2] {
-            for (tag, scheme) in BASE_ADPT.into_iter().zip(base_adpt()) {
-                cells.push(cell_with(
+            for (tag, scheme) in schemes() {
+                let cell = cell_with(
                     format!("4->{:.1}M/L{layers}/{tag}", after / 1e6),
                     scheme,
                     TraceSpec::SuddenDrop {
@@ -830,57 +776,41 @@ pub fn e12() -> Experiment {
                         at: DROP_AT,
                     },
                     |cfg| cfg.temporal_layers = layers,
-                ));
-            }
-        }
-    }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
-            "layers",
-            "scheme",
-            "drop",
-            "mean_ms",
-            "p95_ms",
-            "sess_ssim",
-            "skips",
-        ]);
-        for after in [1e6, 0.5e6] {
-            for layers in [1u8, 2] {
-                for scheme in base_adpt() {
-                    let result = rs.next();
-                    let w = window_after(result);
-                    let all = result.recorder.summarize_all();
-                    t.row_owned(vec![
+                );
+                g.row([cell], move |[run]| {
+                    let w = window_after(&run.result);
+                    let all = run.result.recorder.summarize_all();
+                    vec![
                         layers.to_string(),
                         scheme.name(),
                         format!("4->{:.1}Mbps", after / 1e6),
                         format!("{:.1}", w.mean_latency_ms),
                         format!("{:.1}", w.p95_latency_ms),
                         format!("{:.4}", all.mean_ssim),
-                        result.frames_skipped.to_string(),
-                    ]);
-                }
+                        run.result.frames_skipped.to_string(),
+                    ]
+                });
             }
         }
-        Output::Table(t)
     }
-    Experiment {
-        id: "e12",
-        title: "temporal scalability (1 vs 2 layers)",
-        cells,
-        assemble_fn: assemble,
-    }
+    g.build("e12", "temporal scalability (1 vs 2 layers)")
 }
 
 /// E13 — audio protection: an Opus-style 32 kbps audio flow shares the
 /// bottleneck; post-drop per-packet audio latency shows how video
 /// overshoot collateral-damages audio.
 pub fn e13() -> Experiment {
-    let mut cells = Vec::new();
+    let mut g = Grid::new(&[
+        "drop",
+        "scheme",
+        "audio_delivered",
+        "audio_mean_ms",
+        "audio_p95_ms",
+        "video_mean_ms",
+    ]);
     for after in E1_AFTER_BPS {
-        for (tag, scheme) in BASE_ADPT.into_iter().zip(base_adpt()) {
-            cells.push(cell_with(
+        for (tag, scheme) in schemes() {
+            let cell = cell_with(
                 format!("4->{:.1}M/{tag}", after / 1e6),
                 scheme,
                 TraceSpec::SuddenDrop {
@@ -889,23 +819,10 @@ pub fn e13() -> Experiment {
                     at: DROP_AT,
                 },
                 |cfg| cfg.enable_audio = true,
-            ));
-        }
-    }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
-            "drop",
-            "scheme",
-            "audio_delivered",
-            "audio_mean_ms",
-            "audio_p95_ms",
-            "video_mean_ms",
-        ]);
-        for after in E1_AFTER_BPS {
-            for scheme in base_adpt() {
-                let result = rs.next();
-                let mut lat: Vec<f64> = result
+            );
+            g.row([cell], move |[run]| {
+                let mut lat: Vec<f64> = run
+                    .result
                     .audio_latencies
                     .iter()
                     .filter(|&&(at, _)| at >= DROP_AT && at < DROP_AT + POST_WINDOW)
@@ -922,41 +839,41 @@ pub fn e13() -> Experiment {
                 // video) drop-tailed the rest.
                 let sent = POST_WINDOW.as_millis() / 20;
                 let delivered_pct = lat.len() as f64 / sent as f64 * 100.0;
-                let video = window_after(result);
-                t.row_owned(vec![
+                let video = window_after(&run.result);
+                vec![
                     format!("4->{:.1}Mbps", after / 1e6),
                     scheme.name(),
                     format!("{delivered_pct:.1}%"),
                     format!("{mean:.1}"),
                     format!("{p95:.1}"),
                     format!("{:.1}", video.mean_latency_ms),
-                ]);
-            }
+                ]
+            });
         }
-        Output::Table(t)
     }
-    Experiment {
-        id: "e13",
-        title: "audio protection under video overshoot",
-        cells,
-        assemble_fn: assemble,
-    }
+    g.build("e13", "audio protection under video overshoot")
 }
-
-const E14_STRATEGIES: [(&str, bool, bool); 4] = [
-    ("none", false, false),
-    ("rtx", true, false),
-    ("fec", false, true),
-    ("rtx+fec", true, true),
-];
 
 /// E14 — loss-recovery strategies compared: RTX, FEC, both, or neither,
 /// on a lossy link through the canonical drop (adaptive scheme).
 pub fn e14() -> Experiment {
-    let mut cells = Vec::new();
+    let mut g = Grid::new(&[
+        "loss",
+        "recovery",
+        "mean_ms",
+        "sess_ssim",
+        "freeze_%",
+        "rtx",
+        "fec_recovered",
+    ]);
     for loss in [0.02, 0.05] {
-        for (name, rtx, fec) in E14_STRATEGIES {
-            cells.push(cell_with(
+        for (name, rtx, fec) in [
+            ("none", false, false),
+            ("rtx", true, false),
+            ("fec", false, true),
+            ("rtx+fec", true, true),
+        ] {
+            let cell = cell_with(
                 format!("loss{:.0}%/{name}", loss * 100.0),
                 Scheme::adaptive(),
                 canonical_drop(),
@@ -965,59 +882,32 @@ pub fn e14() -> Experiment {
                     cfg.enable_rtx = rtx;
                     cfg.enable_fec = fec;
                 },
-            ));
-        }
-    }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
-            "loss",
-            "recovery",
-            "mean_ms",
-            "sess_ssim",
-            "freeze_%",
-            "rtx",
-            "fec_recovered",
-        ]);
-        for loss in [0.02, 0.05] {
-            for (name, _, _) in E14_STRATEGIES {
-                let result = rs.next();
-                let w = window_after(result);
-                let all = result.recorder.summarize_all();
-                t.row_owned(vec![
+            );
+            g.row([cell], move |[run]| {
+                let w = window_after(&run.result);
+                let all = run.result.recorder.summarize_all();
+                vec![
                     format!("{:.0}%", loss * 100.0),
                     name.to_string(),
                     format!("{:.1}", w.mean_latency_ms),
                     format!("{:.4}", all.mean_ssim),
                     format!("{:.1}%", all.freeze_ratio() * 100.0),
-                    result.retransmissions.to_string(),
-                    result.fec_recovered.to_string(),
-                ]);
-            }
+                    run.result.retransmissions.to_string(),
+                    run.result.fec_recovered.to_string(),
+                ]
+            });
         }
-        Output::Table(t)
     }
-    Experiment {
-        id: "e14",
-        title: "loss-recovery strategies (RTX/FEC)",
-        cells,
-        assemble_fn: assemble,
-    }
+    g.build("e14", "loss-recovery strategies (RTX/FEC)")
 }
 
-fn e15_schemes() -> [(&'static str, Scheme); 3] {
-    [
-        ("baseline", Scheme::baseline()),
-        ("drop-triggered", Scheme::adaptive()),
-        (
-            "continuous",
-            Scheme::adaptive_with(AdaptiveConfig::continuous()),
-        ),
-    ]
-}
-
-fn e15_scenarios() -> [(&'static str, TraceSpec); 3] {
-    [
+/// E15 — control-architecture comparison: the paper's drop-triggered
+/// state machine vs. Salsify-flavoured continuous per-frame control vs.
+/// baseline, across a clean drop, a stochastic trace, and a steady
+/// link.
+pub fn e15() -> Experiment {
+    let mut g = Grid::new(&["scenario", "scheme", "mean_ms", "p95_ms", "sess_ssim"]);
+    for (scenario, trace) in [
         ("clean-drop", canonical_drop()),
         (
             "lte-trace",
@@ -1027,172 +917,131 @@ fn e15_scenarios() -> [(&'static str, TraceSpec); 3] {
             },
         ),
         ("steady-link", TraceSpec::Constant(4.5e6)),
-    ]
-}
-
-/// E15 — control-architecture comparison: the paper's drop-triggered
-/// state machine vs. Salsify-flavoured continuous per-frame control vs.
-/// baseline, across a clean drop, a stochastic trace, and a steady
-/// link.
-pub fn e15() -> Experiment {
-    let mut cells = Vec::new();
-    for (scenario, trace) in e15_scenarios() {
-        for (name, scheme) in e15_schemes() {
-            cells.push(cell_with(
-                format!("{scenario}/{name}"),
-                scheme,
-                trace,
-                |_| {},
-            ));
-        }
-    }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&["scenario", "scheme", "mean_ms", "p95_ms", "sess_ssim"]);
-        for (scenario, _) in e15_scenarios() {
-            for (name, _) in e15_schemes() {
-                let result = rs.next();
+    ] {
+        for (name, scheme) in [
+            ("baseline", Scheme::baseline()),
+            ("drop-triggered", Scheme::adaptive()),
+            (
+                "continuous",
+                Scheme::adaptive_with(AdaptiveConfig::continuous()),
+            ),
+        ] {
+            let cell = cell_with(format!("{scenario}/{name}"), scheme, trace, |_| {});
+            g.row([cell], move |[run]| {
+                let all = run.result.recorder.summarize_all();
                 // The clean drop is summarized in the post-drop window;
                 // the trace/steady scenarios session-wide.
                 let s = if scenario == "clean-drop" {
-                    window_after(result)
+                    window_after(&run.result)
                 } else {
-                    result.recorder.summarize_all()
+                    all
                 };
-                let ssim = result.recorder.summarize_all().mean_ssim;
-                t.row_owned(vec![
+                vec![
                     scenario.into(),
                     name.into(),
                     format!("{:.1}", s.mean_latency_ms),
                     format!("{:.1}", s.p95_latency_ms),
-                    format!("{:.4}", ssim),
-                ]);
-            }
+                    format!("{:.4}", all.mean_ssim),
+                ]
+            });
         }
-        Output::Table(t)
     }
-    Experiment {
-        id: "e15",
-        title: "control architectures (drop-triggered vs continuous)",
-        cells,
-        assemble_fn: assemble,
-    }
+    g.build(
+        "e15",
+        "control architectures (drop-triggered vs continuous)",
+    )
 }
 
 /// E16's recovery instant.
 const E16_RECOVER_AT: Time = Time::from_secs(18);
 
-fn e16_schemes() -> [(&'static str, Scheme); 3] {
-    [
+/// E16 — recovery speed: after the capacity comes back, how fast does
+/// each scheme climb back to the pre-drop rate?
+pub fn e16() -> Experiment {
+    let mut g = Grid::new(&[
+        "scheme",
+        "rate@+2s",
+        "rate@+6s",
+        "rate@+12s",
+        "t90_s",
+        "sess_ssim",
+    ]);
+    for (name, scheme) in [
         ("baseline", Scheme::baseline()),
         ("adaptive", Scheme::adaptive()),
         (
             "adaptive+probing",
             Scheme::adaptive_with(AdaptiveConfig::with_probing()),
         ),
-    ]
-}
-
-/// E16 — recovery speed: after the capacity comes back, how fast does
-/// each scheme climb back to the pre-drop rate?
-pub fn e16() -> Experiment {
-    let cells = e16_schemes()
-        .into_iter()
-        .map(|(name, scheme)| {
-            cell_with(
-                name.to_string(),
-                scheme,
-                TraceSpec::DropRecover {
-                    pre_bps: PRE_RATE,
-                    after_bps: 1e6,
-                    at: DROP_AT,
-                    recover_at: E16_RECOVER_AT,
-                },
-                |cfg| {
-                    cfg.record_series = true;
-                    cfg.duration = Dur::secs(45);
-                },
-            )
-        })
-        .collect();
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
-            "scheme",
-            "rate@+2s",
-            "rate@+6s",
-            "rate@+12s",
-            "t90_s",
-            "sess_ssim",
-        ]);
-        for (name, _) in e16_schemes() {
-            let result = rs.next();
-            let send = result.series.get("send_rate_bps").expect("series");
+    ] {
+        let cell = cell_with(
+            name.to_string(),
+            scheme,
+            TraceSpec::DropRecover {
+                pre_bps: PRE_RATE,
+                after_bps: 1e6,
+                at: DROP_AT,
+                recover_at: E16_RECOVER_AT,
+            },
+            |cfg| {
+                cfg.record_series = true;
+                cfg.duration = Dur::secs(45);
+            },
+        );
+        g.row([cell], move |[run]| {
+            let send = run.result.series.get("send_rate_bps").expect("series");
+            // Mean send rate over the 2 s starting `offset_s` after
+            // the recovery instant, in bits/second.
             let rate_at = |offset_s: u64| {
                 send.mean_in(
                     E16_RECOVER_AT + Dur::secs(offset_s),
                     E16_RECOVER_AT + Dur::secs(offset_s + 2),
-                ) / 1e6
+                )
             };
             // Time until the 2s-smoothed send rate first reaches 90% of
             // the pre-drop 4 Mbps (capped at the session tail).
-            let mut t90 = f64::NAN;
-            for s in 0..25u64 {
-                if send.mean_in(
-                    E16_RECOVER_AT + Dur::secs(s),
-                    E16_RECOVER_AT + Dur::secs(s + 2),
-                ) >= 0.9 * PRE_RATE
-                {
-                    t90 = s as f64;
-                    break;
-                }
-            }
-            let all = result.recorder.summarize_all();
-            t.row_owned(vec![
+            let t90 = (0..25u64).find(|&s| rate_at(s) >= 0.9 * PRE_RATE);
+            let all = run.result.recorder.summarize_all();
+            vec![
                 name.to_string(),
-                format!("{:.2}M", rate_at(2)),
-                format!("{:.2}M", rate_at(6)),
-                format!("{:.2}M", rate_at(12)),
-                if t90.is_nan() {
-                    ">25".to_string()
-                } else {
-                    format!("{t90:.0}")
-                },
+                format!("{:.2}M", rate_at(2) / 1e6),
+                format!("{:.2}M", rate_at(6) / 1e6),
+                format!("{:.2}M", rate_at(12) / 1e6),
+                t90.map_or(">25".to_string(), |s| s.to_string()),
                 format!("{:.4}", all.mean_ssim),
-            ]);
-        }
-        Output::Table(t)
+            ]
+        });
     }
-    Experiment {
-        id: "e16",
-        title: "recovery speed after the drop clears",
-        cells,
-        assemble_fn: assemble,
-    }
+    g.build("e16", "recovery speed after the drop clears")
 }
-
-const E17_LOSSES: [f64; 4] = [0.0, 0.1, 0.3, 0.5];
-const E17_BLACKOUTS_S: [u64; 3] = [0, 1, 3];
 
 /// E17 — control-plane robustness: the canonical drop with the
 /// *reverse* path impaired at the same time (i.i.d. feedback loss ×
 /// blackout at the drop instant), baseline vs. adaptive, each with and
 /// without the feedback watchdog.
 pub fn e17() -> Experiment {
-    let mut cells = Vec::new();
-    for loss in E17_LOSSES {
-        for blackout_s in E17_BLACKOUTS_S {
-            for (tag, scheme) in [
+    let mut g = Grid::new(&[
+        "fb_loss",
+        "blackout_s",
+        "scheme",
+        "watchdog",
+        "p50_ms",
+        "p95_ms",
+        "sess_ssim",
+        "wd_steps",
+        "discarded",
+        "rev_lost",
+    ]);
+    for loss in [0.0, 0.1, 0.3, 0.5] {
+        for blackout_s in [0u64, 1, 3] {
+            for (name, scheme) in [
                 ("baseline", Scheme::baseline()),
                 ("adaptive", Scheme::adaptive()),
             ] {
                 for wd_on in [false, true] {
-                    cells.push(cell_with(
-                        format!(
-                            "fb{:.0}%/bo{blackout_s}s/{tag}/wd-{}",
-                            loss * 100.0,
-                            if wd_on { "on" } else { "off" }
-                        ),
+                    let wd = if wd_on { "on" } else { "off" };
+                    let cell = cell_with(
+                        format!("fb{:.0}%/bo{blackout_s}s/{name}/wd-{wd}", loss * 100.0),
                         scheme,
                         canonical_drop(),
                         |cfg| {
@@ -1208,55 +1057,27 @@ pub fn e17() -> Experiment {
                                 ));
                             }
                         },
-                    ));
-                }
-            }
-        }
-    }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
-            "fb_loss",
-            "blackout_s",
-            "scheme",
-            "watchdog",
-            "p50_ms",
-            "p95_ms",
-            "sess_ssim",
-            "wd_steps",
-            "discarded",
-            "rev_lost",
-        ]);
-        for loss in E17_LOSSES {
-            for blackout_s in E17_BLACKOUTS_S {
-                for name in ["baseline", "adaptive"] {
-                    for wd_on in [false, true] {
-                        let result = rs.next();
-                        let w = window_after(result);
-                        t.row_owned(vec![
+                    );
+                    g.row([cell], move |[run]| {
+                        let w = window_after(&run.result);
+                        vec![
                             format!("{:.0}%", loss * 100.0),
                             blackout_s.to_string(),
                             name.to_string(),
-                            if wd_on { "on" } else { "off" }.to_string(),
+                            wd.to_string(),
                             format!("{:.1}", w.p50_latency_ms),
                             format!("{:.1}", w.p95_latency_ms),
-                            format!("{:.4}", result.recorder.summarize_all().mean_ssim),
-                            result.watchdog_timeouts.to_string(),
-                            result.reports_discarded.to_string(),
-                            result.reverse_lost.to_string(),
-                        ]);
-                    }
+                            format!("{:.4}", run.result.recorder.summarize_all().mean_ssim),
+                            run.result.watchdog_timeouts.to_string(),
+                            run.result.reports_discarded.to_string(),
+                            run.result.reverse_lost.to_string(),
+                        ]
+                    });
                 }
             }
         }
-        Output::Table(t)
     }
-    Experiment {
-        id: "e17",
-        title: "control-plane robustness under feedback impairment",
-        cells,
-        assemble_fn: assemble,
-    }
+    g.build("e17", "control-plane robustness under feedback impairment")
 }
 
 /// E18 fault intensities (the `(seed, intensity)` grid's severity axis).
@@ -1293,35 +1114,28 @@ fn chaos_cell(seed: u64, intensity: f64) -> Cell {
 /// reporting any broken law per cell. A healthy pipeline shows `0`
 /// in the violations column for every `(intensity, seed)` cell.
 pub fn e18() -> Experiment {
-    let mut cells = Vec::new();
+    let mut g = Grid::new(&[
+        "intensity",
+        "seed",
+        "faults",
+        "chaos_lost",
+        "dups",
+        "chain_breaks",
+        "plis",
+        "p95_ms",
+        "sess_ssim",
+        "violations",
+    ]);
     for intensity in E18_INTENSITIES {
         for seed in E18_SEEDS {
-            cells.push(chaos_cell(seed, intensity));
-        }
-    }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut rs = Runs::new(runs);
-        let mut t = Table::new(&[
-            "intensity",
-            "seed",
-            "faults",
-            "chaos_lost",
-            "dups",
-            "chain_breaks",
-            "plis",
-            "p95_ms",
-            "sess_ssim",
-            "violations",
-        ]);
-        for intensity in E18_INTENSITIES {
-            for seed in E18_SEEDS {
-                let result = rs.next();
+            g.row([chaos_cell(seed, intensity)], move |[run]| {
+                let result = &run.result;
                 // The schedule is a pure function of (seed, intensity);
                 // regenerate it for the fault count column.
                 let sched =
                     ChaosSchedule::generate(ChaosSpec::new(seed, intensity), CHAOS_SESSION_LEN);
                 let all = result.recorder.summarize_all();
-                t.row_owned(vec![
+                vec![
                     format!("{intensity:.2}"),
                     seed.to_string(),
                     sched.segments.len().to_string(),
@@ -1332,17 +1146,11 @@ pub fn e18() -> Experiment {
                     format!("{:.1}", all.p95_latency_ms),
                     format!("{:.4}", all.mean_ssim),
                     result.violations.len().to_string(),
-                ]);
-            }
+                ]
+            });
         }
-        Output::Table(t)
     }
-    Experiment {
-        id: "e18",
-        title: "data-plane chaos with session invariant checking",
-        cells,
-        assemble_fn: assemble,
-    }
+    g.build("e18", "data-plane chaos with session invariant checking")
 }
 
 /// The `--faults chaos:N@S` sweep: `n` seeded chaos cells starting at
@@ -1357,46 +1165,45 @@ pub fn chaos_sweep(n: u64, seed0: u64) -> Experiment {
     let cells = (0..n)
         .map(|i| chaos_cell(seed0 + i, SWEEP_INTENSITIES[(i % 4) as usize]))
         .collect();
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut t = Table::new(&[
-            "cell",
-            "chaos_lost",
-            "dups",
-            "chain_breaks",
-            "p95_ms",
-            "violations",
-        ]);
-        let mut violating = 0usize;
-        for run in runs {
-            let all = run.result.recorder.summarize_all();
-            if !run.result.violations.is_empty() {
-                violating += 1;
+    Experiment::new(
+        "chaos",
+        "seeded chaos sweep with invariant checking",
+        cells,
+        |runs| {
+            let mut t = Table::new(&[
+                "cell",
+                "chaos_lost",
+                "dups",
+                "chain_breaks",
+                "p95_ms",
+                "violations",
+            ]);
+            let mut violating = 0usize;
+            for run in runs {
+                let all = run.result.recorder.summarize_all();
+                if !run.result.violations.is_empty() {
+                    violating += 1;
+                }
+                t.row_owned(vec![
+                    run.label.clone(),
+                    run.result.chaos_lost.to_string(),
+                    run.result.chaos_duplicates.to_string(),
+                    run.result.chain_breaks.to_string(),
+                    format!("{:.1}", all.p95_latency_ms),
+                    run.result.violations.len().to_string(),
+                ]);
             }
             t.row_owned(vec![
-                run.label.clone(),
-                run.result.chaos_lost.to_string(),
-                run.result.chaos_duplicates.to_string(),
-                run.result.chain_breaks.to_string(),
-                format!("{:.1}", all.p95_latency_ms),
-                run.result.violations.len().to_string(),
+                "TOTAL".to_string(),
+                String::new(),
+                String::new(),
+                String::new(),
+                String::new(),
+                format!("{violating} violating cells"),
             ]);
-        }
-        t.row_owned(vec![
-            "TOTAL".to_string(),
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
-            format!("{violating} violating cells"),
-        ]);
-        Output::Table(t)
-    }
-    Experiment {
-        id: "chaos",
-        title: "seeded chaos sweep with invariant checking",
-        cells,
-        assemble_fn: assemble,
-    }
+            Output::Table(t)
+        },
+    )
 }
 
 /// E21 corruption intensities — the control-plane analogue of E18's
@@ -1458,35 +1265,27 @@ fn contracts_cell(run: &CellRun) -> String {
 /// counting rejections by reason and the machine-checked recovery
 /// contract judging every cell. CI gates on zero failed clauses.
 pub fn e21() -> Experiment {
-    let mut cells = Vec::new();
+    let mut g = Grid::new(&[
+        "intensity",
+        "scheme",
+        "corrupted",
+        "rejected",
+        "reasons",
+        "pli_supp",
+        "wd_eps",
+        "p95_ms",
+        "violations",
+        "contracts",
+    ]);
     for intensity in E21_INTENSITIES {
-        for scheme in base_adpt() {
-            cells.push(corrupt_cell(
+        for (tag, scheme) in schemes() {
+            let cell = corrupt_cell(
                 format!("corrupt/i{intensity:.2}/{}", scheme.name()),
                 E21_SEED,
                 intensity,
                 scheme,
-            ));
-        }
-    }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut t = Table::new(&[
-            "intensity",
-            "scheme",
-            "corrupted",
-            "rejected",
-            "reasons",
-            "pli_supp",
-            "wd_eps",
-            "p95_ms",
-            "violations",
-            "contracts",
-        ]);
-        let mut i = 0;
-        for intensity in E21_INTENSITIES {
-            for name in BASE_ADPT {
-                let run = &runs[i];
-                i += 1;
+            );
+            g.row([cell], move |[run]| {
                 let result = &run.result;
                 let reasons = result
                     .rejected_by_reason
@@ -1494,9 +1293,9 @@ pub fn e21() -> Experiment {
                     .map(|(reason, n)| format!("{reason}:{n}"))
                     .collect::<Vec<_>>()
                     .join(",");
-                t.row_owned(vec![
+                vec![
                     format!("{intensity:.2}"),
-                    name.to_string(),
+                    tag.to_string(),
                     result.feedback_corrupted.to_string(),
                     result.rejected_reports.to_string(),
                     if reasons.is_empty() {
@@ -1509,17 +1308,11 @@ pub fn e21() -> Experiment {
                     format!("{:.1}", window_after(result).p95_latency_ms),
                     result.violations.len().to_string(),
                     contracts_cell(run),
-                ]);
-            }
+                ]
+            });
         }
-        Output::Table(t)
     }
-    Experiment {
-        id: "e21",
-        title: "control-plane corruption with recovery contracts",
-        cells,
-        assemble_fn: assemble,
-    }
+    g.build("e21", "control-plane corruption with recovery contracts")
 }
 
 /// The `--faults corrupt:N@S` sweep: `n` seeded corruption cells
@@ -1542,50 +1335,49 @@ pub fn corrupt_sweep(n: u64, seed0: u64) -> Experiment {
             )
         })
         .collect();
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut t = Table::new(&[
-            "cell",
-            "corrupted",
-            "rejected",
-            "pli_supp",
-            "wd_eps",
-            "violations",
-            "contracts",
-        ]);
-        let mut violating = 0usize;
-        let mut failed_contracts = 0usize;
-        for run in runs {
-            if !run.result.violations.is_empty() {
-                violating += 1;
-            }
-            failed_contracts += run.failed_contracts().len();
-            t.row_owned(vec![
-                run.label.clone(),
-                run.result.feedback_corrupted.to_string(),
-                run.result.rejected_reports.to_string(),
-                run.result.plis_suppressed.to_string(),
-                run.result.watchdog_episodes.to_string(),
-                run.result.violations.len().to_string(),
-                contracts_cell(run),
-            ]);
-        }
-        t.row_owned(vec![
-            "TOTAL".to_string(),
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
-            format!("{violating} violating cells"),
-            format!("{failed_contracts} failed clauses"),
-        ]);
-        Output::Table(t)
-    }
-    Experiment {
-        id: "corrupt",
-        title: "seeded feedback-corruption sweep with recovery contracts",
+    Experiment::new(
+        "corrupt",
+        "seeded feedback-corruption sweep with recovery contracts",
         cells,
-        assemble_fn: assemble,
-    }
+        |runs| {
+            let mut t = Table::new(&[
+                "cell",
+                "corrupted",
+                "rejected",
+                "pli_supp",
+                "wd_eps",
+                "violations",
+                "contracts",
+            ]);
+            let mut violating = 0usize;
+            let mut failed_contracts = 0usize;
+            for run in runs {
+                if !run.result.violations.is_empty() {
+                    violating += 1;
+                }
+                failed_contracts += run.failed_contracts().len();
+                t.row_owned(vec![
+                    run.label.clone(),
+                    run.result.feedback_corrupted.to_string(),
+                    run.result.rejected_reports.to_string(),
+                    run.result.plis_suppressed.to_string(),
+                    run.result.watchdog_episodes.to_string(),
+                    run.result.violations.len().to_string(),
+                    contracts_cell(run),
+                ]);
+            }
+            t.row_owned(vec![
+                "TOTAL".to_string(),
+                String::new(),
+                String::new(),
+                String::new(),
+                String::new(),
+                format!("{violating} violating cells"),
+                format!("{failed_contracts} failed clauses"),
+            ]);
+            Output::Table(t)
+        },
+    )
 }
 
 /// The E22 arena controllers, in grid order. GCC rides along as the
@@ -1647,68 +1439,55 @@ fn e22_cell(cc: CcKind, scenario: &'static str, adaptive: bool) -> Cell {
     }
 }
 
-/// E22 over an arbitrary controller subset, in canonical grid order.
-/// The assembly keys rows off cell labels, so a filtered grid (CLI
+/// E22 over an arbitrary controller subset, in canonical grid order:
+/// one row per `(controller, scenario)`, so a filtered grid (CLI
 /// `--controller`) renders exactly the surviving rows.
 fn e22_with(kinds: &[CcKind]) -> Experiment {
-    let mut cells = Vec::new();
+    let mut g = Grid::new(&[
+        "controller",
+        "scenario",
+        "base_p95_ms",
+        "adpt_p95_ms",
+        "p95_reduction",
+        "base_ssim",
+        "adpt_ssim",
+        "ssim_delta",
+        "violations",
+    ]);
     for &cc in kinds {
         for scenario in E22_SCENARIOS {
-            for adaptive in [false, true] {
-                cells.push(e22_cell(cc, scenario, adaptive));
-            }
+            let cells = [false, true].map(|adaptive| e22_cell(cc, scenario, adaptive));
+            g.row(cells, move |[base, adpt]| {
+                // "Post-drop" is the drop/corrupt measurement window; the
+                // chaos scenario has no drop instant, so it is judged over
+                // the whole session.
+                let summarize = |run: &CellRun| {
+                    if scenario == "chaos" {
+                        run.result.recorder.summarize_all()
+                    } else {
+                        window_after(&run.result)
+                    }
+                };
+                let (b, a) = (summarize(base), summarize(adpt));
+                let violations = base.result.violations.len() + adpt.result.violations.len();
+                vec![
+                    cc.cc_name().to_string(),
+                    scenario.to_string(),
+                    format!("{:.1}", b.p95_latency_ms),
+                    format!("{:.1}", a.p95_latency_ms),
+                    fmt_reduction(b.p95_latency_ms, a.p95_latency_ms),
+                    format!("{:.4}", b.mean_ssim),
+                    format!("{:.4}", a.mean_ssim),
+                    format!("{:+.4}", a.mean_ssim - b.mean_ssim),
+                    violations.to_string(),
+                ]
+            });
         }
     }
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut t = Table::new(&[
-            "controller",
-            "scenario",
-            "base_p95_ms",
-            "adpt_p95_ms",
-            "p95_reduction",
-            "base_ssim",
-            "adpt_ssim",
-            "ssim_delta",
-            "violations",
-        ]);
-        // Cells come in (base, adpt) pairs; recover the row's identity
-        // from the label (`arena/<controller>/<scenario>/<mode>`) so a
-        // controller-filtered grid assembles without the full constant.
-        for pair in runs.chunks(2) {
-            let parts: Vec<&str> = pair[0].label.split('/').collect();
-            let (controller, scenario) = (parts[1], parts[2]);
-            // "Post-drop" is the drop/corrupt measurement window; the
-            // chaos scenario has no drop instant, so it is judged over
-            // the whole session.
-            let summarize = |run: &CellRun| {
-                if scenario == "chaos" {
-                    run.result.recorder.summarize_all()
-                } else {
-                    window_after(&run.result)
-                }
-            };
-            let (b, a) = (summarize(&pair[0]), summarize(&pair[1]));
-            let violations = pair[0].result.violations.len() + pair[1].result.violations.len();
-            t.row_owned(vec![
-                controller.to_string(),
-                scenario.to_string(),
-                format!("{:.1}", b.p95_latency_ms),
-                format!("{:.1}", a.p95_latency_ms),
-                fmt_reduction(b.p95_latency_ms, a.p95_latency_ms),
-                format!("{:.4}", b.mean_ssim),
-                format!("{:.4}", a.mean_ssim),
-                format!("{:+.4}", a.mean_ssim - b.mean_ssim),
-                violations.to_string(),
-            ]);
-        }
-        Output::Table(t)
-    }
-    Experiment {
-        id: "e22",
-        title: "congestion-controller arena: adaptation benefit per controller",
-        cells,
-        assemble_fn: assemble,
-    }
+    g.build(
+        "e22",
+        "congestion-controller arena: adaptation benefit per controller",
+    )
 }
 
 /// E22 — the congestion-controller arena: every controller
@@ -1796,36 +1575,35 @@ pub fn fixture(fault: InjectedFault) -> Experiment {
             }
         })
         .collect();
-    fn assemble(_: &Experiment, runs: &[CellRun]) -> Output {
-        let mut t = Table::new(&[
-            "cell",
-            "status",
-            "events",
-            "frames",
-            "violations",
-            "failure_digest",
-        ]);
-        for run in runs {
-            t.row_owned(vec![
-                run.label.clone(),
-                run.status.name().to_string(),
-                run.result.events_processed.to_string(),
-                run.result.frames_captured.to_string(),
-                run.result.violations.len().to_string(),
-                run.failure
-                    .as_ref()
-                    .map(crate::pool::CellFailure::digest)
-                    .unwrap_or_default(),
-            ]);
-        }
-        Output::Table(t)
-    }
-    Experiment {
-        id: "fixture",
-        title: "injected-fault isolation fixture",
+    Experiment::new(
+        "fixture",
+        "injected-fault isolation fixture",
         cells,
-        assemble_fn: assemble,
-    }
+        |runs| {
+            let mut t = Table::new(&[
+                "cell",
+                "status",
+                "events",
+                "frames",
+                "violations",
+                "failure_digest",
+            ]);
+            for run in runs {
+                t.row_owned(vec![
+                    run.label.clone(),
+                    run.status.name().to_string(),
+                    run.result.events_processed.to_string(),
+                    run.result.frames_captured.to_string(),
+                    run.result.violations.len().to_string(),
+                    run.failure
+                        .as_ref()
+                        .map(crate::pool::CellFailure::digest)
+                        .unwrap_or_default(),
+                ]);
+            }
+            Output::Table(t)
+        },
+    )
 }
 
 /// Seeds E9 runs with when invoked through the full-suite registry.
@@ -2003,6 +1781,24 @@ mod tests {
         let labels: Vec<_> = full.cells.iter().map(|c| c.label.clone()).collect();
         let canon: Vec<_> = e22().cells.iter().map(|c| c.label.clone()).collect();
         assert_eq!(labels, canon);
+    }
+
+    #[test]
+    fn rows_print_their_loop_values_not_the_cells() {
+        // The benchmark rewrites cell seeds after building the registry;
+        // a row must still print the values its grid was declared with.
+        let mut exp = e9(1);
+        for cell in &mut exp.cells {
+            cell.cfg.seed = 99;
+            if let TraceSpec::LteLike { seed, .. } = &mut cell.trace {
+                *seed = 99;
+            }
+        }
+        let csv = run_suite(&[exp], 2)[0].output.to_csv();
+        let rows: Vec<&str> = csv.lines().skip(1).collect();
+        assert_eq!(rows.len(), 2, "{csv}");
+        assert!(rows[0].starts_with("0,"), "{csv}");
+        assert!(rows[1].starts_with("MEAN,"), "{csv}");
     }
 
     #[test]

@@ -17,8 +17,11 @@
 //!   exactly once per run, and grid positions that repeat it (E1 and E2
 //!   share their entire grid) are served from the in-process cache.
 //!   `--no-cache` / [`PoolOptions`] restores cold execution.
-//! * [`experiments`] — E1–E22 ported to expansion + assembly form, plus
-//!   the [`experiments::select`] registry the CLI uses and the
+//! * [`experiments`] — E1–E22 as grids declared in one walk: each
+//!   builder pushes every table row together with the cells it reads
+//!   and a formatter over their results, so the grid's expansion order
+//!   and its table layout come from one loop nest. The module also
+//!   holds the [`experiments::select`] registry the CLI uses and the
 //!   [`experiments::chaos_sweep`] / [`experiments::corrupt_sweep`]
 //!   generators behind `--faults chaos:N@S` and `--faults corrupt:N@S`.
 //!   Cells may carry a declarative recovery contract

@@ -32,12 +32,12 @@ fn smoke_grid() -> Experiment {
             });
         }
     }
-    fn assemble(exp: &Experiment, runs: &[ravel_harness::CellRun]) -> Output {
+    fn assemble(runs: &[ravel_harness::CellRun]) -> Output {
         let mut t = Table::new(&["cell", "mean_ms", "p95_ms", "ssim", "frames"]);
-        for (cell, run) in exp.cells.iter().zip(runs) {
+        for run in runs {
             let s = run.result.recorder.summarize_all();
             t.row_owned(vec![
-                cell.label.clone(),
+                run.label.clone(),
                 format!("{:.2}", s.mean_latency_ms),
                 format!("{:.2}", s.p95_latency_ms),
                 format!("{:.4}", s.mean_ssim),
@@ -111,7 +111,7 @@ fn cached_output_matches_no_cache_serial_reference_exactly() {
         label: c.label.clone(),
         ..c.clone()
     }));
-    fn assemble(_: &Experiment, runs: &[ravel_harness::CellRun]) -> Output {
+    fn assemble(runs: &[ravel_harness::CellRun]) -> Output {
         let mut out = String::new();
         for run in runs {
             let s = run.result.recorder.summarize_all();
@@ -283,7 +283,7 @@ fn mixed_duration_grid_batches_without_divergence() {
     }
 }
 
-fn smoke_assemble(_: &Experiment, runs: &[ravel_harness::CellRun]) -> Output {
+fn smoke_assemble(runs: &[ravel_harness::CellRun]) -> Output {
     let mut out = String::new();
     for run in runs {
         let s = run.result.recorder.summarize_all();

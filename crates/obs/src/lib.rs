@@ -292,49 +292,26 @@ impl ObsCounters {
     }
 }
 
-/// Where recorded events go.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub enum ObsSink {
-    /// Store nothing (`Off` and `Counters` modes).
-    #[default]
-    None,
-    /// Keep every event in order.
-    Full(Vec<ObsRecord>),
-}
-
-impl ObsSink {
-    fn push(&mut self, rec: ObsRecord) {
-        match self {
-            ObsSink::None => {}
-            ObsSink::Full(v) => v.push(rec),
-        }
-    }
-}
-
-/// The session event log: mode, counters, and the configured sink.
+/// The session event log: mode, counters, and (in `Full` mode only)
+/// every recorded event.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ObsLog {
     mode: ObsMode,
     /// Per-subsystem tallies (zero in `Off` mode).
     pub counters: ObsCounters,
-    sink: ObsSink,
-    /// Events recorded, whether or not the sink stores them.
+    /// The retained events, oldest first; empty unless `Full`.
+    events: Vec<ObsRecord>,
+    /// Events recorded, whether or not they were retained.
     recorded: u64,
 }
 
 impl ObsLog {
-    /// A log for `mode`: `Full` gets a full-capture sink, the other
-    /// modes store no events.
+    /// A log for `mode`: `Full` retains every event, the other modes
+    /// store none.
     pub fn new(mode: ObsMode) -> ObsLog {
-        let sink = match mode {
-            ObsMode::Full => ObsSink::Full(Vec::new()),
-            ObsMode::Off | ObsMode::Counters => ObsSink::None,
-        };
         ObsLog {
             mode,
-            counters: ObsCounters::default(),
-            sink,
-            recorded: 0,
+            ..ObsLog::default()
         }
     }
 
@@ -362,21 +339,18 @@ impl ObsLog {
         self.counters.bump(&event);
         self.recorded += 1;
         if self.mode == ObsMode::Full {
-            self.sink.push(ObsRecord { at, event });
+            self.events.push(ObsRecord { at, event });
         }
     }
 
-    /// Total events recorded (independent of sink retention).
+    /// Total events recorded (independent of retention).
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
 
     /// The retained records, oldest first.
-    pub fn events(&self) -> Vec<&ObsRecord> {
-        match &self.sink {
-            ObsSink::None => Vec::new(),
-            ObsSink::Full(v) => v.iter().collect(),
-        }
+    pub fn events(&self) -> &[ObsRecord] {
+        &self.events
     }
 
     /// Renders the deterministic timeline digest for this log.
@@ -420,7 +394,7 @@ impl ObsLog {
             );
         }
         let _ = writeln!(out, "violations: {}", c.invariant_violations);
-        let events = self.events();
+        let events = &self.events;
         let _ = writeln!(
             out,
             "events: {} recorded, {} retained",
