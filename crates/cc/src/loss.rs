@@ -101,6 +101,59 @@ mod tests {
         assert!(later > after);
     }
 
+    /// Hand vectors for the three RMCAT rules from 1 Mbps, one fresh
+    /// controller per report, at the exact 2% and 10% edges (both
+    /// belong to the hold band) and just either side of each. The
+    /// expected targets are worked out by hand, not by the formula
+    /// under test.
+    #[test]
+    fn rmcat_rules_at_and_around_the_two_and_ten_percent_edges() {
+        let vectors: [(f64, f64); 14] = [
+            // loss < 2%: probe, ×1.05.
+            (0.0, 1_050_000.0),
+            (0.0199, 1_050_000.0),
+            (1.0 / 51.0, 1_050_000.0),
+            // 2% ≤ loss ≤ 10%: hold, including both edges exactly.
+            (0.02, 1_000_000.0),
+            (1.0 / 50.0, 1_000_000.0),
+            (0.0201, 1_000_000.0),
+            (0.05, 1_000_000.0),
+            (0.0999, 1_000_000.0),
+            (0.10, 1_000_000.0),
+            (10.0 / 100.0, 1_000_000.0),
+            // loss > 10%: cut, ×(1 − loss/2).
+            (0.1001, 949_950.0),
+            (0.11, 945_000.0),
+            (0.5, 750_000.0),
+            (1.0, 500_000.0),
+        ];
+        for (loss, want) in vectors {
+            let mut lc = LossController::new(1e6, 0.1e6, 10e6);
+            let got = lc.update(loss, t(1_000));
+            assert!(
+                (got - want).abs() < 1e-6,
+                "loss {loss}: target {got}, hand value {want}"
+            );
+            assert_eq!(lc.target_bps(), got);
+        }
+    }
+
+    /// The probe compounds at most once per 200 ms: 1 Mbps → 1.05 at
+    /// 0 ms, unchanged at 199 ms, 1.1025 at exactly 200 ms. A hold
+    /// restarts that clock; a cut applies at once, whenever it lands.
+    #[test]
+    fn rmcat_probe_spacing_by_hand() {
+        let mut lc = LossController::new(1e6, 0.1e6, 10e6);
+        assert!((lc.update(0.0, t(0)) - 1_050_000.0).abs() < 1e-6);
+        assert!((lc.update(0.01, t(199)) - 1_050_000.0).abs() < 1e-6);
+        assert!((lc.update(0.0199, t(200)) - 1_102_500.0).abs() < 1e-6);
+        assert!((lc.update(0.02, t(300)) - 1_102_500.0).abs() < 1e-6);
+        assert!((lc.update(0.0, t(450)) - 1_102_500.0).abs() < 1e-6);
+        assert!((lc.update(0.2, t(451)) - 992_250.0).abs() < 1e-6);
+        assert!((lc.update(0.2, t(452)) - 893_025.0).abs() < 1e-6);
+        assert!((lc.update(0.0, t(652)) - 937_676.25).abs() < 1e-6);
+    }
+
     #[test]
     fn clamped_to_bounds() {
         let mut lc = LossController::new(0.2e6, 0.1e6, 0.3e6);

@@ -5,96 +5,35 @@
 //! memo until the pass ended would peak near twice what it returns.
 //!
 //! This file holds a single test, so no other test's allocations land
-//! in the counters.
+//! in the counters of its allocator (`heap/mod.rs`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod heap;
 
 use ravel_harness::{run_cells_opts, Cell, ObsMode, PoolOptions, TraceSpec};
 use ravel_pipeline::{CcKind, Scheme, SessionConfig};
 use ravel_sim::Dur;
 
-/// Live heap bytes.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-/// The highest `LIVE` seen since the last [`reset_peak`].
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-impl Counting {
-    fn grow(by: usize) {
-        let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-        PEAK.fetch_max(live, Ordering::Relaxed);
-    }
-
-    fn shrink(by: usize) {
-        LIVE.fetch_sub(by, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds `GlobalAlloc`'s contract; the counters only observe
-// the sizes involved.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            Counting::grow(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() {
-            Counting::grow(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        Counting::shrink(layout.size());
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new = System.realloc(ptr, layout, new_size);
-        if !new.is_null() {
-            if new_size >= layout.size() {
-                Counting::grow(new_size - layout.size());
-            } else {
-                Counting::shrink(layout.size() - new_size);
-            }
-        }
-        new
-    }
-}
-
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: heap::Counting = heap::Counting;
 
-fn reset_peak() -> usize {
-    let live = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live, Ordering::Relaxed);
-    live
-}
-
-/// One ~10 s LTE-like call per arena controller, recorded in full: the
-/// obs log and the per-frame series dominate each result.
+/// One 60 s LTE-like call per arena controller, recorded in full: the
+/// obs log and the per-frame series dominate each result. (At 10 s the
+/// compact obs log no longer outweighs a running session's working
+/// memory, and the ratio below would measure that instead of the pool.)
 fn recorded_calls() -> Vec<Cell> {
     [CcKind::Gcc, CcKind::Nada, CcKind::Bbr, CcKind::LossEma]
         .into_iter()
         .enumerate()
         .map(|(i, cc)| {
             let mut cfg = SessionConfig::default_with(Scheme::cc_adaptive(cc));
-            cfg.duration = Dur::secs(10);
+            cfg.duration = Dur::secs(60);
             cfg.record_series = true;
             cfg.seed = 11 + i as u64;
             Cell {
                 label: format!("call/{}", cc.cc_name()),
                 trace: TraceSpec::LteLike {
                     seed: 23 + i as u64,
-                    len: Dur::secs(10),
+                    len: Dur::secs(60),
                 },
                 cfg,
                 contracts: None,
@@ -110,14 +49,12 @@ fn measure(cells: &[Cell], jobs: usize) -> (usize, usize) {
         obs: ObsMode::Full,
         ..PoolOptions::default()
     };
-    let before = reset_peak();
+    let before = heap::reset_peak();
     let (runs, stats) = run_cells_opts(cells, jobs, opts);
-    let held = LIVE.load(Ordering::Relaxed) - before;
-    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let held = heap::live() - before;
+    let peak = heap::peak() - before;
     assert_eq!(stats.executed, stats.unique_cells);
-    assert!(runs
-        .iter()
-        .all(|r| r.ok() && !r.result.obs.events().is_empty()));
+    assert!(runs.iter().all(|r| r.ok() && r.result.obs.retained() > 0));
     drop(runs);
     (peak, held)
 }

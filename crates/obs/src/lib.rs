@@ -18,12 +18,25 @@
 //!   counters, the opening events, and a context window around each
 //!   rate-cut / invariant-violation anchor. Golden-timeline tests
 //!   compare these byte-for-byte.
+//!
+//! A `Full` log does not keep [`ObsRecord`] values. It encodes each
+//! event on arrival into one append-only byte stream: a tag byte, the
+//! time step from the previous record and the payload as varints, raw
+//! float bits and interned names, about 8 bytes a record where an
+//! `ObsRecord` takes 48. Readers get the records back, decoded one at
+//! a time and equal to what was recorded, from [`ObsLog::events`];
+//! [`ObsLog::retained`] counts them without decoding.
 
 #![warn(missing_docs)]
 
 use std::fmt;
 
 use ravel_sim::Time;
+
+mod stream;
+
+use stream::EventStream;
+pub use stream::Records;
 
 /// How much a session records. Parsed from the harness `--obs` flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -293,14 +306,14 @@ impl ObsCounters {
 }
 
 /// The session event log: mode, counters, and (in `Full` mode only)
-/// every recorded event.
+/// every recorded event, stored encoded (see the crate docs).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ObsLog {
     mode: ObsMode,
     /// Per-subsystem tallies (zero in `Off` mode).
     pub counters: ObsCounters,
     /// The retained events, oldest first; empty unless `Full`.
-    events: Vec<ObsRecord>,
+    events: EventStream,
     /// Events recorded, whether or not they were retained.
     recorded: u64,
 }
@@ -339,7 +352,7 @@ impl ObsLog {
         self.counters.bump(&event);
         self.recorded += 1;
         if self.mode == ObsMode::Full {
-            self.events.push(ObsRecord { at, event });
+            self.events.push(at, event);
         }
     }
 
@@ -348,9 +361,15 @@ impl ObsLog {
         self.recorded
     }
 
-    /// The retained records, oldest first.
-    pub fn events(&self) -> &[ObsRecord] {
-        &self.events
+    /// Events retained: every recorded one in `Full` mode, else none.
+    pub fn retained(&self) -> u64 {
+        self.events.len() as u64
+    }
+
+    /// The retained records, oldest first, each decoded as the iterator
+    /// reaches it.
+    pub fn events(&self) -> Records<'_> {
+        self.events.records()
     }
 
     /// Renders the deterministic timeline digest for this log.
@@ -360,7 +379,9 @@ impl ObsLog {
     /// anchor windows — &plusmn;[`DIGEST_CONTEXT`] events around each
     /// rate *cut* (`TargetChanged` with `new < old`) and each
     /// `InvariantViolated`. Pure function of the recorded events, so
-    /// golden snapshots can compare it byte-for-byte.
+    /// golden snapshots can compare it byte-for-byte. One pass over the
+    /// log finds the anchors; only the head and the windows are decoded
+    /// again for display.
     pub fn digest(&self, label: &str) -> String {
         use std::fmt::Write as _;
         let c = &self.counters;
@@ -394,44 +415,48 @@ impl ObsLog {
             );
         }
         let _ = writeln!(out, "violations: {}", c.invariant_violations);
-        let events = &self.events;
-        let _ = writeln!(
-            out,
-            "events: {} recorded, {} retained",
-            self.recorded,
-            events.len()
-        );
-        if events.is_empty() {
+        let len = self.events.len();
+        let _ = writeln!(out, "events: {} recorded, {len} retained", self.recorded);
+        if len == 0 {
             return out;
         }
-        let head = events.len().min(DIGEST_HEAD);
+        let head = len.min(DIGEST_HEAD);
         let _ = writeln!(out, "first {head} events:");
-        for rec in &events[..head] {
+        for rec in self.events().take(head) {
             let _ = writeln!(out, "  {rec}");
         }
-        let anchors: Vec<usize> = events
-            .iter()
-            .enumerate()
-            .filter(|(_, rec)| {
-                matches!(
-                    rec.event,
-                    ObsEvent::TargetChanged { old_bps, new_bps, .. } if new_bps < old_bps
-                ) || matches!(rec.event, ObsEvent::InvariantViolated { .. })
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let shown = anchors.len().min(DIGEST_ANCHORS);
+        // The cursors before the last `DIGEST_CONTEXT + 1` records, by
+        // index modulo the ring size: the one at a window's first
+        // record is still there when its anchor is reached.
+        let mut ring = [(); DIGEST_CONTEXT + 1].map(|_| self.events());
+        let mut windows = Vec::with_capacity(DIGEST_ANCHORS);
+        let mut anchors = 0;
+        let mut cursor = self.events();
+        for i in 0..len {
+            ring[i % ring.len()] = cursor.clone();
+            let Some(rec) = cursor.next() else { break };
+            let is_anchor = matches!(
+                rec.event,
+                ObsEvent::TargetChanged { old_bps, new_bps, .. } if new_bps < old_bps
+            ) || matches!(rec.event, ObsEvent::InvariantViolated { .. });
+            if is_anchor {
+                if windows.len() < DIGEST_ANCHORS {
+                    let lo = i.saturating_sub(DIGEST_CONTEXT);
+                    windows.push((i, lo, ring[lo % ring.len()].clone(), rec));
+                }
+                anchors += 1;
+            }
+        }
         let _ = writeln!(
             out,
-            "anchors (rate cuts + violations): {} ({shown} shown)",
-            anchors.len()
+            "anchors (rate cuts + violations): {anchors} ({} shown)",
+            windows.len()
         );
-        for (n, &i) in anchors.iter().take(DIGEST_ANCHORS).enumerate() {
-            let lo = i.saturating_sub(DIGEST_CONTEXT);
-            let hi = (i + DIGEST_CONTEXT + 1).min(events.len());
-            let _ = writeln!(out, "anchor {}: {}", n + 1, events[i]);
-            for (j, rec) in events[lo..hi].iter().enumerate() {
-                let marker = if lo + j == i { ">" } else { " " };
+        for (n, (i, lo, from, anchor)) in windows.into_iter().enumerate() {
+            let hi = (i + DIGEST_CONTEXT + 1).min(len);
+            let _ = writeln!(out, "anchor {}: {anchor}", n + 1);
+            for (j, rec) in (lo..hi).zip(from) {
+                let marker = if j == i { ">" } else { " " };
                 let _ = writeln!(out, "  {marker} {rec}");
             }
         }
@@ -473,7 +498,7 @@ mod tests {
         assert!(!log.enabled());
         assert_eq!(log.recorded(), 0);
         assert_eq!(log.counters.total(), 0);
-        assert!(log.events().is_empty());
+        assert!(log.events().next().is_none());
     }
 
     #[test]
@@ -489,7 +514,7 @@ mod tests {
         assert_eq!(log.counters.packets_sent, 1);
         assert_eq!(log.counters.packets_delivered, 1);
         assert_eq!(log.recorded(), 3);
-        assert!(log.events().is_empty());
+        assert!(log.events().next().is_none());
     }
 
     #[test]
@@ -498,7 +523,7 @@ mod tests {
         for i in 0..5u64 {
             log.record(at(i), || ObsEvent::FrameCaptured { index: i });
         }
-        let ev = log.events();
+        let ev: Vec<ObsRecord> = log.events().collect();
         assert_eq!(ev.len(), 5);
         assert_eq!(ev[0].at, at(0));
         assert_eq!(ev[4].event, ObsEvent::FrameCaptured { index: 4 });

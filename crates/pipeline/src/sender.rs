@@ -582,7 +582,6 @@ mod tests {
     fn target_changes(ctx: &Ctx) -> Vec<&'static str> {
         ctx.obs
             .events()
-            .iter()
             .filter_map(|r| match r.event {
                 ObsEvent::TargetChanged { reason, .. } => Some(reason),
                 _ => None,

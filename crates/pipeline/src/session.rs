@@ -1502,7 +1502,7 @@ mod tests {
             ..RunSpec::new(mk(), cfg)
         });
         assert_eq!(counters.obs.counters, full.obs.counters);
-        assert!(counters.obs.events().is_empty());
+        assert!(counters.obs.events().next().is_none());
         // The timeline digest is deterministic across reruns.
         let full2 = solo(RunSpec {
             obs: ObsMode::Full,
