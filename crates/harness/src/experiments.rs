@@ -12,8 +12,10 @@
 //!
 //! Because cells are independent and assembly only sees results in cell
 //! order, the rendered output is byte-identical at any `--jobs` count.
-//! (E10 is a Criterion microbench of controller overhead, not a session
-//! grid, so it is `ravel-bench`'s `e10_overhead` target.)
+//! (E10, the per-call cost of the controller, encoder and GCC, is not a
+//! session grid: `python3 perfbench/run.py --trace 1` reports it as the
+//! `core.on_feedback_ns`, `core.on_frame_ns`, `codec.encode_ns` and
+//! `cc.gcc.on_feedback_ns` layer metrics.)
 
 use std::ops::Range;
 
@@ -1654,8 +1656,9 @@ pub fn select(ids: &str) -> Result<Vec<Experiment>, String> {
     for id in &wanted {
         if id.eq_ignore_ascii_case("e10") {
             return Err(
-                "e10 is a Criterion microbench (cargo bench -p ravel-bench --bench e10_overhead), \
-                 not a harness grid"
+                "e10 is not a harness grid: its per-call costs are perfbench layer metrics \
+                 (python3 perfbench/run.py --trace 1 reports core.on_feedback_ns, \
+                 core.on_frame_ns, codec.encode_ns and cc.gcc.on_feedback_ns)"
                     .into(),
             );
         }
@@ -1685,6 +1688,19 @@ pub fn select(ids: &str) -> Result<Vec<Experiment>, String> {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    #[test]
+    fn pct_change_signs() {
+        assert!((pct_change(100.0, 50.0) + 50.0).abs() < 1e-12);
+        assert!((pct_change(100.0, 150.0) - 50.0).abs() < 1e-12);
+        assert_eq!(pct_change(0.0, 5.0), 0.0);
+    }
+
+    #[test]
+    fn fmt_reduction_reads_positively_for_improvements() {
+        assert_eq!(fmt_reduction(100.0, 25.0), "75.00%");
+        assert_eq!(fmt_reduction(100.0, 125.0), "-25.00%");
+    }
 
     #[test]
     fn expansions_cover_the_full_cross_product_without_duplicates() {
@@ -1739,7 +1755,8 @@ mod tests {
         assert_eq!(picked[0].id, "e1");
         assert_eq!(picked[1].id, "e4");
         assert_eq!(select("all").unwrap().len(), 19);
-        assert!(select("e10").is_err());
+        let e10 = select("e10").err().expect("e10 is not a grid");
+        assert!(e10.contains("perfbench"), "{e10}");
         assert!(select("e99").is_err());
         assert!(select("").is_err());
     }

@@ -7,7 +7,7 @@
 //!
 //! * [`Cell`] / [`TraceSpec`] — one grid cell: a full session config
 //!   plus a `Send`-able trace description.
-//! * [`run_cells`] — a std-only work-stealing pool (`std::thread::scope`
+//! * [`run_cells_opts`] — a std-only work-stealing pool (`std::thread::scope`
 //!   plus one atomic job counter) that runs cells on `--jobs N` workers
 //!   and returns results in *cell order*, so aggregated output is
 //!   byte-identical at any thread count. Each claim is one cell, run
@@ -68,7 +68,7 @@ pub use experiments::{
     run_suite, run_suite_opts, Experiment, ExperimentRun, Output, FIXTURE_FAULT_AT,
 };
 pub use pool::{
-    run_cells, run_cells_opts, BatchMode, CellFailure, CellRun, CellStatus, PoolOptions, PoolStats,
+    run_cells_opts, BatchMode, CellFailure, CellRun, CellStatus, PoolOptions, PoolStats,
 };
 pub use ravel_obs::ObsMode;
 pub use report::{render_json, RunReport};

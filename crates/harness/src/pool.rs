@@ -411,13 +411,6 @@ fn contracts_for(cell: &Cell, status: CellStatus, result: &SessionResult) -> Vec
     }
 }
 
-/// Runs every cell on `jobs` worker threads with memoization on and
-/// returns results in cell order. See [`run_cells_opts`] for the form
-/// with pool statistics and cache control.
-pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<CellRun> {
-    run_cells_opts(cells, jobs, PoolOptions::default()).0
-}
-
 /// Runs every cell on `jobs` worker threads and returns results in cell
 /// order plus pool accounting. `jobs` is clamped to `[1, executed]`;
 /// `jobs = 1` runs the grid serially on one spawned worker, which is
@@ -582,9 +575,9 @@ mod tests {
     #[test]
     fn results_come_back_in_cell_order_regardless_of_jobs() {
         let cells = tiny_grid();
-        let serial = run_cells(&cells, 1);
+        let serial = run_cells_opts(&cells, 1, PoolOptions::default()).0;
         for jobs in [2, 8] {
-            let parallel = run_cells(&cells, jobs);
+            let parallel = run_cells_opts(&cells, jobs, PoolOptions::default()).0;
             assert_eq!(serial.len(), parallel.len());
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_eq!(a.label, b.label);
@@ -605,7 +598,7 @@ mod tests {
     #[test]
     fn oversubscribed_jobs_are_clamped() {
         let cells = tiny_grid();
-        let runs = run_cells(&cells[..1], 64);
+        let runs = run_cells_opts(&cells[..1], 64, PoolOptions::default()).0;
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].label, "0/0");
         assert!(runs[0].sim_secs > 0.0);
@@ -685,7 +678,7 @@ mod tests {
                 },
             ),
         );
-        let clean = run_cells(&tiny_grid(), 1);
+        let clean = run_cells_opts(&tiny_grid(), 1, PoolOptions::default()).0;
         let mut reference_digest: Option<String> = None;
         for jobs in [1, 2, 8] {
             let (runs, stats) = run_cells_opts(&cells, jobs, PoolOptions::default());

@@ -623,8 +623,8 @@ mod tests {
 
     #[test]
     fn rejected_counter_reaches_the_per_cell_report() {
-        // Regression: `RunningStats`/`Percentiles`/`Histogram` counted
-        // rejected non-finite samples, but the per-cell JSON dropped the
+        // Regression: `RunningStats`/`Percentiles` counted rejected
+        // non-finite samples, but the per-cell JSON dropped the
         // count — a NaN-emitting session rendered indistinguishable from
         // a clean one.
         use ravel_metrics::{FrameOutcomeKind, FrameRecord, LatencyRecorder};

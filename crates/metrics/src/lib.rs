@@ -1,19 +1,16 @@
 //! # ravel-metrics — statistics and experiment tables
 //!
 //! Shared measurement machinery: streaming moments ([`RunningStats`]),
-//! exact percentiles ([`Percentiles`]), empirical CDFs and histograms
-//! for figure output ([`Cdf`], [`Histogram`]), per-frame latency
-//! accounting ([`LatencyRecorder`]), and the fixed-width table / CSV
-//! renderers the experiment harnesses print ([`Table`]).
+//! exact percentiles ([`Percentiles`]), per-frame latency accounting
+//! ([`LatencyRecorder`]), and the fixed-width table / CSV renderers the
+//! experiment harnesses print ([`Table`]).
 
 #![warn(missing_docs)]
 
-pub mod cdf;
 pub mod latency;
 pub mod stats;
 pub mod table;
 
-pub use cdf::{Cdf, Histogram};
 pub use latency::{FrameOutcomeKind, FrameRecord, LatencyRecorder, LatencySummary};
 pub use stats::{Percentiles, RunningStats};
 pub use table::Table;

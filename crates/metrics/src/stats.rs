@@ -27,9 +27,8 @@ impl RunningStats {
 
     /// Adds one sample. Non-finite samples are counted as rejected
     /// instead of being folded in: one NaN would otherwise poison the
-    /// mean, min and max for the rest of the stream (mirrors the
-    /// `Histogram::push` guard — a `debug_assert` alone lets release
-    /// builds corrupt silently).
+    /// mean, min and max for the rest of the stream (a `debug_assert`
+    /// alone lets release builds corrupt silently).
     pub fn push(&mut self, x: f64) {
         if !x.is_finite() {
             self.rejected += 1;

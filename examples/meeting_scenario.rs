@@ -20,7 +20,7 @@ use ravel::video::ScriptedSource;
 fn main() {
     // Encode the scripted meeting with both reconfiguration styles and
     // compare the encoder's own output against a 1 Mbps post-drop budget.
-    // (For full end-to-end numbers, see `screen_share_drop`.)
+    // (For full end-to-end numbers, see `ravel-harness -e e6`.)
     let drop_at = Time::from_secs(10);
     let mut table = Table::new(&[
         "style",
