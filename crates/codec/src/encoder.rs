@@ -6,8 +6,8 @@
 //! produces one [`EncodedFrame`]; the internal flow mirrors x264's:
 //!
 //! 1. pick the frame type (keyint expiry, scene cut, or forced IDR),
-//! 2. plan a quantizer — via the ABR loop, a CRF constant, or a
-//!    controller-supplied per-frame budget (the paper's fast path),
+//! 2. plan a quantizer — via the ABR loop or a controller-supplied
+//!    per-frame budget (the paper's fast path),
 //! 3. clamp the plan against the VBV leaky bucket,
 //! 4. realize bits through the R–D model and quality through the
 //!    quality model,
@@ -27,51 +27,19 @@ use ravel_sim::{Dur, Time};
 use ravel_video::{RawFrame, Resolution};
 
 use crate::frame::{EncodedFrame, FrameType};
-use crate::qp::Qp;
 use crate::quality::QualityModel;
 use crate::ratecontrol::{AbrConfig, AbrState};
 use crate::rd::RdModel;
 use crate::vbv::Vbv;
 
-/// Rate-control mode.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RateControlMode {
-    /// Average bitrate with VBV — the RTC default and the mode whose
-    /// slow convergence the paper measures.
-    Abr,
-    /// Constant rate factor (quality-targeted, bitrate floats). Used by
-    /// tests and as a what-if baseline; carries the CRF value.
-    Crf(f64),
-}
-
-/// Speed preset: sets the encode-time model (ms of CPU per megapixel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpeedPreset {
-    /// x264 `ultrafast` — what most RTC deployments run.
-    UltraFast,
-    /// x264 `fast`.
-    Fast,
-    /// x264 `medium`.
-    Medium,
-}
-
-impl SpeedPreset {
-    /// Base encode cost in milliseconds per megapixel for a P-frame of
-    /// reference complexity.
-    pub fn ms_per_megapixel(self) -> f64 {
-        match self {
-            SpeedPreset::UltraFast => 3.0,
-            SpeedPreset::Fast => 6.0,
-            SpeedPreset::Medium => 10.0,
-        }
-    }
-}
+/// Encode cost in milliseconds per megapixel for a P-frame of
+/// reference complexity at x264 `ultrafast`, the preset most RTC
+/// deployments run.
+const MS_PER_MEGAPIXEL: f64 = 3.0;
 
 /// Encoder configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EncoderConfig {
-    /// Rate-control mode.
-    pub mode: RateControlMode,
     /// Initial target bitrate (ABR) in bits/second.
     pub target_bps: f64,
     /// Frame rate.
@@ -83,8 +51,6 @@ pub struct EncoderConfig {
     pub keyint: u64,
     /// VBV buffer depth in seconds of the target rate.
     pub vbv_buffer_secs: f64,
-    /// Speed preset for the encode-time model.
-    pub preset: SpeedPreset,
     /// Rate–distortion model.
     pub rd: RdModel,
     /// Quality model.
@@ -103,16 +69,14 @@ impl EncoderConfig {
     /// A realistic RTC configuration: ABR at `target_bps`, 720p@`fps`,
     /// zerolatency-style short VBV (~5 frames — RTC deployments size the
     /// VBV in frames, not seconds, to bound I-frame bursts), ultrafast
-    /// preset, keyint 300.
+    /// encode time, keyint 300.
     pub fn rtc(target_bps: f64, fps: u32) -> EncoderConfig {
         EncoderConfig {
-            mode: RateControlMode::Abr,
             target_bps,
             fps,
             capture_resolution: Resolution::P720,
             keyint: 300,
             vbv_buffer_secs: 0.15,
-            preset: SpeedPreset::UltraFast,
             rd: RdModel::default(),
             quality: QualityModel::default(),
             max_qp_step: 4.0,
@@ -354,8 +318,8 @@ impl Encoder {
         };
 
         // --- QP planning ----------------------------------------------
-        let mut qp = match (self.frame_budget_override, self.cfg.mode) {
-            (Some(budget), _) => {
+        let mut qp = match self.frame_budget_override {
+            Some(budget) => {
                 // Fast-path override: exact R–D solve for the pinned
                 // budget. Also inform the ABR planner so its blur keeps
                 // tracking content (plan result discarded).
@@ -364,17 +328,7 @@ impl Encoder {
                     .rd
                     .solve_qp(rd_complexity, pixels, frame_type, budget)
             }
-            (None, RateControlMode::Abr) => {
-                self.abr.plan_frame(satd, frame_type, self.frame_interval)
-            }
-            (None, RateControlMode::Crf(crf)) => {
-                let _ = self.abr.plan_frame(satd, frame_type, self.frame_interval);
-                Qp::new(if frame_type.is_intra() {
-                    crf - 2.0
-                } else {
-                    crf
-                })
-            }
+            None => self.abr.plan_frame(satd, frame_type, self.frame_interval),
         };
 
         // --- VBV clamp --------------------------------------------------
@@ -437,14 +391,14 @@ impl Encoder {
         }
     }
 
-    /// The encode-time model: CPU cost scales with pixels, preset, and
-    /// content complexity; intra frames cost ~20% extra (no motion search
+    /// The encode-time model: CPU cost scales with pixels and content
+    /// complexity; intra frames cost ~20% extra (no motion search
     /// saved, more entropy coding).
     fn encode_time(&self, frame: &RawFrame, frame_type: FrameType) -> Dur {
         let mpix = self.encode_resolution.pixels() as f64 / 1e6;
         let cplx_factor = 0.6 + 0.4 * frame.complexity.spatial;
         let intra_factor = if frame_type.is_intra() { 1.2 } else { 1.0 };
-        let ms = self.cfg.preset.ms_per_megapixel() * mpix * cplx_factor * intra_factor;
+        let ms = MS_PER_MEGAPIXEL * mpix * cplx_factor * intra_factor;
         Dur::from_secs_f64(ms / 1e3)
     }
 }
@@ -646,38 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_time_scales_with_preset() {
-        let mut fast_cfg = EncoderConfig::rtc(2e6, 30);
-        fast_cfg.preset = SpeedPreset::UltraFast;
-        let mut slow_cfg = EncoderConfig::rtc(2e6, 30);
-        slow_cfg.preset = SpeedPreset::Medium;
-        let mut fast = Encoder::new(fast_cfg);
-        let mut slow = Encoder::new(slow_cfg);
-        let mut src = source(11);
-        let f = src.next_frame();
-        let ef = fast.encode(&f, f.pts);
-        let es = slow.encode(&f, f.pts);
-        assert!(es.encode_time > ef.encode_time * 2);
-    }
-
-    #[test]
-    fn crf_mode_pins_quality_not_rate() {
-        let mut cfg = EncoderConfig::rtc(2e6, 30);
-        cfg.mode = RateControlMode::Crf(28.0);
-        cfg.vbv_buffer_secs = 10.0; // effectively uncapped
-        let mut enc = Encoder::new(cfg);
-        let mut src = source(12);
-        let frames = run(&mut enc, &mut src, 120);
-        for f in frames
-            .iter()
-            .skip(1)
-            .filter(|f| f.frame_type == FrameType::P)
-        {
-            assert!((f.qp.value() - 28.0).abs() < 1e-9, "CRF drifted: {}", f.qp);
-        }
-    }
-
-    #[test]
     fn two_layer_stream_alternates() {
         let mut cfg = EncoderConfig::rtc(2e6, 30);
         cfg.temporal_layers = 2;
@@ -755,26 +677,6 @@ mod tests {
         let mut src = VideoSource::new(ContentClass::Sports.profile(), Resolution::P720, 30, 30);
         run(&mut enc, &mut src, 60);
         assert!(enc.vbv_underflows() > 0, "underflow never recorded");
-    }
-
-    #[test]
-    fn abr_tracks_target_better_than_crf_on_rate() {
-        // CRF ignores rate; ABR hits it. Measure deviation from 2 Mbps.
-        let mut crf_cfg = EncoderConfig::rtc(2e6, 30);
-        crf_cfg.mode = RateControlMode::Crf(30.0);
-        crf_cfg.vbv_buffer_secs = 10.0;
-        let mut abr = Encoder::new(EncoderConfig::rtc(2e6, 30));
-        let mut crf = Encoder::new(crf_cfg);
-        let mut sa = source(31);
-        let mut sc = source(31);
-        let fa = run(&mut abr, &mut sa, 600);
-        let fc = run(&mut crf, &mut sc, 600);
-        let ra = rate_bps(&fa[300..], 30.0);
-        let rc = rate_bps(&fc[300..], 30.0);
-        assert!(
-            (ra - 2e6).abs() <= (rc - 2e6).abs() + 1.0,
-            "ABR ({ra}) should track 2 Mbps at least as well as CRF ({rc})"
-        );
     }
 
     #[test]

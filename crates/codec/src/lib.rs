@@ -45,7 +45,7 @@ pub mod rd;
 pub mod vbv;
 
 pub use decoder::{DecodeOutcome, Decoder};
-pub use encoder::{Encoder, EncoderConfig, RateControlMode, SpeedPreset};
+pub use encoder::{Encoder, EncoderConfig};
 pub use frame::{EncodedFrame, FrameType};
 pub use qp::Qp;
 pub use quality::QualityModel;

@@ -1611,8 +1611,9 @@ pub fn fixture(fault: InjectedFault) -> Experiment {
 /// Seeds E9 runs with when invoked through the full-suite registry.
 pub const E9_DEFAULT_SEEDS: u64 = 10;
 
-/// The full registry, in canonical order. E10 (a Criterion microbench,
-/// not a session grid) is intentionally absent.
+/// The full registry, in canonical order. E10 (per-call costs timed by
+/// perfbench's `--trace 1` layer metrics, not a session grid) is
+/// intentionally absent.
 pub fn all() -> Vec<Experiment> {
     vec![
         e1(),

@@ -29,11 +29,11 @@
 //! to an uncached serial run (timing fields aside).
 //!
 //! **Fault isolation.** One bad cell must not take down a
-//! thousand-cell sweep. Each simulation runs inside
-//! [`catch_unwind`](std::panic::catch_unwind), and a panicked
-//! computation becomes its owner's quarantined failure, which every
-//! duplicate position of the address *echoes* deterministically. No
-//! worker ever waits on another, and the `thread::scope` never aborts.
+//! thousand-cell sweep. Each simulation runs inside [`catch_unwind`],
+//! and a panicked computation becomes its owner's quarantined failure,
+//! which every duplicate position of the address *echoes*
+//! deterministically. No worker ever waits on another, and the
+//! `thread::scope` never aborts.
 //! The kernel-level runaway guard (event budget + sim-time horizon, see
 //! `ravel_pipeline::SessionGuard`) surfaces here as
 //! [`CellStatus::Runaway`]; a wall-clock deadline

@@ -187,13 +187,12 @@ const HORIZON_MARGIN: Dur = Dur::secs(1);
 /// [`Invariant::RunawayTermination`] violation; a set cancellation flag
 /// terminates it with [`SessionResult::cancelled`] raised. Both paths
 /// return a well-formed (truncated) result instead of hanging a worker.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SessionGuard {
     /// Maximum events the loop may pop before the guard trips.
-    /// `0` disables the budget.
     pub max_events: u64,
     /// Latest simulation instant the loop may reach before the guard
-    /// trips. [`Time::ZERO`] disables the horizon.
+    /// trips.
     pub horizon: Time,
     /// Cooperative cancellation, polled every
     /// [`CANCEL_POLL_EVERY_EVENTS`] events. `None` disables it.
@@ -216,14 +215,14 @@ impl SessionGuard {
         }
     }
 
-    /// True when the budget is enabled and `popped` exceeds it.
+    /// True when `popped` exceeds the budget.
     fn over_budget(&self, popped: u64) -> bool {
-        self.max_events > 0 && popped > self.max_events
+        popped > self.max_events
     }
 
-    /// True when the horizon is enabled and `now` is past it.
+    /// True when `now` is past the horizon.
     fn over_horizon(&self, now: Time) -> bool {
-        self.horizon > Time::ZERO && now > self.horizon
+        now > self.horizon
     }
 
     /// Polls the cancellation flag (cheaply: only every

@@ -8,11 +8,11 @@
 //!
 //! [`EventQueue`] is a calendar (bucket) queue tuned for the
 //! near-monotonic schedules simulations generate. Time is divided into
-//! fixed-width buckets (2^[`BUCKET_SHIFT`] µs each) arranged in a ring of
-//! [`NUM_BUCKETS`] slots; an event lands in the bucket for its firing
+//! fixed-width buckets (2^`BUCKET_SHIFT` µs each) arranged in a ring of
+//! `NUM_BUCKETS` slots; an event lands in the bucket for its firing
 //! time, and a cursor sweeps the ring in time order. Pushes and pops are
 //! O(1) amortized when events fall within the ring horizon
-//! (≈ [`NUM_BUCKETS`] · 2^[`BUCKET_SHIFT`] µs ≈ 1 simulated second ahead
+//! (≈ `NUM_BUCKETS` · 2^`BUCKET_SHIFT` µs ≈ 1 simulated second ahead
 //! of the clock); rarer far-future events spill into a small binary-heap
 //! overflow and migrate into the ring as the cursor approaches them.
 //!

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::time::{Dur, Time};
+use crate::time::Time;
 
 /// A single named `(time, value)` series.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -94,41 +94,6 @@ impl TimeSeries {
             0.0
         } else {
             window.iter().map(|&(_, v)| v).sum::<f64>() / window.len() as f64
-        }
-    }
-
-    /// Time-weighted average: treats the series as a step function held
-    /// constant between samples, integrated over the sampled span. Falls
-    /// back to the plain mean when fewer than two samples exist.
-    pub fn time_weighted_mean(&self) -> f64 {
-        if self.points.len() < 2 {
-            return self.mean();
-        }
-        let mut area = 0.0;
-        let mut span = Dur::ZERO;
-        for pair in self.points.windows(2) {
-            let (t0, v0) = pair[0];
-            let (t1, _) = pair[1];
-            let dt = t1.since(t0);
-            area += v0 * dt.as_secs_f64();
-            span += dt;
-        }
-        if span.is_zero() {
-            self.mean()
-        } else {
-            area / span.as_secs_f64()
-        }
-    }
-
-    /// Downsamples to at most `n` points (taking every k-th sample); used
-    /// to keep figure CSVs readable.
-    pub fn thin(&self, n: usize) -> TimeSeries {
-        if n == 0 || self.points.len() <= n {
-            return self.clone();
-        }
-        let step = self.points.len().div_ceil(n);
-        TimeSeries {
-            points: self.points.iter().step_by(step).copied().collect(),
         }
     }
 }
@@ -231,35 +196,6 @@ mod tests {
         // window [20ms, 50ms) covers samples 2,3,4
         assert!((s.mean_in(ms(20), ms(50)) - 3.0).abs() < 1e-12);
         assert_eq!(s.mean_in(ms(500), ms(600)), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_mean_step_function() {
-        let mut s = TimeSeries::new();
-        s.push(ms(0), 10.0); // held for 10ms
-        s.push(ms(10), 0.0); // held for 30ms
-        s.push(ms(40), 99.0); // terminal sample, zero width
-                              // (10 * 10ms + 0 * 30ms) / 40ms = 2.5
-        assert!((s.time_weighted_mean() - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_weighted_mean_degenerate() {
-        let mut s = TimeSeries::new();
-        assert_eq!(s.time_weighted_mean(), 0.0);
-        s.push(ms(5), 4.0);
-        assert_eq!(s.time_weighted_mean(), 4.0);
-    }
-
-    #[test]
-    fn thin_reduces_points() {
-        let mut s = TimeSeries::new();
-        for i in 0..1000 {
-            s.push(ms(i), i as f64);
-        }
-        let t = s.thin(100);
-        assert!(t.len() <= 100);
-        assert_eq!(t.points()[0], (ms(0), 0.0));
     }
 
     #[test]

@@ -125,12 +125,6 @@ impl Dur {
         }
     }
 
-    /// Multiplies by a non-negative float, rounding to the nearest
-    /// microsecond (clamping at zero for negative factors).
-    pub fn mul_f64(self, factor: f64) -> Dur {
-        Dur::from_secs_f64(self.as_secs_f64() * factor)
-    }
-
     /// The transmission time of `bits` at `rate_bps` bits per second.
     ///
     /// This is the single conversion the link and pacer models use, kept

@@ -1,11 +1,11 @@
-//! Minimal JSON support for trace files and experiment reports.
+//! Minimal JSON support for experiment reports and timelines.
 //!
 //! The workspace builds in offline environments, so instead of pulling
-//! `serde_json` from the registry, trace (de)serialization — and the
-//! `ravel-harness` benchmark report — uses this small recursive-descent
-//! parser and writer. It covers the full JSON grammar (objects, arrays,
-//! strings with escapes, numbers, literals) but keeps every number as
-//! `f64`, which is exactly what both formats need.
+//! `serde_json` from the registry, the `ravel-harness` benchmark report
+//! and obs timeline use this small recursive-descent parser and writer.
+//! It covers the full JSON grammar (objects, arrays, strings with
+//! escapes, numbers, literals) but keeps every number as `f64`, which is
+//! exactly what both formats need.
 
 use std::fmt::Write as _;
 
@@ -110,7 +110,7 @@ impl Json {
 /// How deeply arrays and objects may nest. The parser recurses once
 /// per level, so without a bound a hostile document of a few hundred
 /// kilobytes of `[` overflows the stack and aborts the process (which no
-/// `catch_unwind` can stop). Reports and trace files nest at most a
+/// `catch_unwind` can stop). Reports and timelines nest at most a
 /// handful of levels.
 pub const MAX_DEPTH: usize = 256;
 
@@ -457,6 +457,59 @@ mod tests {
         for x in [0.0, 0.5, -1.25, 4e6, 123456789.125, 1e-9] {
             let text = format!("{x}");
             assert_eq!(parse(&text).unwrap().as_f64(), Some(x));
+        }
+    }
+
+    /// Characters hostile text is drawn from: JSON punctuation, escapes,
+    /// digits, literal letters, whitespace, a control character and
+    /// multi-byte UTF-8.
+    const ALPHABET: &[char] = &[
+        '{', '}', '[', ']', ',', ':', '"', '\\', '/', '-', '+', '.', '0', '1', '9', 'e', 'E', 'n',
+        'u', 'l', 't', 'r', 'f', 'a', 's', ' ', '\n', '\t', '\u{0}', 'é', '😀',
+    ];
+
+    proptest::proptest! {
+        /// A document of microsecond-aligned `[seconds, bps]` samples
+        /// round-trips through `render` / `parse` exactly, and arbitrary
+        /// text — random bytes, random JSON-ish characters, or that
+        /// document with one character replaced — parses to a value or
+        /// an error, never a panic.
+        #[test]
+        fn documents_roundtrip_and_parsing_never_panics(
+            steps in proptest::collection::vec((1u64..5_000_000, 0u64..20_000_000), 1..12),
+            note in proptest::collection::vec(0usize..ALPHABET.len(), 0..20),
+            noise in proptest::collection::vec(0usize..ALPHABET.len(), 0..80),
+            bytes in proptest::collection::vec(0u16..256, 0..80),
+            splice in (0usize..4096, 0usize..ALPHABET.len()),
+        ) {
+            let mut at_us = 0u64;
+            let samples: Vec<Json> = steps
+                .iter()
+                .map(|&(gap_us, rate)| {
+                    let sample = Json::Arr(vec![
+                        Json::Num(at_us as f64 / 1e6),
+                        Json::Num(rate as f64 * 0.37),
+                    ]);
+                    at_us += gap_us;
+                    sample
+                })
+                .collect();
+            let doc = Json::Obj(vec![
+                ("note".into(), Json::Str(note.iter().map(|&i| ALPHABET[i]).collect())),
+                ("samples".into(), Json::Arr(samples)),
+            ]);
+            let text = doc.render();
+            proptest::prop_assert_eq!(parse(&text).ok(), Some(doc));
+
+            let mut chars: Vec<char> = text.chars().collect();
+            let at = splice.0 % chars.len();
+            chars[at] = ALPHABET[splice.1];
+            let spliced: String = chars.into_iter().collect();
+            let random: String = noise.iter().map(|&i| ALPHABET[i]).collect();
+            let raw: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+            for hostile in [spliced, random, String::from_utf8_lossy(&raw).into_owned()] {
+                let _ = parse(&hostile);
+            }
         }
     }
 }

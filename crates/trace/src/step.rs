@@ -1,6 +1,6 @@
 //! Constant and piecewise-constant (step) traces.
 
-use ravel_sim::{Dur, Time};
+use ravel_sim::Time;
 
 use crate::BandwidthTrace;
 
@@ -32,10 +32,6 @@ impl BandwidthTrace for ConstantTrace {
 
     fn rate_span(&self, _at: Time) -> (f64, Time) {
         (self.rate_bps, Time::FAR_FUTURE)
-    }
-
-    fn mean_rate_bps(&self, _from: Time, _span: Dur, _step: Dur) -> f64 {
-        self.rate_bps
     }
 }
 
@@ -111,43 +107,9 @@ impl StepTrace {
         ])
     }
 
-    /// A staircase descending from `start` to `end` in `steps` equal-rate
-    /// steps of `step_len` each, beginning at `first_at`. Models the
-    /// progressive degradation of a fading wireless link.
-    pub fn staircase_down(
-        start: f64,
-        end: f64,
-        steps: usize,
-        first_at: Time,
-        step_len: Dur,
-    ) -> StepTrace {
-        assert!(steps >= 1, "staircase_down: zero steps");
-        let mut points = vec![(Time::ZERO, start)];
-        for i in 0..steps {
-            let frac = (i + 1) as f64 / steps as f64;
-            let rate = start + (end - start) * frac;
-            points.push((first_at + step_len * i as u64, rate));
-        }
-        StepTrace::new(points)
-    }
-
     /// The breakpoints of this trace.
     pub fn points(&self) -> &[(Time, f64)] {
         &self.points
-    }
-
-    /// The instant of the largest downward capacity step, if any step is
-    /// downward. Experiments use this to align measurement windows.
-    pub fn largest_drop_at(&self) -> Option<Time> {
-        self.points
-            .windows(2)
-            .filter(|p| p[1].1 < p[0].1)
-            .max_by(|a, b| {
-                let da = a[0].1 - a[1].1;
-                let db = b[0].1 - b[1].1;
-                da.partial_cmp(&db).expect("rates are finite")
-            })
-            .map(|p| p[1].0)
     }
 }
 
@@ -176,7 +138,6 @@ mod tests {
         let c = ConstantTrace::new(5e6);
         assert_eq!(c.rate_bps(Time::ZERO), 5e6);
         assert_eq!(c.rate_bps(Time::from_secs(1000)), 5e6);
-        assert_eq!(c.mean_rate_bps(Time::ZERO, Dur::secs(10), Dur::SECOND), 5e6);
     }
 
     #[test]
@@ -212,31 +173,6 @@ mod tests {
         assert_eq!(t.rate_bps(Time::from_secs(5)), 4e6);
         assert_eq!(t.rate_bps(Time::from_secs(15)), 1e6);
         assert_eq!(t.rate_bps(Time::from_secs(25)), 4e6);
-    }
-
-    #[test]
-    fn staircase_descends_monotonically() {
-        let t = StepTrace::staircase_down(4e6, 1e6, 3, Time::from_secs(10), Dur::secs(2));
-        assert_eq!(t.rate_bps(Time::from_secs(9)), 4e6);
-        assert_eq!(t.rate_bps(Time::from_secs(10)), 3e6);
-        assert_eq!(t.rate_bps(Time::from_secs(12)), 2e6);
-        assert_eq!(t.rate_bps(Time::from_secs(14)), 1e6);
-        assert_eq!(t.rate_bps(Time::from_secs(100)), 1e6);
-    }
-
-    #[test]
-    fn largest_drop_at_finds_deepest_step() {
-        let t = StepTrace::new(vec![
-            (Time::ZERO, 4e6),
-            (Time::from_secs(5), 3e6),  // -1M
-            (Time::from_secs(10), 1e6), // -2M <- largest
-            (Time::from_secs(20), 4e6), // up
-        ]);
-        assert_eq!(t.largest_drop_at(), Some(Time::from_secs(10)));
-        let flat = ConstantTrace::new(1.0);
-        let _ = flat; // constant trace has no drops by construction
-        let up_only = StepTrace::new(vec![(Time::ZERO, 1e6), (Time::from_secs(1), 2e6)]);
-        assert_eq!(up_only.largest_drop_at(), None);
     }
 
     proptest::proptest! {

@@ -7,7 +7,7 @@
 use ravel::core::AdaptiveConfig;
 use ravel::pipeline::{run_session, Scheme, SessionConfig, SessionResult};
 use ravel::sim::{Dur, Time};
-use ravel::trace::{BandwidthTrace, CellularProfile, StepTrace, StochasticTrace};
+use ravel::trace::{CellularProfile, StepTrace, StochasticTrace};
 
 fn kitchen_sink_cfg(scheme: Scheme) -> SessionConfig {
     let mut cfg = SessionConfig::default_with(scheme);
@@ -88,10 +88,7 @@ fn all_features_on_clean_drop_adaptive_still_wins() {
 
 #[test]
 fn all_features_deterministic() {
-    let mk = || {
-        StochasticTrace::generate(&CellularProfile::wifi_like(), Dur::secs(20), 5)
-            .clamped(0.3e6, 8e6)
-    };
+    let mk = || StochasticTrace::generate(&CellularProfile::wifi_like(), Dur::secs(20), 5);
     let mut cfg = kitchen_sink_cfg(Scheme::adaptive());
     cfg.duration = Dur::secs(20);
     let a = run_session(mk(), cfg);
