@@ -139,16 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn bits_halve_per_six_qp() {
-        let rd = RdModel::default();
-        let px = Resolution::P720.pixels();
-        let b30 = rd.frame_bits(refc(), px, FrameType::P, Qp::new(30.0));
-        let b36 = rd.frame_bits(refc(), px, FrameType::P, Qp::new(36.0));
-        let ratio = b30 as f64 / b36 as f64;
-        assert!((ratio - 2.0).abs() < 0.01, "ratio {ratio}");
-    }
-
-    #[test]
     fn i_frames_cost_more_than_p() {
         let rd = RdModel::default();
         let px = Resolution::P720.pixels();
@@ -203,6 +193,31 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// Bits halve per +6 QP at any QP, content, resolution and frame
+        /// type, wherever the header floor does not bind.
+        #[test]
+        fn bits_halve_per_six_qp(
+            qp in 10.0f64..45.0,
+            content in (0.05f64..3.0, 0.02f64..1.5),
+            rung in 0usize..Resolution::LADDER.len(),
+            intra in 0u8..2,
+        ) {
+            let rd = RdModel::default();
+            let c = FrameComplexity {
+                spatial: content.0,
+                temporal: content.1,
+                scene_cut: false,
+            };
+            let px = Resolution::LADDER[rung].pixels();
+            let ft = if intra == 1 { FrameType::I } else { FrameType::P };
+            let bits = rd.frame_bits(c, px, ft, Qp::new(qp));
+            let halved = rd.frame_bits(c, px, ft, Qp::new(qp + 6.0));
+            proptest::prop_assume!(halved > rd.min_frame_bits);
+            // Both sizes are truncated to whole bits.
+            let err = bits as f64 - 2.0 * halved as f64;
+            proptest::prop_assert!(err.abs() <= 2.0, "{bits} bits at QP {qp}, {halved} at +6");
+        }
+
         /// frame_bits is monotonically non-increasing in QP.
         #[test]
         fn bits_decrease_with_qp(q1 in 10.0f64..51.0, q2 in 10.0f64..51.0) {

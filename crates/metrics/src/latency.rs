@@ -20,7 +20,8 @@ pub enum FrameOutcomeKind {
     Frozen,
 }
 
-/// One frame slot's measurements.
+/// One frame slot's measurements, as a session reports them. The
+/// recorder stores each one as a 32-byte [`PackedFrameRecord`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameRecord {
     /// Capture timestamp.
@@ -35,14 +36,102 @@ pub struct FrameRecord {
     pub psnr_db: Option<f64>,
 }
 
-impl FrameRecord {
+/// Largest pts, in µs, a [`PackedFrameRecord`] holds: 2^61 − 1 µs, about
+/// 73 000 years of session.
+const PTS_MAX_US: u64 = (1 << 61) - 1;
+const LATENCY_BIT: u64 = 1 << 61;
+const DISPLAYED_BIT: u64 = 1 << 62;
+const PSNR_BIT: u64 = 1 << 63;
+
+/// One frame slot's measurements in 32 bytes, losslessly: pts in µs and
+/// three presence/outcome flags share one word, the latency is whole
+/// µs, and SSIM and PSNR keep their raw `f64` bits (NaN and ±inf
+/// included, so the finite-metrics check still sees them). An absent
+/// latency or PSNR is stored as zero, so equal records compare equal
+/// bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedFrameRecord {
+    /// Bits 0–60: pts in µs; bit 61: latency present; bit 62:
+    /// displayed; bit 63: PSNR present.
+    pts_flags: u64,
+    latency_us: u64,
+    ssim_bits: u64,
+    psnr_bits: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<PackedFrameRecord>() == 32);
+
+impl PackedFrameRecord {
+    /// Packs one slot's measurements.
+    ///
+    /// # Panics
+    ///
+    /// If `pts` is at or beyond 2^61 µs.
+    pub fn new(
+        pts: Time,
+        outcome: FrameOutcomeKind,
+        latency: Option<Dur>,
+        ssim: f64,
+        psnr_db: Option<f64>,
+    ) -> PackedFrameRecord {
+        let pts_us = pts.as_micros();
+        assert!(
+            pts_us <= PTS_MAX_US,
+            "frame pts {pts_us} µs is beyond the packed record's 2^61 µs range"
+        );
+        let mut pts_flags = pts_us;
+        if latency.is_some() {
+            pts_flags |= LATENCY_BIT;
+        }
+        if outcome == FrameOutcomeKind::Displayed {
+            pts_flags |= DISPLAYED_BIT;
+        }
+        if psnr_db.is_some() {
+            pts_flags |= PSNR_BIT;
+        }
+        PackedFrameRecord {
+            pts_flags,
+            latency_us: latency.map_or(0, Dur::as_micros),
+            ssim_bits: ssim.to_bits(),
+            psnr_bits: psnr_db.map_or(0, f64::to_bits),
+        }
+    }
+
+    /// Capture timestamp.
+    pub fn pts(&self) -> Time {
+        Time::from_micros(self.pts_flags & PTS_MAX_US)
+    }
+
+    /// Displayed or frozen.
+    pub fn outcome(&self) -> FrameOutcomeKind {
+        if self.pts_flags & DISPLAYED_BIT != 0 {
+            FrameOutcomeKind::Displayed
+        } else {
+            FrameOutcomeKind::Frozen
+        }
+    }
+
+    /// Glass-to-glass latency for frames that arrived.
+    pub fn latency(&self) -> Option<Dur> {
+        (self.pts_flags & LATENCY_BIT != 0).then_some(Dur::micros(self.latency_us))
+    }
+
+    /// SSIM the viewer experienced for this slot.
+    pub fn ssim(&self) -> f64 {
+        f64::from_bits(self.ssim_bits)
+    }
+
+    /// PSNR for displayed frames (dB).
+    pub fn psnr_db(&self) -> Option<f64> {
+        (self.pts_flags & PSNR_BIT != 0).then_some(f64::from_bits(self.psnr_bits))
+    }
+
     /// True when every float in the record is finite and the SSIM is a
     /// valid similarity (in `[0, 1]`). The session's finite-metrics
     /// invariant checks this before the record can poison a summary.
     pub fn is_finite(&self) -> bool {
-        self.ssim.is_finite()
-            && (0.0..=1.0).contains(&self.ssim)
-            && self.psnr_db.is_none_or(f64::is_finite)
+        let ssim = self.ssim();
+        ssim.is_finite() && (0.0..=1.0).contains(&ssim) && self.psnr_db().is_none_or(f64::is_finite)
     }
 }
 
@@ -90,7 +179,7 @@ impl LatencySummary {
 /// Collects per-frame records across a session.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
-    records: Vec<FrameRecord>,
+    records: Vec<PackedFrameRecord>,
 }
 
 impl LatencyRecorder {
@@ -110,41 +199,49 @@ impl LatencyRecorder {
     /// Appends one frame slot (pts must be non-decreasing).
     pub fn push(&mut self, record: FrameRecord) {
         if let Some(last) = self.records.last() {
-            assert!(record.pts >= last.pts, "frame records out of order");
+            assert!(record.pts >= last.pts(), "frame records out of order");
         }
-        self.records.push(record);
+        self.records.push(PackedFrameRecord::new(
+            record.pts,
+            record.outcome,
+            record.latency,
+            record.ssim,
+            record.psnr_db,
+        ));
     }
 
-    /// All records.
-    pub fn records(&self) -> &[FrameRecord] {
+    /// All records, in pts order.
+    pub fn records(&self) -> &[PackedFrameRecord] {
         &self.records
     }
 
     /// Summarizes frames with `from <= pts < to`.
     pub fn summarize(&self, from: Time, to: Time) -> LatencySummary {
-        let mut lat = Percentiles::with_capacity(self.records.len());
+        // `push` keeps the records sorted by pts, so the window is one
+        // contiguous run.
+        let start = self.records.partition_point(|r| r.pts() < from);
+        let end = start + self.records[start..].partition_point(|r| r.pts() < to);
+        let window = &self.records[start..end];
+        let mut lat = Percentiles::with_capacity(window.len());
         let mut lat_stats = RunningStats::new();
         let mut ssim = RunningStats::new();
         let mut psnr = RunningStats::new();
         let mut displayed = 0u64;
         let mut frozen = 0u64;
-        for r in &self.records {
-            if r.pts < from || r.pts >= to {
-                continue;
-            }
-            ssim.push(r.ssim);
+        for r in window {
+            ssim.push(r.ssim());
             // Latency counts for every frame that *arrived*, displayed
             // or not — a frame shown stale because it blew its playout
             // deadline still has a measured glass-to-glass latency (the
             // quantity the paper reports).
-            if let Some(l) = r.latency {
+            if let Some(l) = r.latency() {
                 lat.push(l.as_millis_f64());
                 lat_stats.push(l.as_millis_f64());
             }
-            match r.outcome {
+            match r.outcome() {
                 FrameOutcomeKind::Displayed => {
                     displayed += 1;
-                    if let Some(p) = r.psnr_db {
+                    if let Some(p) = r.psnr_db() {
                         psnr.push(p);
                     }
                 }
@@ -222,6 +319,17 @@ mod tests {
         let s = r.summarize(Time::from_millis(300), Time::from_millis(600));
         assert_eq!(s.frames, 3); // pts 300, 400, 500
         assert!((s.mean_latency_ms - 54.0).abs() < 1e-9);
+        // Repeated pts on both edges: the window stays half-open.
+        r.push(rec(900, Some(70), 0.9));
+        r.push(rec(1000, Some(80), 0.9));
+        let s = r.summarize(Time::from_millis(900), Time::from_millis(1000));
+        assert_eq!(s.frames, 2); // both slots at pts 900
+        assert!((s.mean_latency_ms - 64.5).abs() < 1e-9);
+        // Windows past the records, or reversed, are empty.
+        for (from, to) in [(1001, 5000), (600, 300)] {
+            let s = r.summarize(Time::from_millis(from), Time::from_millis(to));
+            assert_eq!(s.frames, 0, "window [{from}, {to}) ms");
+        }
     }
 
     #[test]
@@ -273,6 +381,73 @@ mod tests {
             r.summarize_all()
         };
         assert_eq!(clean.rejected, 0);
+    }
+
+    /// Picks `0`, `max` or `raw`, so the range ends come up often.
+    fn edge_or(pick: u8, max: u64, raw: u64) -> u64 {
+        match pick {
+            0 => 0,
+            1 => max,
+            _ => raw,
+        }
+    }
+
+    /// The floats a packed record must keep bit for bit, or `raw`'s bits.
+    fn special_or(pick: usize, raw: u64) -> f64 {
+        [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+        ]
+        .get(pick)
+        .copied()
+        .unwrap_or(f64::from_bits(raw))
+    }
+
+    proptest::proptest! {
+        /// Every field comes back exactly as packed: all eight flag
+        /// combinations (a displayed frame without PSNR included),
+        /// `Some(Dur::ZERO)` apart from `None`, pts at both ends of its
+        /// range, and NaN/±inf/±0 SSIM and PSNR bit for bit.
+        #[test]
+        fn packed_record_round_trips(
+            flags in 0u8..8,
+            pts in (0u8..4, 0u64..PTS_MAX_US),
+            latency in (0u8..4, 0u64..u64::MAX),
+            ssim in (0usize..12, 0u64..u64::MAX),
+            psnr in (0usize..12, 0u64..u64::MAX),
+        ) {
+            let pts = Time::from_micros(edge_or(pts.0, PTS_MAX_US, pts.1));
+            let outcome = if flags & 1 != 0 {
+                FrameOutcomeKind::Displayed
+            } else {
+                FrameOutcomeKind::Frozen
+            };
+            let latency = (flags & 2 != 0).then(|| Dur::micros(edge_or(latency.0, u64::MAX, latency.1)));
+            let ssim = special_or(ssim.0, ssim.1);
+            let psnr_db = (flags & 4 != 0).then(|| special_or(psnr.0, psnr.1));
+            let r = PackedFrameRecord::new(pts, outcome, latency, ssim, psnr_db);
+            proptest::prop_assert_eq!(r.pts(), pts);
+            proptest::prop_assert_eq!(r.outcome(), outcome);
+            proptest::prop_assert_eq!(r.latency(), latency);
+            proptest::prop_assert_eq!(r.ssim().to_bits(), ssim.to_bits());
+            proptest::prop_assert_eq!(r.psnr_db().map(f64::to_bits), psnr_db.map(f64::to_bits));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the packed record's 2^61 µs range")]
+    fn packing_rejects_pts_past_its_range() {
+        PackedFrameRecord::new(
+            Time::from_micros(PTS_MAX_US + 1),
+            FrameOutcomeKind::Frozen,
+            None,
+            0.5,
+            None,
+        );
     }
 
     #[test]

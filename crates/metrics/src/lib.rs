@@ -11,6 +11,8 @@ pub mod latency;
 pub mod stats;
 pub mod table;
 
-pub use latency::{FrameOutcomeKind, FrameRecord, LatencyRecorder, LatencySummary};
+pub use latency::{
+    FrameOutcomeKind, FrameRecord, LatencyRecorder, LatencySummary, PackedFrameRecord,
+};
 pub use stats::{Percentiles, RunningStats};
 pub use table::Table;

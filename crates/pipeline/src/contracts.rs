@@ -173,14 +173,14 @@ fn max_freeze(spec: &ContractSpec, result: &SessionResult) -> ContractVerdict {
     // needs no side channel for the frame rate.
     let dt = match (records.first(), records.last()) {
         (Some(first), Some(last)) if records.len() >= 2 => Dur::from_secs_f64(
-            last.pts.saturating_since(first.pts).as_secs_f64() / (records.len() - 1) as f64,
+            last.pts().saturating_since(first.pts()).as_secs_f64() / (records.len() - 1) as f64,
         ),
         _ => FALLBACK_FRAME_INTERVAL,
     };
     let mut longest = 0usize;
     let mut run = 0usize;
     for r in records {
-        if r.outcome == FrameOutcomeKind::Frozen {
+        if r.outcome() == FrameOutcomeKind::Frozen {
             run += 1;
             longest = longest.max(run);
         } else {
@@ -343,11 +343,18 @@ mod tests {
         // the post-drop window blows the 200 ms bound.
         let mut doctored = SessionResult::default();
         for r in result.recorder.records() {
-            let mut r = *r;
-            if r.pts >= Time::from_secs(10) {
-                r.latency = Some(Dur::millis(400));
-            }
-            doctored.recorder.push(r);
+            let post_drop = r.pts() >= Time::from_secs(10);
+            doctored.recorder.push(FrameRecord {
+                pts: r.pts(),
+                outcome: r.outcome(),
+                latency: if post_drop {
+                    Some(Dur::millis(400))
+                } else {
+                    r.latency()
+                },
+                ssim: r.ssim(),
+                psnr_db: r.psnr_db(),
+            });
         }
         mem_swap_series(&mut result, &mut doctored);
         let verdicts = evaluate(&spec(), &doctored);

@@ -31,6 +31,7 @@
 pub mod contracts;
 pub mod invariants;
 mod path;
+mod queue;
 mod receiver;
 pub mod scheme;
 mod sender;

@@ -13,11 +13,12 @@ use ravel_net::{
     ForwardChaos, Link, NackBatch, Packet, Packetizer, ReversePath,
 };
 use ravel_obs::ObsEvent;
-use ravel_sim::{EventQueue, Time};
+use ravel_sim::Time;
 use ravel_trace::BandwidthTrace;
 
 use crate::invariants::Invariant;
-use crate::session::{Ctx, Event, SessionConfig};
+use crate::queue::{Event, Queue};
+use crate::session::{Ctx, SessionConfig};
 
 /// Forward-path accounting for the conservation invariant.
 #[derive(Debug, Default)]
@@ -97,13 +98,7 @@ impl<T: BandwidthTrace> Path<T> {
     /// through the per-packet chaos stage (which may drop it, jitter
     /// its arrival past FIFO order, or inject a duplicate) and
     /// recording the send for conservation.
-    pub(crate) fn send(
-        &mut self,
-        now: Time,
-        packet: Packet,
-        ctx: &mut Ctx,
-        queue: &mut EventQueue<Event>,
-    ) {
+    pub(crate) fn send(&mut self, now: Time, packet: Packet, ctx: &mut Ctx, queue: &mut Queue) {
         self.acct.sent += 1;
         ctx.obs.record(now, || ObsEvent::PacketSent {
             seq: packet.seq,
@@ -118,14 +113,14 @@ impl<T: BandwidthTrace> Path<T> {
                 Some(ch) => {
                     let fate = ch.transit(now, arrival);
                     if let Some(at) = fate.duplicate {
-                        queue.push(at, Event::Arrival(packet));
+                        queue.push_arrival(at, packet);
                     }
                     match fate.arrival {
-                        Some(at) => queue.push(at, Event::Arrival(packet)),
+                        Some(at) => queue.push_arrival(at, packet),
                         None => ctx.obs.record(now, || dropped("chaos")),
                     }
                 }
-                None => queue.push(arrival, Event::Arrival(packet)),
+                None => queue.push_arrival(arrival, packet),
             },
             Delivery::QueueDrop => ctx.obs.record(now, || dropped("queue")),
             Delivery::Lost => ctx.obs.record(now, || dropped("loss")),
@@ -162,37 +157,27 @@ impl<T: BandwidthTrace> Path<T> {
     /// Carries a feedback report back to the sender. Each delivered
     /// copy is corrupted independently — a duplicated reverse path can
     /// deliver one honest and one mutated copy of the same report.
-    pub(crate) fn send_feedback(
-        &mut self,
-        now: Time,
-        report: &FeedbackReport,
-        queue: &mut EventQueue<Event>,
-    ) {
+    pub(crate) fn send_feedback(&mut self, now: Time, report: &FeedbackReport, queue: &mut Queue) {
         for at in self.reverse.transit(now).into_iter().flatten() {
             let mut copy = report.clone();
             if let Some(c) = self.corruptor.as_mut() {
                 c.corrupt(&mut copy, now);
             }
-            queue.push(at, Event::FeedbackArrive(copy));
+            queue.push_feedback(at, copy);
         }
     }
 
     /// Carries a NACK batch back to the sender.
-    pub(crate) fn send_nack(
-        &mut self,
-        now: Time,
-        batch: &NackBatch,
-        queue: &mut EventQueue<Event>,
-    ) {
+    pub(crate) fn send_nack(&mut self, now: Time, batch: &NackBatch, queue: &mut Queue) {
         for at in self.reverse.transit(now).into_iter().flatten() {
-            queue.push(at, Event::NackArrive(batch.clone()));
+            queue.push_nack(at, batch.clone());
         }
     }
 
     /// Carries a PLI back to the sender. A corrupted PLI is unparseable
     /// at the sender: the delivery slot is consumed but nothing
     /// arrives. The requester's retry loop keeps the request alive.
-    pub(crate) fn send_pli(&mut self, now: Time, queue: &mut EventQueue<Event>) {
+    pub(crate) fn send_pli(&mut self, now: Time, queue: &mut Queue) {
         for at in self.reverse.transit(now).into_iter().flatten() {
             if self.corruptor.as_mut().is_some_and(|c| c.suppress_pli(now)) {
                 continue;
@@ -248,7 +233,7 @@ mod tests {
     }
 
     /// Every event in `queue`, in pop order.
-    fn drain(queue: &mut EventQueue<Event>) -> Vec<Event> {
+    fn drain(queue: &mut Queue) -> Vec<Event> {
         std::iter::from_fn(|| queue.pop().map(|s| s.event)).collect()
     }
 
@@ -266,12 +251,12 @@ mod tests {
                 size_bytes: 1250,
             }],
         };
-        let mut queue = EventQueue::new();
+        let mut queue = Queue::default();
         path.send_feedback(now, &report, &mut queue);
         let seqs: Vec<u64> = drain(&mut queue)
             .into_iter()
             .map(|e| match e {
-                Event::FeedbackArrive(copy) => copy.report_seq,
+                Event::FeedbackArrive(slot) => queue.reports.take(slot).report_seq,
                 _ => panic!("only feedback copies expected"),
             })
             .collect();
@@ -286,7 +271,7 @@ mod tests {
     #[test]
     fn suppressed_pli_uses_its_slot_and_pushes_nothing() {
         let mut path = duplicating_path(CorruptMode::Truncate);
-        let mut queue = EventQueue::new();
+        let mut queue = Queue::default();
         path.send_pli(Time::from_millis(100), &mut queue);
         assert!(queue.is_empty());
         // The reverse path still delivered the message and its copy.

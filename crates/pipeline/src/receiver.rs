@@ -6,12 +6,13 @@ use ravel_net::{
     FecDecoder, FeedbackBuilder, FrameAssembler, MediaKind, NackGenerator, Packet, PliRequester,
 };
 use ravel_obs::ObsEvent;
-use ravel_sim::{Dur, EventQueue, Time};
+use ravel_sim::{Dur, Time};
 use ravel_trace::BandwidthTrace;
 
 use crate::path::Path;
+use crate::queue::{Event, Queue};
 use crate::sender::SentVideoWindow;
-use crate::session::{Ctx, Event, SessionConfig};
+use crate::session::{Ctx, SessionConfig};
 
 /// Receiver NACK poll cadence.
 pub(crate) const NACK_POLL_EVERY: Dur = Dur::millis(10);
@@ -136,7 +137,7 @@ impl Receiver {
         now: Time,
         path: &mut Path<T>,
         ctx: &mut Ctx,
-        queue: &mut EventQueue<Event>,
+        queue: &mut Queue,
     ) {
         path.check_backlog(now, ctx);
         if let Some(report) = self.feedback.flush(now) {
@@ -167,7 +168,7 @@ impl Receiver {
         now: Time,
         path: &mut Path<T>,
         ctx: &Ctx,
-        queue: &mut EventQueue<Event>,
+        queue: &mut Queue,
     ) {
         let abandoned_before = self.nack_gen.abandoned();
         let batch = self.nack_gen.poll(now);
@@ -252,7 +253,7 @@ mod tests {
         let (mut receiver, mut path, mut ctx) = recover_lost_fragment(false);
         assert!(receiver.pli.is_pending());
         // The next feedback flush sends the report and retries the PLI.
-        let mut queue = EventQueue::new();
+        let mut queue = Queue::default();
         receiver.on_feedback_flush(Time::from_millis(50), &mut path, &mut ctx, &mut queue);
         let events: Vec<Event> = std::iter::from_fn(|| queue.pop().map(|s| s.event)).collect();
         assert!(matches!(

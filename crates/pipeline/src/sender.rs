@@ -13,13 +13,14 @@ use ravel_net::{
     RtxBuffer,
 };
 use ravel_obs::ObsEvent;
-use ravel_sim::{Dur, EventQueue, Time};
+use ravel_sim::{Dur, Time};
 use ravel_trace::BandwidthTrace;
 use ravel_video::VideoSource;
 
 use crate::invariants::Invariant;
 use crate::path::Path;
-use crate::session::{Ctx, Event, SessionConfig};
+use crate::queue::{Event, Queue};
+use crate::session::{Ctx, SessionConfig};
 
 /// Fraction of the current video target the RTX token bucket refills at.
 /// libwebrtc similarly bounds retransmission bitrate so congestion losses
@@ -217,7 +218,7 @@ impl Sender {
 
     /// Captures the next frame, lets the controller skip it or encode
     /// it, and schedules the next capture.
-    pub(crate) fn on_capture(&mut self, now: Time, ctx: &mut Ctx, queue: &mut EventQueue<Event>) {
+    pub(crate) fn on_capture(&mut self, now: Time, ctx: &mut Ctx, queue: &mut Queue) {
         let frame = self.source.next_frame();
         debug_assert_eq!(frame.pts, now, "capture clock drift");
         ctx.obs
@@ -286,7 +287,7 @@ impl Sender {
         index: u64,
         path: &mut Path<T>,
         ctx: &mut Ctx,
-        queue: &mut EventQueue<Event>,
+        queue: &mut Queue,
     ) {
         let SentFrame::Encoded { frame, .. } = self.sent[index as usize] else {
             unreachable!("on_capture pushes an Encoded slot for every EncodeDone");
@@ -313,7 +314,7 @@ impl Sender {
         now: Time,
         path: &mut Path<T>,
         ctx: &mut Ctx,
-        queue: &mut EventQueue<Event>,
+        queue: &mut Queue,
     ) {
         self.pacer_tick_pending = false;
         self.release_pacer(now, path, ctx, queue);
@@ -327,7 +328,7 @@ impl Sender {
         now: Time,
         path: &mut Path<T>,
         ctx: &mut Ctx,
-        queue: &mut EventQueue<Event>,
+        queue: &mut Queue,
     ) {
         let mut scratch = mem::take(&mut self.release_scratch);
         self.pacer.release_into(now, &mut scratch);
@@ -353,7 +354,7 @@ impl Sender {
         now: Time,
         path: &mut Path<T>,
         ctx: &mut Ctx,
-        queue: &mut EventQueue<Event>,
+        queue: &mut Queue,
     ) {
         // One Opus frame: bitrate x 20 ms of payload + headers.
         let payload = ((ctx.cfg.audio_bitrate_bps * AUDIO_TICK.as_secs_f64()) / 8.0).ceil() as u64;
@@ -505,7 +506,7 @@ impl Sender {
         batch: &NackBatch,
         path: &mut Path<T>,
         ctx: &mut Ctx,
-        queue: &mut EventQueue<Event>,
+        queue: &mut Queue,
     ) {
         // Refill the RTX bucket, capped at one burst.
         let elapsed = now.saturating_since(self.rtx_tokens_updated);
@@ -542,12 +543,7 @@ impl Sender {
 
     /// Backs the target off when no valid report arrived within the
     /// watchdog's timeout, and schedules the next check.
-    pub(crate) fn on_watchdog_tick(
-        &mut self,
-        now: Time,
-        ctx: &mut Ctx,
-        queue: &mut EventQueue<Event>,
-    ) {
+    pub(crate) fn on_watchdog_tick(&mut self, now: Time, ctx: &mut Ctx, queue: &mut Queue) {
         let Some(wd) = self.watchdog.as_mut() else {
             return;
         };
@@ -653,7 +649,7 @@ mod tests {
         ));
         let mut ctx = Ctx::new(cfg, ObsMode::Full);
         let mut sender = Sender::new(&cfg, None);
-        let mut queue = EventQueue::new();
+        let mut queue = Queue::default();
         // No report has arrived by 1 s: the watchdog fires.
         let now = Time::from_secs(1);
         sender.on_watchdog_tick(now, &mut ctx, &mut queue);

@@ -3,7 +3,7 @@
 //! A session is a sender, the network path and a receiver (the
 //! `sender`, `path` and `receiver` modules), sharing one context of
 //! config, observability log, invariant checker and series. The kernel,
-//! [`run_spec`], pops the session's events off an [`EventQueue`]: it
+//! [`run_spec`], pops the session's events off the workspace's queue: it
 //! first admits each one past the runaway guards, fault injection and
 //! chaos-segment announcements, then routes it to the side that
 //! handles it. A session is described by a [`RunSpec`]; the plain run
@@ -16,16 +16,17 @@ use ravel_codec::Decoder;
 use ravel_core::WatchdogConfig;
 use ravel_metrics::{FrameOutcomeKind, FrameRecord, LatencyRecorder};
 use ravel_net::{
-    ChaosSchedule, ChaosSpec, CorruptSchedule, CorruptSpec, FeedbackReport, LinkConfig, NackBatch,
-    Packet, ReversePathConfig, SegmentKind,
+    ChaosSchedule, ChaosSpec, CorruptSchedule, CorruptSpec, LinkConfig, ReversePathConfig,
+    SegmentKind,
 };
 use ravel_obs::{ObsEvent, ObsLog, ObsMode};
-use ravel_sim::{Dur, EventQueue, Scheduled, SeriesSet, Time};
+use ravel_sim::{Dur, Scheduled, SeriesSet, Time};
 use ravel_trace::BandwidthTrace;
 use ravel_video::{ContentClass, Resolution};
 
 use crate::invariants::{Invariant, InvariantChecker, InvariantViolation};
 use crate::path::Path;
+use crate::queue::{Event, Queue};
 use crate::receiver::{Receiver, NACK_POLL_EVERY};
 use crate::scheme::Scheme;
 use crate::sender::{Sender, SentFrame};
@@ -328,35 +329,6 @@ pub struct SessionResult {
     pub obs: ObsLog,
 }
 
-/// Events in the session's queue.
-pub(crate) enum Event {
-    /// Capture the next frame.
-    Capture,
-    /// The frame with this capture index finished encoding and is ready
-    /// to packetize. The frame itself is the sender's `sent[index]`.
-    EncodeDone(u64),
-    /// The pacer may have packets due.
-    PacerTick,
-    /// A packet reached the receiver.
-    Arrival(Packet),
-    /// The receiver flushes feedback.
-    FeedbackFlush,
-    /// A feedback report reached the sender.
-    FeedbackArrive(FeedbackReport),
-    /// The receiver checks for NACK-able gaps / due retries.
-    NackPoll,
-    /// The audio encoder emits its next 20 ms frame.
-    AudioTick,
-    /// A NACK batch reached the sender.
-    NackArrive(NackBatch),
-    /// A receiver PLI reached the sender.
-    PliArrive,
-    /// The feedback watchdog checks its deadline.
-    WatchdogTick,
-    /// The [`InjectedFault::Runaway`] fixture's self-renewing event.
-    RunawayTick,
-}
-
 /// Bound on how long after the last fault clears the decoder's
 /// reference chain may stay broken: a (PLI-requested) keyframe must
 /// land and repair it within this window. Covers PLI retry backoff (up
@@ -433,15 +405,17 @@ pub fn run_session<T: BandwidthTrace>(trace: T, cfg: SessionConfig) -> SessionRe
     run_spec(RunSpec::new(trace, cfg), &mut KernelWorkspace::new())
 }
 
-/// Reusable per-worker kernel scratch: the session's event queue.
+/// Reusable per-worker kernel scratch: the session's event queue and
+/// the slabs holding its events' packets, reports and NACK batches.
 ///
 /// A worker that runs session after session through one workspace
-/// keeps the queue's bucket `Vec`s and their capacity across
-/// [`EventQueue::reset`]. [`run_spec`] resets the queue on entry, so a
-/// workspace left dirty by a panicked session is clean on its next use.
+/// keeps the queue's bucket `Vec`s and the slabs, with their capacity,
+/// across resets. [`run_spec`] resets the queue on entry, so a
+/// workspace left dirty by a panicked session is clean on its next use,
+/// and again when the session ends, so no payload outlives its run.
 #[derive(Default)]
 pub struct KernelWorkspace {
-    queue: EventQueue<Event>,
+    queue: Queue,
 }
 
 impl KernelWorkspace {
@@ -460,19 +434,16 @@ pub fn run_spec<T: BandwidthTrace>(spec: RunSpec<T>, ws: &mut KernelWorkspace) -
     let mut state = SessionState::new(spec);
     state.start(queue);
     while let Some(Scheduled { at, event, .. }) = queue.pop() {
-        if state.admit(at, queue) {
-            state.dispatch(at, event, queue);
-            continue;
+        if !state.admit(at, queue) {
+            // The session is over. Each packet still in the slab belongs
+            // to a queued arrival, the refused event's included: it is
+            // in flight for conservation.
+            state.path.acct.inflight += queue.packets.live() as u64;
+            break;
         }
-        // The session is over. Every arrival still queued, the refused
-        // event included, is a packet in flight for conservation.
-        let rest = std::iter::from_fn(|| queue.pop().map(|s| s.event));
-        let inflight = std::iter::once(event)
-            .chain(rest)
-            .filter(|e| matches!(e, Event::Arrival(_)))
-            .count();
-        state.path.acct.inflight += inflight as u64;
+        state.dispatch(at, event, queue);
     }
+    queue.reset();
     state.finish()
 }
 
@@ -623,7 +594,7 @@ impl<T: BandwidthTrace> SessionState<T> {
 
     /// Schedules the session's seed events (same order as the
     /// historical loop, so FIFO tie-breaks are preserved).
-    fn start(&self, queue: &mut EventQueue<Event>) {
+    fn start(&self, queue: &mut Queue) {
         let cfg = &self.ctx.cfg;
         queue.push(Time::ZERO, Event::Capture);
         queue.push(Time::ZERO + cfg.feedback_interval, Event::FeedbackFlush);
@@ -644,7 +615,7 @@ impl<T: BandwidthTrace> SessionState<T> {
     /// chaos-segment announcements) matches the historical loop
     /// exactly, so guard trips and violation details are
     /// byte-identical.
-    fn admit(&mut self, now: Time, queue: &mut EventQueue<Event>) -> bool {
+    fn admit(&mut self, now: Time, queue: &mut Queue) -> bool {
         self.popped += 1;
         if now < self.last_event_at {
             let detail = format!(
@@ -706,7 +677,7 @@ impl<T: BandwidthTrace> SessionState<T> {
 
     /// Routes one admitted event to the part of the session that
     /// handles it.
-    fn dispatch(&mut self, now: Time, event: Event, queue: &mut EventQueue<Event>) {
+    fn dispatch(&mut self, now: Time, event: Event, queue: &mut Queue) {
         let SessionState {
             ctx,
             sender,
@@ -718,14 +689,21 @@ impl<T: BandwidthTrace> SessionState<T> {
             Event::Capture => sender.on_capture(now, ctx, queue),
             Event::EncodeDone(index) => sender.on_encode_done(now, index, path, ctx, queue),
             Event::PacerTick => sender.on_pacer_tick(now, path, ctx, queue),
-            Event::Arrival(packet) => {
+            Event::Arrival(slot) => {
+                let packet = queue.packets.take(slot);
                 receiver.on_arrival(now, packet, &sender.sent_video, path, ctx)
             }
             Event::FeedbackFlush => receiver.on_feedback_flush(now, path, ctx, queue),
-            Event::FeedbackArrive(report) => sender.on_feedback_arrive(now, &report, path, ctx),
+            Event::FeedbackArrive(slot) => {
+                let report = queue.reports.take(slot);
+                sender.on_feedback_arrive(now, &report, path, ctx)
+            }
             Event::NackPoll => receiver.on_nack_poll(now, path, ctx, queue),
             Event::AudioTick => sender.on_audio_tick(now, path, ctx, queue),
-            Event::NackArrive(batch) => sender.on_nack_arrive(now, &batch, path, ctx, queue),
+            Event::NackArrive(slot) => {
+                let batch = queue.nacks.take(slot);
+                sender.on_nack_arrive(now, &batch, path, ctx, queue)
+            }
             Event::PliArrive => sender.on_pli_arrive(now),
             Event::WatchdogTick => sender.on_watchdog_tick(now, ctx, queue),
             // The fixture's storm: re-schedule at the current instant
@@ -860,7 +838,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         // Finite metrics: nothing non-finite may reach the recorder or the
         // recorded series.
         if let Some(r) = recorder.records().iter().find(|r| !r.is_finite()) {
-            let detail = format!("non-finite frame record at pts {}", r.pts);
+            let detail = format!("non-finite frame record at pts {}", r.pts());
             ctx.violate(last_event_at, Invariant::FiniteMetrics, detail);
         }
         let non_finite = ctx.series.iter().find_map(|(name, s)| {
@@ -918,7 +896,7 @@ mod tests {
     use crate::receiver::CompletedFrames;
     use crate::scheme::CcKind;
     use crate::sender::{SentVideoWindow, SENT_VIDEO_WINDOW};
-    use ravel_net::MediaKind;
+    use ravel_net::{MediaKind, Packet};
     use ravel_trace::{ConstantTrace, StepTrace};
 
     /// Runs `spec` on a fresh workspace.
@@ -1038,15 +1016,19 @@ mod tests {
         cfg.duration = Dur::secs(4);
         let mut ws = KernelWorkspace::new();
         let first = run_spec(RunSpec::new(ConstantTrace::new(3e6), cfg), &mut ws);
-        // The kernel drains its queue: no event of this session is
-        // left behind for the next session through the workspace.
+        // The kernel empties its queue and slabs: no event or payload of
+        // this session is left behind for the next session through the
+        // workspace.
         assert!(ws.queue.is_empty(), "events leaked past the run");
-        // Leave a stray event behind, as a panicked session would: the
-        // next run resets the reused queue on entry and is unaffected.
-        let stray_at = ws.queue.now() + Dur::millis(5);
-        ws.queue.push(stray_at, Event::EncodeDone(0));
+        assert_eq!(ws.queue.packets.live(), 0, "packets leaked past the run");
+        // Leave a stray event and packet behind, as a panicked session
+        // would: the next run resets the reused queue on entry and is
+        // unaffected.
+        ws.queue.push(Time::from_millis(5), Event::EncodeDone(0));
+        ws.queue.push_arrival(Time::from_millis(6), test_packet(0));
         let second = run_spec(RunSpec::new(ConstantTrace::new(3e6), cfg), &mut ws);
         assert!(ws.queue.is_empty(), "events leaked past the run");
+        assert_eq!(ws.queue.packets.live(), 0, "packets leaked past the run");
         assert_results_identical(&first, &second);
     }
 

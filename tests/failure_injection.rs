@@ -23,16 +23,16 @@ fn assert_sane(result: &ravel::pipeline::SessionResult) {
     );
     for r in result.recorder.records() {
         assert!(
-            (0.0..=1.0).contains(&r.ssim),
+            (0.0..=1.0).contains(&r.ssim()),
             "SSIM out of range: {}",
-            r.ssim
+            r.ssim()
         );
-        if let Some(l) = r.latency {
+        if let Some(l) = r.latency() {
             // Nothing can arrive faster than propagation + render.
             assert!(
                 l >= Dur::millis(5),
                 "impossible latency {l} for frame at {:?}",
-                r.pts
+                r.pts()
             );
         }
     }

@@ -28,7 +28,7 @@ fn assert_invariants(result: &SessionResult) {
         result.frames_captured
     );
     for r in result.recorder.records() {
-        assert!((0.0..=1.0).contains(&r.ssim));
+        assert!((0.0..=1.0).contains(&r.ssim()));
     }
     for &(_, l) in &result.audio_latencies {
         assert!(l >= Dur::millis(20));
