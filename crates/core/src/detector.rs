@@ -146,9 +146,7 @@ impl DropDetector {
     pub fn busy_rate_bps(&self) -> Option<f64> {
         let mut bytes = 0u64;
         let mut busy = Dur::ZERO;
-        for pair in self.recent.iter().collect::<Vec<_>>().windows(2) {
-            let (t0, _) = *pair[0];
-            let (t1, b1) = *pair[1];
+        for (&(t0, _), &(t1, b1)) in self.recent.iter().zip(self.recent.iter().skip(1)) {
             let gap = t1.saturating_since(t0);
             if gap <= Dur::millis(25) && !gap.is_zero() {
                 bytes += b1;

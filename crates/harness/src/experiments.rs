@@ -23,7 +23,7 @@ use ravel_core::{AdaptiveConfig, WatchdogConfig};
 use ravel_metrics::{LatencySummary, Table};
 use ravel_net::{ChaosSchedule, ChaosSpec, CorruptSpec, ReversePathConfig};
 use ravel_pipeline::{CcKind, ContractSpec, InjectedFault, Scheme, SessionConfig, SessionResult};
-use ravel_sim::{Dur, Time};
+use ravel_sim::{Dur, Series, Time};
 use ravel_video::ContentClass;
 
 use crate::cell::{Cell, TraceSpec};
@@ -426,13 +426,13 @@ pub fn e3() -> Experiment {
             for (scheme, run) in schemes.iter().zip(runs) {
                 out.push_str(&format!("# scheme={}\n", scheme.name()));
                 out.push_str("time_s,capacity_mbps,target_mbps,send_mbps,queue_ms,latency_ms\n");
-                let get = |name: &str| run.result.series.get(name).expect("series recorded");
+                let get = |series| run.result.series.get(series).expect("series recorded");
                 let (cap, tgt, snd, q, lat) = (
-                    get("capacity_bps"),
-                    get("target_bps"),
-                    get("send_rate_bps"),
-                    get("link_queue_ms"),
-                    get("frame_latency_ms"),
+                    get(Series::CapacityBps),
+                    get(Series::TargetBps),
+                    get(Series::SendRateBps),
+                    get(Series::LinkQueueMs),
+                    get(Series::FrameLatencyMs),
                 );
                 for step in 0..120u64 {
                     let t = window_start + Dur::millis(step * 100);
@@ -991,7 +991,7 @@ pub fn e16() -> Experiment {
             },
         );
         g.row([cell], move |[run]| {
-            let send = run.result.series.get("send_rate_bps").expect("series");
+            let send = run.result.series.get(Series::SendRateBps).expect("series");
             // Mean send rate over the 2 s starting `offset_s` after
             // the recovery instant, in bits/second.
             let rate_at = |offset_s: u64| {

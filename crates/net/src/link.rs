@@ -134,6 +134,12 @@ impl<T: BandwidthTrace> Link<T> {
         &self.trace
     }
 
+    /// The trace's rate at `t`, equal to `trace().rate_bps(t)` bit for
+    /// bit, read from the cached constant span when `t` falls inside it.
+    pub fn rate_bps(&mut self, t: Time) -> f64 {
+        self.rate_span(t).0
+    }
+
     /// Packets delivered so far.
     pub fn delivered(&self) -> u64 {
         self.delivered
@@ -465,6 +471,11 @@ mod tests {
             proptest::prop_assert_eq!(spans.send(&p, now), slices.send(&p, now), "seq {}", seq);
             proptest::prop_assert_eq!(spans.queue_delay(now), slices.queue_delay(now));
             proptest::prop_assert_eq!(spans.backlog_bytes(now), slices.backlog_bytes(now));
+            // A rate read between sends moves the span cache back to
+            // `now`; it must read the trace exactly and leave the next
+            // send unchanged.
+            let rate = spans.rate_bps(now);
+            proptest::prop_assert_eq!(rate.to_bits(), slices.trace().rate_bps(now).to_bits());
         }
         Ok(())
     }

@@ -75,7 +75,8 @@ impl Pacer {
     }
 
     /// Packets waiting in the pacer.
-    pub fn queued_packets(&self) -> usize {
+    #[cfg(test)]
+    fn queued_packets(&self) -> usize {
         self.queue.len()
     }
 

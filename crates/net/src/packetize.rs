@@ -1,7 +1,5 @@
 //! Frame → packets fragmentation and receiver-side reassembly.
 
-use std::collections::BTreeMap;
-
 use ravel_codec::EncodedFrame;
 use ravel_sim::Time;
 
@@ -124,13 +122,18 @@ pub struct ReassembledFrame {
 /// complete. Frames abandoned by newer completions are reported lost.
 #[derive(Debug, Clone, Default)]
 pub struct FrameAssembler {
-    /// fragment bitmaps per in-flight frame: frame_index → (received
-    /// mask-count, expected, bytes, pts, keyframe, latest arrival).
-    pending: BTreeMap<u64, PendingFrame>,
+    /// Incomplete frames in frame-index order. Only a few frames are in
+    /// flight at once and most arrivals belong to the newest, so the
+    /// window is searched from its back.
+    pending: Vec<PendingFrame>,
+    /// Fragment maps of finished and evicted frames, reused by the next
+    /// new frame: in steady state reassembly allocates nothing.
+    spare: Vec<Vec<bool>>,
 }
 
 #[derive(Debug, Clone)]
 struct PendingFrame {
+    frame_index: u64,
     received: Vec<bool>,
     received_count: u16,
     bytes: u64,
@@ -150,24 +153,39 @@ impl FrameAssembler {
     }
 
     /// Number of incomplete frames currently buffered.
-    pub fn pending_frames(&self) -> usize {
+    #[cfg(test)]
+    fn pending_frames(&self) -> usize {
         self.pending.len()
     }
 
     /// Feeds one arrived packet; returns the frame if this packet
     /// completed it.
     pub fn push(&mut self, packet: &Packet, arrival: Time) -> Option<ReassembledFrame> {
-        let entry = self
-            .pending
-            .entry(packet.frame_index)
-            .or_insert_with(|| PendingFrame {
-                received: vec![false; packet.num_fragments as usize],
-                received_count: 0,
-                bytes: 0,
-                pts: packet.pts,
-                is_keyframe: packet.is_keyframe,
-                last_arrival: arrival,
-            });
+        let index = packet.frame_index;
+        let before = self.pending.iter().rposition(|f| f.frame_index <= index);
+        let at = match before {
+            Some(i) if self.pending[i].frame_index == index => i,
+            _ => {
+                let mut received = self.spare.pop().unwrap_or_default();
+                received.clear();
+                received.resize(packet.num_fragments as usize, false);
+                let at = before.map_or(0, |i| i + 1);
+                self.pending.insert(
+                    at,
+                    PendingFrame {
+                        frame_index: index,
+                        received,
+                        received_count: 0,
+                        bytes: 0,
+                        pts: packet.pts,
+                        is_keyframe: packet.is_keyframe,
+                        last_arrival: arrival,
+                    },
+                );
+                at
+            }
+        };
+        let entry = &mut self.pending[at];
         let idx = packet.fragment as usize;
         if idx >= entry.received.len() || entry.received[idx] {
             // Duplicate or malformed fragment; ignore.
@@ -179,15 +197,18 @@ impl FrameAssembler {
         entry.last_arrival = entry.last_arrival.max(arrival);
 
         if entry.received_count as usize == entry.received.len() {
-            let done = self.pending.remove(&packet.frame_index).expect("present");
+            let done = self.pending.remove(at);
+            self.spare.push(done.received);
             // Keep older incomplete frames: with NACK/RTX their missing
             // fragments may still arrive, and the playout jitter buffer
             // can decode them in capture order afterwards. Only evict
             // frames that have fallen beyond any plausible repair horizon.
-            let horizon = packet.frame_index.saturating_sub(Self::REPAIR_HORIZON);
-            self.pending.retain(|&idx2, _| idx2 >= horizon);
+            let horizon = index.saturating_sub(Self::REPAIR_HORIZON);
+            let stale = self.pending.partition_point(|f| f.frame_index < horizon);
+            let evicted = self.pending.drain(..stale).map(|f| f.received);
+            self.spare.extend(evicted);
             Some(ReassembledFrame {
-                frame_index: packet.frame_index,
+                frame_index: index,
                 pts: done.pts,
                 complete_at: done.last_arrival.max(arrival),
                 is_keyframe: done.is_keyframe,
@@ -428,6 +449,52 @@ mod tests {
         }
     }
 
+    /// The map-per-frame assembler the window replaced, kept as the
+    /// oracle: one entry per frame index, evicting on completion every
+    /// frame beyond the repair horizon.
+    #[derive(Default)]
+    struct MapAssembler {
+        pending: std::collections::BTreeMap<u64, (Vec<bool>, u64, Time, bool, Time)>,
+    }
+
+    impl MapAssembler {
+        fn push(&mut self, packet: &Packet, arrival: Time) -> Option<ReassembledFrame> {
+            let (received, bytes, _, _, last) =
+                self.pending.entry(packet.frame_index).or_insert_with(|| {
+                    (
+                        vec![false; packet.num_fragments as usize],
+                        0,
+                        packet.pts,
+                        packet.is_keyframe,
+                        arrival,
+                    )
+                });
+            let idx = packet.fragment as usize;
+            if idx >= received.len() || received[idx] {
+                return None;
+            }
+            received[idx] = true;
+            *bytes += packet.size_bytes;
+            *last = (*last).max(arrival);
+            if received.iter().any(|&r| !r) {
+                return None;
+            }
+            let (_, bytes, pts, is_keyframe, last) =
+                self.pending.remove(&packet.frame_index).expect("present");
+            let horizon = packet
+                .frame_index
+                .saturating_sub(FrameAssembler::REPAIR_HORIZON);
+            self.pending.retain(|&i, _| i >= horizon);
+            Some(ReassembledFrame {
+                frame_index: packet.frame_index,
+                pts,
+                complete_at: last.max(arrival),
+                is_keyframe,
+                total_bytes: bytes,
+            })
+        }
+    }
+
     proptest::proptest! {
         /// Round-trip: packetize → reassemble recovers the frame for any
         /// size and any payload MTU — including hostile values below the
@@ -477,6 +544,47 @@ mod tests {
             );
             proptest::prop_assert_eq!(done.complete_at, t0 + Dur::millis(n as u64 - 1));
             proptest::prop_assert_eq!(asm.pending_frames(), 0);
+        }
+
+        /// The window assembler completes exactly the frames the map
+        /// assembler does, with the same fields, over arrivals that
+        /// reorder, duplicate, drop, repeat finished frames, jump past
+        /// the repair horizon and carry malformed fragment numbers.
+        #[test]
+        fn window_matches_the_map_assembler(
+            arrivals in proptest::collection::vec((0u64..200, 0u16..7), 0..400),
+        ) {
+            let mut window = FrameAssembler::new();
+            let mut map = MapAssembler::default();
+            for (i, &(frame, fragment)) in (0u64..).zip(&arrivals) {
+                // Frame indexes mostly climb, with stragglers and jumps.
+                let frame_index = match frame % 8 {
+                    0 => frame * 3,
+                    1 => frame / 4,
+                    _ => i / 3 + frame % 3,
+                };
+                let packet = Packet {
+                    kind: MediaKind::Video,
+                    seq: i,
+                    frame_index,
+                    // Fragment numbers reach past the count: malformed.
+                    fragment,
+                    num_fragments: 1 + (frame_index % 5) as u16,
+                    size_bytes: 100 + frame,
+                    pts: Time::from_millis(frame_index * 33),
+                    send_time: Time::from_millis(i),
+                    is_keyframe: frame_index % 30 == 0,
+                };
+                // Arrival times step back now and then.
+                let arrival = Time::from_millis(i + (i * 7) % 50);
+                proptest::prop_assert_eq!(
+                    window.push(&packet, arrival),
+                    map.push(&packet, arrival),
+                    "arrival {}",
+                    i
+                );
+                proptest::prop_assert_eq!(window.pending_frames(), map.pending.len());
+            }
         }
 
         /// Packetize always produces fragments that sum to the payload

@@ -29,7 +29,7 @@
 //! and belong inside the harness report's byte-identity contract.
 
 use ravel_metrics::FrameOutcomeKind;
-use ravel_sim::{Dur, Time};
+use ravel_sim::{Dur, Series, Time};
 
 use crate::session::SessionResult;
 
@@ -132,7 +132,7 @@ pub fn all_pass(verdicts: &[ContractVerdict]) -> bool {
 
 fn recover_rate(spec: &ContractSpec, result: &SessionResult) -> ContractVerdict {
     let goal = spec.recover_fraction * spec.post_capacity_bps;
-    let Some(series) = result.series.get("target_bps") else {
+    let Some(series) = result.series.get(Series::TargetBps) else {
         return ContractVerdict::new(
             "recover-rate",
             false,
@@ -213,7 +213,7 @@ fn post_p95(spec: &ContractSpec, result: &SessionResult) -> ContractVerdict {
 fn target_envelope(spec: &ContractSpec, result: &SessionResult) -> ContractVerdict {
     let ceiling = spec.post_capacity_bps * (1.0 + spec.envelope_headroom);
     let settle = spec.drop_at + spec.recover_within;
-    let Some(series) = result.series.get("target_bps") else {
+    let Some(series) = result.series.get(Series::TargetBps) else {
         return ContractVerdict::new(
             "target-envelope",
             false,
@@ -248,7 +248,9 @@ mod tests {
     fn synthetic(targets: &[(u64, f64)], frozen: &[std::ops::Range<usize>]) -> SessionResult {
         let mut result = SessionResult::default();
         for &(sec, bps) in targets {
-            result.series.push("target_bps", Time::from_secs(sec), bps);
+            result
+                .series
+                .push(Series::TargetBps, Time::from_secs(sec), bps);
         }
         let slots = 20 * 30;
         for i in 0..slots {

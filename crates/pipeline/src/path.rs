@@ -154,12 +154,16 @@ impl<T: BandwidthTrace> Path<T> {
         });
     }
 
-    /// Carries a feedback report back to the sender. Each delivered
-    /// copy is corrupted independently — a duplicated reverse path can
+    /// Carries a feedback report back to the sender. Only a duplicate
+    /// costs a copy, taken before anything is corrupted: each delivered
+    /// copy is corrupted independently, so a duplicated reverse path can
     /// deliver one honest and one mutated copy of the same report.
-    pub(crate) fn send_feedback(&mut self, now: Time, report: &FeedbackReport, queue: &mut Queue) {
-        for at in self.reverse.transit(now).into_iter().flatten() {
-            let mut copy = report.clone();
+    pub(crate) fn send_feedback(&mut self, now: Time, report: FeedbackReport, queue: &mut Queue) {
+        let [Some(first), second] = self.reverse.transit(now) else {
+            return;
+        };
+        let duplicate = second.map(|at| (at, report.clone()));
+        for (at, mut copy) in std::iter::once((first, report)).chain(duplicate) {
             if let Some(c) = self.corruptor.as_mut() {
                 c.corrupt(&mut copy, now);
             }
@@ -252,7 +256,7 @@ mod tests {
             }],
         };
         let mut queue = Queue::default();
-        path.send_feedback(now, &report, &mut queue);
+        path.send_feedback(now, report, &mut queue);
         let seqs: Vec<u64> = drain(&mut queue)
             .into_iter()
             .map(|e| match e {
@@ -261,10 +265,9 @@ mod tests {
             })
             .collect();
         assert_eq!(seqs.len(), 2, "one report, two delivered copies");
-        // Each copy drew its own warp; the original is untouched.
+        // Each copy drew its own warp.
         assert!(seqs.iter().all(|&s| s >= 7 + 1_000_000), "{seqs:?}");
         assert_ne!(seqs[0], seqs[1], "both copies drew the same warp");
-        assert_eq!(report.report_seq, 7);
         assert_eq!(path.corruptor.as_ref().map(|c| c.corrupted()), Some(2));
     }
 

@@ -3,7 +3,8 @@
 //! that drive the sender's congestion controller.
 
 use ravel_net::{
-    FecDecoder, FeedbackBuilder, FrameAssembler, MediaKind, NackGenerator, Packet, PliRequester,
+    FecDecoder, FeedbackBuilder, FeedbackReport, FrameAssembler, MediaKind, NackGenerator, Packet,
+    PliRequester,
 };
 use ravel_obs::ObsEvent;
 use ravel_sim::{Dur, Time};
@@ -147,7 +148,7 @@ impl Receiver {
             if report.lost_count() > 0 {
                 self.pli.request(now);
             }
-            path.send_feedback(now, &report, queue);
+            path.send_feedback(now, report, queue);
         }
         // PLI emission (first send and backoff retries) shares the
         // feedback cadence — and the impaired reverse path.
@@ -159,6 +160,12 @@ impl Receiver {
         if next <= ctx.hard_end() {
             queue.push(next, Event::FeedbackFlush);
         }
+    }
+
+    /// Takes back a report the sender is done with, so the next flushes
+    /// reuse its buffer.
+    pub(crate) fn recycle_report(&mut self, report: FeedbackReport) {
+        self.feedback.recycle(report.packets);
     }
 
     /// Sends a NACK for any gap (or due retry), and schedules the next

@@ -13,7 +13,7 @@ use ravel_net::{
     RtxBuffer,
 };
 use ravel_obs::ObsEvent;
-use ravel_sim::{Dur, Time};
+use ravel_sim::{Dur, Series, Time};
 use ravel_trace::BandwidthTrace;
 use ravel_video::VideoSource;
 
@@ -184,7 +184,7 @@ impl Sender {
             ctl.set_rate_overheads(factor, reserved);
             ctl
         });
-        let expected_frames = (cfg.duration.as_secs_f64() * cfg.fps as f64).ceil() as usize + 1;
+        let expected_frames = cfg.expected_frames();
         Sender {
             source: VideoSource::new(cfg.content.profile(), cfg.resolution, cfg.fps, cfg.seed),
             encoder: Encoder::new(enc_cfg),
@@ -262,9 +262,9 @@ impl Sender {
                     ctx.obs.record(now, || ObsEvent::KeyframeEmitted);
                 }
                 if ctx.cfg.record_series {
-                    ctx.series.push("qp", now, encoded.qp.value());
+                    ctx.series.push(Series::Qp, now, encoded.qp.value());
                     let send_rate = encoded.size_bits() as f64 * ctx.cfg.fps as f64;
-                    ctx.series.push("send_rate_bps", now, send_rate);
+                    ctx.series.push(Series::SendRateBps, now, send_rate);
                 }
                 queue.push(encoded.encoded_at, Event::EncodeDone(frame.index));
                 self.sent.push(SentFrame::Encoded {
@@ -387,7 +387,7 @@ impl Sender {
         &mut self,
         now: Time,
         report: &FeedbackReport,
-        path: &Path<T>,
+        path: &mut Path<T>,
         ctx: &mut Ctx,
     ) {
         // Report integrity: a duplicated or reordered reverse path may
@@ -445,21 +445,21 @@ impl Sender {
         }
         if ctx.cfg.record_series {
             let series = &mut ctx.series;
-            series.push("gcc_target_bps", now, gcc_target);
+            series.push(Series::GccTargetBps, now, gcc_target);
             if let Some(gcc) = self.cc.as_any().downcast_ref::<ravel_cc::Gcc>() {
                 let state = match gcc.detector_state() {
                     ravel_cc::BandwidthUsage::Normal => 0.0,
                     ravel_cc::BandwidthUsage::Overusing => 1.0,
                     ravel_cc::BandwidthUsage::Underusing => -1.0,
                 };
-                series.push("gcc_detector", now, state);
-                series.push("gcc_trend_ms", now, gcc.trend_ms());
+                series.push(Series::GccDetector, now, state);
+                series.push(Series::GccTrendMs, now, gcc.trend_ms());
             }
-            series.push("capacity_bps", now, path.link.trace().rate_bps(now));
+            series.push(Series::CapacityBps, now, path.link.rate_bps(now));
             let link_queue = path.link.queue_delay(now);
-            series.push("link_queue_ms", now, link_queue.as_millis_f64());
+            series.push(Series::LinkQueueMs, now, link_queue.as_millis_f64());
             let pacer_queue = self.pacer.drain_time();
-            series.push("pacer_queue_ms", now, pacer_queue.as_millis_f64());
+            series.push(Series::PacerQueueMs, now, pacer_queue.as_millis_f64());
         }
     }
 
@@ -494,7 +494,7 @@ impl Sender {
             });
         }
         if ctx.cfg.record_series {
-            ctx.series.push("target_bps", now, new_bps);
+            ctx.series.push(Series::TargetBps, now, new_bps);
         }
     }
 
@@ -617,7 +617,7 @@ mod tests {
                 scheme.name()
             );
             // Every call records the target, moved or not.
-            let series = ctx.series.get("target_bps").expect("series recorded");
+            let series = ctx.series.get(Series::TargetBps).expect("series recorded");
             assert_eq!(series.len(), 3);
         }
     }

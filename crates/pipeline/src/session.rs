@@ -20,7 +20,7 @@ use ravel_net::{
     SegmentKind,
 };
 use ravel_obs::{ObsEvent, ObsLog, ObsMode};
-use ravel_sim::{Dur, Scheduled, SeriesSet, Time};
+use ravel_sim::{Dur, Scheduled, Series, SeriesSet, Time};
 use ravel_trace::BandwidthTrace;
 use ravel_video::{ContentClass, Resolution};
 
@@ -28,7 +28,7 @@ use crate::invariants::{Invariant, InvariantChecker, InvariantViolation};
 use crate::path::Path;
 use crate::queue::{Event, Queue};
 use crate::receiver::{Receiver, NACK_POLL_EVERY};
-use crate::scheme::Scheme;
+use crate::scheme::{CcKind, Scheme};
 use crate::sender::{Sender, SentFrame};
 
 /// Everything one experiment run needs to know.
@@ -158,6 +158,11 @@ impl SessionConfig {
             corrupt: None,
             inject: InjectedFault::None,
         }
+    }
+
+    /// Frames the session captures, plus one.
+    pub(crate) fn expected_frames(&self) -> usize {
+        (self.duration.as_secs_f64() * self.fps as f64).ceil() as usize + 1
     }
 }
 
@@ -460,10 +465,14 @@ impl Ctx {
     /// A fresh context for `cfg`, observed at `obs`.
     pub(crate) fn new(cfg: SessionConfig, obs: ObsMode) -> Ctx {
         Ctx {
+            series: if cfg.record_series {
+                presized_series(&cfg)
+            } else {
+                SeriesSet::new()
+            },
             cfg,
             obs: ObsLog::new(obs),
             checker: InvariantChecker::new(),
-            series: SeriesSet::new(),
         }
     }
 
@@ -508,6 +517,30 @@ impl Ctx {
             self.violate(at, invariant, detail());
         }
     }
+}
+
+/// An empty series set with room for the samples a session of `cfg`
+/// usually takes, so the series rarely reallocate: the per-frame series
+/// one per captured frame, the per-report series one per feedback flush
+/// (duplicate and stale reports are never sampled, and watchdog
+/// backoffs, which add `target_bps` samples, fire only while reports
+/// are missing). The per-report room is capped at one per frame, so a
+/// tiny feedback interval cannot reserve more than the frames do; its
+/// series simply grow. GCC's own series get room only when GCC runs.
+fn presized_series(cfg: &SessionConfig) -> SeriesSet {
+    let frames = cfg.expected_frames();
+    let flush_every = cfg.feedback_interval.max(Dur::MILLI);
+    let flushes = (((cfg.duration + DRAIN_GRACE) / flush_every) as usize + 1).min(frames);
+    let mut set = SeriesSet::new();
+    for series in Series::ALL {
+        let samples = match series {
+            Series::FrameLatencyMs | Series::Qp | Series::SendRateBps => frames,
+            Series::GccDetector | Series::GccTrendMs if cfg.scheme.cc != CcKind::Gcc => 0,
+            _ => flushes,
+        };
+        set.reserve(series, samples);
+    }
+    set
 }
 
 /// Staleness (in frame intervals) of a late frame. A late verdict
@@ -696,7 +729,8 @@ impl<T: BandwidthTrace> SessionState<T> {
             Event::FeedbackFlush => receiver.on_feedback_flush(now, path, ctx, queue),
             Event::FeedbackArrive(slot) => {
                 let report = queue.reports.take(slot);
-                sender.on_feedback_arrive(now, &report, path, ctx)
+                sender.on_feedback_arrive(now, &report, path, ctx);
+                receiver.recycle_report(report);
             }
             Event::NackPoll => receiver.on_nack_poll(now, path, ctx, queue),
             Event::AudioTick => sender.on_audio_tick(now, path, ctx, queue),
@@ -781,7 +815,7 @@ impl<T: BandwidthTrace> SessionState<T> {
                     });
                     if let (true, Some(l)) = (ctx.cfg.record_series, latency) {
                         ctx.series
-                            .push("frame_latency_ms", frame.pts, l.as_millis_f64());
+                            .push(Series::FrameLatencyMs, frame.pts, l.as_millis_f64());
                     }
                     frame.pts
                 }
@@ -841,9 +875,12 @@ impl<T: BandwidthTrace> SessionState<T> {
             let detail = format!("non-finite frame record at pts {}", r.pts());
             ctx.violate(last_event_at, Invariant::FiniteMetrics, detail);
         }
-        let non_finite = ctx.series.iter().find_map(|(name, s)| {
+        let non_finite = ctx.series.iter().find_map(|(series, s)| {
             let &(at, v) = s.points().iter().find(|(_, v)| !v.is_finite())?;
-            Some(format!("series {name} holds non-finite value {v} at {at}"))
+            Some(format!(
+                "series {} holds non-finite value {v} at {at}",
+                series.name()
+            ))
         });
         if let Some(detail) = non_finite {
             ctx.violate(last_event_at, Invariant::FiniteMetrics, detail);
@@ -1087,23 +1124,16 @@ mod tests {
         let mut cfg = short_cfg(Scheme::adaptive());
         cfg.record_series = true;
         let result = run_session(StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10)), cfg);
-        for name in [
-            "target_bps",
-            "gcc_target_bps",
-            "capacity_bps",
-            "link_queue_ms",
-            "qp",
-            "send_rate_bps",
-            "frame_latency_ms",
+        for series in [
+            Series::TargetBps,
+            Series::GccTargetBps,
+            Series::CapacityBps,
+            Series::LinkQueueMs,
+            Series::Qp,
+            Series::SendRateBps,
+            Series::FrameLatencyMs,
         ] {
-            assert!(
-                result
-                    .series
-                    .get(name)
-                    .map(|s| !s.is_empty())
-                    .unwrap_or(false),
-                "series {name} missing"
-            );
+            assert!(result.series.get(series).is_some(), "{series:?} missing");
         }
     }
 
@@ -1211,7 +1241,7 @@ mod tests {
     fn series_absent_when_disabled() {
         let cfg = short_cfg(Scheme::baseline());
         let result = run_session(ConstantTrace::new(4e6), cfg);
-        assert!(result.series.names().is_empty());
+        assert!(result.series.iter().next().is_none());
     }
 
     #[test]
@@ -1258,7 +1288,10 @@ mod tests {
             "2 s blackouts should each fire several backoff steps, got {}",
             result.watchdog_timeouts
         );
-        let tgt = result.series.get("target_bps").expect("series recorded");
+        let tgt = result
+            .series
+            .get(Series::TargetBps)
+            .expect("series recorded");
         let blind = tgt.mean_in(Time::from_secs(9), Time::from_secs(10));
         let recovered = tgt.mean_in(Time::from_secs(34), Time::from_secs(40));
         assert!(
@@ -1386,7 +1419,10 @@ mod tests {
         // While blind, the watchdog cuts the target; afterwards the
         // next honest report must be accepted (the freshness gate did
         // not advance on rejected seqs) and the rate must recover.
-        let tgt = result.series.get("target_bps").expect("series recorded");
+        let tgt = result
+            .series
+            .get(Series::TargetBps)
+            .expect("series recorded");
         let blind = tgt.mean_in(Time::from_secs(8), Time::from_secs(12));
         let recovered = tgt.mean_in(Time::from_secs(34), Time::from_secs(40));
         assert!(

@@ -30,5 +30,5 @@ pub mod time;
 
 pub use event::{EventQueue, Scheduled};
 pub use rng::Rng;
-pub use series::{SeriesSet, TimeSeries};
+pub use series::{Series, SeriesSet, TimeSeries};
 pub use time::{Dur, Time};

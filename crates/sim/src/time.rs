@@ -14,6 +14,27 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 
+/// 2^52: from here on every `f64` is a whole number.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// `x.round() as u64` for `x >= 0`, bit for bit, without calling
+/// `round`, which targets without SSE4.1 compile to a soft-float library
+/// call. Below 2^52 the fraction `x - trunc(x)` is exact, so comparing
+/// it with one half rounds exactly (halves away from zero); the
+/// truncation goes through `i64`, whose conversions are single
+/// instructions where `u64`'s are not. From 2^52 on every `f64` is a
+/// whole number and `as u64` (saturating, so +inf gives `u64::MAX`) is
+/// exact.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    if x < TWO_POW_52 {
+        let whole = x as i64;
+        (whole + i64::from(x - whole as f64 >= 0.5)) as u64
+    } else {
+        x as u64
+    }
+}
+
 /// A duration in integer microseconds.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Dur(u64);
@@ -50,14 +71,19 @@ impl Dur {
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
-    /// microsecond. Negative or non-finite inputs clamp to zero: callers
-    /// pass model outputs here (e.g. `bits / rate`) and a transiently
-    /// negative intermediate must not wrap to 584 millennia.
+    /// microsecond (halves away from zero). Negative or non-finite inputs
+    /// clamp to zero: callers pass model outputs here (e.g. `bits / rate`)
+    /// and a transiently negative intermediate must not wrap to 584
+    /// millennia.
+    ///
+    /// The result equals `(s * 1e6).round() as u64` bit for bit, without
+    /// a call to `round` (see `round_to_u64`).
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Dur {
         if !s.is_finite() || s <= 0.0 {
             return Dur::ZERO;
         }
-        Dur((s * 1e6).round() as u64)
+        Dur(round_to_u64(s * 1e6))
     }
 
     /// Whole microseconds in this duration.
@@ -373,9 +399,77 @@ mod tests {
 
     #[test]
     fn dur_from_secs_f64_clamps_bad_inputs() {
-        assert_eq!(Dur::from_secs_f64(-1.0), Dur::ZERO);
-        assert_eq!(Dur::from_secs_f64(f64::NAN), Dur::ZERO);
-        assert_eq!(Dur::from_secs_f64(f64::NEG_INFINITY), Dur::ZERO);
+        for s in [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            -1.0,
+            -1e-9,
+            -f64::MIN_POSITIVE,
+            -f64::MAX,
+        ] {
+            assert_eq!(Dur::from_secs_f64(s), Dur::ZERO, "s = {s:e}");
+        }
+    }
+
+    /// 2^64, where `as u64` starts to saturate.
+    const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+
+    /// `x` and its `n` float neighbours on each side.
+    fn around(x: f64, n: u64) -> Vec<f64> {
+        let mut out = vec![x];
+        for k in 1..=n {
+            out.push(f64::from_bits(x.to_bits() - k));
+            out.push(f64::from_bits(x.to_bits() + k));
+        }
+        out
+    }
+
+    #[test]
+    fn round_to_u64_matches_round_on_the_edges() {
+        let mut edges = vec![
+            0.0,
+            0.49999999999999994,
+            0.5,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for k in [0u64, 1, 2, 3, 7, 1_000, 123_456, 1 << 20, (1 << 51) - 1] {
+            edges.extend(around(k as f64 + 0.5, 2));
+        }
+        edges.extend(around(TWO_POW_52, 4));
+        edges.extend(around(TWO_POW_64, 4));
+        for x in edges {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Any bit pattern (negatives, NaNs, infinities, subnormals and
+        /// huge values included), ordinary model outputs in seconds, and
+        /// exact halves: the new rounding is the library's.
+        #[test]
+        fn dur_from_secs_f64_matches_round(
+            bits in 0u64..u64::MAX,
+            secs in 0.0f64..1e4,
+            whole in 0u64..1 << 52,
+        ) {
+            for s in [f64::from_bits(bits), secs] {
+                let want = if s.is_finite() && s > 0.0 {
+                    (s * 1e6).round() as u64
+                } else {
+                    0
+                };
+                proptest::prop_assert_eq!(Dur::from_secs_f64(s).as_micros(), want, "s = {:e}", s);
+            }
+            let half = whole as f64 + 0.5;
+            proptest::prop_assert_eq!(round_to_u64(half), half.round() as u64, "x = {:e}", half);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ```
 
 use ravel::pipeline::{run_session, Scheme, SessionConfig};
-use ravel::sim::{Dur, Time};
+use ravel::sim::{Dur, Series, Time};
 use ravel::trace::StepTrace;
 use ravel::video::ContentClass;
 
@@ -28,13 +28,13 @@ fn main() {
         println!("time_s,capacity_mbps,target_mbps,send_mbps,queue_ms,latency_ms");
         // Sample every 100 ms from 8 s to 18 s.
         let series = &result.series;
-        let get = |name: &str| series.get(name).expect("series recorded");
+        let get = |s| series.get(s).expect("series recorded");
         let (cap, tgt, snd, q, lat) = (
-            get("capacity_bps"),
-            get("target_bps"),
-            get("send_rate_bps"),
-            get("link_queue_ms"),
-            get("frame_latency_ms"),
+            get(Series::CapacityBps),
+            get(Series::TargetBps),
+            get(Series::SendRateBps),
+            get(Series::LinkQueueMs),
+            get(Series::FrameLatencyMs),
         );
         for step in 0..100u64 {
             let t = Time::from_millis(8_000 + step * 100);

@@ -4,7 +4,7 @@
 use ravel::core::WatchdogConfig;
 use ravel::net::{ChaosSchedule, FaultKind, FaultSegment, GilbertElliott, ReversePathConfig};
 use ravel::pipeline::{run_session, run_spec, KernelWorkspace, RunSpec, Scheme, SessionConfig};
-use ravel::sim::{Dur, Time};
+use ravel::sim::{Dur, Series, Time};
 use ravel::trace::{ConstantTrace, StepTrace};
 use ravel::video::Resolution;
 
@@ -292,7 +292,10 @@ fn send_rate_decays_toward_floor_while_blind() {
     let result = run_session(drop_trace(), c);
     assert_sane(&result);
     assert!(result.watchdog_timeouts >= 10, "too few blind steps");
-    let target = result.series.get("target_bps").expect("series recorded");
+    let target = result
+        .series
+        .get(Series::TargetBps)
+        .expect("series recorded");
     let early = target.mean_in(Time::from_secs(10), Time::from_millis(10_500));
     let late = target.mean_in(Time::from_millis(12_500), Time::from_secs(13));
     assert!(
