@@ -51,8 +51,9 @@ impl TraceSpec {
     ///
     /// Two specs produce the same key iff they build the same trace:
     /// the derived `Debug` form spells out the variant and every field,
-    /// and `f64`/`Time`/`Dur` render via shortest-roundtrip formatting,
-    /// so distinct values never collapse to one string.
+    /// `f64` renders via shortest-roundtrip formatting, `Time` to the µs
+    /// and `Dur` exactly, so distinct values never collapse to one
+    /// string.
     pub fn canonical_key(&self) -> String {
         format!("{self:?}")
     }
@@ -266,6 +267,51 @@ mod tests {
             }
         }
         assert_eq!(by_key.len(), kinds.len() * 2);
+    }
+
+    #[test]
+    fn canonical_key_separates_durations_that_round_alike() {
+        // Regression: `Dur`'s `Debug` printed every duration of a second
+        // or more as `{:.3}s`, so 1.000400 s and 1 s shared one key and
+        // the cache served one cell's result for the other.
+        let mk = |duration: Dur, reverse_delay: Dur| {
+            let mut cfg = SessionConfig::default_with(Scheme::adaptive());
+            cfg.duration = duration;
+            cfg.reverse_delay = reverse_delay;
+            Cell {
+                label: "same".into(),
+                trace: TraceSpec::LteLike {
+                    seed: 3,
+                    len: duration,
+                },
+                cfg,
+                contracts: None,
+            }
+        };
+        let base = mk(Dur::SECOND, Dur::secs(2));
+        for (duration, reverse_delay) in [
+            (Dur::micros(1_000_400), Dur::secs(2)),
+            (Dur::micros(1_000_001), Dur::secs(2)),
+            (Dur::SECOND, Dur::micros(2_000_004)),
+        ] {
+            let other = mk(duration, reverse_delay);
+            assert_ne!(base.canonical_key(), other.canonical_key());
+            assert_ne!(base.fingerprint(), other.fingerprint());
+        }
+        // Durations the old form rendered exactly keep their bytes, so
+        // no existing address moves.
+        for (d, old) in [
+            (Dur::SECOND, "1.000s"),
+            (Dur::millis(1_500), "1.500s"),
+            (Dur::secs(60), "60.000s"),
+            (Dur::millis(250), "250.000ms"),
+            (Dur::micros(1_500), "1.500ms"),
+            (Dur::micros(999), "999us"),
+        ] {
+            assert_eq!(format!("{d:?}"), old);
+        }
+        assert_eq!(format!("{:?}", Dur::micros(1_000_400)), "1000400us");
+        assert_eq!(format!("{}", Dur::micros(1_000_400)), "1.000s");
     }
 
     #[test]

@@ -21,12 +21,13 @@
 //! its jobs: each unique address is one job, owned by the first grid
 //! position that carries it, so each *unique* cell simulates exactly
 //! once per run no matter how many positions reference it. The owner's
-//! run takes the session result by move; once every job has finished,
-//! each later (duplicate) position becomes a clone of its owner's run
-//! under its own label. So a result is held once while the grid runs,
-//! and only duplicates ever copy it. Results come back in cell order
-//! with per-cell labels intact, so tables and JSON stay byte-identical
-//! to an uncached serial run (timing fields aside).
+//! run wraps the session result in an [`Arc`] once; after every job has
+//! finished, each later (duplicate) position echoes its owner's run
+//! under its own label and holds the owner's `Arc`, not a copy. So each
+//! unique result is held once for the life of the runs, however many
+//! positions share it. Results come back in cell order with per-cell
+//! labels intact, so tables and JSON stay byte-identical to an uncached
+//! serial run (timing fields aside).
 //!
 //! **Fault isolation.** One bad cell must not take down a
 //! thousand-cell sweep. Each simulation runs inside [`catch_unwind`],
@@ -173,7 +174,8 @@ pub struct CellRun {
     pub failure: Option<CellFailure>,
     /// The full session measurements ([`SessionResult::default`] for
     /// panicked and timed-out cells, a truncated prefix for runaways).
-    pub result: SessionResult,
+    /// Shared: every cache-hit position holds its owner's `Arc`.
+    pub result: Arc<SessionResult>,
     /// Recovery-contract verdicts, evaluated from `result` when the
     /// cell declares a [`ravel_pipeline::ContractSpec`] and the status
     /// carries real metrics. Empty otherwise. Pure derivation: cache
@@ -261,7 +263,7 @@ pub struct PoolStats {
     /// Sum of per-worker busy time: each worker accumulates the wall
     /// clock of the simulations *it* executed on a monotonic clock, and
     /// the pool sums those totals. Unlike the run's end-to-end wall,
-    /// this excludes planning, claim contention and the cloning of
+    /// this excludes planning, claim contention and the echoing of
     /// duplicate positions after the workers finish, so
     /// `busy / executed` approximates true per-cell cost. It equals the
     /// sum of the executed cells' walls exactly.
@@ -358,7 +360,7 @@ fn execute_cell(
 }
 
 /// Materializes an owner position's [`CellRun`] from its outcome, which
-/// it takes by move: the run holds the only copy of the session result.
+/// it takes by move and wraps in the one [`Arc`] its cache hits share.
 /// Derivation is pure, so the status, failure and digest depend on the
 /// outcome alone.
 fn make_run(cell: &Cell, wall: Duration, outcome: CellOutcome) -> CellRun {
@@ -383,21 +385,22 @@ fn make_run(cell: &Cell, wall: Duration, outcome: CellOutcome) -> CellRun {
         status,
         failure,
         contracts: contracts_for(cell, status, &result),
-        result,
+        result: Arc::new(result),
     }
 }
 
-/// A duplicate position's run: a clone of its owner's under the cell's
-/// own label, marked as a cache hit. Status, failure and wall echo the
-/// owner's; contracts sit outside the content address, so the cell's
-/// own are evaluated on the owner's result.
+/// A duplicate position's run: its owner's under the cell's own label,
+/// marked as a cache hit, sharing the owner's result rather than
+/// copying it. Status, failure and wall echo the owner's; contracts sit
+/// outside the content address, so the cell's own are evaluated on the
+/// shared result.
 fn echo_run(cell: &Cell, owner: &CellRun) -> CellRun {
     CellRun {
         label: cell.label.clone(),
         cache_hit: true,
         failure: owner.failure.clone(),
         contracts: contracts_for(cell, owner.status, &owner.result),
-        result: owner.result.clone(),
+        result: Arc::clone(&owner.result),
         ..*owner
     }
 }
@@ -420,9 +423,9 @@ fn contracts_for(cell: &Cell, status: CellStatus, result: &SessionResult) -> Vec
 /// `opts.use_cache`, each unique content address is one job, owned by
 /// its first grid position: the owner's run takes the result by move,
 /// and after the workers finish every later position with the same
-/// address is cloned from its owner — quarantined failures included,
-/// which echo identically at every position. Without the cache every
-/// position is its own job.
+/// address echoes its owner and shares the owner's result — quarantined
+/// failures included, which echo identically at every position. Without
+/// the cache every position is its own job.
 pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<CellRun>, PoolStats) {
     let keys: Vec<String> = cells.iter().map(Cell::canonical_key).collect();
     // Each position's owner: the first position with its address, or
@@ -654,6 +657,53 @@ mod tests {
             let expected: Vec<bool> = (0..cells.len()).map(|i| i >= half).collect();
             assert_eq!(hits, expected, "jobs={jobs}");
         }
+    }
+
+    #[test]
+    fn cache_hits_share_their_owners_result() {
+        let mut cells = duplicated_grid();
+        let boom = fixture_cell(
+            "boom",
+            InjectedFault::Panic {
+                at: Time::from_secs(1),
+            },
+        );
+        cells.push(boom.clone());
+        cells.push(Cell {
+            label: "dup-boom".into(),
+            ..boom
+        });
+        let keys: Vec<String> = cells.iter().map(Cell::canonical_key).collect();
+        for jobs in [1, 2] {
+            let (runs, stats) = run_cells_opts(&cells, jobs, PoolOptions::default());
+            assert_eq!(stats.cache_hits, cells.len() / 2, "jobs={jobs}");
+            for (i, run) in runs.iter().enumerate() {
+                let owner = keys.iter().position(|k| *k == keys[i]).expect("own key");
+                assert_eq!(run.cache_hit, owner != i, "{}", run.label);
+                // A hit holds its owner's allocation, a quarantined
+                // stand-in included; distinct addresses never share.
+                for (j, other) in runs.iter().enumerate() {
+                    let same_address = keys[j] == keys[i];
+                    assert_eq!(
+                        Arc::ptr_eq(&run.result, &other.result),
+                        same_address,
+                        "{} vs {}",
+                        run.label,
+                        other.label
+                    );
+                }
+            }
+        }
+        // Without the cache every position owns its result.
+        let (cold, _) = run_cells_opts(
+            &cells,
+            2,
+            PoolOptions {
+                use_cache: false,
+                ..PoolOptions::default()
+            },
+        );
+        assert!(cold.iter().all(|r| Arc::strong_count(&r.result) == 1));
     }
 
     #[test]

@@ -79,8 +79,8 @@
 //!
 //! Per-cell `wall_ms` semantics: the wall clock of the cell's *first*
 //! execution. Duplicated grid positions echo the computing run's wall,
-//! so identical cells always report identical `wall_ms` instead of a
-//! few microseconds of clone cost — and a cell's number no longer
+//! so identical cells always report identical `wall_ms` instead of the
+//! near-zero cost of sharing a result — and a cell's number no longer
 //! wobbles with which experiment happened to claim it first.
 
 use std::time::Duration;
@@ -640,7 +640,7 @@ mod tests {
             ssim: f64::NAN,
             psnr_db: Some(f64::NEG_INFINITY),
         });
-        runs[0].cells[0].result.recorder = poisoned;
+        std::sync::Arc::make_mut(&mut runs[0].cells[0].result).recorder = poisoned;
         let report = RunReport {
             jobs: 1,
             total_wall: Duration::ZERO,

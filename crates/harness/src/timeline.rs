@@ -213,6 +213,7 @@ mod tests {
     use ravel_pipeline::SessionResult;
     use ravel_sim::Time;
     use ravel_trace::json::parse;
+    use std::sync::Arc;
     use std::time::Duration;
 
     /// A finished cell whose `Full` obs log holds `events`, one per
@@ -230,10 +231,10 @@ mod tests {
             controller: None,
             status: CellStatus::Ok,
             failure: None,
-            result: SessionResult {
+            result: Arc::new(SessionResult {
                 obs,
                 ..SessionResult::default()
-            },
+            }),
             contracts: Vec::new(),
         }
     }
@@ -354,7 +355,7 @@ mod tests {
             obs.record(Time::from_micros(times[i % times.len()]), || event.clone());
         }
         let mut cell = cell_with("e\"1\"/gcc é\n\u{2}", &[]);
-        cell.result.obs = obs;
+        Arc::make_mut(&mut cell.result).obs = obs;
         let experiments = vec![ExperimentRun {
             id: "x",
             title: "t",

@@ -34,7 +34,8 @@ fn latency_recorder_holds_32_bytes_per_frame_slot() {
     };
     let (mut runs, _) = run_cells_opts(&[cell], 1, PoolOptions::default());
     assert!(runs[0].ok());
-    let recorder = std::mem::take(&mut runs[0].result.recorder);
+    let result = std::sync::Arc::get_mut(&mut runs[0].result).expect("a lone cell owns its result");
+    let recorder = std::mem::take(&mut result.recorder);
     let slots = recorder.records().len();
     assert_eq!(slots as u64, runs[0].result.frames_captured);
     assert!(slots >= 1_800, "only {slots} frame slots in a 60 s call");

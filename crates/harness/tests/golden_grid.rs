@@ -23,6 +23,8 @@ use std::time::Duration;
 use ravel_harness::{
     default_jobs, experiments, render_json, run_suite_opts, PoolOptions, RunReport,
 };
+use ravel_metrics::{FrameOutcomeKind, FrameRecord};
+use ravel_sim::{Dur, Time};
 
 /// 64-bit FNV-1a over `s`'s bytes.
 fn fnv1a(s: &str) -> u64 {
@@ -52,4 +54,42 @@ fn full_registry_output_matches_its_golden_tables() {
     )
     .unwrap();
     common::check_golden("grid.tables", &out);
+}
+
+/// Every reader of a finished result shares one whole-session summary,
+/// memoized in its `LatencyRecorder`: the memo must equal a fresh
+/// computation on the same records, and a later `push` must drop it.
+#[test]
+fn memoized_summaries_equal_fresh_ones_across_the_registry() {
+    let (runs, _) = run_suite_opts(&experiments::all(), default_jobs(), PoolOptions::default());
+    for cell in runs.iter().flat_map(|run| &run.cells) {
+        let recorder = &cell.result.recorder;
+        // Assembly has read most of these already; from here on every
+        // call returns the memo.
+        let memo = recorder.summarize_all();
+        let mut fresh = recorder.clone();
+        let after = fresh
+            .records()
+            .last()
+            .map_or(Time::ZERO, |r| r.pts() + Dur::MICRO);
+        fresh.push(FrameRecord {
+            pts: after,
+            outcome: FrameOutcomeKind::Frozen,
+            latency: None,
+            ssim: 0.5,
+            psnr_db: None,
+        });
+        assert_eq!(
+            format!("{:?}", fresh.summarize(Time::ZERO, after)),
+            format!("{memo:?}"),
+            "{}",
+            cell.label
+        );
+        assert_eq!(
+            fresh.summarize_all().frames,
+            memo.frames + 1,
+            "{}",
+            cell.label
+        );
+    }
 }

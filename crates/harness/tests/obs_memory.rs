@@ -38,7 +38,8 @@ fn full_obs_log_holds_under_twelve_bytes_per_record() {
     };
     let (mut runs, _) = run_cells_opts(&[cell], 1, opts);
     assert!(runs[0].ok());
-    let obs = std::mem::take(&mut runs[0].result.obs);
+    let result = std::sync::Arc::get_mut(&mut runs[0].result).expect("a lone cell owns its result");
+    let obs = std::mem::take(&mut result.obs);
     let retained = obs.retained();
     assert_eq!(retained, obs.recorded());
     assert!(retained > 10_000, "only {retained} records retained");

@@ -6,9 +6,11 @@
 //! [`FrameRecord`] per frame slot and produces a [`LatencySummary`]
 //! over any time window (experiments window around the drop instant).
 
+use std::sync::OnceLock;
+
 use ravel_sim::{Dur, Time};
 
-use crate::stats::{Percentiles, RunningStats};
+use crate::stats::{interpolate, RunningStats};
 
 /// How one frame slot ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,6 +182,10 @@ impl LatencySummary {
 #[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
     records: Vec<PackedFrameRecord>,
+    /// The whole-session summary, computed by the first
+    /// [`LatencyRecorder::summarize_all`] and cleared by every `push`, so
+    /// all readers of a finished session share one computation.
+    whole: OnceLock<LatencySummary>,
 }
 
 impl LatencyRecorder {
@@ -193,6 +199,7 @@ impl LatencyRecorder {
     pub fn with_capacity(capacity: usize) -> LatencyRecorder {
         LatencyRecorder {
             records: Vec::with_capacity(capacity),
+            whole: OnceLock::new(),
         }
     }
 
@@ -201,6 +208,7 @@ impl LatencyRecorder {
         if let Some(last) = self.records.last() {
             assert!(record.pts >= last.pts(), "frame records out of order");
         }
+        self.whole.take();
         self.records.push(PackedFrameRecord::new(
             record.pts,
             record.outcome,
@@ -222,7 +230,7 @@ impl LatencyRecorder {
         let start = self.records.partition_point(|r| r.pts() < from);
         let end = start + self.records[start..].partition_point(|r| r.pts() < to);
         let window = &self.records[start..end];
-        let mut lat = Percentiles::with_capacity(window.len());
+        let mut lat_us = Vec::with_capacity(window.len());
         let mut lat_stats = RunningStats::new();
         let mut ssim = RunningStats::new();
         let mut psnr = RunningStats::new();
@@ -235,7 +243,7 @@ impl LatencyRecorder {
             // deadline still has a measured glass-to-glass latency (the
             // quantity the paper reports).
             if let Some(l) = r.latency() {
-                lat.push(l.as_millis_f64());
+                lat_us.push(l.as_micros());
                 lat_stats.push(l.as_millis_f64());
             }
             match r.outcome() {
@@ -248,14 +256,22 @@ impl LatencyRecorder {
                 FrameOutcomeKind::Frozen => frozen += 1,
             }
         }
+        // Ranking the integer µs ranks their ms values too (the map is
+        // monotone), so the quantiles equal `Percentiles`' bit for bit
+        // without its float comparison sort.
+        lat_us.sort_unstable();
+        let quantile = |q| match lat_us.len() {
+            0 => 0.0,
+            n => interpolate(n, q, |i| Dur::micros(lat_us[i]).as_millis_f64()),
+        };
         LatencySummary {
             frames: displayed + frozen,
             displayed,
             frozen,
             mean_latency_ms: lat_stats.mean(),
-            p50_latency_ms: lat.p50().unwrap_or(0.0),
-            p95_latency_ms: lat.p95().unwrap_or(0.0),
-            p99_latency_ms: lat.p99().unwrap_or(0.0),
+            p50_latency_ms: quantile(0.50),
+            p95_latency_ms: quantile(0.95),
+            p99_latency_ms: quantile(0.99),
             max_latency_ms: if lat_stats.count() > 0 {
                 lat_stats.max()
             } else {
@@ -263,15 +279,17 @@ impl LatencyRecorder {
             },
             mean_ssim: ssim.mean(),
             mean_psnr_db: psnr.mean(),
-            // `lat` and `lat_stats` see the same pushes, so count the
-            // latency stream once.
+            // `lat_us` holds integers, which nothing rejects.
             rejected: lat_stats.rejected() + ssim.rejected() + psnr.rejected(),
         }
     }
 
-    /// Summarizes the whole session.
+    /// Summarizes the whole session. Memoized: the summary is computed
+    /// once per recorder state and shared by every later call.
     pub fn summarize_all(&self) -> LatencySummary {
-        self.summarize(Time::ZERO, Time::FAR_FUTURE)
+        *self
+            .whole
+            .get_or_init(|| self.summarize(Time::ZERO, Time::FAR_FUTURE))
     }
 }
 
@@ -342,6 +360,20 @@ mod tests {
         assert!(s.p50_latency_ms > 49.0 && s.p50_latency_ms < 52.0);
         assert!(s.p95_latency_ms > 94.0 && s.p95_latency_ms < 97.0);
         assert!(s.p99_latency_ms > 98.0);
+    }
+
+    #[test]
+    fn push_clears_the_memoized_summary() {
+        let mut r = LatencyRecorder::new();
+        r.push(rec(0, Some(100), 0.95));
+        assert_eq!(r.summarize_all().frames, 1);
+        r.push(rec(33, Some(300), 0.9));
+        let s = r.summarize_all();
+        assert_eq!(s.frames, 2);
+        assert_eq!(s.max_latency_ms, 300.0);
+        assert_eq!(s, r.summarize(Time::ZERO, Time::FAR_FUTURE));
+        // A clone carries the memo and answers the same.
+        assert_eq!(r.clone().summarize_all(), s);
     }
 
     #[test]
@@ -435,6 +467,43 @@ mod tests {
             proptest::prop_assert_eq!(r.latency(), latency);
             proptest::prop_assert_eq!(r.ssim().to_bits(), ssim.to_bits());
             proptest::prop_assert_eq!(r.psnr_db().map(f64::to_bits), psnr_db.map(f64::to_bits));
+        }
+    }
+
+    proptest::proptest! {
+        /// The quantiles ranked on integer µs equal `Percentiles`' over
+        /// the same latencies in ms, bit for bit: small windows, ties,
+        /// and µs values past 2^53 where distinct µs share one `f64`.
+        #[test]
+        fn integer_ranked_quantiles_match_percentiles(
+            raw in proptest::collection::vec((0u8..4, 0u64..5_000_000, 0u64..u64::MAX), 1..300),
+            frozen_every in 2usize..9,
+        ) {
+            let mut r = LatencyRecorder::new();
+            let mut reference = crate::stats::Percentiles::new();
+            for (i, &(pick, small, any)) in raw.iter().enumerate() {
+                let us = match pick {
+                    0 => small % 50,
+                    1 => any,
+                    _ => small,
+                };
+                let latency = (i % frozen_every != 0).then_some(Dur::micros(us));
+                if let Some(l) = latency {
+                    reference.push(l.as_millis_f64());
+                }
+                r.push(FrameRecord {
+                    pts: Time::from_millis(i as u64),
+                    outcome: FrameOutcomeKind::Displayed,
+                    latency,
+                    ssim: 0.9,
+                    psnr_db: None,
+                });
+            }
+            let s = r.summarize_all();
+            let bits = |x: Option<f64>| x.unwrap_or(0.0).to_bits();
+            proptest::prop_assert_eq!(s.p50_latency_ms.to_bits(), bits(reference.p50()));
+            proptest::prop_assert_eq!(s.p95_latency_ms.to_bits(), bits(reference.p95()));
+            proptest::prop_assert_eq!(s.p99_latency_ms.to_bits(), bits(reference.p99()));
         }
     }
 

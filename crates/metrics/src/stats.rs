@@ -86,6 +86,18 @@ impl RunningStats {
     }
 }
 
+/// The type-7 `q`-quantile of `n > 0` ranked samples, where `ranked(i)`
+/// is the `i`-th smallest. The one interpolation every percentile in the
+/// crate goes through, so two callers that rank the same values agree
+/// bit for bit.
+pub(crate) fn interpolate(n: usize, q: f64, ranked: impl Fn(usize) -> f64) -> f64 {
+    let pos = q * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let frac = pos - lo as f64;
+    ranked(lo) * (1.0 - frac) + ranked(hi) * frac
+}
+
 /// Exact percentiles over a retained sample set.
 ///
 /// Retains all samples (experiments are bounded); uses the
@@ -102,17 +114,6 @@ impl Percentiles {
     /// Creates an empty collector.
     pub fn new() -> Percentiles {
         Percentiles::default()
-    }
-
-    /// Creates an empty collector with room for `capacity` samples —
-    /// summarization loops that know their record count up front avoid
-    /// the push-by-push reallocation of the retained vector.
-    pub fn with_capacity(capacity: usize) -> Percentiles {
-        Percentiles {
-            samples: Vec::with_capacity(capacity),
-            sorted: false,
-            rejected: 0,
-        }
     }
 
     /// Adds one sample. Non-finite samples are rejected (counted, not
@@ -148,12 +149,7 @@ impl Percentiles {
                 .sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
             self.sorted = true;
         }
-        let n = self.samples.len();
-        let pos = q * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        Some(self.samples[lo] * (1.0 - frac) + self.samples[hi] * frac)
+        Some(interpolate(self.samples.len(), q, |i| self.samples[i]))
     }
 
     /// Convenience: the median.
@@ -235,16 +231,6 @@ mod tests {
         assert_eq!(p.rejected(), 1);
         // The sort inside quantile() must survive the NaN push.
         assert_eq!(p.p50(), Some(2.0));
-    }
-
-    #[test]
-    fn percentiles_with_capacity_behaves_like_new() {
-        let mut p = Percentiles::with_capacity(100);
-        for i in 1..=3 {
-            p.push(i as f64);
-        }
-        assert_eq!(p.p50(), Some(2.0));
-        assert_eq!(p.count(), 3);
     }
 
     #[test]

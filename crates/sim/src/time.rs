@@ -233,9 +233,18 @@ impl Sum for Dur {
     }
 }
 
+/// As [`Display`](fmt::Display), except that a duration of a second or
+/// more that the `{:.3}s` form would round (not a whole number of
+/// milliseconds, or past `f64`'s exact integers) prints as its exact µs.
+/// Configs render into content addresses through `Debug`, so two
+/// distinct durations must never print alike.
 impl fmt::Debug for Dur {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self}")
+        if self.0 >= 1_000_000 && (!self.0.is_multiple_of(1_000) || self.0 >= 1 << 53) {
+            write!(f, "{}us", self.0)
+        } else {
+            write!(f, "{self}")
+        }
     }
 }
 
