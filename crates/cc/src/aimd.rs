@@ -241,4 +241,102 @@ mod tests {
         // Additive step ~ avg_packet_bits/response_time * 0.1s ≈ 6.9 kbps.
         assert!(step > 0.0 && step < 50_000.0, "step {step}");
     }
+
+    #[test]
+    fn decrease_hand_vectors() {
+        // β · delivered = 0.85 · 1 Mbps = 850 kbps, below the 2 Mbps
+        // target, so it becomes the target; the state settles on Hold.
+        let mut rc = AimdRateControl::new(2e6, 0.1e6, 10e6);
+        assert_eq!(
+            rc.update(BandwidthUsage::Overusing, Some(1e6), t(1000)),
+            850_000.0
+        );
+        assert_eq!(rc.state(), RateControlState::Hold);
+        assert_eq!(rc.link_capacity_bps, Some(1e6));
+        // 0.85 · 5 Mbps = 4.25 Mbps is above the 1 Mbps target: capped.
+        let mut rc = AimdRateControl::new(1e6, 0.1e6, 10e6);
+        assert_eq!(
+            rc.update(BandwidthUsage::Overusing, Some(5e6), t(1000)),
+            1e6
+        );
+        assert_eq!(rc.state(), RateControlState::Hold);
+        // No delivered rate: anchored at the target, 0.85 · 4 Mbps.
+        let mut rc = AimdRateControl::new(4e6, 0.1e6, 10e6);
+        assert_eq!(
+            rc.update(BandwidthUsage::Overusing, None, t(1000)),
+            3_400_000.0
+        );
+        // Held: underuse keeps the target, whatever the delivered rate.
+        assert_eq!(
+            rc.update(BandwidthUsage::Underusing, Some(9e6), t(1100)),
+            3_400_000.0
+        );
+    }
+
+    #[test]
+    fn multiplicative_increase_hand_vectors() {
+        // Far from capacity (none known yet) the target grows by
+        // 1.08^dt, dt in seconds since the last change.
+        let mut rc = AimdRateControl::new(1e6, 0.1e6, 10e6);
+        let mut expect = |at_ms, want: f64| {
+            let got = rc.update(BandwidthUsage::Normal, None, t(at_ms));
+            assert!(
+                (got - want).abs() < 1e-6,
+                "at {at_ms} ms: {got}, want {want}"
+            );
+        };
+        // First update: dt is taken as 100 ms, 1e6 · 1.08^0.1.
+        expect(5_000, 1_007_725.795_242_674_8);
+        // 3 s later: dt is capped at 1 s, one full step of 8%.
+        expect(8_000, 1_088_343.858_862_088_8);
+        // 250 ms later: · 1.08^0.25.
+        expect(8_250, 1_109_486.621_888_604_5);
+    }
+
+    #[test]
+    fn additive_increase_hand_vectors() {
+        // Capacity 1 Mbps from a decrease to 850 kbps; one multiplicative
+        // second takes the target to 918 kbps, past 0.9 · capacity.
+        let mut rc = AimdRateControl::new(2e6, 0.1e6, 10e6);
+        rc.update(BandwidthUsage::Overusing, Some(1e6), t(1000));
+        let target = rc.update(BandwidthUsage::Normal, None, t(2000));
+        assert!((target - 918_000.0).abs() < 1e-6, "{target}");
+        // Near capacity the step is 9600 bit / 140 ms ≈ 68 571 bps per
+        // second: half of it after 500 ms.
+        let per_sec = 9_600.0 / 0.14;
+        let target = rc.update(BandwidthUsage::Normal, None, t(2500));
+        assert!(
+            (target - (918_000.0 + per_sec * 0.5)).abs() < 1e-6,
+            "{target}"
+        );
+        // dt is capped at 1 s here too.
+        let target = rc.update(BandwidthUsage::Normal, None, t(4500));
+        assert!(
+            (target - (918_000.0 + per_sec * 1.5)).abs() < 1e-6,
+            "{target}"
+        );
+        // A response time long enough to push the step under 1 kbps per
+        // second meets the floor: 9600 bit / 20 s = 480 bps → 1 kbps.
+        rc.response_time = Dur::secs(20);
+        let before = rc.target_bps();
+        let target = rc.update(BandwidthUsage::Normal, None, t(6500));
+        assert!((target - (before + 1_000.0)).abs() < 1e-6, "{target}");
+    }
+
+    #[test]
+    fn delivered_ceiling_hand_vectors() {
+        // 1e6 · 1.08 = 1.08 Mbps exceeds 1.5 · 680 kbps + 10 kbps =
+        // 1.03 Mbps, so the ceiling binds.
+        let mut rc = AimdRateControl::new(1e6, 0.1e6, 10e6);
+        rc.update(BandwidthUsage::Underusing, None, t(0));
+        assert_eq!(
+            rc.update(BandwidthUsage::Normal, Some(680e3), t(1000)),
+            1_030_000.0
+        );
+        // A ceiling below the target (1.5 · 500 kbps + 10 kbps = 760
+        // kbps) never pulls it down: the target stays put.
+        let mut rc = AimdRateControl::new(1e6, 0.1e6, 10e6);
+        assert_eq!(rc.update(BandwidthUsage::Normal, Some(500e3), t(1000)), 1e6);
+        assert_eq!(rc.state(), RateControlState::Increase);
+    }
 }

@@ -36,12 +36,6 @@ impl Qp {
         self.0
     }
 
-    /// The integer QP actually signalled in the bitstream.
-    #[inline]
-    pub fn rounded(self) -> i32 {
-        self.0.round() as i32
-    }
-
     /// x264's qscale for this QP: `0.85 · 2^((QP − 12)/6)`.
     pub fn to_qscale(self) -> f64 {
         0.85 * ((self.0 - 12.0) / 6.0).exp2()
@@ -109,12 +103,6 @@ mod tests {
     #[should_panic(expected = "non-finite")]
     fn new_rejects_nan() {
         Qp::new(f64::NAN);
-    }
-
-    #[test]
-    fn rounding() {
-        assert_eq!(Qp::new(29.4).rounded(), 29);
-        assert_eq!(Qp::new(29.6).rounded(), 30);
     }
 
     #[test]

@@ -104,19 +104,6 @@ impl RdModel {
         let qscale = self.k * pixels as f64 * cplx / budget_bits as f64;
         Qp::from_qscale(qscale.max(1e-9))
     }
-
-    /// Bits per second for a steady stream of frames with this complexity
-    /// at `fps` and `qp` (P-frames only; I-frame overhead is amortized by
-    /// callers that know the GOP length).
-    pub fn steady_rate_bps(
-        &self,
-        complexity: FrameComplexity,
-        pixels: u64,
-        fps: u32,
-        qp: Qp,
-    ) -> f64 {
-        self.frame_bits(complexity, pixels, FrameType::P, qp) as f64 * fps as f64
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +118,14 @@ mod tests {
     #[test]
     fn calibration_point_2mbps_at_qp30() {
         let rd = RdModel::default();
-        let rate = rd.steady_rate_bps(refc(), Resolution::P720.pixels(), 30, Qp::new(30.0));
+        // A steady stream of 720p P-frames at 30 fps.
+        let bits = rd.frame_bits(
+            refc(),
+            Resolution::P720.pixels(),
+            FrameType::P,
+            Qp::new(30.0),
+        );
+        let rate = bits as f64 * 30.0;
         assert!(
             (rate - 2e6).abs() / 2e6 < 0.02,
             "calibration drifted: {rate} bps"

@@ -106,18 +106,6 @@ impl Vbv {
         self.buffer_bits = new_maxrate_bps * buffer_secs;
         self.occupancy_bits = self.buffer_bits * fullness;
     }
-
-    /// Slow-path reconfiguration, as `x264_encoder_reconfig` behaves:
-    /// changes the fill rate but keeps the buffer *size and occupancy* in
-    /// absolute bits. After a drop this leaves seconds of stale headroom —
-    /// the pathology the fast path fixes.
-    pub fn set_maxrate_keep_buffer(&mut self, new_maxrate_bps: f64) {
-        assert!(
-            new_maxrate_bps.is_finite() && new_maxrate_bps > 0.0,
-            "Vbv: bad maxrate {new_maxrate_bps}"
-        );
-        self.maxrate_bps = new_maxrate_bps;
-    }
 }
 
 #[cfg(test)]
@@ -170,17 +158,6 @@ mod tests {
         v.rescale(1e6, 2.0); // 2 Mbit buffer
         assert!((v.fullness() - 0.5).abs() < 1e-12);
         assert!((v.occupancy_bits() - 1e6).abs() < 1.0);
-        assert_eq!(v.maxrate_bps(), 1e6);
-    }
-
-    #[test]
-    fn slow_path_keeps_stale_headroom() {
-        let mut v = Vbv::new(4e6, 2.0); // 8 Mbit of headroom
-        v.set_maxrate_keep_buffer(1e6);
-        // Buffer size unchanged: still 8 Mbit of admission headroom even
-        // though the link now carries 1 Mbps. This is the bug-by-design.
-        assert_eq!(v.buffer_bits(), 8e6);
-        assert_eq!(v.occupancy_bits(), 8e6);
         assert_eq!(v.maxrate_bps(), 1e6);
     }
 

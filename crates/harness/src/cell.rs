@@ -327,6 +327,6 @@ mod tests {
         let mut ws = ravel_pipeline::KernelWorkspace::new();
         let mut run = || ravel_pipeline::run_spec(cell.spec(), &mut ws);
         let (a, b) = (run(), run());
-        assert_eq!(a.recorder.records(), b.recorder.records());
+        assert_eq!(a.recorder, b.recorder);
     }
 }

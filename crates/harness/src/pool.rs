@@ -584,7 +584,7 @@ mod tests {
             assert_eq!(serial.len(), parallel.len());
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_eq!(a.label, b.label);
-                assert_eq!(a.result.recorder.records(), b.result.recorder.records());
+                assert_eq!(a.result.recorder, b.result.recorder);
                 assert_eq!(a.result.frames_captured, b.result.frames_captured);
             }
         }
@@ -632,7 +632,7 @@ mod tests {
             for (w, c) in warm.iter().zip(&cold) {
                 // Cached results are byte-identical to forced recompute.
                 assert_eq!(w.label, c.label);
-                assert_eq!(w.result.recorder.records(), c.result.recorder.records());
+                assert_eq!(w.result.recorder, c.result.recorder);
                 assert_eq!(w.result.events_processed, c.result.events_processed);
                 assert_eq!(w.result.packets_delivered, c.result.packets_delivered);
                 assert_eq!(w.result.frames_encoded, c.result.frames_encoded);
@@ -750,7 +750,7 @@ mod tests {
             for (s, c) in survivors.iter().zip(&clean) {
                 assert_eq!(s.label, c.label);
                 assert_eq!(s.status, CellStatus::Ok);
-                assert_eq!(s.result.recorder.records(), c.result.recorder.records());
+                assert_eq!(s.result.recorder, c.result.recorder);
                 assert_eq!(s.result.events_processed, c.result.events_processed);
             }
         }

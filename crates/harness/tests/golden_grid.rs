@@ -71,7 +71,7 @@ fn memoized_summaries_equal_fresh_ones_across_the_registry() {
         let after = fresh
             .records()
             .last()
-            .map_or(Time::ZERO, |r| r.pts() + Dur::MICRO);
+            .map_or(Time::ZERO, |r| r.pts + Dur::MICRO);
         fresh.push(FrameRecord {
             pts: after,
             outcome: FrameOutcomeKind::Frozen,

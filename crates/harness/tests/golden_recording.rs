@@ -74,21 +74,20 @@ fn digest_line(label: &str, r: &SessionResult) -> String {
             points += 1;
         }
     }
-    let frames = r.recorder.records();
-    for f in frames {
+    for f in r.recorder.records() {
         let _ = write!(
             h,
             "{}|{:?}|{:?}|{:x}|{:?}|",
-            f.pts().as_micros(),
-            f.outcome(),
-            f.latency().map(Dur::as_micros),
-            f.ssim().to_bits(),
-            f.psnr_db().map(f64::to_bits),
+            f.pts.as_micros(),
+            f.outcome,
+            f.latency.map(Dur::as_micros),
+            f.ssim.to_bits(),
+            f.psnr_db.map(f64::to_bits),
         );
     }
     format!(
         "{label} obs={obs} series_points={points} frames={} fnv1a={:016x}",
-        frames.len(),
+        r.recorder.records().len(),
         h.0
     )
 }

@@ -6,6 +6,7 @@
 //! [`FrameRecord`] per frame slot and produces a [`LatencySummary`]
 //! over any time window (experiments window around the drop instant).
 
+use std::fmt;
 use std::sync::OnceLock;
 
 use ravel_sim::{Dur, Time};
@@ -23,7 +24,7 @@ pub enum FrameOutcomeKind {
 }
 
 /// One frame slot's measurements, as a session reports them. The
-/// recorder stores each one as a 32-byte [`PackedFrameRecord`].
+/// recorder stores each one as a few bytes of its stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameRecord {
     /// Capture timestamp.
@@ -38,102 +39,12 @@ pub struct FrameRecord {
     pub psnr_db: Option<f64>,
 }
 
-/// Largest pts, in µs, a [`PackedFrameRecord`] holds: 2^61 − 1 µs, about
-/// 73 000 years of session.
-const PTS_MAX_US: u64 = (1 << 61) - 1;
-const LATENCY_BIT: u64 = 1 << 61;
-const DISPLAYED_BIT: u64 = 1 << 62;
-const PSNR_BIT: u64 = 1 << 63;
-
-/// One frame slot's measurements in 32 bytes, losslessly: pts in µs and
-/// three presence/outcome flags share one word, the latency is whole
-/// µs, and SSIM and PSNR keep their raw `f64` bits (NaN and ±inf
-/// included, so the finite-metrics check still sees them). An absent
-/// latency or PSNR is stored as zero, so equal records compare equal
-/// bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackedFrameRecord {
-    /// Bits 0–60: pts in µs; bit 61: latency present; bit 62:
-    /// displayed; bit 63: PSNR present.
-    pts_flags: u64,
-    latency_us: u64,
-    ssim_bits: u64,
-    psnr_bits: u64,
-}
-
-const _: () = assert!(std::mem::size_of::<PackedFrameRecord>() == 32);
-
-impl PackedFrameRecord {
-    /// Packs one slot's measurements.
-    ///
-    /// # Panics
-    ///
-    /// If `pts` is at or beyond 2^61 µs.
-    pub fn new(
-        pts: Time,
-        outcome: FrameOutcomeKind,
-        latency: Option<Dur>,
-        ssim: f64,
-        psnr_db: Option<f64>,
-    ) -> PackedFrameRecord {
-        let pts_us = pts.as_micros();
-        assert!(
-            pts_us <= PTS_MAX_US,
-            "frame pts {pts_us} µs is beyond the packed record's 2^61 µs range"
-        );
-        let mut pts_flags = pts_us;
-        if latency.is_some() {
-            pts_flags |= LATENCY_BIT;
-        }
-        if outcome == FrameOutcomeKind::Displayed {
-            pts_flags |= DISPLAYED_BIT;
-        }
-        if psnr_db.is_some() {
-            pts_flags |= PSNR_BIT;
-        }
-        PackedFrameRecord {
-            pts_flags,
-            latency_us: latency.map_or(0, Dur::as_micros),
-            ssim_bits: ssim.to_bits(),
-            psnr_bits: psnr_db.map_or(0, f64::to_bits),
-        }
-    }
-
-    /// Capture timestamp.
-    pub fn pts(&self) -> Time {
-        Time::from_micros(self.pts_flags & PTS_MAX_US)
-    }
-
-    /// Displayed or frozen.
-    pub fn outcome(&self) -> FrameOutcomeKind {
-        if self.pts_flags & DISPLAYED_BIT != 0 {
-            FrameOutcomeKind::Displayed
-        } else {
-            FrameOutcomeKind::Frozen
-        }
-    }
-
-    /// Glass-to-glass latency for frames that arrived.
-    pub fn latency(&self) -> Option<Dur> {
-        (self.pts_flags & LATENCY_BIT != 0).then_some(Dur::micros(self.latency_us))
-    }
-
-    /// SSIM the viewer experienced for this slot.
-    pub fn ssim(&self) -> f64 {
-        f64::from_bits(self.ssim_bits)
-    }
-
-    /// PSNR for displayed frames (dB).
-    pub fn psnr_db(&self) -> Option<f64> {
-        (self.pts_flags & PSNR_BIT != 0).then_some(f64::from_bits(self.psnr_bits))
-    }
-
+impl FrameRecord {
     /// True when every float in the record is finite and the SSIM is a
     /// valid similarity (in `[0, 1]`). The session's finite-metrics
     /// invariant checks this before the record can poison a summary.
     pub fn is_finite(&self) -> bool {
-        let ssim = self.ssim();
-        ssim.is_finite() && (0.0..=1.0).contains(&ssim) && self.psnr_db().is_none_or(f64::is_finite)
+        (0.0..=1.0).contains(&self.ssim) && self.psnr_db.is_none_or(f64::is_finite)
     }
 }
 
@@ -178,14 +89,65 @@ impl LatencySummary {
     }
 }
 
-/// Collects per-frame records across a session.
-#[derive(Debug, Clone, Default)]
+/// Collects per-frame records across a session, encoded as one
+/// append-only byte stream and decoded only when read.
+///
+/// Each record starts with its headers:
+///
+/// * a flag byte: the latency's byte count (low nibble; 0 when absent),
+///   displayed, PSNR present, and pts step equal to the previous step;
+/// * for the SSIM, and the PSNR when present, a header byte holding the
+///   count of trailing zero bytes trimmed from the XOR of its bits with
+///   the previous value's (high nibble) and of bytes kept (low nibble).
+///
+/// Then the fields: the latency in µs as that many little-endian bytes,
+/// each float's kept XOR bytes, little-endian, and the pts step from the
+/// previous record in µs as a LEB128 varint, only when it differs from
+/// the previous step (a session captures at a fixed frame interval, so
+/// it almost never does). With every length in the headers, the decoder
+/// finds the next record without waiting on this one's fields.
+///
+/// Every field reads back exactly, `f64`s bit for bit (NaN payloads,
+/// ±inf and −0.0 included), so the finite-metrics check and the
+/// determinism suites see what was pushed. The encoding depends only
+/// on the records, so two recorders compare equal when their bytes do.
+#[derive(Clone, Default)]
 pub struct LatencyRecorder {
-    records: Vec<PackedFrameRecord>,
+    bytes: Vec<u8>,
+    len: usize,
+    /// What the next record is encoded against.
+    last: Context,
     /// The whole-session summary, computed by the first
     /// [`LatencyRecorder::summarize_all`] and cleared by every `push`, so
     /// all readers of a finished session share one computation.
     whole: OnceLock<LatencySummary>,
+}
+
+/// Flag-byte bits above the latency's byte count.
+const DISPLAYED: u8 = 1 << 4;
+const PSNR: u8 = 1 << 5;
+const SAME_STEP: u8 = 1 << 6;
+
+/// Longest encoding of one record: three header bytes, the latency and
+/// two floats of up to eight bytes each, and a ten-byte varint step.
+const RECORD_MAX: usize = 3 + 8 + 8 + 8 + 10;
+
+/// The latency quantiles a summary reports, in increasing order.
+const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
+
+/// Bytes `with_capacity` reserves per slot: a displayed frame with a
+/// latency and both floats takes about 17.
+const TYPICAL_RECORD: usize = 20;
+
+/// The state each record is encoded against, and decoded with: the
+/// previous pts, the step that reached it, and the last SSIM and PSNR
+/// bits.
+#[derive(Debug, Clone, Copy, Default)]
+struct Context {
+    pts_us: u64,
+    step_us: u64,
+    ssim_bits: u64,
+    psnr_bits: u64,
 }
 
 impl LatencyRecorder {
@@ -194,62 +156,108 @@ impl LatencyRecorder {
         LatencyRecorder::default()
     }
 
-    /// Creates an empty recorder with room for `capacity` frame slots
-    /// (the session knows its frame count up front).
+    /// Creates an empty recorder with room for about `capacity` frame
+    /// slots (the session knows its frame count up front).
     pub fn with_capacity(capacity: usize) -> LatencyRecorder {
         LatencyRecorder {
-            records: Vec::with_capacity(capacity),
-            whole: OnceLock::new(),
+            bytes: Vec::with_capacity(capacity * TYPICAL_RECORD),
+            ..LatencyRecorder::default()
         }
     }
 
     /// Appends one frame slot (pts must be non-decreasing).
     pub fn push(&mut self, record: FrameRecord) {
-        if let Some(last) = self.records.last() {
-            assert!(record.pts >= last.pts(), "frame records out of order");
-        }
+        let pts_us = record.pts.as_micros();
+        let last = &mut self.last;
+        assert!(pts_us >= last.pts_us, "frame records out of order");
         self.whole.take();
-        self.records.push(PackedFrameRecord::new(
-            record.pts,
-            record.outcome,
-            record.latency,
-            record.ssim,
-            record.psnr_db,
-        ));
+        let step_us = pts_us - last.pts_us;
+        let latency_us = record.latency.map(Dur::as_micros);
+        // At least one byte, so a zero latency stays apart from none.
+        let latency_len = latency_us.map_or(0, |us| (8 - us.leading_zeros() / 8).max(1));
+        let mut flags = latency_len as u8;
+        if record.outcome == FrameOutcomeKind::Displayed {
+            flags |= DISPLAYED;
+        }
+        if record.psnr_db.is_some() {
+            flags |= PSNR;
+        }
+        if step_us == last.step_us {
+            flags |= SAME_STEP;
+        }
+        let ssim = Xor::new(&mut last.ssim_bits, record.ssim.to_bits());
+        let psnr = record
+            .psnr_db
+            .map(|p| Xor::new(&mut last.psnr_bits, p.to_bits()));
+        let mut e = Encoder {
+            buf: [0; RECORD_MAX],
+            len: 0,
+        };
+        e.byte(flags);
+        e.byte(ssim.header);
+        if let Some(psnr) = psnr {
+            e.byte(psnr.header);
+        }
+        if let Some(us) = latency_us {
+            e.low_bytes(us, latency_len);
+        }
+        e.low_bytes(ssim.value, ssim.kept);
+        if let Some(psnr) = psnr {
+            e.low_bytes(psnr.value, psnr.kept);
+        }
+        if step_us != last.step_us {
+            e.varint(step_us);
+        }
+        last.pts_us = pts_us;
+        last.step_us = step_us;
+        self.bytes.extend_from_slice(&e.buf[..e.len]);
+        self.len += 1;
     }
 
-    /// All records, in pts order.
-    pub fn records(&self) -> &[PackedFrameRecord] {
-        &self.records
+    /// Frees the stream's spare capacity, so the recorder holds only its
+    /// encoded bytes. Later pushes still work.
+    pub fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+    }
+
+    /// All records, in pts order, decoded as they are reached.
+    pub fn records(&self) -> FrameRecords<'_> {
+        FrameRecords {
+            bytes: &self.bytes,
+            pos: 0,
+            last: Context::default(),
+            left: self.len,
+        }
     }
 
     /// Summarizes frames with `from <= pts < to`.
     pub fn summarize(&self, from: Time, to: Time) -> LatencySummary {
         // `push` keeps the records sorted by pts, so the window is one
-        // contiguous run.
-        let start = self.records.partition_point(|r| r.pts() < from);
-        let end = start + self.records[start..].partition_point(|r| r.pts() < to);
-        let window = &self.records[start..end];
-        let mut lat_us = Vec::with_capacity(window.len());
+        // contiguous run and decoding stops at its end.
+        let window = self
+            .records()
+            .skip_while(|r| r.pts < from)
+            .take_while(|r| r.pts < to);
+        let mut lat_us = Vec::with_capacity(self.len);
         let mut lat_stats = RunningStats::new();
         let mut ssim = RunningStats::new();
         let mut psnr = RunningStats::new();
         let mut displayed = 0u64;
         let mut frozen = 0u64;
         for r in window {
-            ssim.push(r.ssim());
+            ssim.push(r.ssim);
             // Latency counts for every frame that *arrived*, displayed
             // or not — a frame shown stale because it blew its playout
             // deadline still has a measured glass-to-glass latency (the
             // quantity the paper reports).
-            if let Some(l) = r.latency() {
+            if let Some(l) = r.latency {
                 lat_us.push(l.as_micros());
                 lat_stats.push(l.as_millis_f64());
             }
-            match r.outcome() {
+            match r.outcome {
                 FrameOutcomeKind::Displayed => {
                     displayed += 1;
-                    if let Some(p) = r.psnr_db() {
+                    if let Some(p) = r.psnr_db {
                         psnr.push(p);
                     }
                 }
@@ -258,20 +266,33 @@ impl LatencyRecorder {
         }
         // Ranking the integer µs ranks their ms values too (the map is
         // monotone), so the quantiles equal `Percentiles`' bit for bit
-        // without its float comparison sort.
-        lat_us.sort_unstable();
-        let quantile = |q| match lat_us.len() {
+        // without its float comparison sort. Only the ranks they read
+        // are put in place, lowest first: each selection leaves larger
+        // values after its rank, where the next one is selected.
+        let n = lat_us.len();
+        let mut placed = 0;
+        for q in QUANTILES {
+            let pos = q * n.saturating_sub(1) as f64;
+            for rank in [pos.floor() as usize, pos.ceil() as usize] {
+                if rank >= placed && rank < n {
+                    lat_us[placed..].select_nth_unstable(rank - placed);
+                    placed = rank + 1;
+                }
+            }
+        }
+        let quantile = |q| match n {
             0 => 0.0,
             n => interpolate(n, q, |i| Dur::micros(lat_us[i]).as_millis_f64()),
         };
+        let [p50, p95, p99] = QUANTILES.map(quantile);
         LatencySummary {
             frames: displayed + frozen,
             displayed,
             frozen,
             mean_latency_ms: lat_stats.mean(),
-            p50_latency_ms: quantile(0.50),
-            p95_latency_ms: quantile(0.95),
-            p99_latency_ms: quantile(0.99),
+            p50_latency_ms: p50,
+            p95_latency_ms: p95,
+            p99_latency_ms: p99,
             max_latency_ms: if lat_stats.count() > 0 {
                 lat_stats.max()
             } else {
@@ -292,6 +313,175 @@ impl LatencyRecorder {
             .get_or_init(|| self.summarize(Time::ZERO, Time::FAR_FUTURE))
     }
 }
+
+/// Equal recorders hold equal bytes, which decode to equal records bit
+/// for bit; the memoized summary takes no part.
+impl PartialEq for LatencyRecorder {
+    fn eq(&self, other: &LatencyRecorder) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl fmt::Debug for LatencyRecorder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.records()).finish()
+    }
+}
+
+/// Writes one record's bytes before they join the stream.
+struct Encoder {
+    buf: [u8; RECORD_MAX],
+    len: usize,
+}
+
+impl Encoder {
+    fn byte(&mut self, b: u8) {
+        self.buf[self.len] = b;
+        self.len += 1;
+    }
+
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.byte(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.byte(v as u8);
+    }
+
+    /// Writes the low `n` bytes of `v`, little-endian. All eight are
+    /// copied (a fixed copy is cheaper than a sized one, and
+    /// `RECORD_MAX` leaves room) and the next field overwrites the rest.
+    fn low_bytes(&mut self, v: u64, n: u32) {
+        self.buf[self.len..self.len + 8].copy_from_slice(&v.to_le_bytes());
+        self.len += n as usize;
+    }
+}
+
+/// A float coded as the XOR of its bits with the previous value's,
+/// trimmed of zero bytes at both ends.
+#[derive(Clone, Copy)]
+struct Xor {
+    header: u8,
+    /// The XOR shifted down past its trimmed trailing bytes.
+    value: u64,
+    kept: u32,
+}
+
+impl Xor {
+    /// Codes `bits` against `*last` and makes it the next value's base.
+    fn new(last: &mut u64, bits: u64) -> Xor {
+        let x = bits ^ *last;
+        *last = bits;
+        let trailing = if x == 0 { 0 } else { x.trailing_zeros() / 8 };
+        let kept = 8 - x.leading_zeros() / 8 - trailing;
+        Xor {
+            header: (trailing << 4 | kept) as u8,
+            value: x >> (8 * trailing),
+            kept,
+        }
+    }
+}
+
+/// Iterator over a recorder's frame records, oldest first, decoding
+/// each one as it is reached. Returned by
+/// [`LatencyRecorder::records`]; cloning it is cheap and resumes from
+/// the same record.
+#[derive(Debug, Clone)]
+pub struct FrameRecords<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    last: Context,
+    left: usize,
+}
+
+impl FrameRecords<'_> {
+    /// The eight bytes from the read position on as a little-endian
+    /// word, zero past the end of the stream.
+    fn word(&self) -> u64 {
+        let mut raw = [0; 8];
+        match self.bytes.get(self.pos..self.pos + 8) {
+            Some(word) => raw.copy_from_slice(word),
+            None => {
+                let tail = &self.bytes[self.pos..];
+                raw[..tail.len()].copy_from_slice(tail);
+            }
+        }
+        u64::from_le_bytes(raw)
+    }
+
+    /// Reads `n` (at most eight) little-endian bytes.
+    fn low_bytes(&mut self, n: u32) -> u64 {
+        let v = self.word() & u64::MAX.checked_shr(64 - 8 * n).unwrap_or(0);
+        self.pos += n as usize;
+        v
+    }
+
+    /// Reads the float whose XOR `header` describes against `*last`,
+    /// and makes it the next value's base.
+    fn xor(&mut self, last: &mut u64, header: u8) -> f64 {
+        let kept = u32::from(header & 0xf);
+        *last ^= self.low_bytes(kept) << (8 * u32::from(header >> 4));
+        f64::from_bits(*last)
+    }
+
+    fn varint(&mut self) -> u64 {
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            let b = self.bytes[self.pos];
+            self.pos += 1;
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+}
+
+impl Iterator for FrameRecords<'_> {
+    type Item = FrameRecord;
+
+    fn next(&mut self) -> Option<FrameRecord> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        // The flag byte and the float headers, whose lengths place every
+        // field of the record.
+        let head = self.word();
+        let flags = head as u8;
+        let has_psnr = flags & PSNR != 0;
+        self.pos += 2 + usize::from(has_psnr);
+        let mut last = self.last;
+        let latency_len = u32::from(flags & 0xf);
+        let latency = (latency_len != 0).then(|| Dur::micros(self.low_bytes(latency_len)));
+        let ssim = self.xor(&mut last.ssim_bits, (head >> 8) as u8);
+        let psnr_db = has_psnr.then(|| self.xor(&mut last.psnr_bits, (head >> 16) as u8));
+        if flags & SAME_STEP == 0 {
+            last.step_us = self.varint();
+        }
+        last.pts_us += last.step_us;
+        self.last = last;
+        Some(FrameRecord {
+            pts: Time::from_micros(last.pts_us),
+            outcome: if flags & DISPLAYED != 0 {
+                FrameOutcomeKind::Displayed
+            } else {
+                FrameOutcomeKind::Frozen
+            },
+            latency,
+            ssim,
+            psnr_db,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for FrameRecords<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -415,59 +605,138 @@ mod tests {
         assert_eq!(clean.rejected, 0);
     }
 
-    /// Picks `0`, `max` or `raw`, so the range ends come up often.
-    fn edge_or(pick: u8, max: u64, raw: u64) -> u64 {
-        match pick {
-            0 => 0,
-            1 => max,
-            _ => raw,
+    /// Floats a record must keep bit for bit: signed zeros, a
+    /// subnormal, infinities and NaNs with distinct payloads.
+    const FLOATS: [u64; 8] = [
+        0x0000_0000_0000_0000,
+        0x8000_0000_0000_0000,
+        0x0000_0000_0000_0001,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0x7ff8_0000_0000_0000,
+        0x7ff0_0000_dead_beef,
+        0xfff8_0000_0000_0001,
+    ];
+
+    /// A special float, raw bits, a plausible SSIM, or one repeated
+    /// value (whose XOR with its predecessor is zero).
+    fn float(x: u64) -> f64 {
+        match x % 4 {
+            0 => f64::from_bits(FLOATS[(x / 4) as usize % FLOATS.len()]),
+            1 => f64::from_bits(x),
+            2 => (x % 1000) as f64 / 1000.0,
+            _ => 0.9,
         }
     }
 
-    /// The floats a packed record must keep bit for bit, or `raw`'s bits.
-    fn special_or(pick: usize, raw: u64) -> f64 {
-        [
-            f64::NAN,
-            -f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            -0.0,
-            0.0,
-        ]
-        .get(pick)
-        .copied()
-        .unwrap_or(f64::from_bits(raw))
-    }
-
-    proptest::proptest! {
-        /// Every field comes back exactly as packed: all eight flag
-        /// combinations (a displayed frame without PSNR included),
-        /// `Some(Dur::ZERO)` apart from `None`, pts at both ends of its
-        /// range, and NaN/±inf/±0 SSIM and PSNR bit for bit.
-        #[test]
-        fn packed_record_round_trips(
-            flags in 0u8..8,
-            pts in (0u8..4, 0u64..PTS_MAX_US),
-            latency in (0u8..4, 0u64..u64::MAX),
-            ssim in (0usize..12, 0u64..u64::MAX),
-            psnr in (0usize..12, 0u64..u64::MAX),
-        ) {
-            let pts = Time::from_micros(edge_or(pts.0, PTS_MAX_US, pts.1));
-            let outcome = if flags & 1 != 0 {
+    /// Expands one generated row of raw draws into the next record:
+    /// pts steps that repeat, stay zero, vary or jump to the end of the
+    /// `u64` range, and every presence combination of the optional
+    /// fields.
+    fn record(pts_us: &mut u64, raw: (u64, u64, u64, u64)) -> FrameRecord {
+        let (a, b, c, d) = raw;
+        let room = u64::MAX - *pts_us;
+        let step = match a % 6 {
+            0..=2 => 33_333,
+            3 => 0,
+            4 => b % 1_000_000,
+            _ => room - (b % 3).min(room),
+        };
+        *pts_us += step.min(room);
+        let latency = match a / 6 % 5 {
+            0 => None,
+            1 => Some(0),
+            2 => Some(u64::MAX),
+            3 => Some(c),
+            _ => Some(c % 500_000),
+        };
+        FrameRecord {
+            pts: Time::from_micros(*pts_us),
+            outcome: if a / 30 % 2 == 0 {
                 FrameOutcomeKind::Displayed
             } else {
                 FrameOutcomeKind::Frozen
-            };
-            let latency = (flags & 2 != 0).then(|| Dur::micros(edge_or(latency.0, u64::MAX, latency.1)));
-            let ssim = special_or(ssim.0, ssim.1);
-            let psnr_db = (flags & 4 != 0).then(|| special_or(psnr.0, psnr.1));
-            let r = PackedFrameRecord::new(pts, outcome, latency, ssim, psnr_db);
-            proptest::prop_assert_eq!(r.pts(), pts);
-            proptest::prop_assert_eq!(r.outcome(), outcome);
-            proptest::prop_assert_eq!(r.latency(), latency);
-            proptest::prop_assert_eq!(r.ssim().to_bits(), ssim.to_bits());
-            proptest::prop_assert_eq!(r.psnr_db().map(f64::to_bits), psnr_db.map(f64::to_bits));
+            },
+            latency: latency.map(Dur::micros),
+            ssim: float(c ^ d),
+            psnr_db: (a / 60 % 3 != 0).then(|| float(d)),
         }
+    }
+
+    proptest::proptest! {
+        /// Every record reads back exactly as pushed: NaN payloads, ±inf
+        /// and −0.0 bit for bit, zero and irregular pts steps, pts up to
+        /// `u64::MAX`, and latency absent, zero or huge.
+        #[test]
+        fn records_round_trip_bit_for_bit(
+            raw in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX), 1..200),
+        ) {
+            let mut pts_us = 0;
+            let pushed: Vec<FrameRecord> = raw.iter().map(|&r| record(&mut pts_us, r)).collect();
+            let mut r = LatencyRecorder::new();
+            for &p in &pushed {
+                r.push(p);
+            }
+            let read = r.records();
+            proptest::prop_assert_eq!(read.len(), pushed.len());
+            let bits = |x: &FrameRecord| {
+                (x.pts, x.outcome, x.latency, x.ssim.to_bits(), x.psnr_db.map(f64::to_bits))
+            };
+            for (got, want) in read.zip(&pushed) {
+                proptest::prop_assert_eq!(bits(&got), bits(want));
+            }
+            // The encoding depends only on the records.
+            let mut again = LatencyRecorder::with_capacity(pushed.len());
+            for &p in &pushed {
+                again.push(p);
+            }
+            again.shrink_to_fit();
+            proptest::prop_assert!(again == r);
+        }
+    }
+
+    #[test]
+    fn pts_round_trips_to_the_end_of_its_range() {
+        let mut r = LatencyRecorder::new();
+        for us in [0, 1 << 61, u64::MAX - 1, u64::MAX, u64::MAX] {
+            r.push(FrameRecord {
+                pts: Time::from_micros(us),
+                outcome: FrameOutcomeKind::Frozen,
+                latency: None,
+                ssim: 0.5,
+                psnr_db: None,
+            });
+        }
+        let pts: Vec<u64> = r.records().map(|x| x.pts.as_micros()).collect();
+        assert_eq!(pts, [0, 1 << 61, u64::MAX - 1, u64::MAX, u64::MAX]);
+    }
+
+    #[test]
+    fn a_repeated_slot_takes_two_bytes() {
+        // A frozen slot at the previous cadence with the previous SSIM:
+        // the flag byte and an empty XOR header.
+        let mut r = LatencyRecorder::new();
+        for i in 0..3 {
+            r.push(rec(i * 33, None, 0.8));
+        }
+        let before = r.bytes.len();
+        r.push(rec(99, None, 0.8));
+        assert_eq!(r.bytes.len() - before, 2);
+    }
+
+    #[test]
+    fn equality_compares_the_encoded_records_only() {
+        let mut a = LatencyRecorder::new();
+        let mut b = LatencyRecorder::with_capacity(100);
+        for r in [&mut a, &mut b] {
+            r.push(rec(0, Some(100), 0.95));
+            r.push(rec(33, None, 0.9));
+        }
+        // A memoized summary and spare capacity take no part.
+        a.summarize_all();
+        assert_eq!(a, b);
+        b.push(rec(66, None, 0.9));
+        assert_ne!(a, b);
     }
 
     proptest::proptest! {
@@ -505,18 +774,6 @@ mod tests {
             proptest::prop_assert_eq!(s.p95_latency_ms.to_bits(), bits(reference.p95()));
             proptest::prop_assert_eq!(s.p99_latency_ms.to_bits(), bits(reference.p99()));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond the packed record's 2^61 µs range")]
-    fn packing_rejects_pts_past_its_range() {
-        PackedFrameRecord::new(
-            Time::from_micros(PTS_MAX_US + 1),
-            FrameOutcomeKind::Frozen,
-            None,
-            0.5,
-            None,
-        );
     }
 
     #[test]

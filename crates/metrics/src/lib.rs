@@ -11,8 +11,6 @@ pub mod latency;
 pub mod stats;
 pub mod table;
 
-pub use latency::{
-    FrameOutcomeKind, FrameRecord, LatencyRecorder, LatencySummary, PackedFrameRecord,
-};
+pub use latency::{FrameOutcomeKind, FrameRecord, LatencyRecorder, LatencySummary};
 pub use stats::{Percentiles, RunningStats};
 pub use table::Table;

@@ -202,11 +202,6 @@ impl FecDecoder {
         self.recovered
     }
 
-    /// Groups currently tracked.
-    pub fn tracked_groups(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Feeds one arrived media packet (by seq). Returns the seq numbers
     /// newly recoverable (zero or one — XOR parity repairs single
     /// losses).
@@ -264,11 +259,6 @@ impl FecDecoder {
             self.groups.remove(&oldest);
         }
         out
-    }
-
-    /// The seq range a parity packet covers (diagnostics).
-    pub fn covered_range(&self, parity: &Packet) -> std::ops::Range<u64> {
-        parity.group_first_seq()..parity.group_first_seq() + parity.group_count() as u64
     }
 }
 
@@ -365,7 +355,7 @@ mod tests {
         let parity = build_group(&mut enc, 0..3).expect("parity");
         let mut dec = FecDecoder::new();
         assert!(dec.on_media_packet(0).is_empty());
-        assert_eq!(dec.covered_range(&parity), 0..3);
+        assert_eq!((parity.group_first_seq(), parity.group_count()), (0, 3));
         // At parity time members 1 and 2 are missing: no recovery yet.
         assert!(dec.on_parity_packet(&parity).is_empty());
         // Member 2 arrives late: now only 1 is missing -> reconstruct it.
@@ -399,7 +389,7 @@ mod tests {
         assert_eq!(dec.on_parity_packet(&p0), vec![1]);
         dec.on_media_packet(3);
         assert_eq!(dec.on_parity_packet(&p1), vec![2]);
-        assert_eq!(dec.tracked_groups(), 2);
+        assert_eq!(dec.groups.len(), 2);
         assert_eq!(dec.recovered(), 2);
     }
 
@@ -411,7 +401,7 @@ mod tests {
             let parity = build_group(&mut enc, g * 2..g * 2 + 2).expect("parity");
             dec.on_parity_packet(&parity);
         }
-        assert!(dec.tracked_groups() <= 64);
+        assert!(dec.groups.len() <= 64);
     }
 
     #[test]

@@ -64,15 +64,6 @@ impl FeedbackReport {
         }
     }
 
-    /// Total received bytes in this report. Saturating, so a report
-    /// whose sizes were bombed to absurd values cannot wrap the sum.
-    pub fn received_bytes(&self) -> u64 {
-        self.packets
-            .iter()
-            .filter(|p| p.arrival.is_some())
-            .fold(0u64, |acc, p| acc.saturating_add(p.size_bytes))
-    }
-
     /// Delivered throughput over the report's arrival span, if at least
     /// two packets arrived (bits/second).
     ///
@@ -363,7 +354,6 @@ mod tests {
                 })
                 .collect(),
         };
-        assert_eq!(report.received_bytes(), u64::MAX);
         let rate = report.delivered_rate_bps().unwrap();
         assert!(rate.is_finite() && rate > 0.0, "rate {rate}");
     }
@@ -385,7 +375,6 @@ mod tests {
                 .collect(),
         };
         assert_eq!(report.received_count(), 0);
-        assert_eq!(report.received_bytes(), 0);
         assert!((report.loss_fraction() - 1.0).abs() < 1e-12);
         assert!(report.delivered_rate_bps().is_none());
     }
@@ -423,7 +412,11 @@ mod tests {
         fb.on_packet(&pkt(0, 5), Time::from_millis(30));
         fb.on_packet(&pkt(2, 15), Time::from_millis(40));
         let report = fb.flush(Time::from_millis(50)).unwrap();
-        assert_eq!(report.received_bytes(), 2500);
+        // Seq 1 is reported lost; the delivered rate counts only the
+        // 2 × 1250 B that arrived, over their 10 ms span.
+        assert_eq!(report.lost_count(), 1);
+        let rate = report.delivered_rate_bps().unwrap();
+        assert!((rate - 2e6).abs() < 1.0, "rate {rate}");
     }
 
     #[test]

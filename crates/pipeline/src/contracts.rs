@@ -169,24 +169,28 @@ fn recover_rate(spec: &ContractSpec, result: &SessionResult) -> ContractVerdict 
 
 fn max_freeze(spec: &ContractSpec, result: &SessionResult) -> ContractVerdict {
     let records = result.recorder.records();
-    // Slot duration from the recorded cadence itself, so the clause
-    // needs no side channel for the frame rate.
-    let dt = match (records.first(), records.last()) {
-        (Some(first), Some(last)) if records.len() >= 2 => Dur::from_secs_f64(
-            last.pts().saturating_since(first.pts()).as_secs_f64() / (records.len() - 1) as f64,
-        ),
-        _ => FALLBACK_FRAME_INTERVAL,
-    };
+    let slots = records.len();
+    let first = records.clone().next().map(|r| r.pts);
+    let mut last = Time::ZERO;
     let mut longest = 0usize;
     let mut run = 0usize;
     for r in records {
-        if r.outcome() == FrameOutcomeKind::Frozen {
+        last = r.pts;
+        if r.outcome == FrameOutcomeKind::Frozen {
             run += 1;
             longest = longest.max(run);
         } else {
             run = 0;
         }
     }
+    // Slot duration from the recorded cadence itself, so the clause
+    // needs no side channel for the frame rate.
+    let dt = match first {
+        Some(first) if slots >= 2 => {
+            Dur::from_secs_f64(last.saturating_since(first).as_secs_f64() / (slots - 1) as f64)
+        }
+        _ => FALLBACK_FRAME_INTERVAL,
+    };
     let worst = Dur::from_secs_f64(longest as f64 * dt.as_secs_f64());
     ContractVerdict::new(
         "max-freeze",
@@ -345,17 +349,17 @@ mod tests {
         // the post-drop window blows the 200 ms bound.
         let mut doctored = SessionResult::default();
         for r in result.recorder.records() {
-            let post_drop = r.pts() >= Time::from_secs(10);
+            let post_drop = r.pts >= Time::from_secs(10);
             doctored.recorder.push(FrameRecord {
-                pts: r.pts(),
-                outcome: r.outcome(),
+                pts: r.pts,
+                outcome: r.outcome,
                 latency: if post_drop {
                     Some(Dur::millis(400))
                 } else {
-                    r.latency()
+                    r.latency
                 },
-                ssim: r.ssim(),
-                psnr_db: r.psnr_db(),
+                ssim: r.ssim,
+                psnr_db: r.psnr_db,
             });
         }
         mem_swap_series(&mut result, &mut doctored);

@@ -765,22 +765,24 @@ impl<T: BandwidthTrace> SessionState<T> {
         // First capture instant at/after the last fault cleared where the
         // reference chain was healthy (freeze-termination invariant).
         let mut chain_ok_after_clear: Option<Time> = None;
+        // Pts of the first record holding a non-finite metric, found as
+        // the records are pushed (the finite-metrics invariant below).
+        let mut non_finite_at: Option<Time> = None;
         for (idx, sf) in self.sender.sent.iter().enumerate() {
-            let pts = match sf {
+            let record = match sf {
                 SentFrame::Skipped { pts, temporal } => {
                     frames_skipped += 1;
                     // Sender-side skips freeze one slot but do not break the
                     // reference chain (the encoder references the last
                     // *encoded* frame, which the receiver has).
                     let outcome = decoder.feed_sender_skip(*temporal);
-                    recorder.push(FrameRecord {
+                    FrameRecord {
                         pts: *pts,
                         outcome: FrameOutcomeKind::Frozen,
                         latency: None,
                         ssim: outcome.displayed_ssim(),
                         psnr_db: None,
-                    });
-                    *pts
+                    }
                 }
                 SentFrame::Encoded { frame, temporal } => {
                     let complete_at = self.receiver.completed.get(idx as u64);
@@ -801,7 +803,7 @@ impl<T: BandwidthTrace> SessionState<T> {
                         decoder.feed(complete_at.map(|_| frame), true, *temporal)
                     };
                     let displayed = outcome.is_displayed();
-                    recorder.push(FrameRecord {
+                    let record = FrameRecord {
                         pts: frame.pts,
                         outcome: if displayed {
                             FrameOutcomeKind::Displayed
@@ -812,20 +814,26 @@ impl<T: BandwidthTrace> SessionState<T> {
                         latency,
                         ssim: outcome.displayed_ssim(),
                         psnr_db: displayed.then_some(frame.psnr_db),
-                    });
+                    };
                     if let (true, Some(l)) = (ctx.cfg.record_series, latency) {
                         ctx.series
                             .push(Series::FrameLatencyMs, frame.pts, l.as_millis_f64());
                     }
-                    frame.pts
+                    record
                 }
             };
+            let pts = record.pts;
+            if non_finite_at.is_none() && !record.is_finite() {
+                non_finite_at = Some(pts);
+            }
+            recorder.push(record);
             if chain_ok_after_clear.is_none()
                 && chaos_clear.is_some_and(|clear| pts >= clear && !decoder.chain_broken())
             {
                 chain_ok_after_clear = Some(pts);
             }
         }
+        recorder.shrink_to_fit();
 
         // --- chaos-conditioned invariants ---------------------------------
         // Freeze termination: once the last fault clears, the PLI → keyframe
@@ -871,8 +879,8 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
         // Finite metrics: nothing non-finite may reach the recorder or the
         // recorded series.
-        if let Some(r) = recorder.records().iter().find(|r| !r.is_finite()) {
-            let detail = format!("non-finite frame record at pts {}", r.pts());
+        if let Some(pts) = non_finite_at {
+            let detail = format!("non-finite frame record at pts {pts}");
             ctx.violate(last_event_at, Invariant::FiniteMetrics, detail);
         }
         let non_finite = ctx.series.iter().find_map(|(series, s)| {
@@ -972,7 +980,7 @@ mod tests {
         let trace = || StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10));
         let a = run_session(trace(), cfg);
         let b = run_session(trace(), cfg);
-        assert_eq!(a.recorder.records(), b.recorder.records());
+        assert_eq!(a.recorder, b.recorder);
         assert_eq!(a.frames_skipped, b.frames_skipped);
     }
 
@@ -1034,7 +1042,7 @@ mod tests {
     /// harness report derives from (LatencyRecorder/SeriesSet don't
     /// implement PartialEq wholesale).
     fn assert_results_identical(a: &SessionResult, b: &SessionResult) {
-        assert_eq!(a.recorder.records(), b.recorder.records());
+        assert_eq!(a.recorder, b.recorder);
         assert_eq!(a.events_processed, b.events_processed);
         assert_eq!(a.frames_captured, b.frames_captured);
         assert_eq!(a.frames_encoded, b.frames_encoded);
@@ -1315,7 +1323,7 @@ mod tests {
             chaos: Some(ChaosSchedule::empty()),
             ..RunSpec::new(mk(), cfg)
         });
-        assert_eq!(plain.recorder.records(), empty.recorder.records());
+        assert_eq!(plain.recorder, empty.recorder);
         assert_eq!(plain.events_processed, empty.events_processed);
         assert_eq!(plain.packets_delivered, empty.packets_delivered);
     }
@@ -1335,7 +1343,7 @@ mod tests {
                     a.violations
                 );
                 let b = run_session(ConstantTrace::new(4e6), cfg);
-                assert_eq!(a.recorder.records(), b.recorder.records());
+                assert_eq!(a.recorder, b.recorder);
                 assert_eq!(a.chaos_lost, b.chaos_lost);
                 assert_eq!(a.chaos_duplicates, b.chaos_duplicates);
             }
@@ -1353,7 +1361,7 @@ mod tests {
             corrupt: Some(CorruptSchedule::empty()),
             ..RunSpec::new(mk(), cfg)
         });
-        assert_eq!(plain.recorder.records(), empty.recorder.records());
+        assert_eq!(plain.recorder, empty.recorder);
         assert_eq!(plain.events_processed, empty.events_processed);
         assert_eq!(plain.packets_delivered, empty.packets_delivered);
         assert_eq!(plain.rejected_reports, 0);
@@ -1444,7 +1452,7 @@ mod tests {
             observed.rejected_reports
         );
         assert_eq!(observed.rejected_reports, result.rejected_reports);
-        assert_eq!(observed.recorder.records(), result.recorder.records());
+        assert_eq!(observed.recorder, result.recorder);
     }
 
     #[test]
@@ -1469,7 +1477,7 @@ mod tests {
                 assert!(a.feedback_corrupted > 0, "schedule never fired");
                 total_rejected += a.rejected_reports;
                 let b = run_session(ConstantTrace::new(4e6), cfg);
-                assert_eq!(a.recorder.records(), b.recorder.records());
+                assert_eq!(a.recorder, b.recorder);
                 assert_eq!(a.rejected_reports, b.rejected_reports);
                 assert_eq!(a.rejected_by_reason, b.rejected_by_reason);
                 assert_eq!(a.feedback_corrupted, b.feedback_corrupted);
@@ -1493,7 +1501,7 @@ mod tests {
             obs: ObsMode::Full,
             ..RunSpec::new(mk(), cfg)
         });
-        assert_eq!(off.recorder.records(), full.recorder.records());
+        assert_eq!(off.recorder, full.recorder);
         assert_eq!(off.events_processed, full.events_processed);
         assert_eq!(off.packets_delivered, full.packets_delivered);
         assert_eq!(off.violations, full.violations);
@@ -1587,7 +1595,7 @@ mod tests {
         );
         assert_eq!(a.violations, b.violations);
         assert_eq!(a.events_processed, b.events_processed);
-        assert_eq!(a.recorder.records(), b.recorder.records());
+        assert_eq!(a.recorder, b.recorder);
     }
 
     #[test]
@@ -1783,7 +1791,7 @@ mod tests {
             (1..=3).map(|seed| run_spec(spec(seed), &mut ws)).collect();
         assert_eq!(reused.len(), 3);
         for (i, (a, b)) in singles.iter().zip(reused.iter()).enumerate() {
-            assert_eq!(a.recorder.records(), b.recorder.records(), "session {i}");
+            assert_eq!(a.recorder, b.recorder, "session {i}");
             assert_eq!(a.events_processed, b.events_processed, "session {i}");
             assert_eq!(a.packets_delivered, b.packets_delivered, "session {i}");
             assert_eq!(a.frames_skipped, b.frames_skipped, "session {i}");

@@ -47,12 +47,6 @@ impl Resolution {
         self.width as u64 * self.height as u64
     }
 
-    /// Pixel count relative to 720p (the R–D model's reference), e.g.
-    /// 0.25 for 360p.
-    pub fn scale_vs_720p(self) -> f64 {
-        self.pixels() as f64 / Resolution::P720.pixels() as f64
-    }
-
     /// Index of this resolution on [`Resolution::LADDER`], if it is a
     /// standard rung.
     pub fn ladder_index(self) -> Option<usize> {
@@ -92,9 +86,11 @@ mod tests {
 
     #[test]
     fn scale_vs_720p_reference() {
-        assert!((Resolution::P720.scale_vs_720p() - 1.0).abs() < 1e-12);
-        assert!((Resolution::P360.scale_vs_720p() - 0.25).abs() < 1e-12);
-        assert!((Resolution::P1080.scale_vs_720p() - 2.25).abs() < 1e-12);
+        // The R–D model's reference is 720p: 360p carries a quarter of
+        // its pixels and 1080p 2.25 times as many.
+        let p720 = Resolution::P720.pixels();
+        assert_eq!(Resolution::P360.pixels() * 4, p720);
+        assert_eq!(Resolution::P1080.pixels() * 4, p720 * 9);
     }
 
     #[test]

@@ -119,15 +119,6 @@ impl ScriptedSource {
         Time::ZERO + self.frame_interval * index
     }
 
-    /// The content class on screen at `at`.
-    pub fn class_at(&self, at: Time) -> ContentClass {
-        let idx = self
-            .segments
-            .partition_point(|s| s.start <= at)
-            .saturating_sub(1);
-        self.segments[idx].class
-    }
-
     /// Produces the next frame. A segment switch forces a scene cut on
     /// its first frame (the screen content changed completely).
     pub fn next_frame(&mut self) -> RawFrame {
@@ -166,11 +157,19 @@ mod tests {
 
     #[test]
     fn timeline_classes() {
-        let s = meeting();
-        assert_eq!(s.class_at(Time::ZERO), ContentClass::TalkingHead);
-        assert_eq!(s.class_at(Time::from_secs(5)), ContentClass::ScreenShare);
-        assert_eq!(s.class_at(Time::from_secs(7)), ContentClass::ScreenShare);
-        assert_eq!(s.class_at(Time::from_secs(10)), ContentClass::TalkingHead);
+        // The class on screen once the frame at each pts is produced
+        // (25 fps puts a frame exactly on each switch).
+        let mut s = ScriptedSource::meeting(Time::from_secs(5), Time::from_secs(10), 25, 1);
+        let mut class_at = |at: Time| {
+            while s.pts_of(s.next_index) <= at {
+                s.next_frame();
+            }
+            s.segments[s.active].class
+        };
+        assert_eq!(class_at(Time::ZERO), ContentClass::TalkingHead);
+        assert_eq!(class_at(Time::from_secs(5)), ContentClass::ScreenShare);
+        assert_eq!(class_at(Time::from_secs(7)), ContentClass::ScreenShare);
+        assert_eq!(class_at(Time::from_secs(10)), ContentClass::TalkingHead);
     }
 
     #[test]

@@ -207,8 +207,7 @@ fn byte_conservation_packets_vs_frames() {
     let displayed = result
         .recorder
         .records()
-        .iter()
-        .filter(|r| r.latency().is_some())
+        .filter(|r| r.latency.is_some())
         .count() as u64;
     assert!(displayed <= result.frames_captured - result.frames_skipped);
 }

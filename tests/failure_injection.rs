@@ -23,16 +23,16 @@ fn assert_sane(result: &ravel::pipeline::SessionResult) {
     );
     for r in result.recorder.records() {
         assert!(
-            (0.0..=1.0).contains(&r.ssim()),
+            (0.0..=1.0).contains(&r.ssim),
             "SSIM out of range: {}",
-            r.ssim()
+            r.ssim
         );
-        if let Some(l) = r.latency() {
+        if let Some(l) = r.latency {
             // Nothing can arrive faster than propagation + render.
             assert!(
                 l >= Dur::millis(5),
                 "impossible latency {l} for frame at {:?}",
-                r.pts()
+                r.pts
             );
         }
     }
@@ -331,7 +331,7 @@ fn impaired_reverse_path_is_deterministic() {
     };
     let a = run_session(drop_trace(), mk());
     let b = run_session(drop_trace(), mk());
-    assert_eq!(a.recorder.records(), b.recorder.records());
+    assert_eq!(a.recorder, b.recorder);
     assert_eq!(a.reverse_lost, b.reverse_lost);
     assert_eq!(a.reverse_duplicates, b.reverse_duplicates);
     assert_eq!(a.reports_discarded, b.reports_discarded);

@@ -28,7 +28,7 @@ fn assert_invariants(result: &SessionResult) {
         result.frames_captured
     );
     for r in result.recorder.records() {
-        assert!((0.0..=1.0).contains(&r.ssim()));
+        assert!((0.0..=1.0).contains(&r.ssim));
     }
     for &(_, l) in &result.audio_latencies {
         assert!(l >= Dur::millis(20));
@@ -93,7 +93,7 @@ fn all_features_deterministic() {
     cfg.duration = Dur::secs(20);
     let a = run_session(mk(), cfg);
     let b = run_session(mk(), cfg);
-    assert_eq!(a.recorder.records(), b.recorder.records());
+    assert_eq!(a.recorder, b.recorder);
     assert_eq!(a.retransmissions, b.retransmissions);
     assert_eq!(a.fec_recovered, b.fec_recovered);
     assert_eq!(a.audio_latencies, b.audio_latencies);

@@ -48,10 +48,10 @@ proptest! {
             );
             let mut last_pts = Time::ZERO;
             for r in result.recorder.records() {
-                prop_assert!(r.pts() >= last_pts);
-                last_pts = r.pts();
-                prop_assert!((0.0..=1.0).contains(&r.ssim()));
-                if let Some(l) = r.latency() {
+                prop_assert!(r.pts >= last_pts);
+                last_pts = r.pts;
+                prop_assert!((0.0..=1.0).contains(&r.ssim));
+                if let Some(l) = r.latency {
                     // Latency is at least encode+render and at most the
                     // session length plus drain grace.
                     prop_assert!(l >= Dur::millis(5));
