@@ -32,10 +32,6 @@ impl CongestionController for FixedRate {
     fn name(&self) -> &'static str {
         "fixed"
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// TCP-flavoured loss-only AIMD: halve on any loss in a report, add a
@@ -80,10 +76,6 @@ impl CongestionController for NaiveAimd {
 
     fn name(&self) -> &'static str {
         "naive-aimd"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

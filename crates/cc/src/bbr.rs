@@ -218,10 +218,6 @@ impl CongestionController for Bbr {
     fn decision_reason(&self) -> &'static str {
         self.reason
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -78,21 +78,14 @@ impl Gcc {
         }
     }
 
-    /// The delay-based detector's current verdict (exposed for
-    /// experiment instrumentation).
-    pub fn detector_state(&self) -> crate::trendline::BandwidthUsage {
+    /// The delay-based detector's current verdict.
+    fn detector_state(&self) -> BandwidthUsage {
         self.trendline.state()
     }
 
     /// The current delivered-rate estimate, if any.
     pub fn delivered_bps(&mut self, now: Time) -> Option<f64> {
         self.throughput.rate_bps(now)
-    }
-
-    /// The trendline's latest modified trend in milliseconds (exposed
-    /// for experiment instrumentation).
-    pub fn trend_ms(&self) -> f64 {
-        self.trendline.modified_trend_ms()
     }
 }
 
@@ -142,10 +135,6 @@ impl CongestionController for Gcc {
             BandwidthUsage::Overusing => "gcc-overuse",
             BandwidthUsage::Underusing => "gcc-underuse",
         }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

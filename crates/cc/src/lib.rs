@@ -88,8 +88,4 @@ pub trait CongestionController {
     fn decision_reason(&self) -> &'static str {
         "feedback"
     }
-
-    /// Downcast hook so instrumentation can reach concrete controllers
-    /// (e.g. the session recorder logging GCC's detector state).
-    fn as_any(&self) -> &dyn std::any::Any;
 }

@@ -144,10 +144,6 @@ impl CongestionController for LossEma {
     fn decision_reason(&self) -> &'static str {
         self.reason
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

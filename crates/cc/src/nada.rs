@@ -208,10 +208,6 @@ impl CongestionController for Nada {
     fn decision_reason(&self) -> &'static str {
         self.reason
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -247,6 +243,88 @@ mod tests {
             generated_at: Time::from_millis(send_start_ms + n * 10 + owd_ms),
             packets,
         }
+    }
+
+    /// `got` within a relative 1e-12 of the hand-computed `want`.
+    fn assert_close(got: f64, want: f64) {
+        assert!(
+            (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+            "{got} != {want}"
+        );
+    }
+
+    #[test]
+    fn composite_signal_matches_hand_vectors() {
+        let mut cc = Nada::new(NadaConfig::new(1e6));
+        // A clean report at 20 ms OWD sets the base: x = 0.
+        cc.on_feedback(&report(0, 10, 0, 20, None), Time::from_millis(100));
+        assert_eq!(cc.x_prev_ms, 0.0);
+        // 2 of 10 lost at 35 ms OWD: d_queue = 15 ms, p_loss = 0.1·0.2
+        // = 0.02, so x = 15 + 10·(0.02/0.01)² = 15 + 40 = 55 ms.
+        cc.on_feedback(&report(10, 10, 100, 35, Some(5)), Time::from_millis(200));
+        assert_close(cc.p_loss, 0.02);
+        assert_close(cc.x_prev_ms, 55.0);
+
+        // Reports with every packet lost carry no delay, so x is the
+        // penalty alone: p_loss = 0.1, 0.19, 0.271, 0.3439 gives
+        // 10·10² = 1000, 10·19² = 3610, 10·27.1² = 7344.1, and then
+        // 10·34.39² = 11826.97, which the cap holds at 10 000 ms.
+        let mut cc = Nada::new(NadaConfig::new(1e6));
+        for (i, want) in [1000.0, 3610.0, 7344.1, 10_000.0].into_iter().enumerate() {
+            let i = i as u64;
+            cc.on_feedback(
+                &report(i * 10, 10, i * 100, 20, Some(1)),
+                Time::from_millis((i + 1) * 100),
+            );
+            assert_close(cc.x_prev_ms, want);
+        }
+    }
+
+    #[test]
+    fn ramp_up_factor_matches_hand_vectors() {
+        // OWD 20 ms: rtt = 2·20 = 40 ms. The first report assumes
+        // δ = 100 ms, so γ = 50/(40 + 100) = 5/14; the next comes
+        // δ = 200 ms later, so γ = 50/(40 + 200) = 5/24.
+        let mut cc = Nada::new(NadaConfig::new(1e6));
+        let r1 = cc.on_feedback(&report(0, 10, 0, 20, None), Time::from_millis(100));
+        assert_close(r1, 1e6 * 19.0 / 14.0);
+        let r2 = cc.on_feedback(&report(10, 10, 100, 20, None), Time::from_millis(300));
+        assert_close(r2, 1e6 * 19.0 / 14.0 * 29.0 / 24.0);
+        assert_eq!(cc.decision_reason(), "nada-rampup");
+
+        // OWD 5 ms: rtt is floored at 10 ms. γ = 50/(10 + 100) = 5/11,
+        // then δ = 50 ms gives 50/60 > GAMMA_MAX, so γ = 0.5.
+        let mut cc = Nada::new(NadaConfig::new(1e6));
+        let r1 = cc.on_feedback(&report(0, 10, 0, 5, None), Time::from_millis(100));
+        assert_close(r1, 1e6 * 16.0 / 11.0);
+        let r2 = cc.on_feedback(&report(10, 10, 100, 5, None), Time::from_millis(150));
+        assert_close(r2, 1e6 * 16.0 / 11.0 * 1.5);
+    }
+
+    #[test]
+    fn gradual_step_matches_hand_vectors() {
+        // The step is the module doc's
+        // r ← r·(1 − κ·(δ/τ)·(x_offset + η·x_diff)/τ), clamped to ±50%,
+        // with κ = 0.5, η = 2, τ = 500 ms and XREF = 10 ms.
+        let mut cc = Nada::new(NadaConfig::new(2e6));
+        // Clean at 20 ms OWD: ramp by γ = 5/14, and x_prev = 0.
+        let r1 = cc.on_feedback(&report(0, 10, 0, 20, None), Time::from_millis(100));
+        assert_close(r1, 2e6 * 19.0 / 14.0);
+        // OWD 50 ms, δ = 100 ms: x = 30, x_offset = 20, x_diff = 30,
+        // adjust = 0.5·0.2·(20 + 60)/500 = 0.016.
+        let r2 = cc.on_feedback(&report(10, 10, 100, 50, None), Time::from_millis(200));
+        assert_close(r2, r1 * 0.984);
+        assert_eq!(cc.decision_reason(), "nada-gradual");
+        // OWD 320 ms, δ = 500 ms: x = 300, x_offset = 290, x_diff = 270,
+        // adjust = 0.5·1·(290 + 540)/500 = 0.83, clamped to 0.5.
+        let r3 = cc.on_feedback(&report(20, 10, 200, 320, None), Time::from_millis(700));
+        assert_close(r3, r2 * 0.5);
+        // OWD 32 ms, δ = 500 ms: x = 12 (not under QEPS, so still
+        // gradual), x_offset = 2, x_diff = −288,
+        // adjust = 0.5·(2 − 576)/500 = −0.574, clamped to −0.5.
+        let r4 = cc.on_feedback(&report(30, 10, 300, 32, None), Time::from_millis(1200));
+        assert_close(r4, r3 * 1.5);
+        assert_eq!(cc.decision_reason(), "nada-gradual");
     }
 
     #[test]

@@ -285,6 +285,47 @@ mod tests {
                 );
             }
         }
+
+        /// Finite packet-group deltas keep the modified trend and γ
+        /// finite, and every verdict agrees with the trend against the
+        /// γ it was judged by: underuse below −γ, normal within ±γ, and
+        /// overuse only above γ (where an unconfirmed rise keeps the
+        /// previous verdict, as in libwebrtc).
+        #[test]
+        fn finite_deltas_keep_trend_finite_and_verdict_valid(
+            deltas in proptest::collection::vec((-1f64..1.0, 0u64..200), 0..120),
+            log_scale in -2f64..6.0,
+        ) {
+            // Variations of up to 10^log_scale ms, so a case may be a
+            // quiet path or a wild one; about half the groups arrive at
+            // the previous group's instant.
+            let scale = 10f64.powf(log_scale);
+            let mut est = TrendlineEstimator::new();
+            let mut at_ms = 0;
+            for (i, &(unit, gap_ms)) in deltas.iter().enumerate() {
+                at_ms += gap_ms.saturating_sub(100);
+                let gamma = est.threshold_ms();
+                let verdict = est.update(&delta(unit * scale, at_ms));
+                let trend = est.modified_trend_ms();
+                proptest::prop_assert!(trend.is_finite(), "trend {} after delta {}", trend, i);
+                proptest::prop_assert!(
+                    (6.0..=600.0).contains(&est.threshold_ms()),
+                    "threshold {} after delta {}",
+                    est.threshold_ms(),
+                    i
+                );
+                proptest::prop_assert_eq!(verdict, est.state());
+                if trend < -gamma {
+                    proptest::prop_assert_eq!(verdict, BandwidthUsage::Underusing);
+                }
+                if verdict == BandwidthUsage::Overusing {
+                    proptest::prop_assert!(trend > gamma, "overuse at trend {} ≤ γ {}", trend, gamma);
+                }
+                if trend.abs() <= gamma {
+                    proptest::prop_assert_eq!(verdict, BandwidthUsage::Normal);
+                }
+            }
+        }
     }
 
     #[test]

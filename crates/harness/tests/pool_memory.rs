@@ -16,24 +16,27 @@ use ravel_sim::Dur;
 #[global_allocator]
 static ALLOC: heap::Counting = heap::Counting;
 
-/// One 60 s LTE-like call per arena controller, recorded in full: the
+/// One 90 s LTE-like call per arena controller, recorded in full: the
 /// obs log and the per-frame series dominate each result. (At 10 s the
 /// compact obs log no longer outweighs a running session's working
-/// memory, and the ratio below would measure that instead of the pool.)
+/// memory, and the ratio below would measure that instead of the pool.
+/// At 60 s, two sessions finishing together can already reach 1.5 with
+/// only the five recorded series; at 90 s one session's working memory
+/// is about a fifth of what the pool returns.)
 fn recorded_calls() -> Vec<Cell> {
     [CcKind::Gcc, CcKind::Nada, CcKind::Bbr, CcKind::LossEma]
         .into_iter()
         .enumerate()
         .map(|(i, cc)| {
             let mut cfg = SessionConfig::default_with(Scheme::cc_adaptive(cc));
-            cfg.duration = Dur::secs(60);
+            cfg.duration = Dur::secs(90);
             cfg.record_series = true;
             cfg.seed = 11 + i as u64;
             Cell {
                 label: format!("call/{}", cc.cc_name()),
                 trace: TraceSpec::LteLike {
                     seed: 23 + i as u64,
-                    len: Dur::secs(60),
+                    len: Dur::secs(90),
                 },
                 cfg,
                 contracts: None,

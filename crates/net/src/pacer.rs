@@ -81,7 +81,8 @@ impl Pacer {
     }
 
     /// Expected time to drain the current queue at the effective rate.
-    pub fn drain_time(&self) -> Dur {
+    #[cfg(test)]
+    fn drain_time(&self) -> Dur {
         Dur::for_bits(self.queued_bytes * 8, self.effective_rate_bps())
     }
 

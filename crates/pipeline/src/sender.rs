@@ -262,7 +262,6 @@ impl Sender {
                     ctx.obs.record(now, || ObsEvent::KeyframeEmitted);
                 }
                 if ctx.cfg.record_series {
-                    ctx.series.push(Series::Qp, now, encoded.qp.value());
                     let send_rate = encoded.size_bits() as f64 * ctx.cfg.fps as f64;
                     ctx.series.push(Series::SendRateBps, now, send_rate);
                 }
@@ -445,21 +444,9 @@ impl Sender {
         }
         if ctx.cfg.record_series {
             let series = &mut ctx.series;
-            series.push(Series::GccTargetBps, now, gcc_target);
-            if let Some(gcc) = self.cc.as_any().downcast_ref::<ravel_cc::Gcc>() {
-                let state = match gcc.detector_state() {
-                    ravel_cc::BandwidthUsage::Normal => 0.0,
-                    ravel_cc::BandwidthUsage::Overusing => 1.0,
-                    ravel_cc::BandwidthUsage::Underusing => -1.0,
-                };
-                series.push(Series::GccDetector, now, state);
-                series.push(Series::GccTrendMs, now, gcc.trend_ms());
-            }
             series.push(Series::CapacityBps, now, path.link.rate_bps(now));
             let link_queue = path.link.queue_delay(now);
             series.push(Series::LinkQueueMs, now, link_queue.as_millis_f64());
-            let pacer_queue = self.pacer.drain_time();
-            series.push(Series::PacerQueueMs, now, pacer_queue.as_millis_f64());
         }
     }
 

@@ -28,7 +28,7 @@ use crate::invariants::{Invariant, InvariantChecker, InvariantViolation};
 use crate::path::Path;
 use crate::queue::{Event, Queue};
 use crate::receiver::{Receiver, NACK_POLL_EVERY};
-use crate::scheme::{CcKind, Scheme};
+use crate::scheme::Scheme;
 use crate::sender::{Sender, SentFrame};
 
 /// Everything one experiment run needs to know.
@@ -526,7 +526,7 @@ impl Ctx {
 /// backoffs, which add `target_bps` samples, fire only while reports
 /// are missing). The per-report room is capped at one per frame, so a
 /// tiny feedback interval cannot reserve more than the frames do; its
-/// series simply grow. GCC's own series get room only when GCC runs.
+/// series simply grow.
 fn presized_series(cfg: &SessionConfig) -> SeriesSet {
     let frames = cfg.expected_frames();
     let flush_every = cfg.feedback_interval.max(Dur::MILLI);
@@ -534,8 +534,7 @@ fn presized_series(cfg: &SessionConfig) -> SeriesSet {
     let mut set = SeriesSet::new();
     for series in Series::ALL {
         let samples = match series {
-            Series::FrameLatencyMs | Series::Qp | Series::SendRateBps => frames,
-            Series::GccDetector | Series::GccTrendMs if cfg.scheme.cc != CcKind::Gcc => 0,
+            Series::FrameLatencyMs | Series::SendRateBps => frames,
             _ => flushes,
         };
         set.reserve(series, samples);
@@ -1132,15 +1131,7 @@ mod tests {
         let mut cfg = short_cfg(Scheme::adaptive());
         cfg.record_series = true;
         let result = run_session(StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10)), cfg);
-        for series in [
-            Series::TargetBps,
-            Series::GccTargetBps,
-            Series::CapacityBps,
-            Series::LinkQueueMs,
-            Series::Qp,
-            Series::SendRateBps,
-            Series::FrameLatencyMs,
-        ] {
+        for series in Series::ALL {
             assert!(result.series.get(series).is_some(), "{series:?} missing");
         }
     }

@@ -43,35 +43,6 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// Mean of all sample values (0.0 for an empty series).
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-    }
-
-    /// Maximum sample value.
-    pub fn max(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Minimum sample value.
-    pub fn min(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Last sample value, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
-    }
-
     /// Mean over the samples that fall in `[from, to)`. Points are in
     /// time order, so the window is located by binary search and summed
     /// in place — no intermediate allocation.
@@ -95,19 +66,8 @@ pub enum Series {
     CapacityBps,
     /// Each received frame's latency, at its capture time, ms.
     FrameLatencyMs,
-    /// GCC's detector at each accepted report: 1 overusing, 0 normal,
-    /// −1 underusing.
-    GccDetector,
-    /// The congestion controller's rate at each accepted report, bits/s.
-    GccTargetBps,
-    /// GCC's modified trend at each accepted report, ms.
-    GccTrendMs,
     /// Link queueing delay at each accepted report, ms.
     LinkQueueMs,
-    /// Pacer drain time at each accepted report, ms.
-    PacerQueueMs,
-    /// Each encoded frame's QP.
-    Qp,
     /// Each encoded frame's size times the frame rate, bits/s.
     SendRateBps,
     /// The encoder target after every retarget, bits/s.
@@ -116,15 +76,10 @@ pub enum Series {
 
 impl Series {
     /// Every kind, in name order.
-    pub const ALL: [Series; 10] = [
+    pub const ALL: [Series; 5] = [
         Series::CapacityBps,
         Series::FrameLatencyMs,
-        Series::GccDetector,
-        Series::GccTargetBps,
-        Series::GccTrendMs,
         Series::LinkQueueMs,
-        Series::PacerQueueMs,
-        Series::Qp,
         Series::SendRateBps,
         Series::TargetBps,
     ];
@@ -134,12 +89,7 @@ impl Series {
         match self {
             Series::CapacityBps => "capacity_bps",
             Series::FrameLatencyMs => "frame_latency_ms",
-            Series::GccDetector => "gcc_detector",
-            Series::GccTargetBps => "gcc_target_bps",
-            Series::GccTrendMs => "gcc_trend_ms",
             Series::LinkQueueMs => "link_queue_ms",
-            Series::PacerQueueMs => "pacer_queue_ms",
-            Series::Qp => "qp",
             Series::SendRateBps => "send_rate_bps",
             Series::TargetBps => "target_bps",
         }
@@ -200,10 +150,8 @@ mod tests {
         s.push(ms(10), 3.0);
         s.push(ms(20), 5.0);
         assert_eq!(s.len(), 3);
-        assert!((s.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(s.max(), 5.0);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.last(), Some(5.0));
+        assert_eq!(s.points().last(), Some(&(ms(20), 5.0)));
+        assert!((s.mean_in(ms(0), ms(30)) - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -255,6 +203,6 @@ mod tests {
         let names: Vec<&str> = set.iter().map(|(s, _)| s.name()).collect();
         assert_eq!(names, ["capacity_bps", "target_bps"]);
         assert_eq!(set.get(Series::TargetBps).map(TimeSeries::len), Some(2));
-        assert!(set.get(Series::Qp).is_none());
+        assert!(set.get(Series::LinkQueueMs).is_none());
     }
 }

@@ -6,6 +6,11 @@
 //! It covers the full JSON grammar (objects, arrays, strings with
 //! escapes, numbers, literals) but keeps every number as `f64`, which is
 //! exactly what both formats need.
+//!
+//! Only tests call [`parse`] and the `Json` accessors. They stay here on
+//! purpose: the parser is the reference oracle for the writer. This
+//! module's never-panic and round-trip tests and the report and timeline
+//! tests read the writer's output back through it.
 
 use std::fmt::Write as _;
 
