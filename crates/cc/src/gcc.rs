@@ -82,11 +82,6 @@ impl Gcc {
     fn detector_state(&self) -> BandwidthUsage {
         self.trendline.state()
     }
-
-    /// The current delivered-rate estimate, if any.
-    pub fn delivered_bps(&mut self, now: Time) -> Option<f64> {
-        self.throughput.rate_bps(now)
-    }
 }
 
 impl CongestionController for Gcc {

@@ -26,11 +26,22 @@
 //!   (`x_offset`) steers the standing signal toward `XREF`.
 //!
 //! Deviations from the RFC, in the spirit of this repo's behavioural
-//! ports: no sender-side pacing/video-jitter shaping (the pipeline's
-//! pacer owns that), δ comes from feedback-report spacing rather than a
-//! dedicated timer, and the RTT is proxied from twice the base one-way
-//! delay since the simulator's reverse path is not separately measured
-//! here.
+//! ports:
+//!
+//! * no sender-side pacing/video-jitter shaping (the pipeline's pacer
+//!   owns that);
+//! * δ comes from feedback-report spacing rather than a dedicated timer;
+//! * the RTT is proxied from twice the base one-way delay, since the
+//!   simulator's reverse path is not separately measured here;
+//! * the gradual step scales the `x_diff` term by δ/τ as well, where
+//!   §4.3's eq. (7) applies `κ·η·x_diff/τ` without it;
+//! * `x_offset` is taken against a fixed `XREF`, not against
+//!   `PRIO·XREF·RMAX/r_ref`;
+//! * ramp-up multiplies the current rate by `1 + γ`, with γ over
+//!   `rtt + δ`, where §4.3 takes `max(r_ref, (1 + γ)·r_recv)` with γ
+//!   over `rtt + DELTA + DFILT`.
+//!
+//! The hand vectors in this module's tests pin the law as written here.
 
 use ravel_net::FeedbackReport;
 use ravel_sim::Time;

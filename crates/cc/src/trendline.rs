@@ -96,16 +96,6 @@ impl TrendlineEstimator {
         self.state
     }
 
-    /// The most recent modified trend (ms).
-    pub fn modified_trend_ms(&self) -> f64 {
-        self.last_trend
-    }
-
-    /// The current adaptive threshold (ms).
-    pub fn threshold_ms(&self) -> f64 {
-        self.threshold_ms
-    }
-
     /// Feeds one inter-group delta; returns the updated state.
     pub fn update(&mut self, delta: &PacketGroupDelta) -> BandwidthUsage {
         self.num_deltas += 1;
@@ -304,14 +294,14 @@ mod tests {
             let mut at_ms = 0;
             for (i, &(unit, gap_ms)) in deltas.iter().enumerate() {
                 at_ms += gap_ms.saturating_sub(100);
-                let gamma = est.threshold_ms();
+                let gamma = est.threshold_ms;
                 let verdict = est.update(&delta(unit * scale, at_ms));
-                let trend = est.modified_trend_ms();
+                let trend = est.last_trend;
                 proptest::prop_assert!(trend.is_finite(), "trend {} after delta {}", trend, i);
                 proptest::prop_assert!(
-                    (6.0..=600.0).contains(&est.threshold_ms()),
+                    (6.0..=600.0).contains(&est.threshold_ms),
                     "threshold {} after delta {}",
-                    est.threshold_ms(),
+                    est.threshold_ms,
                     i
                 );
                 proptest::prop_assert_eq!(verdict, est.state());
@@ -336,35 +326,35 @@ mod tests {
         let primed = || {
             let mut est = TrendlineEstimator::new();
             est.adapt_threshold(12.5, ms(0));
-            assert_eq!(est.threshold_ms(), 12.5);
+            assert_eq!(est.threshold_ms, 12.5);
             est
         };
         // 5 ms later, a trend of 20 (above γ) raises γ with k_up:
         // 12.5 + 0.0087 · (20 − 12.5) · 5 = 12.82625.
         let mut est = primed();
         est.adapt_threshold(20.0, ms(5));
-        assert!((est.threshold_ms() - 12.82625).abs() < 1e-12);
+        assert!((est.threshold_ms - 12.82625).abs() < 1e-12);
         // A trend of −10 (|−10| below γ) lowers it with k_down:
         // 12.5 + 0.039 · (10 − 12.5) · 5 = 12.0125.
         let mut est = primed();
         est.adapt_threshold(-10.0, ms(5));
-        assert!((est.threshold_ms() - 12.0125).abs() < 1e-12);
+        assert!((est.threshold_ms - 12.0125).abs() < 1e-12);
         // A trend more than 15 ms above γ is an outlier: γ stays, but
         // the clock moves, so the next step spans 5 ms, not 10.
         let mut est = primed();
         est.adapt_threshold(28.0, ms(5));
-        assert_eq!(est.threshold_ms(), 12.5);
+        assert_eq!(est.threshold_ms, 12.5);
         est.adapt_threshold(20.0, ms(10));
-        assert!((est.threshold_ms() - 12.82625).abs() < 1e-12);
+        assert!((est.threshold_ms - 12.82625).abs() < 1e-12);
         // Steps longer than 100 ms count as 100 ms:
         // 12.5 + 0.0087 · 1 · 100 = 13.37.
         let mut est = primed();
         est.adapt_threshold(13.5, ms(500));
-        assert!((est.threshold_ms() - 13.37).abs() < 1e-12);
+        assert!((est.threshold_ms - 13.37).abs() < 1e-12);
         // γ never leaves [6, 600]: 12.5 − 0.039 · 12.5 · 100 < 6.
         let mut est = primed();
         est.adapt_threshold(0.0, ms(100));
-        assert_eq!(est.threshold_ms(), 6.0);
+        assert_eq!(est.threshold_ms, 6.0);
     }
 
     #[test]
@@ -415,11 +405,7 @@ mod tests {
                 break;
             }
         }
-        assert!(
-            overused,
-            "never detected overuse; trend {}",
-            est.modified_trend_ms()
-        );
+        assert!(overused, "never detected overuse; trend {}", est.last_trend);
     }
 
     #[test]
@@ -452,12 +438,12 @@ mod tests {
     #[test]
     fn threshold_adapts_down_on_quiet_path() {
         let mut est = TrendlineEstimator::new();
-        let initial = est.threshold_ms();
+        let initial = est.threshold_ms;
         for i in 0..300 {
             est.update(&delta(0.0, i * 10));
         }
-        assert!(est.threshold_ms() < initial);
-        assert!(est.threshold_ms() >= 6.0);
+        assert!(est.threshold_ms < initial);
+        assert!(est.threshold_ms >= 6.0);
     }
 
     #[test]

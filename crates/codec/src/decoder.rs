@@ -13,7 +13,17 @@
 //! noticeable for one frame; frozen sports is not) — this is how the
 //! baseline's overshoot-induced losses turn into the measured SSIM gap.
 
-use crate::frame::{EncodedFrame, FrameType};
+use crate::frame::FrameType;
+
+/// What the decoder reads of an encoded frame: its type, which decides
+/// whether it needs a decoded reference, and the SSIM it displays at.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decodable {
+    /// Intra or predicted.
+    pub frame_type: FrameType,
+    /// Modelled encode quality of the frame.
+    pub ssim: f64,
+}
 
 /// What happened to one frame at the receiver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,8 +59,8 @@ impl DecodeOutcome {
 /// Reference-chain tracking decoder.
 #[derive(Debug, Clone)]
 pub struct Decoder {
-    /// Index of the last successfully decoded frame.
-    last_decoded: Option<u64>,
+    /// True once a frame has decoded: a P-frame needs a reference.
+    has_reference: bool,
     /// True when a P-frame's reference is missing; cleared by an I-frame.
     chain_broken: bool,
     /// SSIM of the image currently on screen (vs. its own source frame).
@@ -74,7 +84,7 @@ impl Decoder {
     /// Creates a decoder with the default freeze-decay model.
     pub fn new() -> Decoder {
         Decoder {
-            last_decoded: None,
+            has_reference: false,
             chain_broken: false,
             screen_ssim: 0.0,
             freeze_decay_per_frame: 0.05,
@@ -115,7 +125,7 @@ impl Decoder {
     /// stale looks about as wrong as one 0.5 s stale.
     pub fn feed_late(
         &mut self,
-        frame: &EncodedFrame,
+        frame: Decodable,
         staleness_frames: f64,
         temporal_complexity: f64,
     ) -> DecodeOutcome {
@@ -126,13 +136,13 @@ impl Decoder {
         }
         let decodable = match frame.frame_type {
             FrameType::I => true,
-            FrameType::P => !self.chain_broken && self.last_decoded.is_some(),
+            FrameType::P => !self.chain_broken && self.has_reference,
         };
         if !decodable {
             // feed(None) breaks the chain (and counts the transition).
             return self.feed(None, true, temporal_complexity);
         }
-        self.last_decoded = Some(frame.index);
+        self.has_reference = true;
         self.screen_ssim = frame.ssim;
         self.frames_frozen_run = 0;
         self.total_frozen += 1;
@@ -167,14 +177,14 @@ impl Decoder {
     ///   used to price a freeze.
     pub fn feed(
         &mut self,
-        frame: Option<&EncodedFrame>,
+        frame: Option<Decodable>,
         on_time: bool,
         temporal_complexity: f64,
     ) -> DecodeOutcome {
         let decodable = match frame {
             Some(f) if on_time => match f.frame_type {
                 FrameType::I => true,
-                FrameType::P => !self.chain_broken && self.last_decoded.is_some(),
+                FrameType::P => !self.chain_broken && self.has_reference,
             },
             _ => false,
         };
@@ -184,7 +194,7 @@ impl Decoder {
             if f.frame_type.is_intra() {
                 self.chain_broken = false;
             }
-            self.last_decoded = Some(f.index);
+            self.has_reference = true;
             self.screen_ssim = f.ssim;
             self.frames_frozen_run = 0;
             self.total_displayed += 1;
@@ -210,31 +220,16 @@ impl Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qp::Qp;
-    use ravel_sim::{Dur, Time};
-    use ravel_video::Resolution;
 
-    fn frame(index: u64, frame_type: FrameType, ssim: f64) -> EncodedFrame {
-        EncodedFrame {
-            index,
-            pts: Time::from_millis(index * 33),
-            encoded_at: Time::from_millis(index * 33 + 5),
-            frame_type,
-            size_bytes: 5_000,
-            qp: Qp::TYPICAL,
-            ssim,
-            psnr_db: 40.0,
-            encode_time: Dur::millis(5),
-            encode_resolution: Resolution::P720,
-            temporal_layer: 0,
-        }
+    fn frame(frame_type: FrameType, ssim: f64) -> Decodable {
+        Decodable { frame_type, ssim }
     }
 
     #[test]
     fn normal_playout_displays() {
         let mut d = Decoder::new();
-        let out0 = d.feed(Some(&frame(0, FrameType::I, 0.96)), true, 0.35);
-        let out1 = d.feed(Some(&frame(1, FrameType::P, 0.95)), true, 0.35);
+        let out0 = d.feed(Some(frame(FrameType::I, 0.96)), true, 0.35);
+        let out1 = d.feed(Some(frame(FrameType::P, 0.95)), true, 0.35);
         assert_eq!(out0, DecodeOutcome::Displayed { ssim: 0.96 });
         assert_eq!(out1, DecodeOutcome::Displayed { ssim: 0.95 });
         assert_eq!(d.total_displayed(), 2);
@@ -244,18 +239,18 @@ mod tests {
     #[test]
     fn first_frame_p_cannot_decode() {
         let mut d = Decoder::new();
-        let out = d.feed(Some(&frame(0, FrameType::P, 0.95)), true, 0.35);
+        let out = d.feed(Some(frame(FrameType::P, 0.95)), true, 0.35);
         assert!(!out.is_displayed());
     }
 
     #[test]
     fn missing_frame_freezes_and_breaks_chain() {
         let mut d = Decoder::new();
-        d.feed(Some(&frame(0, FrameType::I, 0.96)), true, 0.35);
+        d.feed(Some(frame(FrameType::I, 0.96)), true, 0.35);
         let out1 = d.feed(None, true, 0.35);
         assert!(!out1.is_displayed());
         // Subsequent P cannot decode even though it arrived fine.
-        let out2 = d.feed(Some(&frame(2, FrameType::P, 0.95)), true, 0.35);
+        let out2 = d.feed(Some(frame(FrameType::P, 0.95)), true, 0.35);
         assert!(!out2.is_displayed());
         assert!(d.chain_broken());
     }
@@ -263,7 +258,7 @@ mod tests {
     #[test]
     fn chain_breaks_count_transitions_not_slots() {
         let mut d = Decoder::new();
-        d.feed(Some(&frame(0, FrameType::I, 0.96)), true, 0.35);
+        d.feed(Some(frame(FrameType::I, 0.96)), true, 0.35);
         assert_eq!(d.chain_breaks(), 0);
         // Three consecutive missing slots are ONE break.
         d.feed(None, true, 0.35);
@@ -271,7 +266,7 @@ mod tests {
         d.feed(None, true, 0.35);
         assert_eq!(d.chain_breaks(), 1);
         // Repair, then break again: second transition.
-        d.feed(Some(&frame(4, FrameType::I, 0.94)), true, 0.35);
+        d.feed(Some(frame(FrameType::I, 0.94)), true, 0.35);
         d.feed(None, true, 0.35);
         assert_eq!(d.chain_breaks(), 2);
     }
@@ -279,35 +274,35 @@ mod tests {
     #[test]
     fn i_frame_repairs_chain() {
         let mut d = Decoder::new();
-        d.feed(Some(&frame(0, FrameType::I, 0.96)), true, 0.35);
+        d.feed(Some(frame(FrameType::I, 0.96)), true, 0.35);
         d.feed(None, true, 0.35);
-        d.feed(Some(&frame(2, FrameType::P, 0.95)), true, 0.35);
-        let out = d.feed(Some(&frame(3, FrameType::I, 0.94)), true, 0.35);
+        d.feed(Some(frame(FrameType::P, 0.95)), true, 0.35);
+        let out = d.feed(Some(frame(FrameType::I, 0.94)), true, 0.35);
         assert!(out.is_displayed());
         assert!(!d.chain_broken());
-        let next = d.feed(Some(&frame(4, FrameType::P, 0.95)), true, 0.35);
+        let next = d.feed(Some(frame(FrameType::P, 0.95)), true, 0.35);
         assert!(next.is_displayed());
     }
 
     #[test]
     fn late_frame_counts_as_missing() {
         let mut d = Decoder::new();
-        d.feed(Some(&frame(0, FrameType::I, 0.96)), true, 0.35);
-        let out = d.feed(Some(&frame(1, FrameType::P, 0.95)), false, 0.35);
+        d.feed(Some(frame(FrameType::I, 0.96)), true, 0.35);
+        let out = d.feed(Some(frame(FrameType::P, 0.95)), false, 0.35);
         assert!(!out.is_displayed());
     }
 
     #[test]
     fn freeze_quality_decays_with_motion() {
         let mut d = Decoder::new();
-        d.feed(Some(&frame(0, FrameType::I, 0.96)), true, 1.0);
+        d.feed(Some(frame(FrameType::I, 0.96)), true, 1.0);
         let f1 = d.feed(None, true, 1.0).displayed_ssim();
         let f2 = d.feed(None, true, 1.0).displayed_ssim();
         let f3 = d.feed(None, true, 1.0).displayed_ssim();
         assert!(f1 > f2 && f2 > f3, "freeze should decay: {f1} {f2} {f3}");
         // High motion decays faster than low motion.
         let mut d2 = Decoder::new();
-        d2.feed(Some(&frame(0, FrameType::I, 0.96)), true, 0.05);
+        d2.feed(Some(frame(FrameType::I, 0.96)), true, 0.05);
         let slow = d2.feed(None, true, 0.05).displayed_ssim();
         assert!(slow > f1);
     }
@@ -315,7 +310,7 @@ mod tests {
     #[test]
     fn freeze_floors_at_minimum() {
         let mut d = Decoder::new();
-        d.feed(Some(&frame(0, FrameType::I, 0.96)), true, 2.0);
+        d.feed(Some(frame(FrameType::I, 0.96)), true, 2.0);
         let mut last = 1.0;
         for _ in 0..100 {
             last = d.feed(None, true, 2.0).displayed_ssim();
@@ -326,10 +321,10 @@ mod tests {
     #[test]
     fn recovery_resets_freeze_run() {
         let mut d = Decoder::new();
-        d.feed(Some(&frame(0, FrameType::I, 0.96)), true, 1.0);
+        d.feed(Some(frame(FrameType::I, 0.96)), true, 1.0);
         d.feed(None, true, 1.0);
         d.feed(None, true, 1.0);
-        d.feed(Some(&frame(3, FrameType::I, 0.93)), true, 1.0);
+        d.feed(Some(frame(FrameType::I, 0.93)), true, 1.0);
         // A fresh freeze starts shallow again.
         let f = d.feed(None, true, 1.0).displayed_ssim();
         assert!(f > 0.8, "freeze after recovery too deep: {f}");

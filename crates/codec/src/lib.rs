@@ -44,7 +44,7 @@ pub mod ratecontrol;
 pub mod rd;
 pub mod vbv;
 
-pub use decoder::{DecodeOutcome, Decoder};
+pub use decoder::{Decodable, DecodeOutcome, Decoder};
 pub use encoder::{Encoder, EncoderConfig};
 pub use frame::{EncodedFrame, FrameType};
 pub use qp::Qp;

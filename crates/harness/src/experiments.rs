@@ -426,25 +426,31 @@ pub fn e3() -> Experiment {
             for (scheme, run) in schemes.iter().zip(runs) {
                 out.push_str(&format!("# scheme={}\n", scheme.name()));
                 out.push_str("time_s,capacity_mbps,target_mbps,send_mbps,queue_ms,latency_ms\n");
-                let get = |series| run.result.series.get(series).expect("series recorded");
+                // 100 ms windows, each series decoded once.
+                let windows = (0..120u64).map(|step| {
+                    let at = |k| window_start + Dur::millis(k * 100);
+                    (at(step), at(step + 1))
+                });
+                let means = |series| {
+                    let s = run.result.series.get(series).expect("series recorded");
+                    s.window_means(windows.clone())
+                };
                 let (cap, tgt, snd, q, lat) = (
-                    get(Series::CapacityBps),
-                    get(Series::TargetBps),
-                    get(Series::SendRateBps),
-                    get(Series::LinkQueueMs),
-                    get(Series::FrameLatencyMs),
+                    means(Series::CapacityBps),
+                    means(Series::TargetBps),
+                    means(Series::SendRateBps),
+                    means(Series::LinkQueueMs),
+                    means(Series::FrameLatencyMs),
                 );
-                for step in 0..120u64 {
-                    let t = window_start + Dur::millis(step * 100);
-                    let w = window_start + Dur::millis((step + 1) * 100);
+                for (i, (t, _)) in windows.clone().enumerate() {
                     out.push_str(&format!(
                         "{:.1},{:.3},{:.3},{:.3},{:.1},{:.1}\n",
                         t.as_secs_f64(),
-                        cap.mean_in(t, w) / 1e6,
-                        tgt.mean_in(t, w) / 1e6,
-                        snd.mean_in(t, w) / 1e6,
-                        q.mean_in(t, w),
-                        lat.mean_in(t, w),
+                        cap[i] / 1e6,
+                        tgt[i] / 1e6,
+                        snd[i] / 1e6,
+                        q[i],
+                        lat[i],
                     ));
                 }
                 out.push('\n');
@@ -993,13 +999,15 @@ pub fn e16() -> Experiment {
         g.row([cell], move |[run]| {
             let send = run.result.series.get(Series::SendRateBps).expect("series");
             // Mean send rate over the 2 s starting `offset_s` after
-            // the recovery instant, in bits/second.
-            let rate_at = |offset_s: u64| {
-                send.mean_in(
+            // the recovery instant, in bits/second, for each offset the
+            // row reads; the series is decoded once.
+            let rates = send.window_means((0..25u64).map(|offset_s| {
+                (
                     E16_RECOVER_AT + Dur::secs(offset_s),
                     E16_RECOVER_AT + Dur::secs(offset_s + 2),
                 )
-            };
+            }));
+            let rate_at = |offset_s: u64| rates[offset_s as usize];
             // Time until the 2s-smoothed send rate first reaches 90% of
             // the pre-drop 4 Mbps (capped at the session tail).
             let t90 = (0..25u64).find(|&s| rate_at(s) >= 0.9 * PRE_RATE);

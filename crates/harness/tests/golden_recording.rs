@@ -69,7 +69,7 @@ fn digest_line(label: &str, r: &SessionResult) -> String {
     let mut points = 0;
     for (kind, series) in r.series.iter() {
         let _ = write!(h, "{}:", kind.name());
-        for &(at, v) in series.points() {
+        for (at, v) in series.points() {
             let _ = write!(h, "{},{:x};", at.as_micros(), v.to_bits());
             points += 1;
         }

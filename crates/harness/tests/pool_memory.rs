@@ -17,12 +17,13 @@ use ravel_sim::Dur;
 static ALLOC: heap::Counting = heap::Counting;
 
 /// One 90 s LTE-like call per arena controller, recorded in full: the
-/// obs log and the per-frame series dominate each result. (At 10 s the
-/// compact obs log no longer outweighs a running session's working
-/// memory, and the ratio below would measure that instead of the pool.
-/// At 60 s, two sessions finishing together can already reach 1.5 with
-/// only the five recorded series; at 90 s one session's working memory
-/// is about a fifth of what the pool returns.)
+/// obs log, the frame records and the five series make up each result,
+/// about 0.47 MB. (At 10 s the compact obs log no longer outweighs a
+/// running session's working memory, and the ratio below would measure
+/// that instead of the pool. At 90 s one finishing session's working
+/// memory is about 0.42 MB, under a quarter of the 1.87 MB the pool
+/// returns: jobs=1 reads 1.23, and jobs=2, where two sessions may
+/// finish together, reads 1.23 to 1.42, at most about 1.45.)
 fn recorded_calls() -> Vec<Cell> {
     [CcKind::Gcc, CcKind::Nada, CcKind::Bbr, CcKind::LossEma]
         .into_iter()

@@ -9,6 +9,7 @@
 use std::fmt;
 use std::sync::OnceLock;
 
+use ravel_sim::coding::{ByteReader, ByteSink, Xor, VARINT_MAX};
 use ravel_sim::{Dur, Time};
 
 use crate::stats::{interpolate, RunningStats};
@@ -130,7 +131,7 @@ const SAME_STEP: u8 = 1 << 6;
 
 /// Longest encoding of one record: three header bytes, the latency and
 /// two floats of up to eight bytes each, and a ten-byte varint step.
-const RECORD_MAX: usize = 3 + 8 + 8 + 8 + 10;
+const RECORD_MAX: usize = 3 + 8 + 8 + 8 + VARINT_MAX;
 
 /// The latency quantiles a summary reports, in increasing order.
 const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
@@ -193,20 +194,20 @@ impl LatencyRecorder {
             buf: [0; RECORD_MAX],
             len: 0,
         };
-        e.byte(flags);
-        e.byte(ssim.header);
+        e.put(flags);
+        e.put(ssim.header);
         if let Some(psnr) = psnr {
-            e.byte(psnr.header);
+            e.put(psnr.header);
         }
         if let Some(us) = latency_us {
-            e.low_bytes(us, latency_len);
+            e.put_low_bytes(us, latency_len);
         }
-        e.low_bytes(ssim.value, ssim.kept);
+        e.put_low_bytes(ssim.value, ssim.kept);
         if let Some(psnr) = psnr {
-            e.low_bytes(psnr.value, psnr.kept);
+            e.put_low_bytes(psnr.value, psnr.kept);
         }
         if step_us != last.step_us {
-            e.varint(step_us);
+            e.put_varint(step_us);
         }
         last.pts_us = pts_us;
         last.step_us = step_us;
@@ -223,8 +224,7 @@ impl LatencyRecorder {
     /// All records, in pts order, decoded as they are reached.
     pub fn records(&self) -> FrameRecords<'_> {
         FrameRecords {
-            bytes: &self.bytes,
-            pos: 0,
+            reader: ByteReader::new(&self.bytes),
             last: Context::default(),
             left: self.len,
         }
@@ -334,51 +334,20 @@ struct Encoder {
     len: usize,
 }
 
-impl Encoder {
-    fn byte(&mut self, b: u8) {
+impl ByteSink for Encoder {
+    #[inline]
+    fn put(&mut self, b: u8) {
         self.buf[self.len] = b;
         self.len += 1;
     }
 
-    fn varint(&mut self, mut v: u64) {
-        while v >= 0x80 {
-            self.byte(v as u8 | 0x80);
-            v >>= 7;
-        }
-        self.byte(v as u8);
-    }
-
-    /// Writes the low `n` bytes of `v`, little-endian. All eight are
-    /// copied (a fixed copy is cheaper than a sized one, and
-    /// `RECORD_MAX` leaves room) and the next field overwrites the rest.
-    fn low_bytes(&mut self, v: u64, n: u32) {
+    /// Copies all eight bytes of `v` (a fixed copy is cheaper than a
+    /// sized one, and `RECORD_MAX` leaves room) and lets the next field
+    /// overwrite the rest.
+    #[inline]
+    fn put_low_bytes(&mut self, v: u64, n: u32) {
         self.buf[self.len..self.len + 8].copy_from_slice(&v.to_le_bytes());
         self.len += n as usize;
-    }
-}
-
-/// A float coded as the XOR of its bits with the previous value's,
-/// trimmed of zero bytes at both ends.
-#[derive(Clone, Copy)]
-struct Xor {
-    header: u8,
-    /// The XOR shifted down past its trimmed trailing bytes.
-    value: u64,
-    kept: u32,
-}
-
-impl Xor {
-    /// Codes `bits` against `*last` and makes it the next value's base.
-    fn new(last: &mut u64, bits: u64) -> Xor {
-        let x = bits ^ *last;
-        *last = bits;
-        let trailing = if x == 0 { 0 } else { x.trailing_zeros() / 8 };
-        let kept = 8 - x.leading_zeros() / 8 - trailing;
-        Xor {
-            header: (trailing << 4 | kept) as u8,
-            value: x >> (8 * trailing),
-            kept,
-        }
     }
 }
 
@@ -388,55 +357,9 @@ impl Xor {
 /// the same record.
 #[derive(Debug, Clone)]
 pub struct FrameRecords<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+    reader: ByteReader<'a>,
     last: Context,
     left: usize,
-}
-
-impl FrameRecords<'_> {
-    /// The eight bytes from the read position on as a little-endian
-    /// word, zero past the end of the stream.
-    fn word(&self) -> u64 {
-        let mut raw = [0; 8];
-        match self.bytes.get(self.pos..self.pos + 8) {
-            Some(word) => raw.copy_from_slice(word),
-            None => {
-                let tail = &self.bytes[self.pos..];
-                raw[..tail.len()].copy_from_slice(tail);
-            }
-        }
-        u64::from_le_bytes(raw)
-    }
-
-    /// Reads `n` (at most eight) little-endian bytes.
-    fn low_bytes(&mut self, n: u32) -> u64 {
-        let v = self.word() & u64::MAX.checked_shr(64 - 8 * n).unwrap_or(0);
-        self.pos += n as usize;
-        v
-    }
-
-    /// Reads the float whose XOR `header` describes against `*last`,
-    /// and makes it the next value's base.
-    fn xor(&mut self, last: &mut u64, header: u8) -> f64 {
-        let kept = u32::from(header & 0xf);
-        *last ^= self.low_bytes(kept) << (8 * u32::from(header >> 4));
-        f64::from_bits(*last)
-    }
-
-    fn varint(&mut self) -> u64 {
-        let mut v = 0u64;
-        let mut shift = 0;
-        loop {
-            let b = self.bytes[self.pos];
-            self.pos += 1;
-            v |= u64::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                return v;
-            }
-            shift += 7;
-        }
-    }
 }
 
 impl Iterator for FrameRecords<'_> {
@@ -449,17 +372,18 @@ impl Iterator for FrameRecords<'_> {
         self.left -= 1;
         // The flag byte and the float headers, whose lengths place every
         // field of the record.
-        let head = self.word();
+        let r = &mut self.reader;
+        let head = r.peek_word();
         let flags = head as u8;
         let has_psnr = flags & PSNR != 0;
-        self.pos += 2 + usize::from(has_psnr);
+        r.skip(2 + usize::from(has_psnr));
         let mut last = self.last;
         let latency_len = u32::from(flags & 0xf);
-        let latency = (latency_len != 0).then(|| Dur::micros(self.low_bytes(latency_len)));
-        let ssim = self.xor(&mut last.ssim_bits, (head >> 8) as u8);
-        let psnr_db = has_psnr.then(|| self.xor(&mut last.psnr_bits, (head >> 16) as u8));
+        let latency = (latency_len != 0).then(|| Dur::micros(r.low_bytes(latency_len)));
+        let ssim = r.xor(&mut last.ssim_bits, (head >> 8) as u8);
+        let psnr_db = has_psnr.then(|| r.xor(&mut last.psnr_bits, (head >> 16) as u8));
         if flags & SAME_STEP == 0 {
-            last.step_us = self.varint();
+            last.step_us = r.varint();
         }
         last.pts_us += last.step_us;
         self.last = last;

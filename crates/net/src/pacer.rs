@@ -59,7 +59,7 @@ impl Pacer {
     /// The effective drain rate right now: the nominal pacing rate,
     /// raised if needed so the current backlog clears within
     /// `max_queue_time`.
-    pub fn effective_rate_bps(&self) -> f64 {
+    fn effective_rate_bps(&self) -> f64 {
         let drain_floor = self.queued_bytes as f64 * 8.0 / self.max_queue_time.as_secs_f64();
         self.pacing_rate_bps.max(drain_floor)
     }
@@ -67,11 +67,6 @@ impl Pacer {
     /// Current drain rate in bits/second.
     pub fn pacing_rate_bps(&self) -> f64 {
         self.pacing_rate_bps
-    }
-
-    /// Bytes waiting in the pacer.
-    pub fn queued_bytes(&self) -> u64 {
-        self.queued_bytes
     }
 
     /// Packets waiting in the pacer.
@@ -221,7 +216,7 @@ mod tests {
         pacer.enqueue((0..10).map(|i| pkt(i, 1250)));
         // 100 kbit at 2 Mbps = 50 ms.
         assert_eq!(pacer.drain_time(), Dur::millis(50));
-        assert_eq!(pacer.queued_bytes(), 12_500);
+        assert_eq!(pacer.queued_bytes, 12_500);
     }
 
     #[test]

@@ -5,7 +5,14 @@
 //! from the previous record (zigzag LEB128 varint, so time may go
 //! backwards), then the payload in field order:
 //!
-//! * `u64` fields and payload [`Time`]s as LEB128 varints;
+//! * a packet `seq` (`PacketSent`, `PacketDelivered`, `PacketDropped`)
+//!   as the zigzag varint step from the previous packet record's seq, a
+//!   frame `index` (`FrameCaptured`, `FrameEncoded`) from the previous
+//!   frame record's index, and a `FeedbackReceived` `report_seq` from
+//!   the previous `FeedbackReceived`'s: consecutive records of a kind
+//!   number their subjects closely, so most of these take one byte, and
+//!   any value (backwards, 0, `u64::MAX`) still reads back exactly;
+//! * other `u64` fields and payload [`Time`]s as LEB128 varints;
 //! * `f64` fields as their 8 raw little-endian bytes, so every value,
 //!   NaN payloads included, reads back bit for bit;
 //! * `&'static str` names as a varint index into the stream's intern
@@ -23,6 +30,7 @@
 
 use std::mem::MaybeUninit;
 
+use ravel_sim::coding::{apply_step, step, ByteReader, ByteSink, VARINT_MAX};
 use ravel_sim::Time;
 
 use crate::{ObsEvent, ObsRecord};
@@ -33,7 +41,7 @@ const CHUNK_MIN: usize = 256;
 const CHUNK_MAX: usize = CHUNK_MIN << 8;
 /// Longest encoding of one record: `FrameEncoded`'s tag, time step,
 /// two varints and two floats.
-const RECORD_MAX: usize = 1 + 10 + 10 + 10 + 8 + 8;
+const RECORD_MAX: usize = 1 + 3 * VARINT_MAX + 8 + 8;
 /// Spare bytes a chunk must have to take the next record: `RECORD_MAX`
 /// rounded up to a power of two, so the encoder masks its write index
 /// into range instead of checking it per byte.
@@ -47,9 +55,38 @@ pub(crate) struct EventStream {
     names: Vec<&'static str>,
     /// `InvariantViolated` details, in record order.
     details: Vec<String>,
-    /// Time of the last record in µs: the base of the next time step.
-    last_us: u64,
+    /// What the next record's steps are taken from.
+    last: Bases,
     len: usize,
+}
+
+/// The previous value of each step-coded field: the base its next
+/// value is coded against, on both encode and decode.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct Bases {
+    /// Time of the last record, µs.
+    at_us: u64,
+    /// Seq of the last packet record.
+    seq: u64,
+    /// Index of the last frame record.
+    index: u64,
+    /// `report_seq` of the last `FeedbackReceived`.
+    report_seq: u64,
+}
+
+impl Bases {
+    /// The step from the previous value in `field` to `value`, which
+    /// becomes the new base.
+    fn step(field: &mut u64, value: u64) -> u64 {
+        step(std::mem::replace(field, value), value)
+    }
+
+    /// The value a stored step leads to from `field`, which becomes
+    /// the new base.
+    fn apply(field: &mut u64, step: u64) -> u64 {
+        *field = apply_step(*field, step);
+        *field
+    }
 }
 
 impl EventStream {
@@ -61,46 +98,45 @@ impl EventStream {
     /// Appends one record, encoding it in place at the end of the last
     /// chunk.
     pub(crate) fn push(&mut self, at: Time, event: ObsEvent) {
-        let us = at.as_micros();
-        let step = zigzag(us.wrapping_sub(self.last_us) as i64);
-        self.last_us = us;
+        let last = &mut self.last;
+        let time_step = Bases::step(&mut last.at_us, at.as_micros());
         let names = &mut self.names;
         let chunk = chunk_with_room(&mut self.chunks);
         let spare: &mut [MaybeUninit<u8>; SLOT] = (&mut chunk.spare_capacity_mut()[..SLOT])
             .try_into()
             .expect("a slice of SLOT bytes");
         let mut e = Encoder { buf: spare, len: 0 };
-        e.byte(tag(&event));
-        e.varint(step);
+        e.put(tag(&event));
+        e.put_varint(time_step);
         match event {
-            ObsEvent::FrameCaptured { index } => e.varint(index),
+            ObsEvent::FrameCaptured { index } => e.put_varint(Bases::step(&mut last.index, index)),
             ObsEvent::FrameEncoded {
                 index,
                 size_bytes,
                 qp,
                 target_bps,
             } => {
-                e.varint(index);
-                e.varint(size_bytes);
+                e.put_varint(Bases::step(&mut last.index, index));
+                e.put_varint(size_bytes);
                 e.float(qp);
                 e.float(target_bps);
             }
             ObsEvent::PacketSent { seq, size_bytes } => {
-                e.varint(seq);
-                e.varint(size_bytes);
+                e.put_varint(Bases::step(&mut last.seq, seq));
+                e.put_varint(size_bytes);
             }
-            ObsEvent::PacketDelivered { seq } => e.varint(seq),
+            ObsEvent::PacketDelivered { seq } => e.put_varint(Bases::step(&mut last.seq, seq)),
             ObsEvent::PacketDropped { seq, reason } => {
-                e.varint(seq);
-                e.varint(intern(names, reason));
+                e.put_varint(Bases::step(&mut last.seq, seq));
+                e.put_varint(intern(names, reason));
             }
             ObsEvent::FeedbackReceived { report_seq, lost } => {
-                e.varint(report_seq);
-                e.varint(lost);
+                e.put_varint(Bases::step(&mut last.report_seq, report_seq));
+                e.put_varint(lost);
             }
             ObsEvent::FeedbackRejected { report_seq, reason } => {
-                e.varint(report_seq);
-                e.varint(intern(names, reason));
+                e.put_varint(report_seq);
+                e.put_varint(intern(names, reason));
             }
             ObsEvent::TargetChanged {
                 old_bps,
@@ -109,16 +145,16 @@ impl EventStream {
             } => {
                 e.float(old_bps);
                 e.float(new_bps);
-                e.varint(intern(names, reason));
+                e.put_varint(intern(names, reason));
             }
             ObsEvent::PliSent | ObsEvent::KeyframeEmitted => {}
             ObsEvent::ChaosSegmentEntered { kind, from, until } => {
-                e.varint(intern(names, kind));
-                e.varint(from.as_micros());
-                e.varint(until.as_micros());
+                e.put_varint(intern(names, kind));
+                e.put_varint(from.as_micros());
+                e.put_varint(until.as_micros());
             }
             ObsEvent::InvariantViolated { name, detail } => {
-                e.varint(intern(names, name));
+                e.put_varint(intern(names, name));
                 self.details.push(detail);
             }
         }
@@ -139,7 +175,7 @@ impl EventStream {
             stream: self,
             chunk: 0,
             pos: 0,
-            last_us: 0,
+            last: Bases::default(),
             detail: 0,
             left: self.len,
         }
@@ -190,77 +226,34 @@ fn tag(event: &ObsEvent) -> u8 {
     }
 }
 
-fn zigzag(step: i64) -> u64 {
-    ((step << 1) ^ (step >> 63)) as u64
-}
-
-fn unzigzag(z: u64) -> i64 {
-    (z >> 1) as i64 ^ -((z & 1) as i64)
-}
-
 /// Writes one record's bytes into the spare slot of its chunk.
 struct Encoder<'a> {
     buf: &'a mut [MaybeUninit<u8>; SLOT],
     len: usize,
 }
 
-impl Encoder<'_> {
-    fn byte(&mut self, b: u8) {
+impl ByteSink for Encoder<'_> {
+    #[inline]
+    fn put(&mut self, b: u8) {
         self.buf[self.len % SLOT].write(b);
         self.len += 1;
     }
+}
 
-    fn varint(&mut self, mut v: u64) {
-        while v >= 0x80 {
-            self.byte(v as u8 | 0x80);
-            v >>= 7;
-        }
-        self.byte(v as u8);
-    }
-
+impl Encoder<'_> {
     fn float(&mut self, x: f64) {
-        for b in x.to_bits().to_le_bytes() {
-            self.byte(b);
-        }
+        self.put_low_bytes(x.to_bits(), 8);
     }
 }
 
-/// Reads one record's fields from the front of a chunk's tail.
-struct Decoder<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Reads a raw float field.
+fn float(d: &mut ByteReader<'_>) -> f64 {
+    f64::from_bits(d.low_bytes(8))
 }
 
-impl Decoder<'_> {
-    fn byte(&mut self) -> u8 {
-        let b = self.bytes[self.pos];
-        self.pos += 1;
-        b
-    }
-
-    fn varint(&mut self) -> u64 {
-        let mut v = 0u64;
-        let mut shift = 0;
-        loop {
-            let b = self.byte();
-            v |= u64::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                return v;
-            }
-            shift += 7;
-        }
-    }
-
-    fn float(&mut self) -> f64 {
-        let mut raw = [0; 8];
-        raw.copy_from_slice(&self.bytes[self.pos..self.pos + 8]);
-        self.pos += 8;
-        f64::from_bits(u64::from_le_bytes(raw))
-    }
-
-    fn time(&mut self) -> Time {
-        Time::from_micros(self.varint())
-    }
+/// Reads a payload [`Time`] field.
+fn time(d: &mut ByteReader<'_>) -> Time {
+    Time::from_micros(d.varint())
 }
 
 /// Iterator over a log's retained records, oldest first, decoding each
@@ -271,7 +264,7 @@ pub struct Records<'a> {
     stream: &'a EventStream,
     chunk: usize,
     pos: usize,
-    last_us: u64,
+    last: Bases,
     /// Index of the next `InvariantViolated` detail.
     detail: usize,
     left: usize,
@@ -290,32 +283,34 @@ impl Iterator for Records<'_> {
             self.chunk += 1;
             self.pos = 0;
         }
-        let mut d = Decoder {
-            bytes: &stream.chunks[self.chunk][self.pos..],
-            pos: 0,
-        };
+        let mut d = ByteReader::new(&stream.chunks[self.chunk][self.pos..]);
         let tag = d.byte();
-        self.last_us = self.last_us.wrapping_add(unzigzag(d.varint()) as u64);
-        let name = |d: &mut Decoder<'_>| stream.names[d.varint() as usize];
+        let last = &mut self.last;
+        let at_us = Bases::apply(&mut last.at_us, d.varint());
+        let name = |d: &mut ByteReader<'_>| stream.names[d.varint() as usize];
         let event = match tag {
-            0 => ObsEvent::FrameCaptured { index: d.varint() },
+            0 => ObsEvent::FrameCaptured {
+                index: Bases::apply(&mut last.index, d.varint()),
+            },
             1 => ObsEvent::FrameEncoded {
-                index: d.varint(),
+                index: Bases::apply(&mut last.index, d.varint()),
                 size_bytes: d.varint(),
-                qp: d.float(),
-                target_bps: d.float(),
+                qp: float(&mut d),
+                target_bps: float(&mut d),
             },
             2 => ObsEvent::PacketSent {
-                seq: d.varint(),
+                seq: Bases::apply(&mut last.seq, d.varint()),
                 size_bytes: d.varint(),
             },
-            3 => ObsEvent::PacketDelivered { seq: d.varint() },
+            3 => ObsEvent::PacketDelivered {
+                seq: Bases::apply(&mut last.seq, d.varint()),
+            },
             4 => ObsEvent::PacketDropped {
-                seq: d.varint(),
+                seq: Bases::apply(&mut last.seq, d.varint()),
                 reason: name(&mut d),
             },
             5 => ObsEvent::FeedbackReceived {
-                report_seq: d.varint(),
+                report_seq: Bases::apply(&mut last.report_seq, d.varint()),
                 lost: d.varint(),
             },
             6 => ObsEvent::FeedbackRejected {
@@ -323,16 +318,16 @@ impl Iterator for Records<'_> {
                 reason: name(&mut d),
             },
             7 => ObsEvent::TargetChanged {
-                old_bps: d.float(),
-                new_bps: d.float(),
+                old_bps: float(&mut d),
+                new_bps: float(&mut d),
                 reason: name(&mut d),
             },
             8 => ObsEvent::PliSent,
             9 => ObsEvent::KeyframeEmitted,
             10 => ObsEvent::ChaosSegmentEntered {
                 kind: name(&mut d),
-                from: d.time(),
-                until: d.time(),
+                from: time(&mut d),
+                until: time(&mut d),
             },
             11 => {
                 let name = name(&mut d);
@@ -344,9 +339,9 @@ impl Iterator for Records<'_> {
             }
             _ => unreachable!("obs stream tag {tag} was never written"),
         };
-        self.pos += d.pos;
+        self.pos += d.pos();
         Some(ObsRecord {
-            at: Time::from_micros(self.last_us),
+            at: Time::from_micros(at_us),
             event,
         })
     }
@@ -541,6 +536,58 @@ mod tests {
         ) {
             check_round_trip(&case(rows, set))?;
         }
+
+        #[test]
+        fn step_coded_fields_round_trip(
+            rows in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 0..160),
+        ) {
+            // Each row moves one walk (packet seqs, frame indexes or
+            // report seqs) by a small step either way, to 0 or
+            // u64::MAX, or anywhere, wrapping past either end.
+            let mut walks = [0u64; 3];
+            let case: Case = rows
+                .into_iter()
+                .enumerate()
+                .map(|(i, (a, b))| {
+                    let walk = &mut walks[(a % 3) as usize];
+                    *walk = match a / 3 % 6 {
+                        0 => walk.wrapping_add(b % 8),
+                        1 => walk.wrapping_sub(b % 8),
+                        2 => 0,
+                        3 => u64::MAX,
+                        4 => walk.wrapping_add(b),
+                        _ => b,
+                    };
+                    let v = *walk;
+                    let event = match (a % 3, b % 3) {
+                        (0, 0) => ObsEvent::PacketSent { seq: v, size_bytes: b },
+                        (0, 1) => ObsEvent::PacketDelivered { seq: v },
+                        (0, _) => ObsEvent::PacketDropped { seq: v, reason: "queue" },
+                        (1, 0) => ObsEvent::FrameCaptured { index: v },
+                        (1, _) => ObsEvent::FrameEncoded {
+                            index: v,
+                            size_bytes: b,
+                            qp: 30.0,
+                            target_bps: 1e6,
+                        },
+                        _ => ObsEvent::FeedbackReceived { report_seq: v, lost: b % 4 },
+                    };
+                    (i as u64 * 1_000, event)
+                })
+                .collect();
+            check_round_trip(&case)?;
+        }
+    }
+
+    #[test]
+    fn consecutive_packet_seqs_take_one_byte() {
+        let mut stream = EventStream::default();
+        for seq in 1_000_000..1_000_100 {
+            stream.push(Time::from_micros(seq), ObsEvent::PacketDelivered { seq });
+        }
+        let bytes: usize = stream.chunks.iter().map(Vec::len).sum();
+        // Tag, time step and seq step after the first record.
+        assert_eq!(bytes, 3 * 100 + 2 + 2);
     }
 
     #[test]

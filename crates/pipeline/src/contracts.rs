@@ -141,9 +141,8 @@ fn recover_rate(spec: &ContractSpec, result: &SessionResult) -> ContractVerdict 
     };
     let recovered_at = series
         .points()
-        .iter()
-        .find(|&&(at, v)| at >= spec.drop_at && v >= goal)
-        .map(|&(at, _)| at);
+        .find(|&(at, v)| at >= spec.drop_at && v >= goal)
+        .map(|(at, _)| at);
     match recovered_at {
         Some(at) => {
             let took = at.saturating_since(spec.drop_at);
@@ -226,9 +225,8 @@ fn target_envelope(spec: &ContractSpec, result: &SessionResult) -> ContractVerdi
     };
     let worst = series
         .points()
-        .iter()
-        .filter(|&&(at, _)| at >= settle)
-        .map(|&(_, v)| v)
+        .filter(|&(at, _)| at >= settle)
+        .map(|(_, v)| v)
         .fold(0.0f64, f64::max);
     ContractVerdict::new(
         "target-envelope",

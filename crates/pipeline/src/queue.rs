@@ -15,7 +15,7 @@ pub(crate) enum Event {
     /// Capture the next frame.
     Capture,
     /// The frame with this capture index finished encoding and is ready
-    /// to packetize. The frame itself is the sender's `sent[index]`.
+    /// to packetize. The sender holds the frame until then.
     EncodeDone(u64),
     /// The pacer may have packets due.
     PacerTick,

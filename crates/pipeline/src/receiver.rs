@@ -19,30 +19,40 @@ use crate::session::{Ctx, SessionConfig};
 pub(crate) const NACK_POLL_EVERY: Dur = Dur::millis(10);
 
 /// Frame completion instants, dense by frame index (video frame indexes
-/// start at 0 and grow by 1 per capture) — the struct-of-arrays
-/// replacement for the old `BTreeMap<u64, Time>`.
+/// start at 0 and grow by 1 per capture), 8 bytes a frame: a frame that
+/// has not assembled holds [`Time::FAR_FUTURE`], which no completion
+/// reaches.
 #[derive(Debug, Default)]
 pub(crate) struct CompletedFrames {
-    slots: Vec<Option<Time>>,
+    slots: Vec<Time>,
 }
 
 impl CompletedFrames {
+    /// Room for `frames` frames before the first reallocation.
+    pub(crate) fn with_capacity(frames: usize) -> CompletedFrames {
+        CompletedFrames {
+            slots: Vec::with_capacity(frames),
+        }
+    }
+
     /// Records the first completion of `frame_index` (duplicates and
     /// FEC/RTX re-completions keep the earliest instant).
     pub(crate) fn note(&mut self, frame_index: u64, at: Time) {
+        debug_assert!(at < Time::FAR_FUTURE, "completion at the end of time");
         let idx = frame_index as usize;
         if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
+            self.slots.resize(idx + 1, Time::FAR_FUTURE);
         }
         let slot = &mut self.slots[idx];
-        if slot.is_none() {
-            *slot = Some(at);
+        if *slot == Time::FAR_FUTURE {
+            *slot = at;
         }
     }
 
     /// The completion instant of `frame_index`, if it ever assembled.
     pub(crate) fn get(&self, frame_index: u64) -> Option<Time> {
-        self.slots.get(frame_index as usize).copied().flatten()
+        let at = *self.slots.get(frame_index as usize)?;
+        (at < Time::FAR_FUTURE).then_some(at)
     }
 }
 
@@ -69,7 +79,7 @@ impl Receiver {
             nack_gen: NackGenerator::new(Dur::millis(30), 5, cfg.max_playout_delay),
             fec_decoder: FecDecoder::new(),
             pli: PliRequester::new(),
-            completed: CompletedFrames::default(),
+            completed: CompletedFrames::with_capacity(cfg.expected_frames()),
             audio_latencies: Vec::new(),
         }
     }

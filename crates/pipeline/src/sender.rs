@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 use std::mem;
 
 use ravel_cc::CongestionController;
-use ravel_codec::{EncodedFrame, Encoder, EncoderConfig};
+use ravel_codec::{Decodable, EncodedFrame, Encoder, EncoderConfig, FrameType};
 use ravel_core::{AdaptiveController, FeedbackWatchdog, FrameDecision};
 use ravel_net::{
     FecEncoder, FeedbackReport, FeedbackValidator, MediaKind, NackBatch, Pacer, Packet, Packetizer,
@@ -62,12 +62,42 @@ const AUDIO_INDEX_BASE: u64 = 1 << 40;
 /// reconstruction (the omniscient sent-video window).
 pub(crate) const SENT_VIDEO_WINDOW: usize = 4096;
 
-/// Per-captured-frame sender-side record for the display post-pass.
-#[derive(Debug, Clone)]
-pub(crate) enum SentFrame {
-    Skipped { pts: Time, temporal: f64 },
-    Encoded { frame: EncodedFrame, temporal: f64 },
+/// What the display post-pass reads of one captured frame, kept for
+/// the whole session in at most 40 bytes a slot; the whole
+/// [`EncodedFrame`] lives only until its `EncodeDone`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameSlot {
+    /// Capture timestamp.
+    pub(crate) pts: Time,
+    /// The source frame's temporal complexity, which prices a freeze.
+    pub(crate) temporal: f64,
+    /// `None` when the sender skipped the frame.
+    pub(crate) coded: Option<CodedSlot>,
 }
+
+/// The encoded frame's part of a [`FrameSlot`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CodedSlot {
+    /// Intra or predicted.
+    pub(crate) frame_type: FrameType,
+    /// Temporal layer: 1 is an enhancement frame nothing references.
+    pub(crate) temporal_layer: u8,
+    /// Modelled encode quality: SSIM, and PSNR in dB.
+    pub(crate) ssim: f64,
+    pub(crate) psnr_db: f64,
+}
+
+impl CodedSlot {
+    /// What the decoder reads of the frame.
+    pub(crate) fn decodable(&self) -> Decodable {
+        Decodable {
+            frame_type: self.frame_type,
+            ssim: self.ssim,
+        }
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<FrameSlot>() <= 40);
 
 /// The simulation's bounded omniscient view of sent video packets, used
 /// to materialize FEC-reconstructed packets (a real XOR decoder holds
@@ -134,8 +164,11 @@ pub(crate) struct Sender {
     /// Always armed: on clean runs it draws no randomness and rejects
     /// nothing, so it costs only the per-report field scan.
     pub(crate) validator: FeedbackValidator,
-    /// Every captured frame, in capture order.
-    pub(crate) sent: Vec<SentFrame>,
+    /// Encoded frames whose `EncodeDone` has not fired yet, in capture
+    /// order: only the frames still in the encoder's pipeline.
+    encoding: VecDeque<EncodedFrame>,
+    /// Every captured frame's post-pass facts, by capture index.
+    pub(crate) slots: Vec<FrameSlot>,
     pub(crate) sent_video: SentVideoWindow,
     pub(crate) frames_encoded: u64,
     audio_seq_count: u64,
@@ -203,7 +236,8 @@ impl Sender {
             last_report_seq: None,
             reports_discarded: 0,
             validator: FeedbackValidator::new(),
-            sent: Vec::with_capacity(expected_frames),
+            encoding: VecDeque::new(),
+            slots: Vec::with_capacity(expected_frames),
             sent_video: SentVideoWindow::default(),
             frames_encoded: 0,
             audio_seq_count: 0,
@@ -243,12 +277,13 @@ impl Sender {
                 None => FrameDecision::Encode,
             }
         };
-        let temporal = frame.complexity.temporal;
+        let mut slot = FrameSlot {
+            pts: frame.pts,
+            temporal: frame.complexity.temporal,
+            coded: None,
+        };
         match decision {
-            FrameDecision::Skip => self.sent.push(SentFrame::Skipped {
-                pts: frame.pts,
-                temporal,
-            }),
+            FrameDecision::Skip => {}
             FrameDecision::Encode => {
                 let encoded = self.encoder.encode(&frame, now);
                 self.frames_encoded += 1;
@@ -266,12 +301,16 @@ impl Sender {
                     ctx.series.push(Series::SendRateBps, now, send_rate);
                 }
                 queue.push(encoded.encoded_at, Event::EncodeDone(frame.index));
-                self.sent.push(SentFrame::Encoded {
-                    frame: encoded,
-                    temporal,
+                slot.coded = Some(CodedSlot {
+                    frame_type: encoded.frame_type,
+                    temporal_layer: encoded.temporal_layer,
+                    ssim: encoded.ssim,
+                    psnr_db: encoded.psnr_db,
                 });
+                self.encoding.push_back(encoded);
             }
         }
+        self.slots.push(slot);
         let next_pts = self.source.pts_of(frame.index + 1);
         if next_pts < ctx.capture_end() {
             queue.push(next_pts, Event::Capture);
@@ -288,9 +327,11 @@ impl Sender {
         ctx: &mut Ctx,
         queue: &mut Queue,
     ) {
-        let SentFrame::Encoded { frame, .. } = self.sent[index as usize] else {
-            unreachable!("on_capture pushes an Encoded slot for every EncodeDone");
-        };
+        // Frames usually finish in capture order, so this is the front.
+        let at = self.encoding.iter().position(|f| f.index == index);
+        let frame = at
+            .and_then(|at| self.encoding.remove(at))
+            .expect("on_capture queues the frame of every EncodeDone");
         path.apply_mtu(now, &mut self.packetizer);
         let mut pkts = mem::take(&mut self.pkt_scratch);
         self.packetizer.packetize_into(&frame, &mut pkts);

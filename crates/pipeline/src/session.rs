@@ -29,7 +29,7 @@ use crate::path::Path;
 use crate::queue::{Event, Queue};
 use crate::receiver::{Receiver, NACK_POLL_EVERY};
 use crate::scheme::Scheme;
-use crate::sender::{Sender, SentFrame};
+use crate::sender::{FrameSlot, Sender};
 
 /// Everything one experiment run needs to know.
 #[derive(Debug, Clone, Copy)]
@@ -759,7 +759,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         let chaos_clear = self.sender.recovery.map(|(clear, _)| clear);
         let capture_end = ctx.capture_end();
         let mut decoder = Decoder::new();
-        let mut recorder = LatencyRecorder::with_capacity(self.sender.sent.len());
+        let mut recorder = LatencyRecorder::with_capacity(self.sender.slots.len());
         let mut frames_skipped = 0u64;
         // First capture instant at/after the last fault cleared where the
         // reference chain was healthy (freeze-termination invariant).
@@ -767,43 +767,44 @@ impl<T: BandwidthTrace> SessionState<T> {
         // Pts of the first record holding a non-finite metric, found as
         // the records are pushed (the finite-metrics invariant below).
         let mut non_finite_at: Option<Time> = None;
-        for (idx, sf) in self.sender.sent.iter().enumerate() {
-            let record = match sf {
-                SentFrame::Skipped { pts, temporal } => {
+        for (idx, slot) in self.sender.slots.iter().enumerate() {
+            let FrameSlot { pts, temporal, .. } = *slot;
+            let record = match slot.coded {
+                None => {
                     frames_skipped += 1;
                     // Sender-side skips freeze one slot but do not break the
                     // reference chain (the encoder references the last
                     // *encoded* frame, which the receiver has).
-                    let outcome = decoder.feed_sender_skip(*temporal);
+                    let outcome = decoder.feed_sender_skip(temporal);
                     FrameRecord {
-                        pts: *pts,
+                        pts,
                         outcome: FrameOutcomeKind::Frozen,
                         latency: None,
                         ssim: outcome.displayed_ssim(),
                         psnr_db: None,
                     }
                 }
-                SentFrame::Encoded { frame, temporal } => {
+                Some(coded) => {
                     let complete_at = self.receiver.completed.get(idx as u64);
                     let latency =
-                        complete_at.map(|c| (c + DECODE_RENDER_DELAY).saturating_since(frame.pts));
+                        complete_at.map(|c| (c + DECODE_RENDER_DELAY).saturating_since(pts));
                     let late = latency.is_some_and(|l| l > ctx.cfg.max_playout_delay);
                     let outcome = if late {
                         // Blew the playout deadline: decoded for reference,
                         // displayed stale.
-                        let staleness = late_staleness(latency, frame.pts, last_event_at, ctx);
-                        decoder.feed_late(frame, staleness, *temporal)
-                    } else if complete_at.is_none() && frame.temporal_layer == 1 {
+                        let staleness = late_staleness(latency, pts, last_event_at, ctx);
+                        decoder.feed_late(coded.decodable(), staleness, temporal)
+                    } else if complete_at.is_none() && coded.temporal_layer == 1 {
                         // A lost enhancement-layer frame: nothing references
                         // it, so the display freezes one slot but the chain
                         // survives — exactly like a sender-side skip.
-                        decoder.feed_sender_skip(*temporal)
+                        decoder.feed_sender_skip(temporal)
                     } else {
-                        decoder.feed(complete_at.map(|_| frame), true, *temporal)
+                        decoder.feed(complete_at.map(|_| coded.decodable()), true, temporal)
                     };
                     let displayed = outcome.is_displayed();
                     let record = FrameRecord {
-                        pts: frame.pts,
+                        pts,
                         outcome: if displayed {
                             FrameOutcomeKind::Displayed
                         } else {
@@ -812,11 +813,11 @@ impl<T: BandwidthTrace> SessionState<T> {
                         // Late frames still carry their measured latency.
                         latency,
                         ssim: outcome.displayed_ssim(),
-                        psnr_db: displayed.then_some(frame.psnr_db),
+                        psnr_db: displayed.then_some(coded.psnr_db),
                     };
                     if let (true, Some(l)) = (ctx.cfg.record_series, latency) {
                         ctx.series
-                            .push(Series::FrameLatencyMs, frame.pts, l.as_millis_f64());
+                            .push(Series::FrameLatencyMs, pts, l.as_millis_f64());
                     }
                     record
                 }
@@ -883,7 +884,7 @@ impl<T: BandwidthTrace> SessionState<T> {
             ctx.violate(last_event_at, Invariant::FiniteMetrics, detail);
         }
         let non_finite = ctx.series.iter().find_map(|(series, s)| {
-            let &(at, v) = s.points().iter().find(|(_, v)| !v.is_finite())?;
+            let (at, v) = s.points().find(|(_, v)| !v.is_finite())?;
             Some(format!(
                 "series {} holds non-finite value {v} at {at}",
                 series.name()
@@ -893,6 +894,8 @@ impl<T: BandwidthTrace> SessionState<T> {
             ctx.violate(last_event_at, Invariant::FiniteMetrics, detail);
         }
 
+        ctx.series.shrink_to_fit();
+
         let (sender, path, receiver) = (self.sender, self.path, self.receiver);
         let chaos = path.fwd_chaos.as_ref();
         let corruptor = path.corruptor.as_ref();
@@ -900,7 +903,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         SessionResult {
             recorder,
             series: self.ctx.series,
-            frames_captured: sender.sent.len() as u64,
+            frames_captured: sender.slots.len() as u64,
             frames_skipped,
             frames_encoded: sender.frames_encoded,
             events_processed: self.popped,

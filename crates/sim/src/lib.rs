@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 
+pub mod coding;
 pub mod event;
 pub mod rng;
 pub mod series;

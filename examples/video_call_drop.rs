@@ -27,26 +27,30 @@ fn main() {
         println!("# scheme={}", scheme.name());
         println!("time_s,capacity_mbps,target_mbps,send_mbps,queue_ms,latency_ms");
         // Sample every 100 ms from 8 s to 18 s.
-        let series = &result.series;
-        let get = |s| series.get(s).expect("series recorded");
+        let windows = (0..100u64).map(|step| {
+            let at = |k| Time::from_millis(8_000 + k * 100);
+            (at(step), at(step + 1))
+        });
+        let means = |s| {
+            let series = result.series.get(s).expect("series recorded");
+            series.window_means(windows.clone())
+        };
         let (cap, tgt, snd, q, lat) = (
-            get(Series::CapacityBps),
-            get(Series::TargetBps),
-            get(Series::SendRateBps),
-            get(Series::LinkQueueMs),
-            get(Series::FrameLatencyMs),
+            means(Series::CapacityBps),
+            means(Series::TargetBps),
+            means(Series::SendRateBps),
+            means(Series::LinkQueueMs),
+            means(Series::FrameLatencyMs),
         );
-        for step in 0..100u64 {
-            let t = Time::from_millis(8_000 + step * 100);
-            let w = Time::from_millis(8_000 + (step + 1) * 100);
+        for (i, (t, _)) in windows.clone().enumerate() {
             println!(
                 "{:.1},{:.3},{:.3},{:.3},{:.1},{:.1}",
                 t.as_secs_f64(),
-                cap.mean_in(t, w) / 1e6,
-                tgt.mean_in(t, w) / 1e6,
-                snd.mean_in(t, w) / 1e6,
-                q.mean_in(t, w),
-                lat.mean_in(t, w),
+                cap[i] / 1e6,
+                tgt[i] / 1e6,
+                snd[i] / 1e6,
+                q[i],
+                lat[i],
             );
         }
         let s = result.recorder.summarize(drop_at, drop_at + Dur::secs(8));
