@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 use ravel_net::FeedbackReport;
 use ravel_sim::{Dur, Time};
 
-use crate::CongestionController;
+use crate::{CongestionController, MAX_BPS, MIN_BPS};
 
 /// How long delivery-rate samples stay in the max filter.
 const BTLBW_WINDOW: Dur = Dur::secs(2);
@@ -47,33 +47,9 @@ const STARTUP_FULL_COUNT: u32 = 3;
 /// Minimum btlbw growth ratio that counts as "still filling the pipe".
 const STARTUP_GROWTH: f64 = 1.03;
 
-/// Configuration for [`Bbr`].
-#[derive(Debug, Clone, Copy)]
-pub struct BbrConfig {
-    /// Initial target rate.
-    pub start_bps: f64,
-    /// Floor.
-    pub min_bps: f64,
-    /// Ceiling.
-    pub max_bps: f64,
-}
-
-impl BbrConfig {
-    /// Config with the repo-standard 150 kbps floor and 8 Mbps ceiling.
-    pub fn new(start_bps: f64) -> BbrConfig {
-        BbrConfig {
-            start_bps,
-            min_bps: 150_000.0,
-            max_bps: 8e6,
-        }
-    }
-}
-
 /// BBR-style delivery-rate controller.
 #[derive(Debug, Clone)]
 pub struct Bbr {
-    min_bps: f64,
-    max_bps: f64,
     target_bps: f64,
     /// Delivery-rate samples `(taken_at, bps)`; max over the window is
     /// the bottleneck-bandwidth estimate.
@@ -92,16 +68,11 @@ pub struct Bbr {
 }
 
 impl Bbr {
-    /// Creates a BBR-style controller from `cfg`.
-    pub fn new(cfg: BbrConfig) -> Bbr {
-        assert!(
-            cfg.min_bps > 0.0 && cfg.min_bps <= cfg.max_bps,
-            "bad rate bounds"
-        );
+    /// Creates a BBR-style controller at `start_bps`, bounded to
+    /// [`MIN_BPS`, `MAX_BPS`].
+    pub fn new(start_bps: f64) -> Bbr {
         Bbr {
-            min_bps: cfg.min_bps,
-            max_bps: cfg.max_bps,
-            target_bps: cfg.start_bps.clamp(cfg.min_bps, cfg.max_bps),
+            target_bps: start_bps.clamp(MIN_BPS, MAX_BPS),
             samples: VecDeque::new(),
             rtprop_ms: f64::INFINITY,
             startup: true,
@@ -161,7 +132,7 @@ impl CongestionController for Bbr {
                 // A burst draining a queue can momentarily "deliver"
                 // far above the ceiling; cap the sample so one outlier
                 // cannot wedge the max filter at the rail.
-                self.samples.push_back((now, rate.min(self.max_bps)));
+                self.samples.push_back((now, rate.min(MAX_BPS)));
             }
         }
         while let Some(&(taken, _)) = self.samples.front() {
@@ -198,7 +169,7 @@ impl CongestionController for Bbr {
 
         let gain = self.gain(now);
         if let Some(bw) = btlbw {
-            self.target_bps = (bw * gain).clamp(self.min_bps, self.max_bps);
+            self.target_bps = (bw * gain).clamp(MIN_BPS, MAX_BPS);
         } else {
             // No live delivery evidence (e.g. blackout): hold the last
             // target; the session watchdog owns drastic action.
@@ -267,7 +238,7 @@ mod tests {
 
     #[test]
     fn latches_onto_delivery_rate() {
-        let mut cc = Bbr::new(BbrConfig::new(500_000.0));
+        let mut cc = Bbr::new(500_000.0);
         let mut target = cc.target_bps();
         for i in 0..30u64 {
             let r = report_at_rate(i * 10, i * 100, 2e6);
@@ -281,7 +252,7 @@ mod tests {
 
     #[test]
     fn startup_compounds_until_growth_stalls() {
-        let mut cc = Bbr::new(BbrConfig::new(200_000.0));
+        let mut cc = Bbr::new(200_000.0);
         // The "link" echoes back whatever the controller asked for,
         // capped at 3 Mbps — delivery grows while the pipe fills.
         let mut target = cc.target_bps();
@@ -295,7 +266,7 @@ mod tests {
 
     #[test]
     fn probe_cycles_after_startup() {
-        let mut cc = Bbr::new(BbrConfig::new(1e6));
+        let mut cc = Bbr::new(1e6);
         let mut reasons = std::collections::BTreeSet::new();
         for i in 0..60u64 {
             let r = report_at_rate(i * 10, i * 100, 1e6);
@@ -308,7 +279,7 @@ mod tests {
 
     #[test]
     fn step_drop_ages_out_of_the_max_filter() {
-        let mut cc = Bbr::new(BbrConfig::new(1e6));
+        let mut cc = Bbr::new(1e6);
         for i in 0..30u64 {
             let r = report_at_rate(i * 10, i * 100, 4e6);
             cc.on_feedback(&r, Time::from_millis((i + 1) * 100));
@@ -325,7 +296,7 @@ mod tests {
 
     #[test]
     fn blackout_holds_then_recovers() {
-        let mut cc = Bbr::new(BbrConfig::new(1e6));
+        let mut cc = Bbr::new(1e6);
         for i in 0..30u64 {
             let r = report_at_rate(i * 10, i * 100, 2e6);
             cc.on_feedback(&r, Time::from_millis((i + 1) * 100));
@@ -333,7 +304,7 @@ mod tests {
         for i in 30..60u64 {
             let r = blackout_report(i * 10, i * 100);
             let t = cc.on_feedback(&r, Time::from_millis((i + 1) * 100));
-            assert!(t.is_finite() && t >= 150_000.0);
+            assert!(t.is_finite() && t >= MIN_BPS);
         }
         assert_eq!(cc.decision_reason(), "bbr-hold");
         let mut target = cc.target_bps();
@@ -388,15 +359,14 @@ mod tests {
         /// reported — no window, as documented.
         #[test]
         fn filters_match_naive_references(seed in 0u64..1_000_000, n in 1usize..60) {
-            let cfg = BbrConfig::new(1e6);
-            let mut cc = Bbr::new(cfg);
+            let mut cc = Bbr::new(1e6);
             let mut samples: Vec<(Time, f64)> = Vec::new();
             let mut min_owd: Option<f64> = None;
             for (now, report) in random_reports(seed, n) {
                 cc.on_feedback(&report, now);
                 if let Some(rate) = report.delivered_rate_bps() {
                     if rate.is_finite() && rate > 0.0 {
-                        samples.push((now, rate.min(cfg.max_bps)));
+                        samples.push((now, rate.min(MAX_BPS)));
                     }
                 }
                 let mut btlbw: Option<f64> = None;
@@ -419,11 +389,11 @@ mod tests {
 
     #[test]
     fn rate_stays_within_bounds() {
-        let mut cc = Bbr::new(BbrConfig::new(4e6));
+        let mut cc = Bbr::new(4e6);
         for i in 0..100u64 {
             let r = report_at_rate(i * 10, i * 100, 50e6);
             let t = cc.on_feedback(&r, Time::from_millis((i + 1) * 100));
-            assert!((150_000.0..=8e6).contains(&t), "out of bounds: {t}");
+            assert!((MIN_BPS..=MAX_BPS).contains(&t), "out of bounds: {t}");
         }
     }
 }

@@ -8,38 +8,16 @@ use crate::interarrival::InterArrival;
 use crate::loss::LossController;
 use crate::throughput::ThroughputEstimator;
 use crate::trendline::{BandwidthUsage, TrendlineEstimator};
-use crate::CongestionController;
-
-/// GCC configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GccConfig {
-    /// Initial target bitrate.
-    pub start_bps: f64,
-    /// Floor for the target.
-    pub min_bps: f64,
-    /// Ceiling for the target.
-    pub max_bps: f64,
-}
-
-impl GccConfig {
-    /// A typical video-call configuration.
-    pub fn new(start_bps: f64) -> GccConfig {
-        GccConfig {
-            start_bps,
-            min_bps: 150_000.0,
-            max_bps: 8e6,
-        }
-    }
-}
+use crate::{CongestionController, MAX_BPS, MIN_BPS};
 
 /// The assembled GCC controller.
 ///
 /// ```
-/// use ravel_cc::{CongestionController, Gcc, GccConfig};
+/// use ravel_cc::{CongestionController, Gcc};
 /// use ravel_net::{FeedbackReport, PacketResult};
 /// use ravel_sim::Time;
 ///
-/// let mut gcc = Gcc::new(GccConfig::new(2e6));
+/// let mut gcc = Gcc::new(2e6);
 /// let report = FeedbackReport {
 ///     report_seq: 0,
 ///     generated_at: Time::from_millis(100),
@@ -66,15 +44,16 @@ pub struct Gcc {
 }
 
 impl Gcc {
-    /// Creates a GCC instance.
-    pub fn new(cfg: GccConfig) -> Gcc {
+    /// Creates a GCC instance at `start_bps`, bounded to
+    /// [`MIN_BPS`, `MAX_BPS`].
+    pub fn new(start_bps: f64) -> Gcc {
         Gcc {
             interarrival: InterArrival::default(),
             trendline: TrendlineEstimator::new(),
-            aimd: AimdRateControl::new(cfg.start_bps, cfg.min_bps, cfg.max_bps),
-            loss: LossController::new(cfg.start_bps, cfg.min_bps, cfg.max_bps),
+            aimd: AimdRateControl::new(start_bps, MIN_BPS, MAX_BPS),
+            loss: LossController::new(start_bps, MIN_BPS, MAX_BPS),
             throughput: ThroughputEstimator::new(Dur::millis(500)),
-            target_bps: cfg.start_bps,
+            target_bps: start_bps,
         }
     }
 
@@ -174,7 +153,7 @@ mod tests {
 
     #[test]
     fn stable_path_allows_ramp_up() {
-        let mut gcc = Gcc::new(GccConfig::new(1e6));
+        let mut gcc = Gcc::new(1e6);
         let mut seq = 0;
         let mut target = 1e6;
         for round in 0..40u64 {
@@ -188,7 +167,7 @@ mod tests {
 
     #[test]
     fn queue_growth_forces_decrease() {
-        let mut gcc = Gcc::new(GccConfig::new(4e6));
+        let mut gcc = Gcc::new(4e6);
         let mut seq = 0;
         // Warm up stable.
         for round in 0..10u64 {
@@ -217,7 +196,7 @@ mod tests {
 
     #[test]
     fn heavy_loss_caps_target() {
-        let mut gcc = Gcc::new(GccConfig::new(4e6));
+        let mut gcc = Gcc::new(4e6);
         let mut seq = 0;
         let mut target = 4e6;
         for round in 0..10u64 {
@@ -231,7 +210,7 @@ mod tests {
 
     #[test]
     fn target_is_min_of_arms() {
-        let mut gcc = Gcc::new(GccConfig::new(2e6));
+        let mut gcc = Gcc::new(2e6);
         let r = report(0, 10, 0, 10, 30, 10, None);
         let t = gcc.on_feedback(&r, Time::from_millis(200));
         assert!(t <= gcc.loss.target_bps() + 1.0);
@@ -240,14 +219,14 @@ mod tests {
 
     #[test]
     fn name_is_gcc() {
-        assert_eq!(Gcc::new(GccConfig::new(1e6)).name(), "gcc");
+        assert_eq!(Gcc::new(1e6).name(), "gcc");
     }
 
     #[test]
     fn reaction_takes_multiple_reports() {
         // The property the paper exploits: a sudden drop is not fully
         // tracked by the first post-drop report.
-        let mut gcc = Gcc::new(GccConfig::new(4e6));
+        let mut gcc = Gcc::new(4e6);
         let mut seq = 0;
         for round in 0..10u64 {
             let r = report(seq, 10, round * 100, 10, round * 100 + 30, 10, None);

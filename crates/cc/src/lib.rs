@@ -57,17 +57,24 @@ pub mod trendline;
 
 pub use aimd::{AimdRateControl, RateControlState};
 pub use baselines::{FixedRate, NaiveAimd};
-pub use bbr::{Bbr, BbrConfig};
-pub use gcc::{Gcc, GccConfig};
+pub use bbr::Bbr;
+pub use gcc::Gcc;
 pub use interarrival::{InterArrival, PacketGroupDelta};
 pub use loss::LossController;
-pub use loss_ema::{LossEma, LossEmaConfig};
-pub use nada::{Nada, NadaConfig};
+pub use loss_ema::LossEma;
+pub use nada::Nada;
 pub use throughput::ThroughputEstimator;
 pub use trendline::{BandwidthUsage, TrendlineEstimator};
 
 use ravel_net::FeedbackReport;
 use ravel_sim::Time;
+
+/// Floor of every arena controller's target, and of the pipeline's
+/// other rate paths that match it, in bits/second.
+pub const MIN_BPS: f64 = 150_000.0;
+/// Ceiling of every arena controller's target, in bits/second.
+pub const MAX_BPS: f64 = 8e6;
+const _: () = assert!(MIN_BPS > 0.0 && MIN_BPS <= MAX_BPS, "bad rate bounds");
 
 /// A sender-side congestion controller driven by transport-wide feedback.
 pub trait CongestionController {

@@ -20,7 +20,7 @@
 use ravel_net::FeedbackReport;
 use ravel_sim::{Dur, Time};
 
-use crate::CongestionController;
+use crate::{CongestionController, MAX_BPS, MIN_BPS};
 
 /// Stats interval: decisions fire once per second, as in beam.
 const INTERVAL: Dur = Dur::secs(1);
@@ -37,33 +37,9 @@ const DECREASE: f64 = 0.7;
 /// Multiplicative probe factor (beam ramps ~10% per interval).
 const INCREASE: f64 = 1.10;
 
-/// Configuration for [`LossEma`].
-#[derive(Debug, Clone, Copy)]
-pub struct LossEmaConfig {
-    /// Initial target rate.
-    pub start_bps: f64,
-    /// Floor.
-    pub min_bps: f64,
-    /// Ceiling.
-    pub max_bps: f64,
-}
-
-impl LossEmaConfig {
-    /// Config with the repo-standard 150 kbps floor and 8 Mbps ceiling.
-    pub fn new(start_bps: f64) -> LossEmaConfig {
-        LossEmaConfig {
-            start_bps,
-            min_bps: 150_000.0,
-            max_bps: 8e6,
-        }
-    }
-}
-
 /// Loss-EMA AIMD controller.
 #[derive(Debug, Clone)]
 pub struct LossEma {
-    min_bps: f64,
-    max_bps: f64,
     target_bps: f64,
     /// Smoothed loss-rate estimate.
     loss_ema: f64,
@@ -76,16 +52,11 @@ pub struct LossEma {
 }
 
 impl LossEma {
-    /// Creates a loss-EMA controller from `cfg`.
-    pub fn new(cfg: LossEmaConfig) -> LossEma {
-        assert!(
-            cfg.min_bps > 0.0 && cfg.min_bps <= cfg.max_bps,
-            "bad rate bounds"
-        );
+    /// Creates a loss-EMA controller at `start_bps`, bounded to
+    /// [`MIN_BPS`, `MAX_BPS`].
+    pub fn new(start_bps: f64) -> LossEma {
         LossEma {
-            min_bps: cfg.min_bps,
-            max_bps: cfg.max_bps,
-            target_bps: cfg.start_bps.clamp(cfg.min_bps, cfg.max_bps),
+            target_bps: start_bps.clamp(MIN_BPS, MAX_BPS),
             loss_ema: 0.0,
             interval_sent: 0,
             interval_lost: 0,
@@ -126,7 +97,7 @@ impl CongestionController for LossEma {
         } else {
             self.reason = "loss-ema-hold";
         }
-        self.target_bps = self.target_bps.clamp(self.min_bps, self.max_bps);
+        self.target_bps = self.target_bps.clamp(MIN_BPS, MAX_BPS);
         self.interval_sent = 0;
         self.interval_lost = 0;
         self.interval_start = Some(now);
@@ -184,7 +155,7 @@ mod tests {
 
     #[test]
     fn decisions_fire_once_per_interval() {
-        let mut cc = LossEma::new(LossEmaConfig::new(1e6));
+        let mut cc = LossEma::new(1e6);
         // The interval clock starts at the first report; the ten
         // reports within that first second change nothing.
         for i in 0..10u64 {
@@ -200,7 +171,7 @@ mod tests {
 
     #[test]
     fn clean_link_probes_upward() {
-        let mut cc = LossEma::new(LossEmaConfig::new(1e6));
+        let mut cc = LossEma::new(1e6);
         let target = run(&mut cc, 0, 20, 0);
         // 10%/s compounding for 20 s from 1 Mbps ≈ 6.7 Mbps.
         assert!(target > 5e6, "no ramp: {target}");
@@ -209,22 +180,19 @@ mod tests {
 
     #[test]
     fn sustained_loss_backs_off_smoothly() {
-        let mut cc = LossEma::new(LossEmaConfig::new(4e6));
+        let mut cc = LossEma::new(4e6);
         // 30% loss for 5 s: EMA crosses HIGH after two intervals, then
         // multiplicative decrease — but never the per-report freefall
         // NaiveAimd exhibits.
         let target = run(&mut cc, 0, 5, 3);
         assert!(target < 4e6 * 0.7, "no backoff: {target}");
-        assert!(
-            target > 150_000.0,
-            "over-reacted to smoothed loss: {target}"
-        );
+        assert!(target > MIN_BPS, "over-reacted to smoothed loss: {target}");
         assert_eq!(cc.decision_reason(), "loss-ema-backoff");
     }
 
     #[test]
     fn single_stray_loss_never_triggers_backoff() {
-        let mut cc = LossEma::new(LossEmaConfig::new(1e6));
+        let mut cc = LossEma::new(1e6);
         run(&mut cc, 0, 2, 0);
         let before = cc.target_bps();
         // Nine clean reports, then one carrying a single lost packet:
@@ -245,9 +213,9 @@ mod tests {
 
     #[test]
     fn rate_stays_within_bounds() {
-        let mut cc = LossEma::new(LossEmaConfig::new(7e6));
-        assert_eq!(run(&mut cc, 0, 30, 0), 8e6);
-        let mut cc = LossEma::new(LossEmaConfig::new(200_000.0));
-        assert_eq!(run(&mut cc, 0, 30, 10), 150_000.0);
+        let mut cc = LossEma::new(7e6);
+        assert_eq!(run(&mut cc, 0, 30, 0), MAX_BPS);
+        let mut cc = LossEma::new(200_000.0);
+        assert_eq!(run(&mut cc, 0, 30, 10), MIN_BPS);
     }
 }

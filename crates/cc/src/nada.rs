@@ -46,7 +46,7 @@
 use ravel_net::FeedbackReport;
 use ravel_sim::Time;
 
-use crate::CongestionController;
+use crate::{CongestionController, MAX_BPS, MIN_BPS};
 
 /// Reference delay penalty for loss at `PLR_REF` (ms). RFC 8698 `DLOSS`.
 const DLOSS_REF_MS: f64 = 10.0;
@@ -77,33 +77,9 @@ const STEP_CLAMP: f64 = 0.5;
 /// Assumed report spacing before the second report arrives (ms).
 const DEFAULT_DELTA_MS: f64 = 100.0;
 
-/// Configuration for [`Nada`].
-#[derive(Debug, Clone, Copy)]
-pub struct NadaConfig {
-    /// Initial target rate.
-    pub start_bps: f64,
-    /// Floor.
-    pub min_bps: f64,
-    /// Ceiling.
-    pub max_bps: f64,
-}
-
-impl NadaConfig {
-    /// Config with the repo-standard 150 kbps floor and 8 Mbps ceiling.
-    pub fn new(start_bps: f64) -> NadaConfig {
-        NadaConfig {
-            start_bps,
-            min_bps: 150_000.0,
-            max_bps: 8e6,
-        }
-    }
-}
-
 /// RFC 8698 NADA controller.
 #[derive(Debug, Clone)]
 pub struct Nada {
-    min_bps: f64,
-    max_bps: f64,
     rate_bps: f64,
     /// Minimum one-way delay observed so far (ms); the propagation-delay
     /// baseline that turns OWD samples into queuing delay.
@@ -117,16 +93,11 @@ pub struct Nada {
 }
 
 impl Nada {
-    /// Creates a NADA controller from `cfg`.
-    pub fn new(cfg: NadaConfig) -> Nada {
-        assert!(
-            cfg.min_bps > 0.0 && cfg.min_bps <= cfg.max_bps,
-            "bad rate bounds"
-        );
+    /// Creates a NADA controller at `start_bps`, bounded to
+    /// [`MIN_BPS`, `MAX_BPS`].
+    pub fn new(start_bps: f64) -> Nada {
         Nada {
-            min_bps: cfg.min_bps,
-            max_bps: cfg.max_bps,
-            rate_bps: cfg.start_bps.clamp(cfg.min_bps, cfg.max_bps),
+            rate_bps: start_bps.clamp(MIN_BPS, MAX_BPS),
             base_owd_ms: f64::INFINITY,
             p_loss: 0.0,
             x_prev_ms: 0.0,
@@ -202,7 +173,7 @@ impl CongestionController for Nada {
             self.rate_bps *= 1.0 - adjust.clamp(-STEP_CLAMP, STEP_CLAMP);
             self.reason = "nada-gradual";
         }
-        self.rate_bps = self.rate_bps.clamp(self.min_bps, self.max_bps);
+        self.rate_bps = self.rate_bps.clamp(MIN_BPS, MAX_BPS);
         self.x_prev_ms = x_curr_ms;
         self.last_update = Some(now);
         self.rate_bps
@@ -266,7 +237,7 @@ mod tests {
 
     #[test]
     fn composite_signal_matches_hand_vectors() {
-        let mut cc = Nada::new(NadaConfig::new(1e6));
+        let mut cc = Nada::new(1e6);
         // A clean report at 20 ms OWD sets the base: x = 0.
         cc.on_feedback(&report(0, 10, 0, 20, None), Time::from_millis(100));
         assert_eq!(cc.x_prev_ms, 0.0);
@@ -280,7 +251,7 @@ mod tests {
         // penalty alone: p_loss = 0.1, 0.19, 0.271, 0.3439 gives
         // 10·10² = 1000, 10·19² = 3610, 10·27.1² = 7344.1, and then
         // 10·34.39² = 11826.97, which the cap holds at 10 000 ms.
-        let mut cc = Nada::new(NadaConfig::new(1e6));
+        let mut cc = Nada::new(1e6);
         for (i, want) in [1000.0, 3610.0, 7344.1, 10_000.0].into_iter().enumerate() {
             let i = i as u64;
             cc.on_feedback(
@@ -296,7 +267,7 @@ mod tests {
         // OWD 20 ms: rtt = 2·20 = 40 ms. The first report assumes
         // δ = 100 ms, so γ = 50/(40 + 100) = 5/14; the next comes
         // δ = 200 ms later, so γ = 50/(40 + 200) = 5/24.
-        let mut cc = Nada::new(NadaConfig::new(1e6));
+        let mut cc = Nada::new(1e6);
         let r1 = cc.on_feedback(&report(0, 10, 0, 20, None), Time::from_millis(100));
         assert_close(r1, 1e6 * 19.0 / 14.0);
         let r2 = cc.on_feedback(&report(10, 10, 100, 20, None), Time::from_millis(300));
@@ -305,7 +276,7 @@ mod tests {
 
         // OWD 5 ms: rtt is floored at 10 ms. γ = 50/(10 + 100) = 5/11,
         // then δ = 50 ms gives 50/60 > GAMMA_MAX, so γ = 0.5.
-        let mut cc = Nada::new(NadaConfig::new(1e6));
+        let mut cc = Nada::new(1e6);
         let r1 = cc.on_feedback(&report(0, 10, 0, 5, None), Time::from_millis(100));
         assert_close(r1, 1e6 * 16.0 / 11.0);
         let r2 = cc.on_feedback(&report(10, 10, 100, 5, None), Time::from_millis(150));
@@ -317,7 +288,7 @@ mod tests {
         // The step is the module doc's
         // r ← r·(1 − κ·(δ/τ)·(x_offset + η·x_diff)/τ), clamped to ±50%,
         // with κ = 0.5, η = 2, τ = 500 ms and XREF = 10 ms.
-        let mut cc = Nada::new(NadaConfig::new(2e6));
+        let mut cc = Nada::new(2e6);
         // Clean at 20 ms OWD: ramp by γ = 5/14, and x_prev = 0.
         let r1 = cc.on_feedback(&report(0, 10, 0, 20, None), Time::from_millis(100));
         assert_close(r1, 2e6 * 19.0 / 14.0);
@@ -340,7 +311,7 @@ mod tests {
 
     #[test]
     fn clean_link_ramps_up_multiplicatively() {
-        let mut cc = Nada::new(NadaConfig::new(500_000.0));
+        let mut cc = Nada::new(500_000.0);
         let mut target = cc.target_bps();
         for i in 0..20u64 {
             let r = report(i * 10, 10, i * 100, 20, None);
@@ -352,7 +323,7 @@ mod tests {
 
     #[test]
     fn queuing_delay_growth_forces_decrease() {
-        let mut cc = Nada::new(NadaConfig::new(4e6));
+        let mut cc = Nada::new(4e6);
         // Establish the base delay.
         cc.on_feedback(&report(0, 10, 0, 20, None), Time::from_millis(100));
         let before = cc.target_bps();
@@ -371,7 +342,7 @@ mod tests {
 
     #[test]
     fn sustained_loss_dominates_the_signal() {
-        let mut cc = Nada::new(NadaConfig::new(4e6));
+        let mut cc = Nada::new(4e6);
         let mut target = cc.target_bps();
         // 25% loss: (p_loss/PLR_REF)² grows toward 625 → penalty caps.
         for i in 0..30u64 {
@@ -383,7 +354,7 @@ mod tests {
 
     #[test]
     fn blackout_reports_drive_rate_to_floor_and_stay_finite() {
-        let mut cc = Nada::new(NadaConfig::new(4e6));
+        let mut cc = Nada::new(4e6);
         cc.on_feedback(&report(0, 10, 0, 20, None), Time::from_millis(100));
         for i in 1..60u64 {
             // All packets lost.
@@ -391,17 +362,17 @@ mod tests {
             let t = cc.on_feedback(&r, Time::from_millis((i + 1) * 100));
             assert!(t.is_finite());
         }
-        assert_eq!(cc.target_bps(), 150_000.0);
+        assert_eq!(cc.target_bps(), MIN_BPS);
     }
 
     #[test]
     fn rate_stays_within_bounds() {
-        let mut cc = Nada::new(NadaConfig::new(7.9e6));
+        let mut cc = Nada::new(7.9e6);
         for i in 0..200u64 {
             let r = report(i * 10, 10, i * 100, 5, None);
             let t = cc.on_feedback(&r, Time::from_millis((i + 1) * 100));
-            assert!((150_000.0..=8e6).contains(&t), "out of bounds: {t}");
+            assert!((MIN_BPS..=MAX_BPS).contains(&t), "out of bounds: {t}");
         }
-        assert_eq!(cc.target_bps(), 8e6);
+        assert_eq!(cc.target_bps(), MAX_BPS);
     }
 }

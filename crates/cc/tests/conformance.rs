@@ -28,16 +28,10 @@
 //! simplest plant that produces the three signals real controllers feed
 //! on — delay gradients, loss, and delivery rate.
 
-use ravel_cc::{
-    Bbr, BbrConfig, CongestionController, Gcc, GccConfig, LossEma, LossEmaConfig, Nada, NadaConfig,
-};
+use ravel_cc::{Bbr, CongestionController, Gcc, LossEma, Nada, MAX_BPS, MIN_BPS};
 use ravel_net::{FeedbackReport, PacketResult};
 use ravel_sim::Time;
 
-/// Shared rate floor of the battery (matches every controller config).
-const MIN_BPS: f64 = 150_000.0;
-/// Shared rate ceiling of the battery.
-const MAX_BPS: f64 = 8e6;
 /// Shared starting rate.
 const START_BPS: f64 = 1e6;
 
@@ -47,12 +41,10 @@ type Factory = fn() -> Box<dyn CongestionController>;
 /// fresh (or duplicate) instances.
 fn arena() -> Vec<(&'static str, Factory)> {
     vec![
-        ("gcc", || Box::new(Gcc::new(GccConfig::new(START_BPS)))),
-        ("nada", || Box::new(Nada::new(NadaConfig::new(START_BPS)))),
-        ("bbr", || Box::new(Bbr::new(BbrConfig::new(START_BPS)))),
-        ("loss-ema", || {
-            Box::new(LossEma::new(LossEmaConfig::new(START_BPS)))
-        }),
+        ("gcc", || Box::new(Gcc::new(START_BPS))),
+        ("nada", || Box::new(Nada::new(START_BPS))),
+        ("bbr", || Box::new(Bbr::new(START_BPS))),
+        ("loss-ema", || Box::new(LossEma::new(START_BPS))),
     ]
 }
 

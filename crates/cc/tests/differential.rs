@@ -17,13 +17,11 @@
 //!    loss-EMA loop decreases once per stats interval and lands at a
 //!    usable rate.
 
-use ravel_cc::{CongestionController, LossEma, LossEmaConfig, NaiveAimd};
+use ravel_cc::{CongestionController, LossEma, NaiveAimd, MAX_BPS, MIN_BPS};
 use ravel_net::{FeedbackReport, PacketResult};
 use ravel_sim::{Dur, Time};
 
 const START_BPS: f64 = 2e6;
-const MIN_BPS: f64 = 150_000.0;
-const MAX_BPS: f64 = 8e6;
 
 /// A 10-packet, 100 ms report starting at `start_ms` with the first
 /// `lost` packets dropped.
@@ -51,7 +49,7 @@ fn report(start_ms: u64, lost: u64) -> FeedbackReport {
 /// `i`.
 fn run_both(losses: &[u64]) -> (Vec<f64>, Vec<f64>) {
     let mut naive = NaiveAimd::new(START_BPS, MIN_BPS, MAX_BPS);
-    let mut ema = LossEma::new(LossEmaConfig::new(START_BPS));
+    let mut ema = LossEma::new(START_BPS);
     let mut naive_targets = Vec::new();
     let mut ema_targets = Vec::new();
     for (i, &lost) in losses.iter().enumerate() {

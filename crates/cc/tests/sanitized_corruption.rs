@@ -14,15 +14,12 @@
 //! that scrambles sequence numbers, timestamps, and sizes beyond what
 //! the corruptor emits.
 
-use ravel_cc::{Bbr, BbrConfig, CongestionController, Nada, NadaConfig};
+use ravel_cc::{Bbr, CongestionController, Nada, MAX_BPS, MIN_BPS};
 use ravel_net::{
     CorruptSchedule, CorruptSpec, FeedbackCorruptor, FeedbackReport, FeedbackValidator,
     PacketResult,
 };
 use ravel_sim::{Dur, Time};
-
-const MIN_BPS: f64 = 150_000.0;
-const MAX_BPS: f64 = 8e6;
 
 /// An honest 10-packet, 100 ms report: contiguous sequence numbers,
 /// positive sizes, arrivals inside `[send, generated_at]`.
@@ -53,8 +50,8 @@ fn honest_report(idx: u64, owd_ms: u64, lost_every: u64) -> FeedbackReport {
 fn feed_sanitized(reports: Vec<FeedbackReport>) -> Result<(), proptest::TestCaseError> {
     let mut validator = FeedbackValidator::new();
     let mut last_seq: Option<u64> = None;
-    let mut nada = Nada::new(NadaConfig::new(1e6));
-    let mut bbr = Bbr::new(BbrConfig::new(1e6));
+    let mut nada = Nada::new(1e6);
+    let mut bbr = Bbr::new(1e6);
     let mut accepted = 0u64;
     for report in &reports {
         let now = report.generated_at + Dur::millis(5);

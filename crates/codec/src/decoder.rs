@@ -4,8 +4,9 @@
 //! that matters for end-to-end quality: *can this frame be decoded at
 //! all?* A P-frame is decodable only if its reference (the previous
 //! decoded frame) was decoded; an I-frame always is. A frame that is
-//! lost in the network, or arrives after its playout deadline, breaks
-//! the chain for every P-frame behind it until the next I-frame.
+//! lost in the network breaks the chain for every P-frame behind it
+//! until the next I-frame; one that arrives after its playout deadline
+//! is decoded, but displayed stale.
 //!
 //! While the chain is broken the receiver *freezes*: it keeps displaying
 //! the last good frame. The quality cost of a freeze grows with the
@@ -140,7 +141,7 @@ impl Decoder {
         };
         if !decodable {
             // feed(None) breaks the chain (and counts the transition).
-            return self.feed(None, true, temporal_complexity);
+            return self.feed(None, temporal_complexity);
         }
         self.has_reference = true;
         self.screen_ssim = frame.ssim;
@@ -171,22 +172,17 @@ impl Decoder {
     /// Feeds the next frame slot to the decoder.
     ///
     /// * `frame` — the encoded frame for this slot, or `None` if it never
-    ///   arrived (lost, dropped, or skipped at the sender).
-    /// * `on_time` — whether it arrived before its playout deadline.
+    ///   arrived (lost, dropped, or skipped at the sender). A frame that
+    ///   missed its playout deadline goes through [`Decoder::feed_late`].
     /// * `temporal_complexity` — the *source* frame's motion level,
     ///   used to price a freeze.
-    pub fn feed(
-        &mut self,
-        frame: Option<Decodable>,
-        on_time: bool,
-        temporal_complexity: f64,
-    ) -> DecodeOutcome {
+    pub fn feed(&mut self, frame: Option<Decodable>, temporal_complexity: f64) -> DecodeOutcome {
         let decodable = match frame {
-            Some(f) if on_time => match f.frame_type {
+            Some(f) => match f.frame_type {
                 FrameType::I => true,
                 FrameType::P => !self.chain_broken && self.has_reference,
             },
-            _ => false,
+            None => false,
         };
 
         if decodable {
@@ -228,8 +224,8 @@ mod tests {
     #[test]
     fn normal_playout_displays() {
         let mut d = Decoder::new();
-        let out0 = d.feed(Some(frame(FrameType::I, 0.96)), true, 0.35);
-        let out1 = d.feed(Some(frame(FrameType::P, 0.95)), true, 0.35);
+        let out0 = d.feed(Some(frame(FrameType::I, 0.96)), 0.35);
+        let out1 = d.feed(Some(frame(FrameType::P, 0.95)), 0.35);
         assert_eq!(out0, DecodeOutcome::Displayed { ssim: 0.96 });
         assert_eq!(out1, DecodeOutcome::Displayed { ssim: 0.95 });
         assert_eq!(d.total_displayed(), 2);
@@ -239,18 +235,18 @@ mod tests {
     #[test]
     fn first_frame_p_cannot_decode() {
         let mut d = Decoder::new();
-        let out = d.feed(Some(frame(FrameType::P, 0.95)), true, 0.35);
+        let out = d.feed(Some(frame(FrameType::P, 0.95)), 0.35);
         assert!(!out.is_displayed());
     }
 
     #[test]
     fn missing_frame_freezes_and_breaks_chain() {
         let mut d = Decoder::new();
-        d.feed(Some(frame(FrameType::I, 0.96)), true, 0.35);
-        let out1 = d.feed(None, true, 0.35);
+        d.feed(Some(frame(FrameType::I, 0.96)), 0.35);
+        let out1 = d.feed(None, 0.35);
         assert!(!out1.is_displayed());
         // Subsequent P cannot decode even though it arrived fine.
-        let out2 = d.feed(Some(frame(FrameType::P, 0.95)), true, 0.35);
+        let out2 = d.feed(Some(frame(FrameType::P, 0.95)), 0.35);
         assert!(!out2.is_displayed());
         assert!(d.chain_broken());
     }
@@ -258,62 +254,68 @@ mod tests {
     #[test]
     fn chain_breaks_count_transitions_not_slots() {
         let mut d = Decoder::new();
-        d.feed(Some(frame(FrameType::I, 0.96)), true, 0.35);
+        d.feed(Some(frame(FrameType::I, 0.96)), 0.35);
         assert_eq!(d.chain_breaks(), 0);
         // Three consecutive missing slots are ONE break.
-        d.feed(None, true, 0.35);
-        d.feed(None, true, 0.35);
-        d.feed(None, true, 0.35);
+        d.feed(None, 0.35);
+        d.feed(None, 0.35);
+        d.feed(None, 0.35);
         assert_eq!(d.chain_breaks(), 1);
         // Repair, then break again: second transition.
-        d.feed(Some(frame(FrameType::I, 0.94)), true, 0.35);
-        d.feed(None, true, 0.35);
+        d.feed(Some(frame(FrameType::I, 0.94)), 0.35);
+        d.feed(None, 0.35);
         assert_eq!(d.chain_breaks(), 2);
     }
 
     #[test]
     fn i_frame_repairs_chain() {
         let mut d = Decoder::new();
-        d.feed(Some(frame(FrameType::I, 0.96)), true, 0.35);
-        d.feed(None, true, 0.35);
-        d.feed(Some(frame(FrameType::P, 0.95)), true, 0.35);
-        let out = d.feed(Some(frame(FrameType::I, 0.94)), true, 0.35);
+        d.feed(Some(frame(FrameType::I, 0.96)), 0.35);
+        d.feed(None, 0.35);
+        d.feed(Some(frame(FrameType::P, 0.95)), 0.35);
+        let out = d.feed(Some(frame(FrameType::I, 0.94)), 0.35);
         assert!(out.is_displayed());
         assert!(!d.chain_broken());
-        let next = d.feed(Some(frame(FrameType::P, 0.95)), true, 0.35);
+        let next = d.feed(Some(frame(FrameType::P, 0.95)), 0.35);
         assert!(next.is_displayed());
     }
 
     #[test]
     fn late_frame_counts_as_missing() {
         let mut d = Decoder::new();
-        d.feed(Some(frame(FrameType::I, 0.96)), true, 0.35);
-        let out = d.feed(Some(frame(FrameType::P, 0.95)), false, 0.35);
+        d.feed(Some(frame(FrameType::I, 0.96)), 0.35);
+        let out = d.feed_late(frame(FrameType::P, 0.95), 3.0, 0.35);
+        // Missing from the display at its slot...
         assert!(!out.is_displayed());
+        assert_eq!(d.total_frozen(), 1);
+        // ...but decoded, so the chain holds for the next P-frame.
+        assert!(!d.chain_broken());
+        let next = d.feed(Some(frame(FrameType::P, 0.95)), 0.35);
+        assert!(next.is_displayed());
     }
 
     #[test]
     fn freeze_quality_decays_with_motion() {
         let mut d = Decoder::new();
-        d.feed(Some(frame(FrameType::I, 0.96)), true, 1.0);
-        let f1 = d.feed(None, true, 1.0).displayed_ssim();
-        let f2 = d.feed(None, true, 1.0).displayed_ssim();
-        let f3 = d.feed(None, true, 1.0).displayed_ssim();
+        d.feed(Some(frame(FrameType::I, 0.96)), 1.0);
+        let f1 = d.feed(None, 1.0).displayed_ssim();
+        let f2 = d.feed(None, 1.0).displayed_ssim();
+        let f3 = d.feed(None, 1.0).displayed_ssim();
         assert!(f1 > f2 && f2 > f3, "freeze should decay: {f1} {f2} {f3}");
         // High motion decays faster than low motion.
         let mut d2 = Decoder::new();
-        d2.feed(Some(frame(FrameType::I, 0.96)), true, 0.05);
-        let slow = d2.feed(None, true, 0.05).displayed_ssim();
+        d2.feed(Some(frame(FrameType::I, 0.96)), 0.05);
+        let slow = d2.feed(None, 0.05).displayed_ssim();
         assert!(slow > f1);
     }
 
     #[test]
     fn freeze_floors_at_minimum() {
         let mut d = Decoder::new();
-        d.feed(Some(frame(FrameType::I, 0.96)), true, 2.0);
+        d.feed(Some(frame(FrameType::I, 0.96)), 2.0);
         let mut last = 1.0;
         for _ in 0..100 {
-            last = d.feed(None, true, 2.0).displayed_ssim();
+            last = d.feed(None, 2.0).displayed_ssim();
         }
         assert_eq!(last, 0.2);
     }
@@ -321,12 +323,12 @@ mod tests {
     #[test]
     fn recovery_resets_freeze_run() {
         let mut d = Decoder::new();
-        d.feed(Some(frame(FrameType::I, 0.96)), true, 1.0);
-        d.feed(None, true, 1.0);
-        d.feed(None, true, 1.0);
-        d.feed(Some(frame(FrameType::I, 0.93)), true, 1.0);
+        d.feed(Some(frame(FrameType::I, 0.96)), 1.0);
+        d.feed(None, 1.0);
+        d.feed(None, 1.0);
+        d.feed(Some(frame(FrameType::I, 0.93)), 1.0);
         // A fresh freeze starts shallow again.
-        let f = d.feed(None, true, 1.0).displayed_ssim();
+        let f = d.feed(None, 1.0).displayed_ssim();
         assert!(f > 0.8, "freeze after recovery too deep: {f}");
     }
 }

@@ -37,6 +37,10 @@ use crate::vbv::Vbv;
 /// deployments run.
 const MS_PER_MEGAPIXEL: f64 = 3.0;
 
+/// Maximum GOP length in frames (x264 `keyint`; RTC commonly uses a
+/// large value and relies on scene cuts / PLI for I-frames).
+const KEYINT: u64 = 300;
+
 /// Encoder configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EncoderConfig {
@@ -46,17 +50,8 @@ pub struct EncoderConfig {
     pub fps: u32,
     /// Capture (= display) resolution.
     pub capture_resolution: Resolution,
-    /// Maximum GOP length in frames (x264 `keyint`; RTC commonly uses a
-    /// large value and relies on scene cuts / PLI for I-frames).
-    pub keyint: u64,
     /// VBV buffer depth in seconds of the target rate.
     pub vbv_buffer_secs: f64,
-    /// Rate–distortion model.
-    pub rd: RdModel,
-    /// Quality model.
-    pub quality: QualityModel,
-    /// Maximum per-frame QP step for the normal (non-override) planner.
-    pub max_qp_step: f64,
     /// Temporal layers (1 = plain IPPP, 2 = hierarchical-P with a
     /// droppable enhancement layer on every other frame). Two layers
     /// cost ~15-20% extra bits (base-layer frames predict across a
@@ -75,11 +70,7 @@ impl EncoderConfig {
             target_bps,
             fps,
             capture_resolution: Resolution::P720,
-            keyint: 300,
             vbv_buffer_secs: 0.15,
-            rd: RdModel::default(),
-            quality: QualityModel::default(),
-            max_qp_step: 4.0,
             temporal_layers: 1,
         }
     }
@@ -109,6 +100,8 @@ impl EncoderConfig {
 #[derive(Debug, Clone)]
 pub struct Encoder {
     cfg: EncoderConfig,
+    rd: RdModel,
+    quality: QualityModel,
     abr: AbrState,
     vbv: Vbv,
     frames_since_idr: u64,
@@ -132,19 +125,19 @@ impl Encoder {
     /// initial complexity guess.
     pub fn new(cfg: EncoderConfig) -> Encoder {
         assert!(cfg.fps > 0, "Encoder: zero fps");
-        assert!(cfg.keyint >= 1, "Encoder: keyint must be >= 1");
         assert!(
             (1..=2).contains(&cfg.temporal_layers),
             "Encoder: temporal_layers must be 1 or 2"
         );
         let frame_interval = Dur::micros(1_000_000 / cfg.fps as u64);
-        let init_satd = cfg.rd.k
+        let rd = RdModel::default();
+        let init_satd = rd.k
             * cfg.capture_resolution.pixels() as f64
             * ravel_video::FrameComplexity::reference().temporal;
-        let mut abr_cfg = AbrConfig::new(cfg.target_bps, cfg.fps as f64);
-        abr_cfg.max_qp_step = cfg.max_qp_step;
         Encoder {
-            abr: AbrState::new(abr_cfg, init_satd),
+            rd,
+            quality: QualityModel::default(),
+            abr: AbrState::new(AbrConfig::new(cfg.target_bps, cfg.fps as f64), init_satd),
             vbv: Vbv::new(cfg.target_bps, cfg.vbv_buffer_secs),
             frames_since_idr: 0,
             force_idr: true,
@@ -182,7 +175,7 @@ impl Encoder {
     /// Exposes the R–D model (the adaptive controller shares it to solve
     /// budgets exactly as the encoder will).
     pub fn rd_model(&self) -> &RdModel {
-        &self.cfg.rd
+        &self.rd
     }
 
     /// Current rate-control overshoot vs. the target line, bits.
@@ -263,10 +256,7 @@ impl Encoder {
     /// The adaptive controller uses this to prefer skipping droppable
     /// enhancement-layer frames.
     pub fn next_frame_layer(&self) -> u8 {
-        if self.cfg.temporal_layers == 2
-            && !self.force_idr
-            && self.frames_since_idr < self.cfg.keyint
-        {
+        if self.cfg.temporal_layers == 2 && !self.force_idr && self.frames_since_idr < KEYINT {
             self.layer_parity as u8
         } else {
             0
@@ -277,14 +267,12 @@ impl Encoder {
     /// encoder).
     pub fn encode(&mut self, frame: &RawFrame, now: Time) -> EncodedFrame {
         // --- frame-type decision -------------------------------------
-        let frame_type = if self.force_idr
-            || frame.complexity.scene_cut
-            || self.frames_since_idr >= self.cfg.keyint
-        {
-            FrameType::I
-        } else {
-            FrameType::P
-        };
+        let frame_type =
+            if self.force_idr || frame.complexity.scene_cut || self.frames_since_idr >= KEYINT {
+                FrameType::I
+            } else {
+                FrameType::P
+            };
 
         // --- temporal layer -------------------------------------------
         let temporal_layer = if frame_type.is_intra() {
@@ -305,7 +293,7 @@ impl Encoder {
             } else {
                 1.0
             };
-        let satd = self.cfg.rd.k
+        let satd = self.rd.k
             * pixels as f64
             * RdModel::effective_complexity(frame.complexity, frame_type)
             * layer_cplx_factor;
@@ -324,48 +312,37 @@ impl Encoder {
                 // budget. Also inform the ABR planner so its blur keeps
                 // tracking content (plan result discarded).
                 let _ = self.abr.plan_frame(satd, frame_type, self.frame_interval);
-                self.cfg
-                    .rd
-                    .solve_qp(rd_complexity, pixels, frame_type, budget)
+                self.rd.solve_qp(rd_complexity, pixels, frame_type, budget)
             }
             None => self.abr.plan_frame(satd, frame_type, self.frame_interval),
         };
 
         // --- VBV clamp --------------------------------------------------
         self.vbv.refill(self.frame_interval);
-        let planned_bits = self
-            .cfg
-            .rd
-            .frame_bits(rd_complexity, pixels, frame_type, qp);
+        let planned_bits = self.rd.frame_bits(rd_complexity, pixels, frame_type, qp);
         let vbv_cap = self.vbv.max_frame_bits();
         if planned_bits > vbv_cap {
             // Raise QP until the frame fits the bucket.
-            let vbv_qp = self
-                .cfg
-                .rd
-                .solve_qp(rd_complexity, pixels, frame_type, vbv_cap);
+            let vbv_qp = self.rd.solve_qp(rd_complexity, pixels, frame_type, vbv_cap);
             if vbv_qp.value() > qp.value() {
                 qp = vbv_qp;
             }
         }
 
         // --- realize the frame ------------------------------------------
-        let bits = self
-            .cfg
-            .rd
-            .frame_bits(rd_complexity, pixels, frame_type, qp);
+        let bits = self.rd.frame_bits(rd_complexity, pixels, frame_type, qp);
         if !self.vbv.commit_frame(bits) {
             self.vbv_underflows += 1;
         }
         self.abr.commit_frame(bits, qp, self.frame_interval);
 
-        let ssim = self.cfg.quality.ssim(
+        let ssim = self.quality.ssim(
             qp,
             frame.complexity,
             self.encode_resolution,
             self.cfg.capture_resolution,
         );
-        let psnr_db = self.cfg.quality.psnr_db(qp, frame.complexity);
+        let psnr_db = self.quality.psnr_db(qp, frame.complexity);
         let encode_time = self.encode_time(frame, frame_type);
 
         if frame_type.is_intra() {
@@ -509,21 +486,19 @@ mod tests {
 
     #[test]
     fn keyint_forces_periodic_idr() {
-        let mut cfg = EncoderConfig::rtc(2e6, 30);
-        cfg.keyint = 30;
-        let mut enc = Encoder::new(cfg);
+        let mut enc = Encoder::new(EncoderConfig::rtc(2e6, 30));
         // Use a source with no scene cuts so only keyint triggers I.
         let mut profile = ContentClass::TalkingHead.profile();
         profile.scene_cuts_per_min = 0.0;
         let mut src = VideoSource::new(profile, Resolution::P720, 30, 6);
-        let frames = run(&mut enc, &mut src, 100);
+        let frames = run(&mut enc, &mut src, 2 * KEYINT as usize + 10);
         let i_frames: Vec<u64> = frames
             .iter()
             .filter(|f| f.frame_type.is_intra())
             .map(|f| f.index)
             .collect();
         assert!(i_frames.contains(&0));
-        assert!(i_frames.contains(&31) || i_frames.contains(&30));
+        assert!(i_frames.contains(&(KEYINT + 1)) || i_frames.contains(&KEYINT));
         assert!(i_frames.len() >= 3);
     }
 

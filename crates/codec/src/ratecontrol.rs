@@ -30,44 +30,40 @@ use ravel_sim::Dur;
 use crate::frame::FrameType;
 use crate::qp::Qp;
 
-/// Tunables of the ABR loop; defaults match x264's.
+/// Quality-compression exponent `qcompress` (x264 default 0.6): complex
+/// frames get proportionally fewer bits than their complexity share.
+const QCOMPRESS: f64 = 0.6;
+/// ABR rate tolerance (x264 default 1.0); sets the overflow buffer
+/// `abr_buffer = 2 · tolerance · bitrate`.
+const RATE_TOLERANCE: f64 = 1.0;
+/// Maximum per-frame QP move for the normal planner.
+const MAX_QP_STEP: f64 = 4.0;
+/// I-frame qscale ratio (x264 `ip-ratio` 1.4): I-frames are coded at
+/// lower qscale (better quality) than neighbouring P-frames.
+const IP_RATIO: f64 = 1.4;
+
+/// Tunables of the ABR loop; the fixed ones are x264's defaults above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbrConfig {
     /// Target average bitrate in bits/second.
     pub bitrate_bps: f64,
     /// Frame rate (used to convert bitrate to per-frame budget).
     pub fps: f64,
-    /// Quality-compression exponent `qcompress` (x264 default 0.6):
-    /// complex frames get proportionally fewer bits than their
-    /// complexity share.
-    pub qcompress: f64,
-    /// ABR rate tolerance (x264 default 1.0); sets the overflow buffer
-    /// `abr_buffer = 2 · tolerance · bitrate`.
-    pub rate_tolerance: f64,
     /// Half-life, in seconds, of the rate-factor window (behavioural
     /// calibration of x264's `cbr_decay`; observed x264 convergence after
     /// a reconfig is a few seconds).
     pub window_half_life_secs: f64,
-    /// Maximum per-frame QP move for the normal planner.
-    pub max_qp_step: f64,
-    /// I-frame qscale ratio (x264 `ip-ratio` 1.4): I-frames are coded at
-    /// lower qscale (better quality) than neighbouring P-frames.
-    pub ip_ratio: f64,
 }
 
 impl AbrConfig {
-    /// Defaults for a given bitrate and fps (other fields per x264).
+    /// Defaults for a given bitrate and fps.
     pub fn new(bitrate_bps: f64, fps: f64) -> AbrConfig {
         assert!(bitrate_bps > 0.0 && bitrate_bps.is_finite(), "bad bitrate");
         assert!(fps > 0.0 && fps.is_finite(), "bad fps");
         AbrConfig {
             bitrate_bps,
             fps,
-            qcompress: 0.6,
-            rate_tolerance: 1.0,
             window_half_life_secs: 2.5,
-            max_qp_step: 4.0,
-            ip_ratio: 1.4,
         }
     }
 }
@@ -206,7 +202,7 @@ impl AbrState {
         //     complex than the blur gets a *sub-proportional* bit share
         //     (bits ∝ relative-complexity^qcompress), matching x264's
         //     quality compression.
-        qscale *= (satd / blurred).powf(1.0 - self.cfg.qcompress);
+        qscale *= (satd / blurred).powf(1.0 - QCOMPRESS);
 
         // 3. Overflow compensation against the wanted-bits line
         //    (x264 clips the multiplier into [0.5, 2]).
@@ -214,21 +210,21 @@ impl AbrState {
         let wanted_bits = time_done * self.cfg.bitrate_bps;
         if wanted_bits > 0.0 {
             let abr_buffer =
-                2.0 * self.cfg.rate_tolerance * self.cfg.bitrate_bps * time_done.sqrt().max(1.0);
+                2.0 * RATE_TOLERANCE * self.cfg.bitrate_bps * time_done.sqrt().max(1.0);
             let overflow = (1.0 + (self.total_bits - wanted_bits) / abr_buffer).clamp(0.5, 2.0);
             qscale *= overflow;
         }
 
         // 4. I-frames get a lower qscale (ip_ratio).
         if frame_type.is_intra() {
-            qscale /= self.cfg.ip_ratio;
+            qscale /= IP_RATIO;
         }
 
         let mut qp = Qp::from_qscale(qscale.max(1e-9));
 
         // 5. Step limiting vs. the previous frame.
         if let Some(last) = self.last_qp {
-            qp = last.step_toward(qp, self.cfg.max_qp_step);
+            qp = last.step_toward(qp, MAX_QP_STEP);
         }
         qp
     }
@@ -365,7 +361,7 @@ mod tests {
         abr.commit_frame((satd / qp_before.to_qscale()) as u64, qp_before, FRAME);
         let qp_after = abr.plan_frame(satd * 20.0, FrameType::P, FRAME);
         assert!(
-            (qp_after.value() - qp_before.value()).abs() <= 4.0 + 1e-9,
+            (qp_after.value() - qp_before.value()).abs() <= MAX_QP_STEP + 1e-9,
             "step {} -> {}",
             qp_before,
             qp_after

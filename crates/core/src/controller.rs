@@ -14,7 +14,7 @@
 //!   ceiling.
 //! * **Recover** — the queue has drained; the encoder runs at
 //!   `recover_fraction · capacity` without the per-frame pin while GCC's
-//!   own estimate catches up. After `recover_hold`, control returns to
+//!   own estimate catches up. After `RECOVER_HOLD`, control returns to
 //!   **Steady**.
 //!
 //! Compression efficiency is preserved throughout because every QP the
@@ -22,12 +22,17 @@
 //! the controller never "panics" the quantizer beyond what the bit
 //! budget actually requires.
 
+use ravel_cc::MAX_BPS;
 use ravel_codec::{Encoder, FrameType};
 use ravel_net::FeedbackReport;
 use ravel_sim::{Dur, Time};
 use ravel_video::RawFrame;
 
-use crate::config::AdaptiveConfig;
+use crate::config::{
+    AdaptiveConfig, DETECT_QUEUE_DELAY, DRAIN_EXIT_QUEUE_DELAY, DRAIN_RATE_FRACTION,
+    LADDER_DOWN_QP, LADDER_UP_QP, MAX_CONSECUTIVE_SKIPS, MAX_PROBES, PROBE_DURATION, PROBE_FACTOR,
+    PROBE_INTERVAL, RECOVER_HOLD, RECOVER_RATE_FRACTION, SKIP_QUEUE_DELAY,
+};
 use crate::detector::{DropDetector, DropSignal};
 
 /// The controller's phase.
@@ -107,10 +112,9 @@ pub struct AdaptiveController {
 impl AdaptiveController {
     /// Creates a controller for a stream at `fps`.
     pub fn new(cfg: AdaptiveConfig, fps: u32) -> AdaptiveController {
-        cfg.validate();
         assert!(fps > 0, "zero fps");
         AdaptiveController {
-            detector: DropDetector::new(cfg),
+            detector: DropDetector::new(),
             cfg,
             phase: ControllerPhase::Steady,
             phase_since: Time::ZERO,
@@ -198,11 +202,11 @@ impl AdaptiveController {
             // through the ordinary Recover path. Reseed the capacity
             // estimate from the backed-off target (the only rate the
             // blind period validated) so Recover's
-            // `recover_rate_fraction · capacity` lands on it rather than
+            // `RECOVER_RATE_FRACTION · capacity` lands on it rather than
             // on a pre-blackout estimate.
             self.capacity_bps = (encoder.target_bps() * self.rate_overhead_factor
                 + self.reserved_bps)
-                / self.cfg.recover_rate_fraction;
+                / RECOVER_RATE_FRACTION;
             self.enter_recover(now, encoder);
         }
 
@@ -240,22 +244,19 @@ impl AdaptiveController {
                 // (standing queue above the exit threshold). Once the
                 // queue empties, arrivals pace at the *send* rate and the
                 // delivered estimate stops meaning capacity.
-                if self.detector.queue_delay() > self.cfg.drain_exit_queue_delay {
+                if self.detector.queue_delay() > DRAIN_EXIT_QUEUE_DELAY {
                     if let Some(delivered) = self
                         .detector
                         .busy_rate_bps()
                         .or_else(|| self.detector.delivered_bps())
                     {
                         self.capacity_bps += 0.5 * (delivered - self.capacity_bps);
-                        let target =
-                            self.wire_to_media(self.cfg.drain_rate_fraction * self.capacity_bps);
+                        let target = self.wire_to_media(DRAIN_RATE_FRACTION * self.capacity_bps);
                         encoder.set_target_bitrate(target);
-                        if self.cfg.enable_fast_qp {
-                            encoder.override_frame_budget(Some((target / self.fps) as u64));
-                        }
+                        encoder.override_frame_budget(Some((target / self.fps) as u64));
                     }
                 }
-                if self.detector.queue_delay() <= self.cfg.drain_exit_queue_delay {
+                if self.detector.queue_delay() <= DRAIN_EXIT_QUEUE_DELAY {
                     self.enter_recover(now, encoder);
                 }
             }
@@ -266,7 +267,7 @@ impl AdaptiveController {
                     self.enter_drain(sig, now, encoder);
                     return;
                 }
-                if now.saturating_since(self.phase_since) >= self.cfg.recover_hold {
+                if now.saturating_since(self.phase_since) >= RECOVER_HOLD {
                     self.phase = ControllerPhase::Steady;
                     self.phase_since = now;
                     encoder.set_target_bitrate(gcc_target_bps);
@@ -275,8 +276,7 @@ impl AdaptiveController {
                     }
                 } else {
                     // Cap GCC's optimism by what we measured.
-                    let cap =
-                        self.wire_to_media(self.cfg.recover_rate_fraction * self.capacity_bps);
+                    let cap = self.wire_to_media(RECOVER_RATE_FRACTION * self.capacity_bps);
                     let target = gcc_target_bps.min(cap);
                     encoder.set_target_bitrate(target);
                     if self.cfg.enable_vbv_rescale {
@@ -300,11 +300,7 @@ impl AdaptiveController {
         // feedback to judge it with.
         self.probe = None;
         encoder.override_frame_budget(None);
-        if self.cfg.enable_fast_qp {
-            encoder.reseed_rate_control(target_bps);
-        } else {
-            encoder.set_target_bitrate(target_bps);
-        }
+        encoder.reseed_rate_control(target_bps);
         if self.cfg.enable_vbv_rescale {
             encoder.rescale_vbv(target_bps);
         }
@@ -326,13 +322,13 @@ impl AdaptiveController {
                 // references them), so they skip at half the queue
                 // threshold; base-layer skips need the full threshold.
                 let threshold = if encoder.next_frame_layer() == 1 {
-                    self.cfg.skip_queue_delay / 2
+                    SKIP_QUEUE_DELAY / 2
                 } else {
-                    self.cfg.skip_queue_delay
+                    SKIP_QUEUE_DELAY
                 };
                 if self.cfg.enable_frame_skip
                     && self.detector.queue_delay() > threshold
-                    && self.consecutive_skips < self.cfg.max_consecutive_skips
+                    && self.consecutive_skips < MAX_CONSECUTIVE_SKIPS
                 {
                     self.consecutive_skips += 1;
                     self.frames_skipped += 1;
@@ -382,14 +378,14 @@ impl AdaptiveController {
             .busy_rate_bps()
             .or_else(|| self.detector.delivered_bps());
 
-        let target = if qd > self.cfg.detect_queue_delay {
+        let target = if qd > DETECT_QUEUE_DELAY {
             // Standing queue: the path is saturated; the busy rate *is*
             // the capacity. Track it with drain headroom.
             let cap = delivered.unwrap_or(cur);
             self.capacity_bps = cap;
             self.phase = ControllerPhase::Drain;
-            self.wire_to_media(self.cfg.drain_rate_fraction * cap)
-        } else if qd <= self.cfg.drain_exit_queue_delay {
+            self.wire_to_media(DRAIN_RATE_FRACTION * cap)
+        } else if qd <= DRAIN_EXIT_QUEUE_DELAY {
             // Clear path: probe upward a couple of percent per report,
             // never beyond 1.25x what the path demonstrably delivered
             // (or GCC's estimate when we are application-limited).
@@ -398,19 +394,15 @@ impl AdaptiveController {
                 .map(|d| self.wire_to_media(1.25 * d))
                 .unwrap_or(f64::MAX)
                 .max(gcc_target_bps);
-            (cur * 1.02).min(probe_cap).min(8e6)
+            (cur * 1.02).min(probe_cap).min(MAX_BPS)
         } else {
             self.phase = ControllerPhase::Recover;
             cur
         };
         let target = target.max(100_000.0);
 
-        if self.cfg.enable_fast_qp {
-            encoder.reseed_rate_control(target);
-            encoder.override_frame_budget(Some((target / self.fps) as u64));
-        } else {
-            encoder.set_target_bitrate(target);
-        }
+        encoder.reseed_rate_control(target);
+        encoder.override_frame_budget(Some((target / self.fps) as u64));
         if self.cfg.enable_vbv_rescale {
             encoder.rescale_vbv(target);
         }
@@ -426,13 +418,13 @@ impl AdaptiveController {
         let cur = encoder.target_bps();
         if p.active {
             let qd = self.detector.queue_delay();
-            if qd > self.cfg.detect_queue_delay {
+            if qd > DETECT_QUEUE_DELAY {
                 // The probe congested the path: revert immediately.
                 encoder.fast_reconfigure(p.fallback_bps);
                 p.active = false;
                 p.failures += 1;
-                p.at = now + self.cfg.probe_interval;
-                self.probe = (p.failures < self.cfg.max_probes).then_some(p);
+                p.at = now + PROBE_INTERVAL;
+                self.probe = (p.failures < MAX_PROBES).then_some(p);
                 return true;
             }
             if now >= p.judge_at {
@@ -442,7 +434,7 @@ impl AdaptiveController {
                 self.probe_floor_bps = cur;
                 p.active = false;
                 p.failures = 0;
-                p.at = now + self.cfg.probe_interval;
+                p.at = now + PROBE_INTERVAL;
                 if cur >= 0.95 * self.last_good_bps {
                     // Back at the pre-drop level: probing is done.
                     self.probe = None;
@@ -456,11 +448,11 @@ impl AdaptiveController {
         }
         // Idle: time for the next attempt?
         if now >= p.at && cur < 0.95 * self.last_good_bps {
-            let target = (cur * self.cfg.probe_factor).min(self.last_good_bps.max(cur));
+            let target = (cur * PROBE_FACTOR).min(self.last_good_bps.max(cur));
             self.probes_attempted += 1;
             p.fallback_bps = cur;
             p.active = true;
-            p.judge_at = now + self.cfg.probe_duration;
+            p.judge_at = now + PROBE_DURATION;
             encoder.fast_reconfigure(target);
             self.probe = Some(p);
             return true;
@@ -476,7 +468,7 @@ impl AdaptiveController {
             self.probe_floor_bps = 0.0;
             self.last_good_bps = self.last_good_bps.max(encoder.target_bps());
             self.probe = Some(ProbeState {
-                at: now + self.cfg.recover_hold + self.cfg.probe_interval,
+                at: now + RECOVER_HOLD + PROBE_INTERVAL,
                 fallback_bps: 0.0,
                 active: false,
                 judge_at: now,
@@ -488,31 +480,20 @@ impl AdaptiveController {
         self.phase = ControllerPhase::Drain;
         self.phase_since = now;
         self.ladder_up_streak = 0;
-        let target = self.wire_to_media(self.cfg.drain_rate_fraction * sig.capacity_bps);
-
-        if self.cfg.enable_fast_qp {
-            encoder.reseed_rate_control(target);
-        } else {
-            encoder.set_target_bitrate(target);
-        }
+        let target = self.wire_to_media(DRAIN_RATE_FRACTION * sig.capacity_bps);
+        encoder.reseed_rate_control(target);
         if self.cfg.enable_vbv_rescale {
             encoder.rescale_vbv(target);
         }
-        if self.cfg.enable_fast_qp {
-            encoder.override_frame_budget(Some((target / self.fps) as u64));
-        }
+        encoder.override_frame_budget(Some((target / self.fps) as u64));
     }
 
     fn enter_recover(&mut self, now: Time, encoder: &mut Encoder) {
         self.phase = ControllerPhase::Recover;
         self.phase_since = now;
         encoder.override_frame_budget(None);
-        let target = self.wire_to_media(self.cfg.recover_rate_fraction * self.capacity_bps);
-        if self.cfg.enable_fast_qp {
-            encoder.reseed_rate_control(target);
-        } else {
-            encoder.set_target_bitrate(target);
-        }
+        let target = self.wire_to_media(RECOVER_RATE_FRACTION * self.capacity_bps);
+        encoder.reseed_rate_control(target);
         if self.cfg.enable_vbv_rescale {
             encoder.rescale_vbv(target);
         }
@@ -521,7 +502,7 @@ impl AdaptiveController {
     /// Steps the ladder down if the current budget would force QP past
     /// the quality ceiling at the current rung.
     fn maybe_step_down(&mut self, frame: &RawFrame, encoder: &mut Encoder) {
-        let budget = (self.cfg.drain_rate_fraction * self.capacity_bps / self.fps) as u64;
+        let budget = (DRAIN_RATE_FRACTION * self.capacity_bps / self.fps) as u64;
         if budget == 0 {
             return;
         }
@@ -531,7 +512,7 @@ impl AdaptiveController {
                 encoder
                     .rd_model()
                     .solve_qp(frame.complexity, res.pixels(), FrameType::P, budget);
-            if qp.value() <= self.cfg.ladder_down_qp {
+            if qp.value() <= LADDER_DOWN_QP {
                 break;
             }
             match res.step_down() {
@@ -558,7 +539,7 @@ impl AdaptiveController {
             encoder
                 .rd_model()
                 .solve_qp(frame.complexity, up.pixels(), FrameType::P, budget);
-        if qp_up.value() < self.cfg.ladder_up_qp {
+        if qp_up.value() < LADDER_UP_QP {
             self.ladder_up_streak += 1;
             // ~1 second of consistent headroom before stepping up.
             if self.ladder_up_streak as f64 >= self.fps {
@@ -680,11 +661,7 @@ mod tests {
 
     #[test]
     fn skip_run_is_bounded() {
-        let cfg = AdaptiveConfig {
-            max_consecutive_skips: 3,
-            ..AdaptiveConfig::default()
-        };
-        let mut ctl = AdaptiveController::new(cfg, 30);
+        let mut ctl = AdaptiveController::new(AdaptiveConfig::default(), 30);
         let mut enc = encoder(4e6);
         let mut seq = 0;
         warm(&mut ctl, &mut enc, &mut seq);
@@ -692,21 +669,23 @@ mod tests {
         ctl.on_feedback(&r, 4e6, Time::from_millis(2100), &mut enc);
         let mut src = source();
         let mut decisions = Vec::new();
-        for _ in 0..6 {
+        // Two full runs: each is MAX_CONSECUTIVE_SKIPS skips, then one
+        // forced encode.
+        let run = MAX_CONSECUTIVE_SKIPS as usize + 1;
+        for _ in 0..2 * run {
             let f = src.next_frame();
             decisions.push(ctl.on_frame(&f, Time::from_millis(2100), &mut enc));
         }
-        assert_eq!(
-            decisions,
-            vec![
-                FrameDecision::Skip,
-                FrameDecision::Skip,
-                FrameDecision::Skip,
-                FrameDecision::Encode,
-                FrameDecision::Skip,
-                FrameDecision::Skip,
-            ]
-        );
+        let want: Vec<FrameDecision> = (0..2 * run)
+            .map(|i| {
+                if i % run == run - 1 {
+                    FrameDecision::Encode
+                } else {
+                    FrameDecision::Skip
+                }
+            })
+            .collect();
+        assert_eq!(decisions, want);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use ravel_net::FeedbackReport;
 use ravel_sim::{Dur, Time};
 
-use crate::config::AdaptiveConfig;
+use crate::config::{DETECT_COOLDOWN, DETECT_QUEUE_DELAY, DETECT_THROUGHPUT_RATIO, OWD_MIN_WINDOW};
 
 /// A detected bandwidth drop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,7 +74,6 @@ impl WindowedMin {
 /// The drop detector.
 #[derive(Debug, Clone)]
 pub struct DropDetector {
-    cfg: AdaptiveConfig,
     owd_min: WindowedMin,
     /// Smoothed one-way delay (EWMA over packets).
     smoothed_owd: Option<Dur>,
@@ -91,11 +90,17 @@ pub struct DropDetector {
     triggers: u64,
 }
 
+impl Default for DropDetector {
+    fn default() -> Self {
+        DropDetector::new()
+    }
+}
+
 impl DropDetector {
-    /// Creates a detector with the controller's config.
-    pub fn new(cfg: AdaptiveConfig) -> DropDetector {
+    /// Creates a detector with the paper configuration's thresholds.
+    pub fn new() -> DropDetector {
         DropDetector {
-            owd_min: WindowedMin::new(cfg.owd_min_window),
+            owd_min: WindowedMin::new(OWD_MIN_WINDOW),
             smoothed_owd: None,
             recent: VecDeque::new(),
             rate_window: Dur::millis(250),
@@ -103,7 +108,6 @@ impl DropDetector {
             prev_report_owd: None,
             owd_rising: false,
             triggers: 0,
-            cfg,
         }
     }
 
@@ -213,17 +217,17 @@ impl DropDetector {
 
         // Cooldown gate.
         if let Some(last) = self.last_trigger {
-            if now.saturating_since(last) < self.cfg.detect_cooldown {
+            if now.saturating_since(last) < DETECT_COOLDOWN {
                 return None;
             }
         }
 
         let queue_delay = self.queue_delay();
-        if queue_delay < self.cfg.detect_queue_delay || !self.owd_rising {
+        if queue_delay < DETECT_QUEUE_DELAY || !self.owd_rising {
             return None;
         }
         let delivered = self.delivered_bps()?;
-        if delivered >= self.cfg.detect_throughput_ratio * target_bps {
+        if delivered >= DETECT_THROUGHPUT_RATIO * target_bps {
             return None;
         }
 
@@ -297,7 +301,7 @@ mod tests {
 
     #[test]
     fn no_trigger_on_healthy_path() {
-        let mut det = DropDetector::new(AdaptiveConfig::default());
+        let mut det = DropDetector::new();
         warm(&mut det);
         assert_eq!(det.triggers(), 0);
         assert!(det.queue_delay() < Dur::millis(5));
@@ -307,7 +311,7 @@ mod tests {
 
     #[test]
     fn detects_capacity_drop_with_estimate() {
-        let mut det = DropDetector::new(AdaptiveConfig::default());
+        let mut det = DropDetector::new();
         let seq = warm(&mut det);
         // Capacity drops 4x: arrivals now every 10 ms and OWD climbing
         // (each packet waits behind a growing queue).
@@ -335,7 +339,7 @@ mod tests {
 
     #[test]
     fn cooldown_suppresses_retrigger() {
-        let mut det = DropDetector::new(AdaptiveConfig::default());
+        let mut det = DropDetector::new();
         let seq = warm(&mut det);
         // A persisting (unhandled) drop keeps the queue — and thus OWD —
         // climbing across reports; `base` sets each report's OWD floor.
@@ -369,7 +373,7 @@ mod tests {
     fn delay_without_throughput_drop_does_not_trigger() {
         // OWD rises (e.g. route change) but delivery keeps pace with the
         // 4 Mbps target: not a capacity drop.
-        let mut det = DropDetector::new(AdaptiveConfig::default());
+        let mut det = DropDetector::new();
         let seq = warm(&mut det);
         let r = FeedbackReport {
             report_seq: 0,
@@ -391,7 +395,7 @@ mod tests {
     fn throughput_dip_without_queue_delay_does_not_trigger() {
         // The sender simply sent less (e.g. quiet content): delivery is
         // below target but OWD stays at baseline.
-        let mut det = DropDetector::new(AdaptiveConfig::default());
+        let mut det = DropDetector::new();
         let seq = warm(&mut det);
         let r = report(seq, 10, 2000, 10, 2020, 10);
         assert!(det.on_feedback(&r, 4e6, Time::from_millis(2100)).is_none());
@@ -400,7 +404,7 @@ mod tests {
 
     #[test]
     fn lost_packets_are_ignored_gracefully() {
-        let mut det = DropDetector::new(AdaptiveConfig::default());
+        let mut det = DropDetector::new();
         let r = FeedbackReport {
             report_seq: 0,
             generated_at: Time::from_millis(100),

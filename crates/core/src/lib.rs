@@ -35,8 +35,11 @@
 //!   and hands control back to GCC once the queue has drained
 //!   (`Drain → Recover → Steady`).
 //!
-//! Every mechanism has an independent enable flag in [`AdaptiveConfig`]
-//! so E7 can ablate them.
+//! Reseeding rate control (the fast-QP path) is always on: it is the
+//! mechanism itself. VBV rescaling, frame skipping and the resolution
+//! ladder each have an enable flag in [`AdaptiveConfig`] so E7 can
+//! ablate them; its other fields pick the control mode (E15) and turn
+//! on recovery probing (E16). Every threshold is a constant.
 //!
 //! * [`FeedbackWatchdog`] covers the failure mode the detector cannot:
 //!   feedback that never arrives. When the reverse path goes dark it

@@ -29,34 +29,42 @@
 //! the encoder, the adaptive controller routes it through its
 //! `Degraded` phase.
 
+use ravel_cc::MIN_BPS;
 use ravel_sim::{Dur, Time};
 
-/// Configuration for the feedback watchdog.
+/// Multiplicative target-rate cut per step, in `(0, 1)`. The backoff
+/// decays toward, but never crosses, the arena controllers' floor
+/// [`MIN_BPS`].
+const BACKOFF_FACTOR: f64 = 0.7;
+
+/// Panics unless the backoff factor is in range. Evaluated on
+/// [`BACKOFF_FACTOR`] at compile time.
+const fn check_backoff(backoff_factor: f64) {
+    assert!(
+        backoff_factor > 0.0 && backoff_factor < 1.0,
+        "watchdog: backoff factor not in (0, 1)"
+    );
+}
+
+const _: () = check_backoff(BACKOFF_FACTOR);
+
+/// Configuration for the feedback watchdog. Each step cuts the target
+/// by 0.7×, never below the 150 kbps floor the arena controllers share,
+/// and the sender skips alternate frames while blind.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogConfig {
     /// Blind interval after which a degradation step fires. Production
     /// guidance: ≈ 3 feedback intervals + one RTT, so ordinary jitter
     /// and a single lost report never trigger it.
     pub timeout: Dur,
-    /// Multiplicative target-rate cut per step, in `(0, 1)`.
-    pub backoff_factor: f64,
-    /// The rate the backoff decays toward but never crosses.
-    pub floor_bps: f64,
-    /// Skip alternate frames while blind, halving the data fired into
-    /// an unobservable network at a given target rate.
-    pub skip_while_blind: bool,
 }
 
 impl Default for WatchdogConfig {
     /// Defaults for the pipeline's stock 50 ms feedback interval and
-    /// 40 ms RTT: 200 ms timeout, 0.7× per step, 150 kbps floor
-    /// (matching GCC's minimum), blind frame-skip on.
+    /// 40 ms RTT: a 200 ms timeout.
     fn default() -> WatchdogConfig {
         WatchdogConfig {
             timeout: Dur::millis(200),
-            backoff_factor: 0.7,
-            floor_bps: 150_000.0,
-            skip_while_blind: true,
         }
     }
 }
@@ -67,23 +75,7 @@ impl WatchdogConfig {
     pub fn for_timing(feedback_interval: Dur, rtt: Dur) -> WatchdogConfig {
         WatchdogConfig {
             timeout: feedback_interval * 3 + rtt,
-            ..WatchdogConfig::default()
         }
-    }
-
-    /// Panics on out-of-range parameters.
-    pub fn validate(&self) {
-        assert!(!self.timeout.is_zero(), "watchdog: zero timeout");
-        assert!(
-            self.backoff_factor > 0.0 && self.backoff_factor < 1.0,
-            "watchdog: backoff factor {} not in (0, 1)",
-            self.backoff_factor
-        );
-        assert!(
-            self.floor_bps > 0.0 && self.floor_bps.is_finite(),
-            "watchdog: bad floor {}",
-            self.floor_bps
-        );
     }
 }
 
@@ -107,7 +99,7 @@ impl FeedbackWatchdog {
     /// Creates a watchdog; the clock starts at `Time::ZERO` with the
     /// first deadline one timeout out.
     pub fn new(cfg: WatchdogConfig) -> FeedbackWatchdog {
-        cfg.validate();
+        assert!(!cfg.timeout.is_zero(), "watchdog: zero timeout");
         FeedbackWatchdog {
             cfg,
             last_valid: Time::ZERO,
@@ -116,11 +108,6 @@ impl FeedbackWatchdog {
             timeouts_total: 0,
             episodes: 0,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.cfg
     }
 
     /// Records a valid (fresh, non-duplicate, validator-accepted)
@@ -157,7 +144,7 @@ impl FeedbackWatchdog {
     /// The rate a target should be cut to on the step that just fired:
     /// one backoff factor down, clamped at the floor.
     pub fn apply_backoff(&self, current_bps: f64) -> f64 {
-        (current_bps * self.cfg.backoff_factor).max(self.cfg.floor_bps)
+        (current_bps * BACKOFF_FACTOR).max(MIN_BPS)
     }
 
     /// True while at least one step has fired without feedback since.
@@ -191,12 +178,7 @@ mod tests {
     use super::*;
 
     fn cfg() -> WatchdogConfig {
-        WatchdogConfig {
-            timeout: Dur::millis(200),
-            backoff_factor: 0.5,
-            floor_bps: 100_000.0,
-            skip_while_blind: true,
-        }
+        WatchdogConfig::default()
     }
 
     #[test]
@@ -249,8 +231,8 @@ mod tests {
         let mut seen_floor = false;
         for _ in 0..12 {
             rate = wd.apply_backoff(rate);
-            assert!(rate >= 100_000.0);
-            if rate == 100_000.0 {
+            assert!(rate >= MIN_BPS);
+            if rate == MIN_BPS {
                 seen_floor = true;
             }
         }
@@ -278,9 +260,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "backoff factor")]
     fn rejects_bad_backoff() {
-        FeedbackWatchdog::new(WatchdogConfig {
-            backoff_factor: 1.0,
-            ..cfg()
-        });
+        check_backoff(1.0);
     }
 }

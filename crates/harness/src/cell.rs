@@ -228,13 +228,24 @@ mod tests {
 
     #[test]
     fn canonical_key_is_injective_across_the_controller_axis() {
+        use ravel_core::AdaptiveConfig;
         use ravel_pipeline::CcKind;
         use std::collections::HashMap;
 
         // Two cells differing only in controller must never share a
         // cache slot — otherwise E22's memoization would serve one
-        // controller's results as another's. Check keys and (FNV)
-        // fingerprints over the full kind × adaptive product.
+        // controller's results as another's, and an aliasing pair of
+        // adaptive configs would merge E7/E15/E16 cells. Check keys and
+        // (FNV) fingerprints over the full kind × (baseline, each named
+        // adaptive config) product.
+        let adaptive = [
+            AdaptiveConfig::default(),
+            AdaptiveConfig::fast_qp_only(),
+            AdaptiveConfig::fast_qp_and_vbv(),
+            AdaptiveConfig::without_ladder(),
+            AdaptiveConfig::continuous(),
+            AdaptiveConfig::with_probing(),
+        ];
         let kinds = [
             CcKind::Gcc,
             CcKind::Fixed,
@@ -246,7 +257,10 @@ mod tests {
         let mut by_key: HashMap<String, String> = HashMap::new();
         let mut by_fp: HashMap<u64, String> = HashMap::new();
         for kind in kinds {
-            for scheme in [Scheme::cc_baseline(kind), Scheme::cc_adaptive(kind)] {
+            let schemes = std::iter::once(None)
+                .chain(adaptive.map(Some))
+                .map(|adaptive| Scheme { cc: kind, adaptive });
+            for scheme in schemes {
                 let mut cfg = SessionConfig::default_with(scheme);
                 cfg.duration = Dur::secs(5);
                 let cell = Cell {
@@ -257,7 +271,7 @@ mod tests {
                     cfg,
                     contracts: None,
                 };
-                let name = scheme.name();
+                let name = format!("{scheme:?}");
                 if let Some(prev) = by_key.insert(cell.canonical_key(), name.clone()) {
                     panic!("key collision: {prev} vs {name}");
                 }
@@ -266,7 +280,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(by_key.len(), kinds.len() * 2);
+        assert_eq!(by_key.len(), kinds.len() * (1 + adaptive.len()));
     }
 
     #[test]

@@ -101,8 +101,17 @@ impl FeedbackReport {
 ///
 /// Tracks arrivals by sequence number; on [`FeedbackBuilder::flush`],
 /// every sequence number up to the highest seen is reported — gaps as
-/// losses. (Real transports wait a reordering window before declaring
-/// loss; our link never reorders, so a gap at flush time is definitive.)
+/// losses. Real transports wait a reordering window before declaring
+/// loss; this builder does not, so a gap that is only out of order at
+/// flush time is reported lost. Two cases produce such gaps:
+///
+/// * `ForwardChaos` reorder segments deliver packets out of order (E18's
+///   `chaos/seed23` cells report more loss than the link dropped, e.g.
+///   82 lost against 67 dropped at intensity 0.5).
+/// * Audio and FEC parity take their seqs outside pacer order, so their
+///   seqs can arrive above video packets still waiting in the pacer.
+///
+/// ROADMAP item 1 tracks the fix.
 #[derive(Debug, Clone, Default)]
 pub struct FeedbackBuilder {
     /// Results accumulated since the last flush, keyed by seq.

@@ -13,7 +13,7 @@ use ravel_trace::BandwidthTrace;
 use crate::path::Path;
 use crate::queue::{Event, Queue};
 use crate::sender::SentVideoWindow;
-use crate::session::{Ctx, SessionConfig};
+use crate::session::{Ctx, SessionConfig, MAX_PLAYOUT_DELAY};
 
 /// Receiver NACK poll cadence.
 pub(crate) const NACK_POLL_EVERY: Dur = Dur::millis(10);
@@ -76,7 +76,7 @@ impl Receiver {
         Receiver {
             assembler: FrameAssembler::new(),
             feedback: FeedbackBuilder::new(),
-            nack_gen: NackGenerator::new(Dur::millis(30), 5, cfg.max_playout_delay),
+            nack_gen: NackGenerator::new(Dur::millis(30), 5, MAX_PLAYOUT_DELAY),
             fec_decoder: FecDecoder::new(),
             pli: PliRequester::new(),
             completed: CompletedFrames::with_capacity(cfg.expected_frames()),
@@ -223,7 +223,6 @@ mod tests {
     fn recover_lost_fragment(keyframe: bool) -> (Receiver, Path<ConstantTrace>, Ctx) {
         let mut cfg = SessionConfig::default_with(Scheme::baseline());
         cfg.enable_fec = true;
-        cfg.fec_group_size = 2;
         let mut ctx = Ctx::new(cfg, ObsMode::Off);
         let mut path = Path::new(ConstantTrace::new(4e6), &cfg, None, None);
         let mut receiver = Receiver::new(&cfg);

@@ -2,8 +2,7 @@
 //! adaptive encoder controller is in the loop.
 
 use ravel_cc::{
-    Bbr, BbrConfig, CongestionController, FixedRate, Gcc, GccConfig, LossEma, LossEmaConfig, Nada,
-    NadaConfig, NaiveAimd,
+    Bbr, CongestionController, FixedRate, Gcc, LossEma, Nada, NaiveAimd, MAX_BPS, MIN_BPS,
 };
 use ravel_core::AdaptiveConfig;
 
@@ -28,12 +27,12 @@ impl CcKind {
     /// Instantiates the controller at `start_bps`.
     pub fn build(self, start_bps: f64) -> Box<dyn CongestionController> {
         match self {
-            CcKind::Gcc => Box::new(Gcc::new(GccConfig::new(start_bps))),
+            CcKind::Gcc => Box::new(Gcc::new(start_bps)),
             CcKind::Fixed => Box::new(FixedRate::new(start_bps)),
-            CcKind::NaiveAimd => Box::new(NaiveAimd::new(start_bps, 150_000.0, 8e6)),
-            CcKind::Nada => Box::new(Nada::new(NadaConfig::new(start_bps))),
-            CcKind::Bbr => Box::new(Bbr::new(BbrConfig::new(start_bps))),
-            CcKind::LossEma => Box::new(LossEma::new(LossEmaConfig::new(start_bps))),
+            CcKind::NaiveAimd => Box::new(NaiveAimd::new(start_bps, MIN_BPS, MAX_BPS)),
+            CcKind::Nada => Box::new(Nada::new(start_bps)),
+            CcKind::Bbr => Box::new(Bbr::new(start_bps)),
+            CcKind::LossEma => Box::new(LossEma::new(start_bps)),
         }
     }
 

@@ -54,6 +54,12 @@ const PLI_MIN_INTERVAL: Dur = Dur::millis(300);
 /// One Opus frame per tick.
 const AUDIO_TICK: Dur = Dur::millis(20);
 
+/// Audio payload bitrate when audio is enabled.
+const AUDIO_BITRATE_BPS: f64 = 32_000.0;
+
+/// Media packets covered per FEC parity packet.
+const FEC_GROUP_SIZE: usize = 10;
+
 /// Audio packets carry frame indexes in a disjoint namespace so they
 /// never collide with video frames in feedback-side bookkeeping.
 const AUDIO_INDEX_BASE: u64 = 1 << 40;
@@ -205,12 +211,12 @@ impl Sender {
             // the audio flow's wire rate.
             let mut factor = 1.04;
             if cfg.enable_fec {
-                factor *= 1.0 + 1.0 / cfg.fec_group_size as f64;
+                factor *= 1.0 + 1.0 / FEC_GROUP_SIZE as f64;
             }
             let reserved = if cfg.enable_audio {
                 // Audio wire rate: payload bitrate plus 40 B of headers on
                 // each of the 50 packets per second.
-                cfg.audio_bitrate_bps + 40.0 * 8.0 * 50.0
+                AUDIO_BITRATE_BPS + 40.0 * 8.0 * 50.0
             } else {
                 0.0
             };
@@ -227,7 +233,7 @@ impl Sender {
             pacer: Pacer::new(cfg.start_rate_bps, PACING_FACTOR),
             // WebRTC-flavoured RTX: 1 s of sender history.
             rtx_buffer: RtxBuffer::new(Dur::SECOND, 2048),
-            fec_encoder: cfg.enable_fec.then(|| FecEncoder::new(cfg.fec_group_size)),
+            fec_encoder: cfg.enable_fec.then(|| FecEncoder::new(FEC_GROUP_SIZE)),
             rtx_tokens_bits: RTX_INITIAL_TOKENS_BITS,
             rtx_tokens_updated: Time::ZERO,
             watchdog: cfg.watchdog.map(FeedbackWatchdog::new),
@@ -257,13 +263,13 @@ impl Sender {
         debug_assert_eq!(frame.pts, now, "capture clock drift");
         ctx.obs
             .record(now, || ObsEvent::FrameCaptured { index: frame.index });
-        // While the feedback loop is blind, optionally skip every
-        // other frame (both schemes): at a given target rate this
-        // halves the data fired into an unobservable network.
+        // While the feedback loop is blind, skip every other frame
+        // (both schemes): at a given target rate this halves the data
+        // fired into an unobservable network.
         let blind_skip = self
             .watchdog
             .as_ref()
-            .is_some_and(|wd| wd.is_degraded() && wd.config().skip_while_blind)
+            .is_some_and(FeedbackWatchdog::is_degraded)
             && {
                 self.blind_skip_toggle = !self.blind_skip_toggle;
                 self.blind_skip_toggle
@@ -397,7 +403,7 @@ impl Sender {
         queue: &mut Queue,
     ) {
         // One Opus frame: bitrate x 20 ms of payload + headers.
-        let payload = ((ctx.cfg.audio_bitrate_bps * AUDIO_TICK.as_secs_f64()) / 8.0).ceil() as u64;
+        let payload = ((AUDIO_BITRATE_BPS * AUDIO_TICK.as_secs_f64()) / 8.0).ceil() as u64;
         let audio = Packet {
             kind: MediaKind::Audio,
             seq: self.packetizer.take_seq(),

@@ -31,6 +31,11 @@ use crate::receiver::{Receiver, NACK_POLL_EVERY};
 use crate::scheme::Scheme;
 use crate::sender::{FrameSlot, Sender};
 
+/// Playout deadline: a frame arriving later than this after capture is
+/// decoded (keeping the reference chain healthy) but displayed stale —
+/// the libwebrtc jitter buffer's bounded-delay behaviour.
+pub(crate) const MAX_PLAYOUT_DELAY: Dur = Dur::millis(600);
+
 /// Everything one experiment run needs to know.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
@@ -60,28 +65,20 @@ pub struct SessionConfig {
     /// the sender then transmits at the last commanded rate for the
     /// whole blind period, which is the failure mode E17 measures.
     pub watchdog: Option<WatchdogConfig>,
-    /// Playout deadline: a frame arriving later than this after capture
-    /// is decoded (keeping the reference chain healthy) but displayed
-    /// stale — the libwebrtc jitter buffer's bounded-delay behaviour.
-    pub max_playout_delay: Dur,
     /// NACK/RTX loss recovery (standard WebRTC behaviour, on for both
     /// schemes; disable to study raw loss).
     pub enable_rtx: bool,
     /// Temporal layers for the encoder (1 = plain IPPP, 2 = hierarchical-P
     /// with a droppable enhancement layer).
     pub temporal_layers: u8,
-    /// FlexFEC-style XOR parity: one parity packet per `fec_group_size`
-    /// video packets, recovering single losses with zero round-trips at
-    /// ~1/group_size bitrate overhead.
+    /// FlexFEC-style XOR parity: one parity packet per ten video
+    /// packets, recovering single losses with zero round-trips at ~10%
+    /// bitrate overhead.
     pub enable_fec: bool,
-    /// Media packets covered per parity packet when FEC is enabled.
-    pub fec_group_size: usize,
-    /// Run an Opus-style audio flow (one packet per 20 ms) alongside the
+    /// Run a 32 kbps Opus-style audio flow (one packet per 20 ms) alongside the
     /// video on the same bottleneck; its per-packet latency is recorded.
     /// Audio bypasses the video pacer, as in WebRTC.
     pub enable_audio: bool,
-    /// Audio bitrate when enabled.
-    pub audio_bitrate_bps: f64,
     /// Master seed: drives content, link jitter/loss, and traces.
     pub seed: u64,
     /// Record time series (costs memory; on for figure experiments).
@@ -145,13 +142,10 @@ impl SessionConfig {
             reverse_delay: Dur::millis(20),
             reverse_path: ReversePathConfig::default(),
             watchdog: None,
-            max_playout_delay: Dur::millis(600),
             enable_rtx: true,
             enable_fec: false,
-            fec_group_size: 10,
             temporal_layers: 1,
             enable_audio: false,
-            audio_bitrate_bps: 32_000.0,
             seed: 1,
             record_series: false,
             chaos: None,
@@ -788,7 +782,7 @@ impl<T: BandwidthTrace> SessionState<T> {
                     let complete_at = self.receiver.completed.get(idx as u64);
                     let latency =
                         complete_at.map(|c| (c + DECODE_RENDER_DELAY).saturating_since(pts));
-                    let late = latency.is_some_and(|l| l > ctx.cfg.max_playout_delay);
+                    let late = latency.is_some_and(|l| l > MAX_PLAYOUT_DELAY);
                     let outcome = if late {
                         // Blew the playout deadline: decoded for reference,
                         // displayed stale.
@@ -800,7 +794,7 @@ impl<T: BandwidthTrace> SessionState<T> {
                         // survives — exactly like a sender-side skip.
                         decoder.feed_sender_skip(temporal)
                     } else {
-                        decoder.feed(complete_at.map(|_| coded.decodable()), true, temporal)
+                        decoder.feed(complete_at.map(|_| coded.decodable()), temporal)
                     };
                     let displayed = outcome.is_displayed();
                     let record = FrameRecord {

@@ -15,7 +15,6 @@ fn kitchen_sink_cfg(scheme: Scheme) -> SessionConfig {
     cfg.enable_audio = true;
     cfg.enable_rtx = true;
     cfg.enable_fec = true;
-    cfg.fec_group_size = 8;
     cfg.temporal_layers = 2;
     cfg.link.random_loss = 0.02;
     cfg.link.jitter_std = Dur::millis(3);
