@@ -23,7 +23,7 @@ use ravel_core::{AdaptiveConfig, WatchdogConfig};
 use ravel_metrics::{LatencySummary, Table};
 use ravel_net::{ChaosSchedule, ChaosSpec, CorruptSpec, ReversePathConfig};
 use ravel_pipeline::{CcKind, ContractSpec, InjectedFault, Scheme, SessionConfig, SessionResult};
-use ravel_sim::{Dur, Series, Time};
+use ravel_sim::{window_means, Dur, Series, Time};
 use ravel_video::ContentClass;
 
 use crate::cell::{Cell, TraceSpec};
@@ -426,22 +426,23 @@ pub fn e3() -> Experiment {
             for (scheme, run) in schemes.iter().zip(runs) {
                 out.push_str(&format!("# scheme={}\n", scheme.name()));
                 out.push_str("time_s,capacity_mbps,target_mbps,send_mbps,queue_ms,latency_ms\n");
-                // 100 ms windows, each series decoded once.
+                // 100 ms windows, each series and the frame latencies
+                // decoded once.
                 let windows = (0..120u64).map(|step| {
                     let at = |k| window_start + Dur::millis(k * 100);
                     (at(step), at(step + 1))
                 });
                 let means = |series| {
                     let s = run.result.series.get(series).expect("series recorded");
-                    s.window_means(windows.clone())
+                    window_means(s.points(), windows.clone())
                 };
-                let (cap, tgt, snd, q, lat) = (
+                let (cap, tgt, snd, q) = (
                     means(Series::CapacityBps),
                     means(Series::TargetBps),
                     means(Series::SendRateBps),
                     means(Series::LinkQueueMs),
-                    means(Series::FrameLatencyMs),
                 );
+                let lat = window_means(run.result.recorder.latencies_ms(), windows.clone());
                 for (i, (t, _)) in windows.clone().enumerate() {
                     out.push_str(&format!(
                         "{:.1},{:.3},{:.3},{:.3},{:.1},{:.1}\n",
@@ -1001,12 +1002,15 @@ pub fn e16() -> Experiment {
             // Mean send rate over the 2 s starting `offset_s` after
             // the recovery instant, in bits/second, for each offset the
             // row reads; the series is decoded once.
-            let rates = send.window_means((0..25u64).map(|offset_s| {
-                (
-                    E16_RECOVER_AT + Dur::secs(offset_s),
-                    E16_RECOVER_AT + Dur::secs(offset_s + 2),
-                )
-            }));
+            let rates = window_means(
+                send.points(),
+                (0..25u64).map(|offset_s| {
+                    (
+                        E16_RECOVER_AT + Dur::secs(offset_s),
+                        E16_RECOVER_AT + Dur::secs(offset_s + 2),
+                    )
+                }),
+            );
             let rate_at = |offset_s: u64| rates[offset_s as usize];
             // Time until the 2s-smoothed send rate first reaches 90% of
             // the pre-drop 4 Mbps (capped at the session tail).

@@ -31,5 +31,5 @@ pub mod time;
 
 pub use event::{EventQueue, Scheduled};
 pub use rng::Rng;
-pub use series::{Series, SeriesSet, TimeSeries};
+pub use series::{window_means, Series, SeriesSet, TimeSeries};
 pub use time::{Dur, Time};

@@ -1,20 +1,22 @@
 //! Time-series recording for experiment output.
 //!
 //! Every ravel experiment produces figures as `(time, value)` series —
-//! send rate, link capacity, queue delay, frame latency. [`TimeSeries`]
+//! send rate, link capacity, queue delay, encoder target. [`TimeSeries`]
 //! is the shared recorder; [`SeriesSet`] holds the series of one
-//! simulation run, one fixed slot per [`Series`] kind.
+//! simulation run, one fixed slot per [`Series`] kind. [`window_means`]
+//! averages any time-ordered points, a series' or a frame recorder's,
+//! over a run of windows.
 
 use std::collections::VecDeque;
 use std::fmt;
 
-use crate::coding::{ByteReader, ByteSink, Xor};
+use crate::coding::{ByteReader, ByteStore, Xor};
 use crate::time::Time;
 
-/// A single `(time, value)` series, encoded as one append-only byte
-/// stream and decoded only when read.
+/// A single `(time, value)` series, held in a [`ByteStore`] and decoded
+/// only when read.
 ///
-/// Each point is a header byte, then the time step, then the value:
+/// Each point is a record of a header byte, then the time step, then the value:
 ///
 /// * the header is the value's [`Xor`] header (the count of trailing
 ///   zero bytes trimmed from the XOR of its bits with the previous
@@ -29,8 +31,7 @@ use crate::time::Time;
 /// compare equal when their bytes do.
 #[derive(Clone, Default)]
 pub struct TimeSeries {
-    bytes: Vec<u8>,
-    len: usize,
+    store: ByteStore,
     /// What the next point is encoded against.
     last: Context,
 }
@@ -62,35 +63,36 @@ impl TimeSeries {
         assert!(at_us >= last.at_us, "time series sample out of order");
         let step_us = at_us - last.at_us;
         let xor = Xor::new(&mut last.bits, value.to_bits());
-        if step_us == last.step_us {
-            self.bytes.put(xor.header | SAME_STEP);
-        } else {
-            self.bytes.put(xor.header);
-            self.bytes.put_varint(step_us);
-        }
-        self.bytes.put_low_bytes(xor.value, xor.kept);
+        let same_step = step_us == last.step_us;
+        self.store.append(|s| {
+            if same_step {
+                s.put(xor.header | SAME_STEP);
+            } else {
+                s.put(xor.header);
+                s.put_varint(step_us);
+            }
+            s.put_low_bytes(xor.value, xor.kept);
+        });
         last.at_us = at_us;
         last.step_us = step_us;
-        self.len += 1;
     }
 
     /// All samples in time order, decoded as they are reached.
     pub fn points(&self) -> Points<'_> {
         Points {
-            reader: ByteReader::new(&self.bytes),
+            reader: self.store.reader(),
             last: Context::default(),
-            left: self.len,
         }
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.len
+        self.store.len()
     }
 
     /// True if no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.store.is_empty()
     }
 
     /// Mean over the samples that fall in `[from, to)`, summed in time
@@ -103,35 +105,40 @@ impl TimeSeries {
                 .map(|(_, v)| v),
         )
     }
+}
 
-    /// [`TimeSeries::mean_in`] of each window `[from, to)` in turn,
-    /// decoding the series once. Windows may overlap, but neither end
-    /// may move backwards from one window to the next; only the
-    /// samples of the current window are held.
-    pub fn window_means(&self, windows: impl IntoIterator<Item = (Time, Time)>) -> Vec<f64> {
-        let mut points = self.points().peekable();
-        let mut held = VecDeque::new();
-        let mut prev = (Time::ZERO, Time::ZERO);
-        windows
-            .into_iter()
-            .map(|(from, to)| {
-                assert!(
-                    from >= prev.0 && to >= prev.1,
-                    "windows must not move backwards"
-                );
-                prev = (from, to);
-                // Every held sample is before the previous window's end,
-                // so before this one's.
-                while let Some(p) = points.next_if(|&(t, _)| t < to) {
-                    held.push_back(p);
-                }
-                while held.front().is_some_and(|&(t, _)| t < from) {
-                    held.pop_front();
-                }
-                mean(held.iter().map(|&(_, v)| v))
-            })
-            .collect()
-    }
+/// The mean of the `points` in each window `[from, to)` in turn, each
+/// summed in time order and 0.0 when none fall in it (for one window,
+/// [`TimeSeries::mean_in`]). `points` must be in non-decreasing time
+/// order and is read once. Windows may overlap, but neither end may
+/// move backwards from one window to the next; only the points of the
+/// current window are held.
+pub fn window_means(
+    points: impl IntoIterator<Item = (Time, f64)>,
+    windows: impl IntoIterator<Item = (Time, Time)>,
+) -> Vec<f64> {
+    let mut points = points.into_iter().peekable();
+    let mut held = VecDeque::new();
+    let mut prev = (Time::ZERO, Time::ZERO);
+    windows
+        .into_iter()
+        .map(|(from, to)| {
+            assert!(
+                from >= prev.0 && to >= prev.1,
+                "windows must not move backwards"
+            );
+            prev = (from, to);
+            // Every held point is before the previous window's end, so
+            // before this one's.
+            while let Some(p) = points.next_if(|&(t, _)| t < to) {
+                held.push_back(p);
+            }
+            while held.front().is_some_and(|&(t, _)| t < from) {
+                held.pop_front();
+            }
+            mean(held.iter().map(|&(_, v)| v))
+        })
+        .collect()
 }
 
 /// The mean of `values`, 0.0 when there are none. The sum is the
@@ -151,7 +158,7 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 /// bit.
 impl PartialEq for TimeSeries {
     fn eq(&self, other: &TimeSeries) -> bool {
-        self.bytes == other.bytes
+        self.store == other.store
     }
 }
 
@@ -168,17 +175,15 @@ impl fmt::Debug for TimeSeries {
 pub struct Points<'a> {
     reader: ByteReader<'a>,
     last: Context,
-    left: usize,
 }
 
 impl Iterator for Points<'_> {
     type Item = (Time, f64);
 
     fn next(&mut self) -> Option<(Time, f64)> {
-        if self.left == 0 {
+        if !self.reader.next_record() {
             return None;
         }
-        self.left -= 1;
         let last = &mut self.last;
         let header = self.reader.byte();
         if header & SAME_STEP == 0 {
@@ -190,7 +195,8 @@ impl Iterator for Points<'_> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
+        let left = self.reader.left();
+        (left, Some(left))
     }
 }
 
@@ -202,8 +208,6 @@ impl ExactSizeIterator for Points<'_> {}
 pub enum Series {
     /// Link capacity at each accepted feedback report, bits/s.
     CapacityBps,
-    /// Each received frame's latency, at its capture time, ms.
-    FrameLatencyMs,
     /// Link queueing delay at each accepted report, ms.
     LinkQueueMs,
     /// Each encoded frame's size times the frame rate, bits/s.
@@ -214,33 +218,17 @@ pub enum Series {
 
 impl Series {
     /// Every kind, in name order.
-    pub const ALL: [Series; 5] = [
+    pub const ALL: [Series; 4] = [
         Series::CapacityBps,
-        Series::FrameLatencyMs,
         Series::LinkQueueMs,
         Series::SendRateBps,
         Series::TargetBps,
     ];
 
-    /// Bytes a point of this series takes on a typical recorded call
-    /// (a header byte and the kept XOR bytes, the step usually implied),
-    /// rounded up: what [`SeriesSet::reserve`] sets aside per sample.
-    /// Only a capacity hint; a series that outgrows it reallocates.
-    fn typical_point_bytes(self) -> usize {
-        match self {
-            Series::CapacityBps => 5,
-            Series::FrameLatencyMs => 8,
-            Series::LinkQueueMs => 9,
-            Series::SendRateBps => 4,
-            Series::TargetBps => 6,
-        }
-    }
-
     /// The series' name in figures and reports.
     pub fn name(self) -> &'static str {
         match self {
             Series::CapacityBps => "capacity_bps",
-            Series::FrameLatencyMs => "frame_latency_ms",
             Series::LinkQueueMs => "link_queue_ms",
             Series::SendRateBps => "send_rate_bps",
             Series::TargetBps => "target_bps",
@@ -261,19 +249,12 @@ impl SeriesSet {
         SeriesSet::default()
     }
 
-    /// Makes room for about `additional` more samples of `series` at
-    /// their typical encoded size, so a run that can estimate its sample
-    /// counts up front rarely reallocates.
-    pub fn reserve(&mut self, series: Series, additional: usize) {
-        let bytes = &mut self.slots[series as usize].bytes;
-        bytes.reserve_exact(additional * series.typical_point_bytes());
-    }
-
-    /// Frees every series' spare capacity, so the set holds only its
-    /// encoded bytes. Later pushes still work.
-    pub fn shrink_to_fit(&mut self) {
+    /// Frees the spare capacity of every series' last chunk, so a
+    /// finished run's series hold little more than their points. Later
+    /// pushes still work.
+    pub fn trim(&mut self) {
         for s in &mut self.slots {
-            s.bytes.shrink_to_fit();
+            s.store.trim();
         }
     }
 
@@ -355,11 +336,6 @@ mod tests {
     #[test]
     fn series_set_roundtrip() {
         let mut set = SeriesSet::new();
-        set.reserve(Series::TargetBps, 8);
-        assert!(
-            set.get(Series::TargetBps).is_none(),
-            "reserved is not recorded"
-        );
         set.push(Series::TargetBps, ms(0), 1e6);
         set.push(Series::TargetBps, ms(10), 2e6);
         set.push(Series::CapacityBps, ms(0), 4e6);
@@ -386,7 +362,7 @@ mod tests {
         let windows: Vec<(Time, Time)> = (0..160u64)
             .map(|k| (ms(k * 10), ms(k * 10 + 25 + k % 4)))
             .collect();
-        let means = s.window_means(windows.iter().copied());
+        let means = window_means(s.points(), windows.iter().copied());
         assert_eq!(means.len(), windows.len());
         for (&(from, to), got) in windows.iter().zip(&means) {
             assert_eq!(
@@ -395,13 +371,13 @@ mod tests {
                 "[{from}, {to})"
             );
         }
-        assert_eq!(s.window_means([(ms(5_000), ms(6_000))]), [0.0]);
+        assert_eq!(window_means(s.points(), [(ms(5_000), ms(6_000))]), [0.0]);
     }
 
     #[test]
     #[should_panic(expected = "backwards")]
     fn window_means_refuse_a_window_that_moves_back() {
-        TimeSeries::new().window_means([(ms(10), ms(20)), (ms(5), ms(20))]);
+        window_means([], [(ms(10), ms(20)), (ms(5), ms(20))]);
     }
 
     #[test]
@@ -410,11 +386,10 @@ mod tests {
         for i in 0..100 {
             s.push(ms(33 * i), 4e6);
         }
-        let mut shrunk = s.clone();
-        shrunk.bytes.shrink_to_fit();
-        assert_eq!(shrunk, s);
+        assert_eq!(s.clone(), s);
         // The first two points carry their steps and the first value.
-        assert!(s.bytes.len() <= 100 + 2 + 8, "{} bytes", s.bytes.len());
+        let bytes = s.store.byte_len();
+        assert!(bytes <= 100 + 2 + 8, "{bytes} bytes");
     }
 
     /// Float bit patterns that must survive exactly.

@@ -10,7 +10,7 @@
 //! ```
 
 use ravel::pipeline::{run_session, Scheme, SessionConfig};
-use ravel::sim::{Dur, Series, Time};
+use ravel::sim::{window_means, Dur, Series, Time};
 use ravel::trace::StepTrace;
 use ravel::video::ContentClass;
 
@@ -33,15 +33,15 @@ fn main() {
         });
         let means = |s| {
             let series = result.series.get(s).expect("series recorded");
-            series.window_means(windows.clone())
+            window_means(series.points(), windows.clone())
         };
-        let (cap, tgt, snd, q, lat) = (
+        let (cap, tgt, snd, q) = (
             means(Series::CapacityBps),
             means(Series::TargetBps),
             means(Series::SendRateBps),
             means(Series::LinkQueueMs),
-            means(Series::FrameLatencyMs),
         );
+        let lat = window_means(result.recorder.latencies_ms(), windows.clone());
         for (i, (t, _)) in windows.clone().enumerate() {
             println!(
                 "{:.1},{:.3},{:.3},{:.3},{:.1},{:.1}",
