@@ -69,8 +69,6 @@ pub struct Decoder {
     /// Per-missing-frame SSIM decay rate, scaled by temporal complexity.
     freeze_decay_per_frame: f64,
     frames_frozen_run: u64,
-    total_frozen: u64,
-    total_displayed: u64,
     /// Times the chain went from healthy to broken.
     chain_breaks: u64,
 }
@@ -90,20 +88,8 @@ impl Decoder {
             screen_ssim: 0.0,
             freeze_decay_per_frame: 0.05,
             frames_frozen_run: 0,
-            total_frozen: 0,
-            total_displayed: 0,
             chain_breaks: 0,
         }
-    }
-
-    /// Count of frame slots that froze.
-    pub fn total_frozen(&self) -> u64 {
-        self.total_frozen
-    }
-
-    /// Count of frame slots that displayed fresh frames.
-    pub fn total_displayed(&self) -> u64 {
-        self.total_displayed
     }
 
     /// True if the next P-frame cannot be decoded.
@@ -146,7 +132,6 @@ impl Decoder {
         self.has_reference = true;
         self.screen_ssim = frame.ssim;
         self.frames_frozen_run = 0;
-        self.total_frozen += 1;
         let slope = self.freeze_decay_per_frame * temporal_complexity.max(0.05);
         let max_penalty = 0.25;
         let penalty =
@@ -163,7 +148,6 @@ impl Decoder {
     /// a reference the following P-frames need.)
     pub fn feed_sender_skip(&mut self, temporal_complexity: f64) -> DecodeOutcome {
         self.frames_frozen_run += 1;
-        self.total_frozen += 1;
         let decay = self.freeze_decay_per_frame * temporal_complexity.max(0.05);
         let ssim = (self.screen_ssim - decay * self.frames_frozen_run as f64).max(0.2);
         DecodeOutcome::Frozen { ssim }
@@ -193,7 +177,6 @@ impl Decoder {
             self.has_reference = true;
             self.screen_ssim = f.ssim;
             self.frames_frozen_run = 0;
-            self.total_displayed += 1;
             DecodeOutcome::Displayed { ssim: f.ssim }
         } else {
             // A missing or undecodable slot breaks the chain for
@@ -203,7 +186,6 @@ impl Decoder {
             }
             self.chain_broken = true;
             self.frames_frozen_run += 1;
-            self.total_frozen += 1;
             // The stale image diverges from live content at a rate set by
             // motion; floor at 0.2 (a frozen image is still *an* image).
             let decay = self.freeze_decay_per_frame * temporal_complexity.max(0.05);
@@ -228,8 +210,6 @@ mod tests {
         let out1 = d.feed(Some(frame(FrameType::P, 0.95)), 0.35);
         assert_eq!(out0, DecodeOutcome::Displayed { ssim: 0.96 });
         assert_eq!(out1, DecodeOutcome::Displayed { ssim: 0.95 });
-        assert_eq!(d.total_displayed(), 2);
-        assert_eq!(d.total_frozen(), 0);
     }
 
     #[test]
@@ -287,7 +267,6 @@ mod tests {
         let out = d.feed_late(frame(FrameType::P, 0.95), 3.0, 0.35);
         // Missing from the display at its slot...
         assert!(!out.is_displayed());
-        assert_eq!(d.total_frozen(), 1);
         // ...but decoded, so the chain holds for the next P-frame.
         assert!(!d.chain_broken());
         let next = d.feed(Some(frame(FrameType::P, 0.95)), 0.35);

@@ -100,8 +100,6 @@ impl EncoderConfig {
 #[derive(Debug, Clone)]
 pub struct Encoder {
     cfg: EncoderConfig,
-    rd: RdModel,
-    quality: QualityModel,
     abr: AbrState,
     vbv: Vbv,
     frames_since_idr: u64,
@@ -130,13 +128,10 @@ impl Encoder {
             "Encoder: temporal_layers must be 1 or 2"
         );
         let frame_interval = Dur::micros(1_000_000 / cfg.fps as u64);
-        let rd = RdModel::default();
-        let init_satd = rd.k
+        let init_satd = RdModel::K
             * cfg.capture_resolution.pixels() as f64
             * ravel_video::FrameComplexity::reference().temporal;
         Encoder {
-            rd,
-            quality: QualityModel::default(),
             abr: AbrState::new(AbrConfig::new(cfg.target_bps, cfg.fps as f64), init_satd),
             vbv: Vbv::new(cfg.target_bps, cfg.vbv_buffer_secs),
             frames_since_idr: 0,
@@ -170,12 +165,6 @@ impl Encoder {
     /// contain — each one is a latency bomb on a congested link).
     pub fn vbv_underflows(&self) -> u64 {
         self.vbv_underflows
-    }
-
-    /// Exposes the R–D model (the adaptive controller shares it to solve
-    /// budgets exactly as the encoder will).
-    pub fn rd_model(&self) -> &RdModel {
-        &self.rd
     }
 
     /// Current rate-control overshoot vs. the target line, bits.
@@ -293,7 +282,7 @@ impl Encoder {
             } else {
                 1.0
             };
-        let satd = self.rd.k
+        let satd = RdModel::K
             * pixels as f64
             * RdModel::effective_complexity(frame.complexity, frame_type)
             * layer_cplx_factor;
@@ -312,37 +301,37 @@ impl Encoder {
                 // budget. Also inform the ABR planner so its blur keeps
                 // tracking content (plan result discarded).
                 let _ = self.abr.plan_frame(satd, frame_type, self.frame_interval);
-                self.rd.solve_qp(rd_complexity, pixels, frame_type, budget)
+                RdModel::solve_qp(rd_complexity, pixels, frame_type, budget)
             }
             None => self.abr.plan_frame(satd, frame_type, self.frame_interval),
         };
 
         // --- VBV clamp --------------------------------------------------
         self.vbv.refill(self.frame_interval);
-        let planned_bits = self.rd.frame_bits(rd_complexity, pixels, frame_type, qp);
+        let planned_bits = RdModel::frame_bits(rd_complexity, pixels, frame_type, qp);
         let vbv_cap = self.vbv.max_frame_bits();
         if planned_bits > vbv_cap {
             // Raise QP until the frame fits the bucket.
-            let vbv_qp = self.rd.solve_qp(rd_complexity, pixels, frame_type, vbv_cap);
+            let vbv_qp = RdModel::solve_qp(rd_complexity, pixels, frame_type, vbv_cap);
             if vbv_qp.value() > qp.value() {
                 qp = vbv_qp;
             }
         }
 
         // --- realize the frame ------------------------------------------
-        let bits = self.rd.frame_bits(rd_complexity, pixels, frame_type, qp);
+        let bits = RdModel::frame_bits(rd_complexity, pixels, frame_type, qp);
         if !self.vbv.commit_frame(bits) {
             self.vbv_underflows += 1;
         }
         self.abr.commit_frame(bits, qp, self.frame_interval);
 
-        let ssim = self.quality.ssim(
+        let ssim = QualityModel::ssim(
             qp,
             frame.complexity,
             self.encode_resolution,
             self.cfg.capture_resolution,
         );
-        let psnr_db = self.quality.psnr_db(qp, frame.complexity);
+        let psnr_db = QualityModel::psnr_db(qp, frame.complexity);
         let encode_time = self.encode_time(frame, frame_type);
 
         if frame_type.is_intra() {

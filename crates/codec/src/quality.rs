@@ -20,65 +20,47 @@ use ravel_video::{FrameComplexity, Resolution};
 
 use crate::qp::Qp;
 
-/// Quality-model parameters. Defaults are calibrated to x264 on 720p
-/// reference content.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QualityModel {
-    /// SSIM deficit coefficient `a` in `1 − SSIM = a·e^(k·QP)`.
-    pub ssim_a: f64,
-    /// SSIM deficit exponent `k` per QP.
-    pub ssim_k: f64,
-    /// How strongly spatial complexity scales the deficit
-    /// (`deficit *= (1−w) + w·spatial`).
-    pub complexity_weight: f64,
-    /// SSIM deficit added per octave of upscale (encode → display).
-    pub upscale_penalty_per_octave: f64,
-    /// PSNR at QP 0 for reference content.
-    pub psnr_intercept_db: f64,
-    /// PSNR loss per QP step.
-    pub psnr_slope_db: f64,
-}
-
-impl Default for QualityModel {
-    fn default() -> Self {
-        // a·e^(20k) = 0.02 and a·e^(40k) = 0.12 → k = ln(6)/20, a = 0.02/6^1.
-        let k = (6.0f64).ln() / 20.0;
-        let a = 0.02 / (k * 20.0).exp();
-        QualityModel {
-            ssim_a: a,
-            ssim_k: k,
-            complexity_weight: 0.5,
-            upscale_penalty_per_octave: 0.012,
-            psnr_intercept_db: 58.0,
-            psnr_slope_db: 0.5,
-        }
-    }
-}
+/// The quality model, calibrated to x264 on 720p reference content.
+pub struct QualityModel;
 
 impl QualityModel {
+    /// SSIM deficit exponent `k` per QP in `1 − SSIM = a·e^(k·QP)`:
+    /// `a·e^(20k) = 0.02` and `a·e^(40k) = 0.12` give `k = ln(6)/20`.
+    const SSIM_K: f64 = 0.08958797346140275;
+    /// SSIM deficit coefficient `a = 0.02/e^(20k) = 0.02/6`.
+    const SSIM_A: f64 = 0.0033333333333333335;
+    /// How strongly spatial complexity scales the deficit
+    /// (`deficit *= (1−w) + w·spatial`).
+    const COMPLEXITY_WEIGHT: f64 = 0.5;
+    /// SSIM deficit added per octave of upscale (encode → display).
+    const UPSCALE_PENALTY_PER_OCTAVE: f64 = 0.012;
+    /// PSNR at QP 0 for reference content.
+    const PSNR_INTERCEPT_DB: f64 = 58.0;
+    /// PSNR loss per QP step.
+    const PSNR_SLOPE_DB: f64 = 0.5;
+
     /// SSIM of a frame encoded at `qp` and `encode_res`, displayed at
     /// `display_res`. Clamped into `[0, 1]`.
     pub fn ssim(
-        &self,
         qp: Qp,
         complexity: FrameComplexity,
         encode_res: Resolution,
         display_res: Resolution,
     ) -> f64 {
         let cplx_factor =
-            (1.0 - self.complexity_weight) + self.complexity_weight * complexity.spatial;
-        let mut deficit = self.ssim_a * (self.ssim_k * qp.value()).exp() * cplx_factor.max(0.1);
+            (1.0 - Self::COMPLEXITY_WEIGHT) + Self::COMPLEXITY_WEIGHT * complexity.spatial;
+        let mut deficit = Self::SSIM_A * (Self::SSIM_K * qp.value()).exp() * cplx_factor.max(0.1);
         if encode_res.pixels() < display_res.pixels() {
             let octaves = (display_res.pixels() as f64 / encode_res.pixels() as f64).log2();
-            deficit += self.upscale_penalty_per_octave * octaves * cplx_factor.max(0.1);
+            deficit += Self::UPSCALE_PENALTY_PER_OCTAVE * octaves * cplx_factor.max(0.1);
         }
         (1.0 - deficit).clamp(0.0, 1.0)
     }
 
     /// PSNR in dB for a frame encoded at `qp`.
-    pub fn psnr_db(&self, qp: Qp, complexity: FrameComplexity) -> f64 {
+    pub fn psnr_db(qp: Qp, complexity: FrameComplexity) -> f64 {
         let cplx_loss_db = 3.0 * complexity.spatial.max(0.1).log2();
-        (self.psnr_intercept_db - self.psnr_slope_db * qp.value() - cplx_loss_db).max(10.0)
+        (Self::PSNR_INTERCEPT_DB - Self::PSNR_SLOPE_DB * qp.value() - cplx_loss_db).max(10.0)
     }
 }
 
@@ -94,15 +76,11 @@ mod tests {
         }
     }
 
-    fn m() -> QualityModel {
-        QualityModel::default()
-    }
-
     #[test]
     fn ssim_calibration_points() {
-        let s20 = m().ssim(Qp::new(20.0), refc(), Resolution::P720, Resolution::P720);
-        let s30 = m().ssim(Qp::new(30.0), refc(), Resolution::P720, Resolution::P720);
-        let s40 = m().ssim(Qp::new(40.0), refc(), Resolution::P720, Resolution::P720);
+        let s20 = QualityModel::ssim(Qp::new(20.0), refc(), Resolution::P720, Resolution::P720);
+        let s30 = QualityModel::ssim(Qp::new(30.0), refc(), Resolution::P720, Resolution::P720);
+        let s40 = QualityModel::ssim(Qp::new(40.0), refc(), Resolution::P720, Resolution::P720);
         assert!((s20 - 0.98).abs() < 0.005, "QP20 {s20}");
         assert!((s30 - 0.951).abs() < 0.01, "QP30 {s30}");
         assert!((s40 - 0.88).abs() < 0.01, "QP40 {s40}");
@@ -112,7 +90,7 @@ mod tests {
     fn ssim_decreases_with_qp() {
         let mut prev = 2.0;
         for qp in 10..=51 {
-            let s = m().ssim(
+            let s = QualityModel::ssim(
                 Qp::new(qp as f64),
                 refc(),
                 Resolution::P720,
@@ -131,15 +109,15 @@ mod tests {
             temporal: 1.0,
             scene_cut: false,
         };
-        let s_ref = m().ssim(Qp::TYPICAL, refc(), Resolution::P720, Resolution::P720);
-        let s_hard = m().ssim(Qp::TYPICAL, hard, Resolution::P720, Resolution::P720);
+        let s_ref = QualityModel::ssim(Qp::TYPICAL, refc(), Resolution::P720, Resolution::P720);
+        let s_hard = QualityModel::ssim(Qp::TYPICAL, hard, Resolution::P720, Resolution::P720);
         assert!(s_hard < s_ref);
     }
 
     #[test]
     fn upscale_costs_quality() {
-        let native = m().ssim(Qp::TYPICAL, refc(), Resolution::P720, Resolution::P720);
-        let upscaled = m().ssim(Qp::TYPICAL, refc(), Resolution::P360, Resolution::P720);
+        let native = QualityModel::ssim(Qp::TYPICAL, refc(), Resolution::P720, Resolution::P720);
+        let upscaled = QualityModel::ssim(Qp::TYPICAL, refc(), Resolution::P360, Resolution::P720);
         assert!(upscaled < native);
         // 2 octaves of upscale at the default penalty: ~0.024 deficit.
         assert!((native - upscaled - 0.024).abs() < 0.005);
@@ -148,22 +126,22 @@ mod tests {
     #[test]
     fn downscale_display_has_no_penalty() {
         // Encoding above display resolution costs nothing extra.
-        let a = m().ssim(Qp::TYPICAL, refc(), Resolution::P720, Resolution::P360);
-        let b = m().ssim(Qp::TYPICAL, refc(), Resolution::P360, Resolution::P360);
+        let a = QualityModel::ssim(Qp::TYPICAL, refc(), Resolution::P720, Resolution::P360);
+        let b = QualityModel::ssim(Qp::TYPICAL, refc(), Resolution::P360, Resolution::P360);
         assert!((a - b).abs() < 1e-12);
     }
 
     #[test]
     fn psnr_slope() {
-        let p30 = m().psnr_db(Qp::new(30.0), refc());
-        let p40 = m().psnr_db(Qp::new(40.0), refc());
+        let p30 = QualityModel::psnr_db(Qp::new(30.0), refc());
+        let p40 = QualityModel::psnr_db(Qp::new(40.0), refc());
         assert!((p30 - p40 - 5.0).abs() < 1e-9, "10 QP should cost 5 dB");
         assert!(p30 > 35.0 && p30 < 50.0, "QP30 PSNR {p30} implausible");
     }
 
     #[test]
     fn psnr_floor() {
-        let p = m().psnr_db(
+        let p = QualityModel::psnr_db(
             Qp::MAX,
             FrameComplexity {
                 spatial: 10.0,
@@ -179,9 +157,9 @@ mod tests {
         #[test]
         fn ssim_bounds(qp in 10.0f64..51.0, spatial in 0.1f64..3.0) {
             let c = FrameComplexity { spatial, temporal: 0.5, scene_cut: false };
-            let s = m().ssim(Qp::new(qp), c, Resolution::P720, Resolution::P720);
+            let s = QualityModel::ssim(Qp::new(qp), c, Resolution::P720, Resolution::P720);
             proptest::prop_assert!((0.0..=1.0).contains(&s));
-            let s_worse = m().ssim(Qp::new((qp + 2.0).min(51.0)), c, Resolution::P720, Resolution::P720);
+            let s_worse = QualityModel::ssim(Qp::new((qp + 2.0).min(51.0)), c, Resolution::P720, Resolution::P720);
             proptest::prop_assert!(s_worse <= s + 1e-12);
         }
     }

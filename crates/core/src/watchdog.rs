@@ -83,8 +83,6 @@ impl WatchdogConfig {
 #[derive(Debug, Clone)]
 pub struct FeedbackWatchdog {
     cfg: WatchdogConfig,
-    /// When the last valid report was processed.
-    last_valid: Time,
     /// Earliest instant the next degradation step may fire.
     next_fire: Time,
     /// Steps fired since feedback was last seen (0 = healthy).
@@ -102,7 +100,6 @@ impl FeedbackWatchdog {
         assert!(!cfg.timeout.is_zero(), "watchdog: zero timeout");
         FeedbackWatchdog {
             cfg,
-            last_valid: Time::ZERO,
             next_fire: Time::ZERO + cfg.timeout,
             degraded_steps: 0,
             timeouts_total: 0,
@@ -119,7 +116,6 @@ impl FeedbackWatchdog {
     /// doc on corruption-as-silence).
     pub fn on_valid_report(&mut self, now: Time) -> bool {
         let was_degraded = self.degraded_steps > 0;
-        self.last_valid = now;
         self.next_fire = now + self.cfg.timeout;
         self.degraded_steps = 0;
         was_degraded
@@ -152,11 +148,6 @@ impl FeedbackWatchdog {
         self.degraded_steps > 0
     }
 
-    /// Steps fired in the current blind episode (0 when healthy).
-    pub fn degraded_steps(&self) -> u32 {
-        self.degraded_steps
-    }
-
     /// Lifetime count of degradation steps.
     pub fn timeouts(&self) -> u64 {
         self.timeouts_total
@@ -165,11 +156,6 @@ impl FeedbackWatchdog {
     /// Lifetime count of blind episodes.
     pub fn episodes(&self) -> u64 {
         self.episodes
-    }
-
-    /// How long the loop has been blind at `now`.
-    pub fn blind_for(&self, now: Time) -> Dur {
-        now.saturating_since(self.last_valid)
     }
 }
 
@@ -187,7 +173,7 @@ mod tests {
         assert!(!wd.poll(Time::from_millis(199)));
         assert!(wd.poll(Time::from_millis(200)));
         assert!(wd.is_degraded());
-        assert_eq!(wd.degraded_steps(), 1);
+        assert_eq!(wd.degraded_steps, 1);
     }
 
     #[test]
@@ -210,14 +196,16 @@ mod tests {
         assert!(!wd.poll(Time::from_millis(400)));
         assert!(wd.poll(Time::from_millis(500)));
         assert!(wd.poll(Time::from_millis(700)));
-        assert_eq!(wd.degraded_steps(), 3);
+        assert_eq!(wd.degraded_steps, 3);
         assert_eq!(wd.timeouts(), 3);
         assert_eq!(wd.episodes(), 1);
         // Feedback resumes: the edge is reported exactly once.
         assert!(wd.on_valid_report(Time::from_millis(750)));
         assert!(!wd.on_valid_report(Time::from_millis(800)));
         assert!(!wd.is_degraded());
-        assert_eq!(wd.blind_for(Time::from_millis(900)), Dur::millis(100));
+        // The deadline re-arms one timeout after the last report.
+        assert!(!wd.poll(Time::from_millis(999)));
+        assert!(wd.poll(Time::from_millis(1000)));
     }
 
     #[test]
@@ -254,7 +242,7 @@ mod tests {
         wd.poll(Time::from_millis(650));
         assert_eq!(wd.timeouts(), 3);
         assert_eq!(wd.episodes(), 2);
-        assert_eq!(wd.degraded_steps(), 1);
+        assert_eq!(wd.degraded_steps, 1);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Streaming moments and exact percentiles.
 
-/// Welford-style streaming mean/variance with min/max.
+/// Welford-style streaming mean with min/max.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
     /// Non-finite samples (NaN, ±inf), rejected rather than folded in.
@@ -18,7 +17,6 @@ impl RunningStats {
         RunningStats {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             rejected: 0,
@@ -35,9 +33,7 @@ impl RunningStats {
             return;
         }
         self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.count as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -53,15 +49,6 @@ impl RunningStats {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Population variance (0 with fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
         }
     }
 
@@ -184,7 +171,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
@@ -193,7 +179,6 @@ mod tests {
     fn running_stats_empty() {
         let s = RunningStats::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.count(), 0);
     }
 
@@ -212,7 +197,6 @@ mod tests {
         assert!((s.mean() - 3.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 4.0);
-        assert!(s.variance().is_finite());
     }
 
     #[test]
