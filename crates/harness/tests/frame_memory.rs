@@ -1,5 +1,6 @@
 //! A session's latency recorder holds each frame slot in at most 20
-//! bytes of its encoded stream (about 17 on a typical call). A counting
+//! bytes of its byte store (about 17.6 on a typical call, the slack at
+//! its chunks' ends included). A counting
 //! global allocator measures the heap one call's recorder holds, per
 //! slot; the 32-byte fixed records it replaced would hold 1.6 times the
 //! bound, and unpacked `FrameRecord`s (56 bytes each) 2.8 times.

@@ -1,9 +1,9 @@
 //! A `Full` obs log stores its records compactly. A counting global
 //! allocator measures the heap one recorded call's log holds, per
 //! retained record; a log of plain `ObsRecord`s (48 bytes each, plus
-//! `Vec` growth slack) would hold over six times the bound. The call
-//! lasts 300 s, so the log's last, partly filled chunk (at most 64 KiB)
-//! adds well under a byte a record: the bound sees the encoding.
+//! `Vec` growth slack) would hold over six times the bound. The
+//! session trims its log's last chunk when it ends, so the bound sees
+//! the encoding and the slack at the other chunks' ends.
 //!
 //! This file holds a single test, so no other test's allocations land
 //! in the counters of its allocator (`heap/mod.rs`).
@@ -18,7 +18,8 @@ use ravel_sim::Dur;
 static ALLOC: heap::Counting = heap::Counting;
 
 /// Heap bytes a `Full` log may hold per retained record: a recorded
-/// call reads about 7.2, where storing each packet seq whole read 8.4.
+/// call reads about 6.8 (7.2 before its last chunk was trimmed when the
+/// session ends), where storing each packet seq whole read 8.4.
 const BYTES_PER_RECORD: f64 = 7.5;
 
 #[test]

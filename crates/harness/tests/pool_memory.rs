@@ -17,13 +17,14 @@ use ravel_sim::Dur;
 static ALLOC: heap::Counting = heap::Counting;
 
 /// One 90 s LTE-like call per arena controller, recorded in full: the
-/// obs log, the frame records and the five series make up each result,
-/// about 0.47 MB. (At 10 s the compact obs log no longer outweighs a
+/// obs log, the frame records and the four series make up each result,
+/// about 0.43 MB. (At 10 s the compact obs log no longer outweighs a
 /// running session's working memory, and the ratio below would measure
 /// that instead of the pool. At 90 s one finishing session's working
-/// memory is about 0.42 MB, under a quarter of the 1.87 MB the pool
-/// returns: jobs=1 reads 1.23, and jobs=2, where two sessions may
-/// finish together, reads 1.23 to 1.42, at most about 1.45.)
+/// memory, the worker's event queue included, is about 0.39 MB, under a
+/// quarter of the 1.70 MB the pool returns: jobs=1 reads 1.23, and
+/// jobs=2, where two sessions may finish together, reads 1.23 to 1.46,
+/// at most about 1.46.)
 fn recorded_calls() -> Vec<Cell> {
     [CcKind::Gcc, CcKind::Nada, CcKind::Bbr, CcKind::LossEma]
         .into_iter()
